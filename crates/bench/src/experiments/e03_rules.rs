@@ -2,12 +2,16 @@
 //! matching one event against 10²…10⁵⁺ rules, indexed vs scan.
 //!
 //! Expected shape: scan cost grows linearly with the rule count; indexed
-//! cost grows with *matching* constraints only, so the gap widens to
-//! orders of magnitude at large rule counts.
+//! cost grows with the rules an event can match on two attributes plus
+//! the planted unindexable share, so the gap widens to orders of
+//! magnitude at large rule counts. `cand/evt` is the matcher's own count
+//! of rule predicates it evaluated per event (index candidates +
+//! unindexed rules), next to the matches they produced.
 
 use std::sync::Arc;
 use std::time::Instant;
 
+use evdb_core::metrics::Registry;
 use evdb_rules::{IndexedMatcher, Matcher, Rule, ScanMatcher};
 
 use super::{Scale, Table};
@@ -52,23 +56,34 @@ pub fn run(scale: Scale) -> Table {
 
     let mut table = Table::new(
         "E3: rule-set scalability — scan vs predicate-indexed matching",
-        &["rules", "scan_us/evt", "indexed_us/evt", "speedup", "matches"],
+        &[
+            "rules",
+            "scan_us/evt",
+            "indexed_us/evt",
+            "speedup",
+            "cand/evt",
+            "matches",
+        ],
     );
     for n in sizes {
-        let (scan, idx) = build_matchers(n, 21);
+        let (scan, mut idx) = build_matchers(n, 21);
+        let registry = Registry::new();
+        idx.bind_obs(&registry);
         let (scan_us, m1) = us_per_event(&scan, &events);
         let (idx_us, m2) = us_per_event(&idx, &events);
         assert_eq!(m1, m2, "matchers must agree");
+        let candidates = registry.counter("evdb_rules_candidates_total").get();
         table.row(vec![
             n.to_string(),
             format!("{scan_us:.1}"),
             format!("{idx_us:.1}"),
             format!("{:.1}x", scan_us / idx_us),
+            format!("{:.1}", candidates as f64 / nevents as f64),
             m1.to_string(),
         ]);
     }
     table.note(format!("{nevents} events, 64 symbols, 5% residual-only rules"));
-    table.note("scan grows ~linearly with rules; indexed with matching constraints (D1)");
+    table.note("scan grows ~linearly with rules; indexed with two-attribute candidates + the residual-only 5% (D1)");
     table
 }
 

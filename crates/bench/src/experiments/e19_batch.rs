@@ -9,12 +9,16 @@
 //!   used before D15) vs batched (`matches_batch`/`match_batch` over
 //!   [`BATCH`]-row chunks with reused scratch). Four bare-VM arms
 //!   isolate single-predicate dispatch (`eval_wide` stresses the fused
-//!   field-vs-constant fast paths); the `rules_verify` arm runs the
-//!   full indexed matcher, where rule-major grouping amortizes the
-//!   entire verify stage. Same alternating-order/median method as
-//!   E13/E15. In optimized builds the best arm must clear **≥1.5×** —
-//!   that floor is asserted in-run, not just eyeballed, because it is
-//!   the premise the batched pipeline rests on.
+//!   field-vs-constant fast paths). Same alternating-order/median
+//!   method as E13/E15. In optimized builds the best bare-VM arm must
+//!   clear **≥1.5×** — that floor is asserted in-run, not just
+//!   eyeballed, because it is the premise the batched pipeline rests on.
+//!   The `rules_verify` arm runs the full indexed matcher through both
+//!   entry points and is reported, not floored: since D1's
+//!   conjunction-aware index, `match_batch` is `match_record` per record
+//!   (one probe routine) and only rules *no* index narrows go through
+//!   the batch VM, so on this all-indexed rule set the two columns are
+//!   the same code and the ratio is ~1.0×.
 //! * **pipeline scaling** — E11's multi-stream workload through the
 //!   sharded pump (whose workers now evaluate via the batch path and
 //!   merge through per-shard staging). Reported as speedup over the
@@ -134,11 +138,11 @@ fn duel(predicate: &str, events: &[Record], rounds: usize) -> (f64, f64, f64) {
     (best_p, best_b, ratios[ratios.len() / 2])
 }
 
-/// Alternating-order rounds of per-record vs batched rule matching over
-/// E15's indexed workload — the arm where batching pays most: rule-major
-/// grouping runs each rule's predicate once over all its candidate
-/// records instead of re-dispatching per (record, rule) pair. Returns
-/// (best per-record ns, best batched ns, median ratio).
+/// Alternating-order rounds of `match_record` vs `match_batch` over
+/// E15's indexed workload. Both verify index candidates one record at a
+/// time (D1); the arm shows what the matcher costs end to end and that
+/// its two entry points agree. Returns (best per-record ns, best batched
+/// ns, median ratio).
 fn rules_duel(events: &[Record], nrules: usize, rounds: usize) -> (f64, f64, f64) {
     let schema = order_schema();
     let mut matcher = IndexedMatcher::new(Arc::clone(&schema));
@@ -226,11 +230,10 @@ pub fn run(scale: Scale) -> Table {
             cores.to_string(),
         ]);
     }
-    // Rule matching, the pipeline's dominant eval stage: rule-major
-    // batching amortizes the whole verify step, not just one VM call.
+    // Rule matching, the pipeline's dominant eval stage — reported, not
+    // part of the floor (both entry points verify candidates per record).
     let nrules = scale.pick(1_000, 10_000);
     let (np, nb, rules_speedup) = rules_duel(&events, nrules, rounds);
-    best_eval = best_eval.max(rules_speedup);
     table.row(vec![
         "rules_verify".into(),
         format!("{np:.0}"),

@@ -79,10 +79,11 @@ struct CaptureTask {
     kind: CaptureKind,
 }
 
+/// One stream's alert rules. An entry exists only while the stream has
+/// at least one rule, so streams without rules skip the matching stage.
 struct AlertRules {
     matcher: IndexedMatcher,
     meta: HashMap<u64, AlertMeta>,
-    next_id: u64,
 }
 
 struct AlertMeta {
@@ -241,6 +242,9 @@ pub struct EventServer {
     /// concurrent under the sharded pump ([`IndexedMatcher::match_record`]
     /// takes `&self`).
     alert_rules: RwLock<HashMap<String, AlertRules>>,
+    /// Alert-rule ids, server-wide so an id is never issued twice even
+    /// when a stream's rule set is dropped and recreated.
+    alert_rule_ids: IdGenerator,
     /// Each detector group has its own lock so sharded workers touching
     /// different groups (or different streams) never contend; the outer
     /// map is read-mostly like `alert_rules`.
@@ -325,6 +329,7 @@ impl EventServer {
             admission,
             ingest_priorities: Arc::new(RwLock::new(HashMap::new())),
             alert_rules: RwLock::new(HashMap::new()),
+            alert_rule_ids: IdGenerator::starting_at(1),
             detectors: RwLock::new(HashMap::new()),
             partition_fields: RwLock::new(HashMap::new()),
             history,
@@ -885,29 +890,33 @@ impl EventServer {
                     .ok_or_else(|| Error::Schema(format!("unknown key field '{f}'")))?,
             ),
         };
+        let id = self.alert_rule_ids.next_id();
+        let rule = Rule::new(id, name, expr);
+        let meta = AlertMeta {
+            name: name.to_string(),
+            severity,
+            key_field: key_idx,
+        };
         let mut rules = self.alert_rules.write();
-        let entry = rules
-            .entry(stream.to_string())
-            .or_insert_with(|| {
-                let mut matcher = IndexedMatcher::new(Arc::clone(&schema));
+        match rules.get_mut(stream) {
+            Some(entry) => {
+                entry.matcher.add_rule(rule)?;
+                entry.meta.insert(id, meta);
+            }
+            None => {
+                // Inserted only once its first rule registered.
+                let mut matcher = IndexedMatcher::new(schema);
                 matcher.bind_obs(&self.registry);
-                AlertRules {
-                    matcher,
-                    meta: HashMap::new(),
-                    next_id: 1,
-                }
-            });
-        let id = entry.next_id;
-        entry.matcher.add_rule(Rule::new(id, name, expr))?;
-        entry.meta.insert(
-            id,
-            AlertMeta {
-                name: name.to_string(),
-                severity,
-                key_field: key_idx,
-            },
-        );
-        entry.next_id += 1;
+                matcher.add_rule(rule)?;
+                rules.insert(
+                    stream.to_string(),
+                    AlertRules {
+                        matcher,
+                        meta: HashMap::from([(id, meta)]),
+                    },
+                );
+            }
+        }
         Ok(id)
     }
 
@@ -919,6 +928,9 @@ impl EventServer {
             .ok_or_else(|| Error::NotFound(format!("alert rules on '{stream}'")))?;
         entry.matcher.remove_rule(id)?;
         entry.meta.remove(&id);
+        if entry.matcher.is_empty() {
+            rules.remove(stream);
+        }
         Ok(())
     }
 
@@ -2015,5 +2027,41 @@ mod tests {
         }
         assert_eq!(total, 1); // four suppressed
         assert_eq!(s.metrics().snapshot().suppressed, 4);
+    }
+
+    #[test]
+    fn streams_without_rules_skip_the_matching_stage() {
+        let (s, clock) = server();
+        s.create_stream("t", Schema::of(&[("v", DataType::Float)]))
+            .unwrap();
+        let candidates = s.registry().counter("evdb_rules_candidates_total");
+        let ingest = |v: f64| {
+            s.ingest("t", clock.now(), Record::from_iter([Value::Float(v)]))
+                .unwrap()
+                .notified
+        };
+
+        // A rule that fails to register leaves no rule set behind.
+        assert!(s.add_alert_rule("bad", "t", "ghost > 1", 1.0, None).is_err());
+        assert!(s.alert_rules.read().is_empty());
+
+        let any = s.add_alert_rule("any", "t", "v * 2 > 1", 1.0, None).unwrap();
+        let hot = s.add_alert_rule("hot", "t", "v > 10", 1.0, None).unwrap();
+        assert_eq!(ingest(50.0), 2);
+        assert_eq!(candidates.get(), 2);
+
+        // Removing the last rule drops the stream's rule set, so further
+        // events evaluate no rule predicate at all.
+        s.remove_alert_rule("t", any).unwrap();
+        s.remove_alert_rule("t", hot).unwrap();
+        assert!(s.alert_rules.read().is_empty());
+        assert!(s.remove_alert_rule("t", hot).is_err());
+        assert_eq!(ingest(50.0), 0);
+        assert_eq!(candidates.get(), 2);
+
+        // A recreated rule set never reissues an id.
+        let again = s.add_alert_rule("hot", "t", "v > 10", 1.0, None).unwrap();
+        assert!(again > hot);
+        assert_eq!(ingest(50.0), 1);
     }
 }

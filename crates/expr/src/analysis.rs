@@ -13,6 +13,10 @@
 //! * `field < literal` (and `<= > >=`, either operand order, plus
 //!   `BETWEEN`) → [`Constraint::Range`]
 //! * `field IN (literals…)` → [`Constraint::In`]
+//! * `field LIKE 'abc%…'` → the string range its literal prefix implies,
+//!   `['abc', 'abd')` as a [`Constraint::Range`] (a wildcard-free pattern
+//!   is a [`Constraint::Eq`]) — and the LIKE *also stays in the residual*,
+//!   because the range is implied by it, not equivalent to it
 //! * everything else (ORs, functions, cross-field comparisons, NOTs…)
 //!   → folded back into the residual expression.
 //!
@@ -33,6 +37,27 @@ pub struct Bound {
     pub value: Value,
     /// Whether the bound itself is included.
     pub inclusive: bool,
+}
+
+impl Bound {
+    /// Is `v` on the inner side of this bound taken as a *lower* bound?
+    /// (NULL and incomparable values never are.)
+    pub fn admits_above(&self, v: &Value) -> bool {
+        match v.sql_cmp(&self.value) {
+            Some(std::cmp::Ordering::Greater) => true,
+            Some(std::cmp::Ordering::Equal) => self.inclusive,
+            _ => false,
+        }
+    }
+
+    /// Is `v` on the inner side of this bound taken as an *upper* bound?
+    pub fn admits_below(&self, v: &Value) -> bool {
+        match v.sql_cmp(&self.value) {
+            Some(std::cmp::Ordering::Less) => true,
+            Some(std::cmp::Ordering::Equal) => self.inclusive,
+            _ => false,
+        }
+    }
 }
 
 /// An indexable atomic constraint on a single field.
@@ -84,21 +109,8 @@ impl Constraint {
                 matches!(v.sql_cmp(value), Some(std::cmp::Ordering::Equal))
             }
             Constraint::Range { low, high, .. } => {
-                if let Some(b) = low {
-                    match v.sql_cmp(&b.value) {
-                        Some(std::cmp::Ordering::Greater) => {}
-                        Some(std::cmp::Ordering::Equal) if b.inclusive => {}
-                        _ => return false,
-                    }
-                }
-                if let Some(b) = high {
-                    match v.sql_cmp(&b.value) {
-                        Some(std::cmp::Ordering::Less) => {}
-                        Some(std::cmp::Ordering::Equal) if b.inclusive => {}
-                        _ => return false,
-                    }
-                }
-                true
+                low.as_ref().is_none_or(|b| b.admits_above(v))
+                    && high.as_ref().is_none_or(|b| b.admits_below(v))
             }
             Constraint::In { values, .. } => values
                 .iter()
@@ -135,7 +147,11 @@ pub fn analyze(expr: &Expr) -> ConjunctiveForm {
     for atom in atoms {
         match extract(atom) {
             Some(c) => form.constraints.push(c),
-            None => residual_parts.push(atom.clone()),
+            None => {
+                // Implied, not equivalent: the LIKE itself stays residual.
+                form.constraints.extend(like_prefix(atom));
+                residual_parts.push(atom.clone());
+            }
         }
     }
     form.residual = residual_parts.into_iter().reduce(Expr::and);
@@ -266,6 +282,51 @@ fn extract(atom: &Expr) -> Option<Constraint> {
     }
 }
 
+/// The constraint a constant LIKE pattern implies on its field:
+/// `f LIKE 'abc%…'` only matches strings in `['abc', succ('abc'))`, where
+/// `succ` increments the last scalar of the literal prefix (string order
+/// is scalar order, so every string with that prefix sorts inside). A
+/// pattern with no wildcard is equality; an empty prefix or `NOT LIKE`
+/// implies nothing. When the last scalar has no successor the range
+/// keeps its lower bound only.
+fn like_prefix(atom: &Expr) -> Option<Constraint> {
+    let Expr::Like {
+        expr,
+        pattern,
+        negated: false,
+    } = atom
+    else {
+        return None;
+    };
+    let Expr::Field(field) = &**expr else {
+        return None;
+    };
+    let pattern = const_eval(pattern)?;
+    let pattern = pattern.as_str()?;
+    let Some(wildcard) = pattern.find(['%', '_']) else {
+        return Some(Constraint::Eq {
+            field: field.clone(),
+            value: Value::from(pattern),
+        });
+    };
+    let prefix = &pattern[..wildcard];
+    let last = prefix.chars().next_back()?;
+    let stem = &prefix[..prefix.len() - last.len_utf8()];
+    // `char` steps skip the surrogate gap; only `char::MAX` has no successor.
+    let high = (last..=char::MAX).nth(1).map(|next| Bound {
+        value: Value::from(format!("{stem}{next}")),
+        inclusive: false,
+    });
+    Some(Constraint::Range {
+        field: field.clone(),
+        low: Some(Bound {
+            value: Value::from(prefix),
+            inclusive: true,
+        }),
+        high,
+    })
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -337,6 +398,98 @@ mod tests {
         assert_eq!(form("a = NULL").constraints.len(), 0);
         assert_eq!(form("a IN (1, NULL)").constraints.len(), 0);
         assert_eq!(form("abs(a) = 1").constraints.len(), 0);
+    }
+
+    fn str_bound(value: &str, inclusive: bool) -> Option<Bound> {
+        Some(Bound {
+            value: Value::from(value),
+            inclusive,
+        })
+    }
+
+    #[test]
+    fn like_prefix_implies_a_string_range_and_stays_residual() {
+        let f = form("sym LIKE 'S3%' AND volume % 97 = 5");
+        assert_eq!(
+            f.constraints,
+            vec![Constraint::Range {
+                field: "sym".into(),
+                low: str_bound("S3", true),
+                high: str_bound("S4", false),
+            }]
+        );
+        let residual = f.residual.unwrap().to_string();
+        assert!(residual.contains("LIKE"), "{residual}");
+        assert!(residual.contains("97"), "{residual}");
+        // `_` ends the prefix like `%` does.
+        assert_eq!(
+            form("sym LIKE 'ab_d%'").constraints,
+            vec![Constraint::Range {
+                field: "sym".into(),
+                low: str_bound("ab", true),
+                high: str_bound("ac", false),
+            }]
+        );
+    }
+
+    #[test]
+    fn like_prefix_successor_edges() {
+        let range = |src: &str| match form(src).constraints.as_slice() {
+            [Constraint::Range { low, high, .. }] => (low.clone(), high.clone()),
+            other => panic!("{src}: {other:?}"),
+        };
+        // Multi-byte last scalar: the successor is the next scalar, not
+        // the next byte.
+        assert_eq!(
+            range("s LIKE 'caf\u{e9}%'"),
+            (str_bound("caf\u{e9}", true), str_bound("caf\u{ea}", false))
+        );
+        // The successor steps over the surrogate gap.
+        assert_eq!(
+            range("s LIKE 'x\u{d7ff}%'"),
+            (str_bound("x\u{d7ff}", true), str_bound("x\u{e000}", false))
+        );
+        // No successor: lower bound only.
+        assert_eq!(
+            range("s LIKE 'a\u{10ffff}%'"),
+            (str_bound("a\u{10ffff}", true), None)
+        );
+        // Every string the pattern matches is inside the range.
+        let c = &form("s LIKE 'S1%'").constraints[0];
+        for s in ["S1", "S10", "S1\u{10ffff}z"] {
+            assert!(c.accepts(&Value::from(s)), "{s}");
+        }
+        for s in ["S", "S0z", "S2", "T1"] {
+            assert!(!c.accepts(&Value::from(s)), "{s}");
+        }
+    }
+
+    #[test]
+    fn like_without_a_usable_prefix() {
+        // Empty prefix, negation, non-constant pattern: nothing implied.
+        for src in [
+            "s LIKE '%x'",
+            "s LIKE '_1%'",
+            "s NOT LIKE 'S1%'",
+            "s LIKE t",
+            "lower(s) LIKE 'a%'",
+        ] {
+            let f = form(src);
+            assert!(f.constraints.is_empty(), "{src}");
+            assert!(f.residual.is_some(), "{src}");
+        }
+        // No wildcard at all: equality (the empty pattern included).
+        for lit in ["abc", ""] {
+            let f = form(&format!("s LIKE '{lit}'"));
+            assert_eq!(
+                f.constraints,
+                vec![Constraint::Eq {
+                    field: "s".into(),
+                    value: Value::from(lit),
+                }]
+            );
+            assert!(f.residual.is_some());
+        }
     }
 
     #[test]

@@ -1,30 +1,47 @@
 //! The predicate-indexed matcher (DESIGN.md D1).
 //!
 //! Every rule is decomposed by [`evdb_expr::analyze`] into indexable
-//! constraints; the matcher then performs **access-path selection**: it
-//! indexes the rule under its *most selective* constraint —
+//! constraints, and the matcher posts it under up to **two** of them:
 //!
-//! `Eq` (hash probe) ≻ `In` (one hash entry per value) ≻ two-sided
-//! `Range` ≻ one-sided `Range` (ordered stab probes) —
+//! 1. **Access path** — the most selective constraint: `Eq` (hash
+//!    probe) ≻ small `In` (one hash entry per value) ≻ two-sided `Range`
+//!    ≻ one-sided `Range` (a LIKE with a literal prefix counts as the
+//!    string range it implies). A range access path is one posting in
+//!    the field's [`IntervalIndex`]; an equality access path selects a
+//!    **cluster** — everything posted under that field value.
+//! 2. **Second constraint** — inside a cluster, the rule's best
+//!    remaining `Eq`/`Range` on a *different* field (same ranking) keys a
+//!    per-field [`IntervalIndex`] (`Eq` as the interval `[v, v]`); rules
+//!    with none sit in the cluster's plain list.
 //!
-//! and verifies the rule's **full predicate** on each candidate. A rule
-//! with no indexable constraint falls into an always-evaluate set.
+//! So `sym = 'S17' AND price BETWEEN a AND b` is a candidate only for
+//! ticks on `S17` whose price is inside `[a, b]`, not for every tick on
+//! `S17`. Candidates are still verified against the rule's **full
+//! predicate**: the index only has to be a sound superset (for band
+//! rules it is exact). A rule with no indexable constraint falls into an
+//! always-evaluate set.
 //!
-//! Matching one record therefore costs `O(probe + candidates)`:
-//! a record only pays for rules whose access constraint it satisfies,
-//! not for every rule (the scan baseline) nor for every satisfied
-//! constraint anywhere in the rule set (the counting algorithm, which
-//! degrades when rules carry wide range predicates). Updates touch only
-//! the changed rule's postings, which is what keeps frequently changing
-//! rule sets cheap (experiment E4).
+//! Matching one record costs `O(probes + candidates)` with candidates ≈
+//! rules the record satisfies on two attributes. Postings carry a dense
+//! `u32` slot into the rule slab, so verifying a candidate is an array
+//! index. Updates touch only the changed rule's postings — one hash
+//! entry and one interval block — which is what keeps frequently
+//! changing rule sets cheap (experiment E4).
+//!
+//! **Error visibility.** A record that fails a rule's indexed
+//! constraints never evaluates that rule and therefore never surfaces
+//! its evaluation errors (the scan baseline would). This holds for the
+//! access path and the second constraint alike.
 
-use std::collections::{BTreeMap, HashMap};
+use std::collections::hash_map::Entry;
+use std::collections::HashMap;
 use std::sync::Arc;
 
 use evdb_expr::{analyze, BoundExpr, CompiledExpr, Constraint};
 use evdb_obs::{Counter, Registry};
 use evdb_types::{Error, Record, Result, Schema, Value};
 
+use crate::interval::{Interval, IntervalIndex};
 use crate::matcher::{MatchScratch, Matcher};
 use crate::rule::{Rule, RuleId};
 
@@ -38,17 +55,29 @@ pub enum VerifyMode {
     Interpreted,
 }
 
-/// Where a rule's access posting lives, for removal.
-#[derive(Debug, Clone)]
+/// Where a rule is posted, for removal. Interval postings are found
+/// again by `(low bound, slot)`, so only the low value is kept.
+#[derive(Debug)]
 enum Posting {
-    Eq { field: usize, values: Vec<Value> },
-    LowBounded { field: usize, key: (Value, u64) },
-    HighOnly { field: usize, key: (Value, u64) },
+    /// In `fields[field].eq[value]` for each of `values`: under
+    /// `second = (field, low)` in the cluster's interval index for that
+    /// field, or in its plain list.
+    Eq {
+        field: usize,
+        values: Vec<Value>,
+        second: Option<(usize, Option<Value>)>,
+    },
+    /// In `fields[field].ranges`.
+    Range {
+        field: usize,
+        low: Option<Value>,
+    },
     Unindexed,
 }
 
 #[derive(Debug)]
 struct RuleMeta {
+    id: RuleId,
     /// Interpreter form (oracle; used in [`VerifyMode::Interpreted`]).
     predicate: BoundExpr,
     /// Bytecode form (hot path; used in [`VerifyMode::Compiled`]).
@@ -66,29 +95,81 @@ impl RuleMeta {
     }
 }
 
-/// Entry in the low-keyed range structure.
-#[derive(Debug, Clone)]
-struct RangeEntry {
-    rule: RuleId,
-    low_inclusive: bool,
-    /// Upper bound for two-sided intervals.
-    high: Option<(Value, bool)>,
+/// Everything posted under one value of an equality access path.
+#[derive(Debug, Default)]
+struct Cluster {
+    /// Rules with no second constraint.
+    plain: Vec<u32>,
+    /// Rules keyed by a second constraint, per constrained field (a
+    /// handful of fields at most, hence a list).
+    by_field: Vec<(usize, IntervalIndex)>,
 }
 
-#[derive(Debug, Clone)]
-struct HighEntry {
-    rule: RuleId,
-    inclusive: bool,
+impl Cluster {
+    fn is_empty(&self) -> bool {
+        self.plain.is_empty() && self.by_field.is_empty()
+    }
+
+    fn insert(&mut self, second: Option<(usize, Interval)>, slot: u32) {
+        let Some((field, interval)) = second else {
+            self.plain.push(slot);
+            return;
+        };
+        let at = match self.by_field.iter().position(|(f, _)| *f == field) {
+            Some(at) => at,
+            None => {
+                self.by_field.push((field, IntervalIndex::default()));
+                self.by_field.len() - 1
+            }
+        };
+        self.by_field[at].1.insert(interval, slot);
+    }
+
+    fn remove(&mut self, second: &Option<(usize, Option<Value>)>, slot: u32) {
+        let removed = match second {
+            None => remove_slot(&mut self.plain, slot),
+            Some((field, low)) => match self.by_field.iter().position(|(f, _)| f == field) {
+                Some(at) => {
+                    let removed = self.by_field[at].1.remove(low.as_ref(), slot);
+                    if self.by_field[at].1.is_empty() {
+                        self.by_field.remove(at);
+                    }
+                    removed
+                }
+                None => false,
+            },
+        };
+        debug_assert!(removed, "slot {slot} was posted in this cluster");
+    }
+
+    fn probe(&self, record: &Record, slots: &mut Vec<u32>) {
+        slots.extend_from_slice(&self.plain);
+        for (field, index) in &self.by_field {
+            if let Some(v) = record.get(*field).filter(|v| !v.is_null()) {
+                index.stab(v, slots);
+            }
+        }
+    }
+}
+
+/// Remove `slot` from an order-preserving slot list.
+fn remove_slot(slots: &mut Vec<u32>, slot: u32) -> bool {
+    match slots.iter().position(|s| *s == slot) {
+        Some(at) => {
+            slots.remove(at);
+            true
+        }
+        None => false,
+    }
 }
 
 #[derive(Debug, Default)]
 struct FieldIndex {
-    /// value → rules whose access constraint is equality with it.
-    eq: HashMap<Value, Vec<RuleId>>,
-    /// Access constraints with a lower bound, keyed by `(low, seq)`.
-    low_keyed: BTreeMap<(Value, u64), RangeEntry>,
-    /// Upper-bound-only access constraints, keyed by `(high, seq)`.
-    high_keyed: BTreeMap<(Value, u64), HighEntry>,
+    /// value → cluster of rules whose access constraint is equality
+    /// with it (`IN` posts into one cluster per value).
+    eq: HashMap<Value, Cluster>,
+    /// Rules whose access constraint is a range on this field.
+    ranges: IntervalIndex,
 }
 
 /// The scalable matcher.
@@ -112,26 +193,45 @@ struct FieldIndex {
 pub struct IndexedMatcher {
     schema: Arc<Schema>,
     fields: Vec<FieldIndex>,
-    rules: HashMap<RuleId, RuleMeta>,
-    /// Rules with no indexable access constraint.
-    unindexed: BTreeMap<RuleId, ()>,
-    seq: u64,
+    /// Rule slab; postings refer to rules by slot.
+    slab: Vec<Option<RuleMeta>>,
+    /// Vacant slab slots, reused before the slab grows.
+    free: Vec<u32>,
+    by_id: HashMap<RuleId, u32>,
+    /// Rules with no indexable constraint, in registration order.
+    unindexed: Vec<u32>,
     /// Which engine verifies candidate predicates.
     verify_mode: VerifyMode,
-    /// Candidate rules probed per record (index hits + unindexed fallbacks).
+    /// Rule predicates evaluated (index candidates + unindexed rules).
     candidates_obs: Option<Arc<Counter>>,
     /// Rules whose full predicate matched.
     matches_obs: Option<Arc<Counter>>,
 }
 
-/// Selectivity rank of a constraint (higher = preferred access path).
+/// Selectivity rank of a constraint (higher = preferred).
 fn rank(c: &Constraint) -> u8 {
     match c {
         Constraint::Eq { .. } => 4,
         Constraint::In { values, .. } if values.len() <= 8 => 3,
-        Constraint::Range { low: Some(_), high: Some(_), .. } => 2,
+        Constraint::Range {
+            low: Some(_),
+            high: Some(_),
+            ..
+        } => 2,
         Constraint::Range { .. } => 1,
         Constraint::In { .. } => 1,
+    }
+}
+
+/// The interval an `Eq` or `Range` constraint describes; `In` has none.
+fn interval_of(c: &Constraint) -> Option<Interval> {
+    match c {
+        Constraint::Eq { value, .. } => Some(Interval::point(value.clone())),
+        Constraint::Range { low, high, .. } => Some(Interval {
+            low: low.clone(),
+            high: high.clone(),
+        }),
+        Constraint::In { .. } => None,
     }
 }
 
@@ -142,9 +242,10 @@ impl IndexedMatcher {
         IndexedMatcher {
             schema,
             fields: (0..nfields).map(|_| FieldIndex::default()).collect(),
-            rules: HashMap::new(),
-            unindexed: BTreeMap::new(),
-            seq: 0,
+            slab: Vec::new(),
+            free: Vec::new(),
+            by_id: HashMap::new(),
+            unindexed: Vec::new(),
             verify_mode: VerifyMode::default(),
             candidates_obs: None,
             matches_obs: None,
@@ -159,7 +260,8 @@ impl IndexedMatcher {
     }
 
     /// Register candidate/match counters with `registry`
-    /// (`evdb_rules_candidates_total`, `evdb_rules_matches_total`).
+    /// (`evdb_rules_candidates_total` — rule predicates evaluated —
+    /// and `evdb_rules_matches_total`).
     pub fn bind_obs(&mut self, registry: &Registry) {
         if registry.is_enabled() {
             self.candidates_obs = Some(registry.counter("evdb_rules_candidates_total"));
@@ -169,7 +271,7 @@ impl IndexedMatcher {
 
     /// How many rules have an indexed access path.
     pub fn fully_indexed_count(&self) -> usize {
-        self.rules.len() - self.unindexed.len()
+        self.by_id.len() - self.unindexed.len()
     }
 
     /// How many rules fall back to always-evaluate.
@@ -177,435 +279,241 @@ impl IndexedMatcher {
         self.unindexed.len()
     }
 
-    /// Probe every field index and append the record's candidate rule
-    /// ids (shared by [`Matcher::match_record`] and
-    /// [`Matcher::match_batch`]; each candidate appears once — one
-    /// access posting per rule, IN values are distinct).
-    fn collect_candidates(&self, record: &Record, candidates: &mut Vec<RuleId>) {
-        for (field_pos, fidx) in self.fields.iter().enumerate() {
-            let Some(v) = record.get(field_pos) else { continue };
-            if v.is_null() {
-                continue;
-            }
-            if let Some(rules) = fidx.eq.get(v) {
-                candidates.extend_from_slice(rules);
-            }
-            if !fidx.low_keyed.is_empty() {
-                let upper = (v.clone(), u64::MAX);
-                for ((low, _), entry) in fidx.low_keyed.range(..=upper) {
-                    let low_ok = match v.sql_cmp(low) {
-                        Some(std::cmp::Ordering::Greater) => true,
-                        Some(std::cmp::Ordering::Equal) => entry.low_inclusive,
-                        _ => false,
-                    };
-                    if !low_ok {
-                        continue;
-                    }
-                    let high_ok = match &entry.high {
-                        None => true,
-                        Some((h, inc)) => match v.sql_cmp(h) {
-                            Some(std::cmp::Ordering::Less) => true,
-                            Some(std::cmp::Ordering::Equal) => *inc,
-                            _ => false,
-                        },
-                    };
-                    if high_ok {
-                        candidates.push(entry.rule);
-                    }
-                }
-            }
-            if !fidx.high_keyed.is_empty() {
-                let lower = (v.clone(), 0u64);
-                for ((high, _), entry) in fidx.high_keyed.range(lower..) {
-                    let ok = match v.sql_cmp(high) {
-                        Some(std::cmp::Ordering::Less) => true,
-                        Some(std::cmp::Ordering::Equal) => entry.inclusive,
-                        _ => false,
-                    };
-                    if ok {
-                        candidates.push(entry.rule);
-                    }
-                }
-            }
-        }
+    fn meta(&self, slot: u32) -> &RuleMeta {
+        self.slab[slot as usize]
+            .as_ref()
+            .expect("posted slots are live")
     }
-}
 
-impl Matcher for IndexedMatcher {
-    fn add_rule(&mut self, rule: Rule) -> Result<()> {
-        if self.rules.contains_key(&rule.id) {
-            return Err(Error::AlreadyExists(format!("rule {}", rule.id)));
-        }
+    /// Type-check and compile a rule's predicate; touches no state, so
+    /// a failure leaves the matcher as it was.
+    fn prepare(&self, rule: &Rule) -> Result<(BoundExpr, CompiledExpr)> {
         let predicate = rule.predicate.bind_predicate(&self.schema)?;
         let compiled = CompiledExpr::compile(&predicate);
-        let form = analyze(&rule.predicate);
+        Ok((predicate, compiled))
+    }
 
-        // Access-path selection: the highest-ranked constraint wins.
-        let access = form
-            .constraints
-            .iter()
-            .max_by_key(|c| rank(c))
-            .filter(|c| rank(c) > 0);
+    /// Post a prepared rule and store it in the slab.
+    fn install(&mut self, rule: &Rule, predicate: BoundExpr, compiled: CompiledExpr) {
+        let slot = self.free.pop().unwrap_or_else(|| {
+            self.slab.push(None);
+            (self.slab.len() - 1) as u32
+        });
+        let posting = self.post(&analyze(&rule.predicate).constraints, slot);
+        self.slab[slot as usize] = Some(RuleMeta {
+            id: rule.id,
+            predicate,
+            compiled,
+            posting,
+        });
+        self.by_id.insert(rule.id, slot);
+    }
 
-        let posting = match access {
-            None => {
-                self.unindexed.insert(rule.id, ());
-                Posting::Unindexed
-            }
-            Some(c) => {
-                // bind_predicate validated all fields, so this exists.
-                let field = self
-                    .schema
-                    .index_of(c.field())
-                    .expect("constraint field exists");
-                match c {
-                    Constraint::Eq { value, .. } => {
-                        self.fields[field]
-                            .eq
-                            .entry(value.clone())
-                            .or_default()
-                            .push(rule.id);
-                        Posting::Eq {
-                            field,
-                            values: vec![value.clone()],
-                        }
-                    }
-                    Constraint::In { values, .. } => {
-                        for v in values {
-                            self.fields[field]
-                                .eq
-                                .entry(v.clone())
-                                .or_default()
-                                .push(rule.id);
-                        }
-                        Posting::Eq {
-                            field,
-                            values: values.clone(),
-                        }
-                    }
-                    Constraint::Range { low, high, .. } => {
-                        self.seq += 1;
-                        match (low, high) {
-                            (Some(lo), hi) => {
-                                let key = (lo.value.clone(), self.seq);
-                                self.fields[field].low_keyed.insert(
-                                    key.clone(),
-                                    RangeEntry {
-                                        rule: rule.id,
-                                        low_inclusive: lo.inclusive,
-                                        high: hi
-                                            .as_ref()
-                                            .map(|b| (b.value.clone(), b.inclusive)),
-                                    },
-                                );
-                                Posting::LowBounded { field, key }
-                            }
-                            (None, Some(hi)) => {
-                                let key = (hi.value.clone(), self.seq);
-                                self.fields[field].high_keyed.insert(
-                                    key.clone(),
-                                    HighEntry {
-                                        rule: rule.id,
-                                        inclusive: hi.inclusive,
-                                    },
-                                );
-                                Posting::HighOnly { field, key }
-                            }
-                            (None, None) => {
-                                unreachable!("analyze never emits unbounded ranges")
-                            }
-                        }
-                    }
-                }
+    /// Post `slot` under its access path and second constraint.
+    fn post(&mut self, constraints: &[Constraint], slot: u32) -> Posting {
+        // `prepare` bound the predicate, so every constrained field exists.
+        let field_of = |c: &Constraint| {
+            self.schema
+                .index_of(c.field())
+                .expect("constraint field exists")
+        };
+        let Some(access) = constraints.iter().max_by_key(|c| rank(c)) else {
+            self.unindexed.push(slot);
+            return Posting::Unindexed;
+        };
+        let field = field_of(access);
+        let values = match access {
+            Constraint::Eq { value, .. } => std::slice::from_ref(value),
+            Constraint::In { values, .. } => values.as_slice(),
+            Constraint::Range { low, high, .. } => {
+                let interval = Interval {
+                    low: low.clone(),
+                    high: high.clone(),
+                };
+                let low = interval.low_value().cloned();
+                self.fields[field].ranges.insert(interval, slot);
+                return Posting::Range { field, low };
             }
         };
-
-        self.rules.insert(
-            rule.id,
-            RuleMeta {
-                predicate,
-                compiled,
-                posting,
-            },
-        );
-        Ok(())
-    }
-
-    fn remove_rule(&mut self, id: RuleId) -> Result<()> {
-        let meta = self
-            .rules
-            .remove(&id)
-            .ok_or_else(|| Error::NotFound(format!("rule {id}")))?;
-        match meta.posting {
-            Posting::Unindexed => {
-                self.unindexed.remove(&id);
-            }
-            Posting::Eq { field, values } => {
-                for value in values {
-                    if let Some(v) = self.fields[field].eq.get_mut(&value) {
-                        v.retain(|r| *r != id);
-                        if v.is_empty() {
-                            self.fields[field].eq.remove(&value);
-                        }
-                    }
-                }
-            }
-            Posting::LowBounded { field, key } => {
-                self.fields[field].low_keyed.remove(&key);
-            }
-            Posting::HighOnly { field, key } => {
-                self.fields[field].high_keyed.remove(&key);
-            }
+        let second = constraints
+            .iter()
+            .filter(|c| c.field() != access.field() && !matches!(c, Constraint::In { .. }))
+            .max_by_key(|c| rank(c))
+            .and_then(|c| Some((field_of(c), interval_of(c)?)));
+        for value in values {
+            self.fields[field]
+                .eq
+                .entry(value.clone())
+                .or_default()
+                .insert(second.clone(), slot);
         }
-        Ok(())
+        Posting::Eq {
+            field,
+            values: values.to_vec(),
+            second: second.map(|(f, interval)| (f, interval.low_value().cloned())),
+        }
     }
 
-    fn match_record(&self, record: &Record) -> Result<Vec<RuleId>> {
-        let mut candidates: Vec<RuleId> = Vec::new();
-        self.collect_candidates(record, &mut candidates);
+    /// The one probe routine (D1): append the slot of every rule whose
+    /// indexed constraints `record` satisfies. Each rule appears at most
+    /// once — it is posted under one field, and a record carries one
+    /// value (one cluster, IN values being distinct) per field.
+    fn probe(&self, record: &Record, slots: &mut Vec<u32>) {
+        for (field, index) in self.fields.iter().enumerate() {
+            let Some(v) = record.get(field).filter(|v| !v.is_null()) else {
+                continue;
+            };
+            if let Some(cluster) = index.eq.get(v) {
+                cluster.probe(record, slots);
+            }
+            index.ranges.stab(v, slots);
+        }
+    }
 
-        // Verify full predicates on candidates (each candidate appears
-        // once: one access posting per rule, IN values are distinct).
-        let candidate_count = candidates.len();
+    /// Match one record: probe, verify the candidates' full predicates,
+    /// then take each unindexed rule's verdict from `unindexed_verdict(k,
+    /// rule)` (`k` counts along `self.unindexed`). Both [`Matcher`] entry
+    /// points run through here, so ids, order and first-error-wins agree
+    /// by construction. The counters fire only for records that complete.
+    fn match_one(
+        &self,
+        record: &Record,
+        slots: &mut Vec<u32>,
+        mut unindexed_verdict: impl FnMut(usize, &RuleMeta) -> Result<bool>,
+    ) -> Result<Vec<RuleId>> {
+        slots.clear();
+        self.probe(record, slots);
         let mut out = Vec::new();
-        for id in candidates {
-            let meta = &self.rules[&id];
+        for &slot in slots.iter() {
+            let meta = self.meta(slot);
             if meta.verify(record, self.verify_mode)? {
-                out.push(id);
+                out.push(meta.id);
             }
         }
-        // Unindexed rules: evaluate outright.
-        for id in self.unindexed.keys() {
-            if self.rules[id].verify(record, self.verify_mode)? {
-                out.push(*id);
+        for (k, &slot) in self.unindexed.iter().enumerate() {
+            let meta = self.meta(slot);
+            if unindexed_verdict(k, meta)? {
+                out.push(meta.id);
             }
         }
         out.sort_unstable();
-        out.dedup();
         if let Some(c) = &self.candidates_obs {
-            c.add((candidate_count + self.unindexed.len()) as u64);
+            c.add((slots.len() + self.unindexed.len()) as u64);
         }
         if let Some(c) = &self.matches_obs {
             c.add(out.len() as u64);
         }
         Ok(out)
     }
+}
 
-    /// Batched candidate-verify: records are bucketed *by probe value*
-    /// per indexed field, so every record sharing a value shares one
-    /// index probe, and each posting hit yields a rule-major group (the
-    /// rule plus the whole bucket) ready for one batch-VM pass — no
-    /// per-pair sorting or hashing. Per-record results — ids, ordering,
-    /// and first-error-wins — are reconstructed in the record's
-    /// original candidate order, so `out[i]` is identical to a
-    /// per-record call.
+impl Matcher for IndexedMatcher {
+    fn add_rule(&mut self, rule: Rule) -> Result<()> {
+        if self.by_id.contains_key(&rule.id) {
+            return Err(Error::AlreadyExists(format!("rule {}", rule.id)));
+        }
+        let (predicate, compiled) = self.prepare(&rule)?;
+        self.install(&rule, predicate, compiled);
+        Ok(())
+    }
+
+    fn remove_rule(&mut self, id: RuleId) -> Result<()> {
+        let slot = self
+            .by_id
+            .remove(&id)
+            .ok_or_else(|| Error::NotFound(format!("rule {id}")))?;
+        let meta = self.slab[slot as usize]
+            .take()
+            .expect("registered slots are live");
+        self.free.push(slot);
+        match meta.posting {
+            Posting::Unindexed => {
+                let removed = remove_slot(&mut self.unindexed, slot);
+                debug_assert!(removed, "rule {id} was in the unindexed list");
+            }
+            Posting::Range { field, low } => {
+                let removed = self.fields[field].ranges.remove(low.as_ref(), slot);
+                debug_assert!(removed, "rule {id} was posted under its range");
+            }
+            Posting::Eq {
+                field,
+                values,
+                second,
+            } => {
+                for value in values {
+                    if let Entry::Occupied(mut cluster) = self.fields[field].eq.entry(value) {
+                        cluster.get_mut().remove(&second, slot);
+                        if cluster.get().is_empty() {
+                            cluster.remove();
+                        }
+                    }
+                }
+            }
+        }
+        Ok(())
+    }
+
+    fn update_rule(&mut self, rule: Rule) -> Result<()> {
+        if !self.by_id.contains_key(&rule.id) {
+            return Err(Error::NotFound(format!("rule {}", rule.id)));
+        }
+        // Prepare before removing: a predicate that does not bind must
+        // leave the old rule in place.
+        let (predicate, compiled) = self.prepare(&rule)?;
+        self.remove_rule(rule.id)?;
+        self.install(&rule, predicate, compiled);
+        Ok(())
+    }
+
+    fn match_record(&self, record: &Record) -> Result<Vec<RuleId>> {
+        self.match_one(record, &mut Vec::new(), |_, rule| {
+            rule.verify(record, self.verify_mode)
+        })
+    }
+
+    /// [`match_record`](Matcher::match_record) per record, except that
+    /// the unindexed rules — the one verify group that spans the whole
+    /// batch — go through the batch VM first, one pass per rule. Index
+    /// candidates are verified record by record: the second constraint
+    /// exists so that few records share a candidate, and a rule-major
+    /// group of one or two records costs more to build than it saves
+    /// (DESIGN.md D1 records the trade-off for wide clusters).
     fn match_batch(
         &self,
         records: &[&Record],
         scratch: &mut MatchScratch,
         out: &mut Vec<Result<Vec<RuleId>>>,
     ) {
+        out.clear();
         if self.verify_mode == VerifyMode::Interpreted {
-            // Oracle mode: stay on the reference path.
-            out.clear();
+            // Oracle mode: stay on the reference evaluator.
             out.extend(records.iter().map(|r| self.match_record(r)));
             return;
         }
-        let n = records.len();
         let MatchScratch {
             expr,
             bools,
-            val_buckets,
-            bucket_lists,
-            groups,
-            grouped,
-            rec_cursor,
-            rec_off,
-            verdict_bits,
-            pair_rule,
-            errs,
+            slots,
+            verdicts,
         } = scratch;
-
-        // Phase 1: bucket records by probe value, then walk each field's
-        // postings once per *distinct value* instead of once per record.
-        // Groups are appended in each record's candidate order (fields
-        // in schema order; per field eq then low-keyed then high-keyed,
-        // mirroring `collect_candidates`; unindexed rules last) — a
-        // record belongs to exactly one bucket per field, so the group
-        // build order restricted to that record is its verify order.
-        groups.clear();
-        grouped.clear();
-        rec_cursor.clear();
-        rec_cursor.resize(n, 0);
-        for (field_pos, fidx) in self.fields.iter().enumerate() {
-            if fidx.eq.is_empty() && fidx.low_keyed.is_empty() && fidx.high_keyed.is_empty() {
-                continue;
-            }
-            val_buckets.clear();
-            let mut nb = 0u32;
-            for (ri, record) in records.iter().enumerate() {
-                let Some(v) = record.get(field_pos) else { continue };
-                if v.is_null() {
-                    continue;
-                }
-                let b = match val_buckets.get(v) {
-                    Some(&b) => b,
-                    None => {
-                        let b = nb;
-                        nb += 1;
-                        if bucket_lists.len() <= b as usize {
-                            bucket_lists.push(Vec::new());
-                        } else {
-                            bucket_lists[b as usize].clear();
-                        }
-                        val_buckets.insert(v.clone(), b);
-                        b
-                    }
-                };
-                bucket_lists[b as usize].push(ri as u32);
-            }
-            for (v, &b) in val_buckets.iter() {
-                let recs = &bucket_lists[b as usize];
-                let mut push_group = |rule: RuleId| {
-                    let start = grouped.len() as u32;
-                    grouped.extend_from_slice(recs);
-                    for &r in recs {
-                        rec_cursor[r as usize] += 1;
-                    }
-                    groups.push((rule, start, recs.len() as u32));
-                };
-                if let Some(rules) = fidx.eq.get(v) {
-                    for &rule in rules {
-                        push_group(rule);
-                    }
-                }
-                if !fidx.low_keyed.is_empty() {
-                    let upper = (v.clone(), u64::MAX);
-                    for ((low, _), entry) in fidx.low_keyed.range(..=upper) {
-                        let low_ok = match v.sql_cmp(low) {
-                            Some(std::cmp::Ordering::Greater) => true,
-                            Some(std::cmp::Ordering::Equal) => entry.low_inclusive,
-                            _ => false,
-                        };
-                        if !low_ok {
-                            continue;
-                        }
-                        let high_ok = match &entry.high {
-                            None => true,
-                            Some((h, inc)) => match v.sql_cmp(h) {
-                                Some(std::cmp::Ordering::Less) => true,
-                                Some(std::cmp::Ordering::Equal) => *inc,
-                                _ => false,
-                            },
-                        };
-                        if high_ok {
-                            push_group(entry.rule);
-                        }
-                    }
-                }
-                if !fidx.high_keyed.is_empty() {
-                    let lower = (v.clone(), 0u64);
-                    for ((high, _), entry) in fidx.high_keyed.range(lower..) {
-                        let ok = match v.sql_cmp(high) {
-                            Some(std::cmp::Ordering::Less) => true,
-                            Some(std::cmp::Ordering::Equal) => entry.inclusive,
-                            _ => false,
-                        };
-                        if ok {
-                            push_group(entry.rule);
-                        }
-                    }
-                }
-            }
+        // Rule-major verdicts: rule `k` on record `i` at `k * n + i`.
+        let n = records.len();
+        verdicts.clear();
+        for &slot in &self.unindexed {
+            self.meta(slot)
+                .compiled
+                .matches_batch(records, |r| *r, expr, bools);
+            verdicts.append(bools);
         }
-        for &id in self.unindexed.keys() {
-            let start = grouped.len() as u32;
-            grouped.extend(0..n as u32);
-            for c in rec_cursor.iter_mut() {
-                *c += 1;
-            }
-            groups.push((id, start, n as u32));
-        }
-
-        // Phase 2: one batch-VM pass per group; verdicts scatter into
-        // record-major slots. Scatter cursors advance in group build
-        // order, which per record is its candidate order (see above).
-        rec_off.clear();
-        rec_off.reserve(n + 1);
-        let mut acc = 0u32;
-        rec_off.push(0);
-        for &cnt in rec_cursor.iter() {
-            acc += cnt;
-            rec_off.push(acc);
-        }
-        let total = grouped.len();
-        debug_assert_eq!(acc as usize, total);
-        for c in rec_cursor.iter_mut() {
-            *c = 0;
-        }
-        verdict_bits.clear();
-        verdict_bits.resize(total, false);
-        pair_rule.clear();
-        pair_rule.resize(total, 0);
-        errs.clear();
-        for &(rule, start, len) in groups.iter() {
-            let recs = &grouped[start as usize..(start + len) as usize];
-            let compiled = &self.rules[&rule].compiled;
-            compiled.matches_batch(recs, |i| records[*i as usize], expr, bools);
-            for (k, v) in bools.drain(..).enumerate() {
-                let rec = recs[k] as usize;
-                let j = (rec_off[rec] + rec_cursor[rec]) as usize;
-                rec_cursor[rec] += 1;
-                pair_rule[j] = rule;
-                match v {
-                    Ok(hit) => verdict_bits[j] = hit,
-                    Err(e) => errs.push((j as u32, Some(e))),
-                }
-            }
-        }
-
-        // Phase 3: reconstruct per-record outputs from the record-major
-        // verdict slots. Errors are rare; the sorted side table yields
-        // each record's *first* error (smallest slot = earliest in its
-        // candidate order), matching the per-record `?` abort.
-        errs.sort_unstable_by_key(|e| e.0);
-        out.clear();
-        let mut cand_total = 0u64;
-        let mut match_total = 0u64;
-        for ri in 0..n {
-            let lo = rec_off[ri] as usize;
-            let hi = rec_off[ri + 1] as usize;
-            if !errs.is_empty() {
-                let e = errs.partition_point(|e| (e.0 as usize) < lo);
-                if e < errs.len() && (errs[e].0 as usize) < hi {
-                    out.push(Err(errs[e].1.take().expect("first error taken once")));
-                    continue;
-                }
-            }
-            let mut ids: Vec<RuleId> = Vec::new();
-            for j in lo..hi {
-                if verdict_bits[j] {
-                    ids.push(pair_rule[j]);
-                }
-            }
-            ids.sort_unstable();
-            ids.dedup();
-            // Counters fire only for records that completed, as on the
-            // per-record path (`?` aborts before them).
-            cand_total += (hi - lo) as u64;
-            match_total += ids.len() as u64;
-            out.push(Ok(ids));
-        }
-        if let Some(c) = &self.candidates_obs {
-            c.add(cand_total);
-        }
-        if let Some(c) = &self.matches_obs {
-            c.add(match_total);
-        }
+        out.extend(records.iter().enumerate().map(|(i, record)| {
+            self.match_one(record, slots, |k, _| {
+                std::mem::replace(&mut verdicts[k * n + i], Ok(false))
+            })
+        }));
     }
 
     fn len(&self) -> usize {
-        self.rules.len()
+        self.by_id.len()
     }
 }
 
@@ -641,8 +549,10 @@ mod tests {
     #[test]
     fn ranges_one_and_two_sided() {
         let mut m = IndexedMatcher::new(schema());
-        m.add_rule(Rule::new(1, "", parse("px > 100").unwrap())).unwrap();
-        m.add_rule(Rule::new(2, "", parse("px <= 100").unwrap())).unwrap();
+        m.add_rule(Rule::new(1, "", parse("px > 100").unwrap()))
+            .unwrap();
+        m.add_rule(Rule::new(2, "", parse("px <= 100").unwrap()))
+            .unwrap();
         m.add_rule(Rule::new(3, "", parse("px BETWEEN 50 AND 150").unwrap()))
             .unwrap();
         m.add_rule(Rule::new(4, "", parse("qty >= 10 AND qty < 20").unwrap()))
@@ -677,7 +587,7 @@ mod tests {
         // make this rule a candidate for every record.
         m.add_rule(Rule::new(1, "", parse("px > 0 AND sym = 'RARE'").unwrap()))
             .unwrap();
-        match &m.rules[&1].posting {
+        match &m.meta(m.by_id[&1]).posting {
             Posting::Eq { .. } => {}
             other => panic!("expected Eq access path, got {other:?}"),
         }
@@ -709,7 +619,8 @@ mod tests {
             parse("sym = 'A' AND px > 1 AND qty IN (1,2)").unwrap(),
         ))
         .unwrap();
-        m.add_rule(Rule::new(2, "", parse("sym = 'A'").unwrap())).unwrap();
+        m.add_rule(Rule::new(2, "", parse("sym = 'A'").unwrap()))
+            .unwrap();
         assert_eq!(m.match_record(&rec("A", 2.0, 1)).unwrap(), vec![1, 2]);
         m.remove_rule(1).unwrap();
         assert_eq!(m.match_record(&rec("A", 2.0, 1)).unwrap(), vec![2]);
@@ -721,6 +632,154 @@ mod tests {
     }
 
     #[test]
+    fn failed_update_leaves_the_old_rule_matching() {
+        let mut m = IndexedMatcher::new(schema());
+        m.add_rule(Rule::new(1, "", parse("sym = 'A' AND px > 1").unwrap()))
+            .unwrap();
+        assert!(m
+            .update_rule(Rule::new(1, "", parse("ghost = 1").unwrap()))
+            .is_err());
+        assert!(m
+            .update_rule(Rule::new(2, "", parse("px > 1").unwrap()))
+            .is_err());
+        assert_eq!(m.len(), 1);
+        assert_eq!(m.match_record(&rec("A", 2.0, 1)).unwrap(), vec![1]);
+    }
+
+    /// Candidates counted by a matcher bound to a fresh registry.
+    fn counted(m: &mut IndexedMatcher) -> (Arc<Counter>, Arc<Counter>) {
+        let registry = Registry::new();
+        m.bind_obs(&registry);
+        (
+            registry.counter("evdb_rules_candidates_total"),
+            registry.counter("evdb_rules_matches_total"),
+        )
+    }
+
+    #[test]
+    fn second_constraint_narrows_the_cluster() {
+        let mut m = IndexedMatcher::new(schema());
+        let (candidates, _) = counted(&mut m);
+        let preds = [
+            "sym = 'A' AND px BETWEEN 10 AND 20",
+            "sym = 'A' AND px > 15",
+            "sym = 'A' AND qty = 7",
+            "sym IN ('A', 'B') AND px < 5",
+            "sym = 'A'",
+            "sym LIKE 'A%' AND qty % 2 = 0",
+            "sym LIKE '_%'",
+        ];
+        for (i, p) in preds.iter().enumerate() {
+            m.add_rule(Rule::new(i as u64, "", parse(p).unwrap()))
+                .unwrap();
+        }
+        assert_eq!(m.unindexed_count(), 1);
+        // (record, matches, predicates the index lets through)
+        let cases = [
+            (rec("A", 12.0, 7), vec![0, 2, 4, 6], 5),
+            (rec("A", 18.0, 8), vec![0, 1, 4, 5, 6], 5),
+            (rec("B", 1.0, 7), vec![3, 6], 2),
+            (rec("AB", 1.0, 2), vec![5, 6], 2),
+            (rec("C", 50.0, 7), vec![6], 1),
+        ];
+        for (r, want, evaluated) in cases {
+            let before = candidates.get();
+            assert_eq!(m.match_record(&r).unwrap(), want, "{r}");
+            assert_eq!(candidates.get() - before, evaluated, "{r}");
+        }
+        // Removal empties every structure the rules were posted in.
+        for i in 0..preds.len() {
+            m.remove_rule(i as u64).unwrap();
+        }
+        assert!(m.is_empty());
+        assert!(m
+            .fields
+            .iter()
+            .all(|f| f.eq.is_empty() && f.ranges.is_empty()));
+        assert!(m.unindexed.is_empty());
+        assert_eq!(m.free.len(), m.slab.len());
+    }
+
+    #[test]
+    fn band_rules_are_candidates_only_where_they_match() {
+        // Band-only rule set: the index is exact, so every predicate it
+        // lets through matches.
+        let mut m = IndexedMatcher::new(schema());
+        let (candidates, matches) = counted(&mut m);
+        let mut state = 7u64;
+        let mut next = |n: u64| {
+            state = state
+                .wrapping_mul(6364136223846793005)
+                .wrapping_add(1442695040888963407);
+            (state >> 33) % n
+        };
+        for id in 0..800 {
+            let lo = next(9_000) as f64 / 100.0;
+            let hi = lo + (20 + next(500)) as f64 / 100.0;
+            let text = format!("sym = 'S{}' AND px BETWEEN {lo:.2} AND {hi:.2}", next(8));
+            m.add_rule(Rule::new(id, "", parse(&text).unwrap()))
+                .unwrap();
+        }
+        let ticks: Vec<Record> = (0..1_000)
+            .map(|_| rec(&format!("S{}", next(8)), next(10_000) as f64 / 100.0, 1))
+            .collect();
+        for t in &ticks {
+            m.match_record(t).unwrap();
+        }
+        assert!(matches.get() > 1_000, "{} matches", matches.get());
+        assert_eq!(candidates.get(), matches.get());
+        // The batch entry point evaluates exactly the same predicates.
+        let per_record = candidates.get();
+        let refs: Vec<&Record> = ticks.iter().collect();
+        let (mut scratch, mut out) = (MatchScratch::new(), Vec::new());
+        m.match_batch(&refs, &mut scratch, &mut out);
+        assert_eq!(candidates.get(), 2 * per_record);
+        assert_eq!(matches.get(), 2 * per_record);
+    }
+
+    #[test]
+    fn batch_equals_record_including_first_error() {
+        // `qty * i64::MAX` overflows — an evaluation error — for qty >= 2.
+        let mut m = IndexedMatcher::new(schema());
+        let preds = [
+            "sym = 'A' AND px > 10",
+            "sym = 'A' AND qty * 9223372036854775807 > 1", // errors only on sym A
+            "qty * 9223372036854775807 > px",              // unindexed, errors
+            "px * 2 > qty",                                // unindexed
+            "sym LIKE 'B%' AND qty * 9223372036854775807 > 1",
+            "qty BETWEEN 1 AND 3",
+        ];
+        for (i, p) in preds.iter().enumerate() {
+            m.add_rule(Rule::new(i as u64, "", parse(p).unwrap()))
+                .unwrap();
+        }
+        assert_eq!(m.unindexed_count(), 2);
+        let records = [
+            rec("A", 11.0, 1),
+            rec("A", 11.0, 2),
+            rec("B", 1.0, 5),
+            rec("C", 1.0, 2),
+            rec("C", 9.0, 0),
+            rec("B2", 0.5, 1),
+        ];
+        let refs: Vec<&Record> = records.iter().collect();
+        let (mut scratch, mut out) = (MatchScratch::new(), Vec::new());
+        m.match_batch(&refs, &mut scratch, &mut out);
+        assert_eq!(out.len(), records.len());
+        for (r, batched) in records.iter().zip(&out) {
+            let single = m.match_record(r);
+            match (&single, batched) {
+                (Ok(a), Ok(b)) => assert_eq!(a, b, "{r}"),
+                (Err(a), Err(b)) => assert_eq!(a.to_string(), b.to_string(), "{r}"),
+                _ => panic!("{r}: {single:?} vs {batched:?}"),
+            }
+        }
+        let ok: Vec<bool> = out.iter().map(|r| r.is_ok()).collect();
+        assert_eq!(ok, [true, false, false, false, true, true]);
+        assert_eq!(out[0].as_ref().unwrap(), &vec![0, 1, 2, 3, 5]);
+    }
+
+    #[test]
     fn null_fields_never_match_indexed_constraints() {
         let schema = evdb_types::Schema::new(vec![
             evdb_types::FieldDef::nullable("sym", DataType::Str),
@@ -728,7 +787,8 @@ mod tests {
         ])
         .unwrap();
         let mut m = IndexedMatcher::new(schema);
-        m.add_rule(Rule::new(1, "", parse("sym = 'A'").unwrap())).unwrap();
+        m.add_rule(Rule::new(1, "", parse("sym = 'A'").unwrap()))
+            .unwrap();
         let r = Record::from_iter([Value::Null, Value::Float(1.0)]);
         assert!(m.match_record(&r).unwrap().is_empty());
     }
@@ -779,7 +839,8 @@ mod tests {
             "length(sym) = 2 AND px < 50",
         ];
         for (i, p) in preds.iter().enumerate() {
-            m.add_rule(Rule::new(i as u64, "", parse(p).unwrap())).unwrap();
+            m.add_rule(Rule::new(i as u64, "", parse(p).unwrap()))
+                .unwrap();
         }
         let records = [
             rec("A", 11.0, 1),

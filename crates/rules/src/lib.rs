@@ -9,15 +9,19 @@
 //!   O(rules) per record; what a naive rules service does.
 //! * [`IndexedMatcher`] — the scalable design (DESIGN.md D1): each rule's
 //!   predicate is decomposed (via `evdb_expr::analyze`) into per-attribute
-//!   equality/range constraints, and the matcher performs **access-path
-//!   selection** — the rule is indexed under its most selective
-//!   constraint (equality ≻ small IN ≻ two-sided range ≻ one-sided
-//!   range) in per-attribute hash/ordered structures, and candidates are
-//!   verified against the full predicate. Cost per record is
-//!   `O(probes + candidates)`, not `O(rules)` — the property behind the
-//!   paper's "large rule sets" scalability claim (experiment E3) — and
-//!   updates touch only the changed rule's postings, covering the
-//!   "frequently changing rule sets" claim (experiment E4).
+//!   equality/range constraints — a LIKE with a literal prefix counts as
+//!   a string range — and the rule is posted under up to **two** of them.
+//!   Its most selective constraint is the access path (equality ≻ small
+//!   IN ≻ two-sided range ≻ one-sided range); an equality access path
+//!   selects a *cluster*, inside which the rule's best remaining
+//!   equality/range on another field keys an interval index (`interval`
+//!   module: sorted blocks with max-high summaries, posting-local
+//!   updates). Candidates are verified against the full predicate. Cost
+//!   per record is `O(probes + rules it can match on two attributes)`,
+//!   not `O(rules)` — the property behind the paper's "large rule sets"
+//!   scalability claim (experiment E3) — and updates touch only the
+//!   changed rule's postings, covering the "frequently changing rule
+//!   sets" claim (experiment E4).
 //!
 //! On top of the matchers, [`broker`] provides topic-based
 //! publish/subscribe with predicate subscriptions and the tutorial's
@@ -26,6 +30,7 @@
 
 pub mod broker;
 pub mod indexed;
+mod interval;
 pub mod matcher;
 pub mod rule;
 pub mod scan;

@@ -1,46 +1,25 @@
 //! The matcher contract shared by the scan baseline and the indexed
 //! design, so benchmarks and property tests can compare them head-to-head.
 
-use std::collections::HashMap;
-
 use evdb_expr::BatchScratch;
-use evdb_types::{Error, Record, Result, Value};
+use evdb_types::{Record, Result};
 
 use crate::rule::{Rule, RuleId};
 
 /// Reusable state for [`Matcher::match_batch`]: the expression-VM batch
-/// scratch plus the candidate-grouping buffers the indexed matcher
-/// uses. Hold one per evaluating thread; buffers size themselves to the
-/// batch on first use and are reused afterwards (D15).
-///
-/// The indexed matcher groups candidates *by probe value*, not by
-/// sorting `(rule, record)` pairs: records sharing a field value share
-/// one index probe and land in one bucket, so rule-major groups fall
-/// out of the posting lists directly — no per-pair sort or hash.
+/// scratch plus the indexed matcher's per-record candidate buffer. Hold
+/// one per evaluating thread; buffers size themselves to the batch on
+/// first use and are reused afterwards (D15).
 #[derive(Debug, Default)]
 pub struct MatchScratch {
-    /// Expression-VM scratch shared by every rule verified in a batch.
+    /// Expression-VM scratch shared by every rule verified batch-wide.
     pub(crate) expr: BatchScratch,
-    /// Verdict buffer for one rule group.
+    /// Verdict buffer for one batch-wide rule.
     pub(crate) bools: Vec<Result<bool>>,
-    /// Probe value → bucket slot, for the field currently bucketed.
-    pub(crate) val_buckets: HashMap<Value, u32>,
-    /// Record-index list pool backing the value buckets.
-    pub(crate) bucket_lists: Vec<Vec<u32>>,
-    /// Rule-major verify groups: `(rule, start, len)` into `grouped`.
-    pub(crate) groups: Vec<(RuleId, u32, u32)>,
-    /// Arena of record indices the groups slice into.
-    pub(crate) grouped: Vec<u32>,
-    /// Per-record pair counts during build, then scatter cursors.
-    pub(crate) rec_cursor: Vec<u32>,
-    /// Per-record verdict-slot offsets (prefix sums of pair counts).
-    pub(crate) rec_off: Vec<u32>,
-    /// Per-pair verdicts in record-major candidate order.
-    pub(crate) verdict_bits: Vec<bool>,
-    /// Per-pair rule ids in record-major candidate order.
-    pub(crate) pair_rule: Vec<RuleId>,
-    /// Rare verify errors: `(record-major slot, error)`.
-    pub(crate) errs: Vec<(u32, Option<Error>)>,
+    /// One record's candidate slots, in verify order.
+    pub(crate) slots: Vec<u32>,
+    /// Unindexed rules' verdicts over the whole batch, rule-major.
+    pub(crate) verdicts: Vec<Result<bool>>,
 }
 
 impl MatchScratch {
@@ -59,12 +38,10 @@ pub trait Matcher: Send + Sync {
     /// Remove a rule by id. Fails if absent.
     fn remove_rule(&mut self, id: RuleId) -> Result<()>;
 
-    /// Replace a rule's predicate (remove + add, atomically from the
-    /// caller's perspective).
-    fn update_rule(&mut self, rule: Rule) -> Result<()> {
-        self.remove_rule(rule.id)?;
-        self.add_rule(rule)
-    }
+    /// Replace a rule's predicate, atomically from the caller's
+    /// perspective: fails if the id is absent or the new predicate does
+    /// not type-check, and a failed update leaves the old rule in place.
+    fn update_rule(&mut self, rule: Rule) -> Result<()>;
 
     /// Ids of all rules whose predicate is TRUE for the record,
     /// in ascending id order (deterministic for tests and dedup).

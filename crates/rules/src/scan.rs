@@ -44,6 +44,16 @@ impl Matcher for ScanMatcher {
             .ok_or_else(|| Error::NotFound(format!("rule {id}")))
     }
 
+    fn update_rule(&mut self, rule: Rule) -> Result<()> {
+        if !self.rules.contains_key(&rule.id) {
+            return Err(Error::NotFound(format!("rule {}", rule.id)));
+        }
+        // Bind before replacing: a failed update keeps the old rule.
+        let bound = rule.predicate.bind_predicate(&self.schema)?;
+        self.rules.insert(rule.id, CompiledExpr::compile(&bound));
+        Ok(())
+    }
+
     fn match_record(&self, record: &Record) -> Result<Vec<RuleId>> {
         let mut out = Vec::new();
         for (id, pred) in &self.rules {
@@ -100,5 +110,14 @@ mod tests {
             .unwrap();
         let r = Record::from_iter([Value::from("IBM"), Value::Float(150.0)]);
         assert_eq!(m.match_record(&r).unwrap(), vec![1]);
+        // A failed update leaves the old rule matching.
+        assert!(m
+            .update_rule(Rule::new(1, "bad", parse("ghost = 1").unwrap()))
+            .is_err());
+        assert!(m
+            .update_rule(Rule::new(7, "absent", parse("px > 0").unwrap()))
+            .is_err());
+        assert_eq!(m.match_record(&r).unwrap(), vec![1]);
+        assert_eq!(m.len(), 2);
     }
 }

@@ -1,20 +1,25 @@
 //! Property test: the indexed matcher is exactly equivalent to the scan
 //! baseline on randomly generated rule sets and events — the correctness
-//! half of the E3/E4 scalability claims.
+//! half of the E3/E4 scalability claims — and its two entry points
+//! (`match_record`, `match_batch`) are equivalent to each other. The
+//! grammar covers every shape the index treats specially (D1): equality
+//! clusters with a second range/equality constraint, IN lists posted
+//! into several clusters, LIKE prefixes as string ranges, NULL fields.
 
 use std::sync::Arc;
 
 use proptest::prelude::*;
 
-use evdb::rules::{IndexedMatcher, Matcher, Rule, ScanMatcher};
-use evdb::types::{DataType, Record, Schema, Value};
+use evdb::rules::{IndexedMatcher, MatchScratch, Matcher, Rule, ScanMatcher};
+use evdb::types::{DataType, FieldDef, Record, Schema, Value};
 
 fn schema() -> Arc<Schema> {
-    Schema::of(&[
-        ("sym", DataType::Str),
-        ("px", DataType::Float),
-        ("qty", DataType::Int),
+    Schema::new(vec![
+        FieldDef::nullable("sym", DataType::Str),
+        FieldDef::nullable("px", DataType::Float),
+        FieldDef::required("qty", DataType::Int),
     ])
+    .unwrap()
 }
 
 /// Generate rule predicate text from a constrained template grammar so
@@ -32,6 +37,22 @@ fn arb_rule_text() -> impl Strategy<Value = String> {
         (qty.clone()).prop_map(|q| format!("qty = {q}")),
         (sym.clone(), sym.clone()).prop_map(|(a, b)| format!("sym IN ('S{a}', 'S{b}')")),
         (sym.clone(), px.clone()).prop_map(|(s, p)| format!("sym = 'S{s}' AND px > {p:.2}")),
+        // Clustered shapes: equality access path + a second constraint.
+        (sym.clone(), px.clone(), 0.0f64..50.0).prop_map(|(s, lo, w)| format!(
+            "sym = 'S{s}' AND px BETWEEN {lo:.2} AND {:.2}",
+            lo + w
+        )),
+        (sym.clone(), sym.clone(), px.clone())
+            .prop_map(|(a, b, p)| format!("sym IN ('S{a}', 'S{b}') AND px < {p:.2}")),
+        (sym.clone(), qty.clone()).prop_map(|(s, q)| format!("qty = {q} AND sym = 'S{s}'")),
+        (sym.clone(), qty.clone(), px.clone())
+            .prop_map(|(s, q, p)| format!("sym = 'S{s}' AND qty >= {q} AND px <= {p:.2}")),
+        // LIKE: a literal prefix is a string range, `_` first is not.
+        (0i64..7).prop_map(|k| format!("sym LIKE 'S1%' AND qty % 7 = {k}")),
+        (sym.clone(), px.clone()).prop_map(|(s, p)| format!("sym LIKE 'S{s}_' AND px > {p:.2}")),
+        Just("sym LIKE '_1%'".to_string()),
+        Just("sym LIKE 'S3'".to_string()),
+        (px.clone()).prop_map(|p| format!("sym IS NULL AND px > {p:.2}")),
         (qty.clone(), qty).prop_map(|(a, b)| {
             let (lo, hi) = if a <= b { (a, b) } else { (b, a) };
             format!("qty >= {lo} AND qty <= {hi}")
@@ -44,14 +65,38 @@ fn arb_rule_text() -> impl Strategy<Value = String> {
     ]
 }
 
+/// Symbols `S0..S5` plus two-character ones (`S10..S15`) the LIKE rules
+/// tell apart; one field in ten is NULL.
 fn arb_event() -> impl Strategy<Value = Record> {
-    (0u8..6, 0.0f64..200.0, 0i64..100).prop_map(|(s, p, q)| {
-        Record::from_iter([
-            Value::from(format!("S{s}")),
-            Value::Float((p * 100.0).round() / 100.0),
-            Value::Int(q),
-        ])
-    })
+    (0u8..12, 0.0f64..200.0, 0i64..100, 0u8..10, 0u8..10).prop_map(
+        |(s, p, q, null_sym, null_px)| {
+            let sym = match s {
+                0..=5 => Value::from(format!("S{s}")),
+                _ => Value::from(format!("S1{}", s - 6)),
+            };
+            let px = Value::Float((p * 100.0).round() / 100.0);
+            Record::from_iter([
+                if null_sym == 0 { Value::Null } else { sym },
+                if null_px == 0 { Value::Null } else { px },
+                Value::Int(q),
+            ])
+        },
+    )
+}
+
+/// `match_batch` over `events` must equal `match_record` per event.
+fn assert_batch_equals_record(idx: &IndexedMatcher, events: &[Record]) {
+    let refs: Vec<&Record> = events.iter().collect();
+    let (mut scratch, mut out) = (MatchScratch::new(), Vec::new());
+    idx.match_batch(&refs, &mut scratch, &mut out);
+    assert_eq!(out.len(), events.len());
+    for (ev, batched) in events.iter().zip(out) {
+        assert_eq!(
+            batched.unwrap(),
+            idx.match_record(ev).unwrap(),
+            "batch vs record on {ev}"
+        );
+    }
 }
 
 proptest! {
@@ -77,6 +122,7 @@ proptest! {
                 "disagreement on {} with rules {:?}", ev, rule_texts
             );
         }
+        assert_batch_equals_record(&idx, &events);
     }
 
     #[test]
@@ -107,5 +153,22 @@ proptest! {
                 idx.match_record(ev).unwrap()
             );
         }
+        assert_batch_equals_record(&idx, &events);
+        // Re-adding the removed rules lands them in reused slots and
+        // half-empty clusters; the equivalence must hold again.
+        for (i, remove) in remove_mask.iter().enumerate() {
+            if *remove && i < rule_texts.len() {
+                let expr = evdb::expr::parse(&rule_texts[i]).unwrap();
+                scan.add_rule(Rule::new(i as u64, "", expr.clone())).unwrap();
+                idx.add_rule(Rule::new(i as u64, "", expr)).unwrap();
+            }
+        }
+        for ev in &events {
+            prop_assert_eq!(
+                scan.match_record(ev).unwrap(),
+                idx.match_record(ev).unwrap()
+            );
+        }
+        assert_batch_equals_record(&idx, &events);
     }
 }
