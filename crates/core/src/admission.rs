@@ -23,13 +23,24 @@
 //! staged here: the pump reads them at its own pace, so they are
 //! naturally bounded by the drain cadence.
 //!
+//! The buffer is also the pipeline's **work signal**: an idle pump parks
+//! in [`AdmissionControl::wait_for_work`] and the next
+//! [`admit`](AdmissionControl::admit) wakes it, so a staged event never
+//! waits out a sleep. The parked flag lives under the buffer's own
+//! mutex — the consumer raises it only after seeing the buffer empty
+//! under that lock, and `admit` pushes and reads it under the same lock —
+//! so a wake-up cannot fall between the emptiness check and the wait,
+//! and a running pump (flag down) costs producers no `notify` at all.
+//!
 //! [`ingest_async`]: crate::server::EventServer::ingest_async
 
 use std::collections::VecDeque;
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 // Deliberately `std::sync` rather than the workspace `parking_lot`
-// facade: `Block` needs a condvar tied to the buffer's mutex.
-use std::sync::{Condvar, Mutex};
+// facade: `Block` and the work signal need condvars tied to the
+// buffer's mutex.
+use std::sync::{Condvar, Mutex, MutexGuard};
+use std::time::{Duration, Instant};
 
 use evdb_storage::ChangeEvent;
 use evdb_types::{Error, Event, Result};
@@ -64,6 +75,38 @@ pub enum Staged {
     Change(String, ChangeEvent),
 }
 
+/// Why [`AdmissionControl::wait_for_work`] returned.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Wake {
+    /// At least one event is staged.
+    Work,
+    /// The time-out elapsed with nothing staged.
+    Tick,
+    /// The caller's stop flag is raised.
+    Stop,
+}
+
+impl Wake {
+    /// The `cause` label of `evdb_pump_wakeups_total`.
+    pub fn name(self) -> &'static str {
+        match self {
+            Wake::Work => "work",
+            Wake::Tick => "tick",
+            Wake::Stop => "stop",
+        }
+    }
+}
+
+/// The staged events plus the consumer's parked flag, under one lock.
+struct Buffer {
+    items: VecDeque<(i64, Staged)>,
+    /// True while a consumer waits on `work`. Raised by
+    /// `wait_for_work` after it saw `items` empty; lowered by whoever
+    /// notifies (so a burst of admits pays for one notify) or by the
+    /// consumer itself when it times out.
+    parked: bool,
+}
+
 /// The bounded staging buffer shared by every push-side producer.
 ///
 /// Depth, peak depth and the shed / rejected / dropped-capture counters
@@ -73,9 +116,12 @@ pub enum Staged {
 pub struct AdmissionControl {
     capacity: usize,
     policy: OverloadPolicy,
-    staged: Mutex<VecDeque<(i64, Staged)>>,
+    staged: Mutex<Buffer>,
     /// Signaled by [`drain`](Self::drain) so `Block`ed producers retry.
     space: Condvar,
+    /// Signaled by [`admit`](Self::admit) and [`wake`](Self::wake) when
+    /// a consumer is parked in [`wait_for_work`](Self::wait_for_work).
+    work: Condvar,
     shed: AtomicU64,
     rejected: AtomicU64,
     dropped_capture: AtomicU64,
@@ -89,8 +135,12 @@ impl AdmissionControl {
         AdmissionControl {
             capacity: capacity.max(1),
             policy,
-            staged: Mutex::new(VecDeque::new()),
+            staged: Mutex::new(Buffer {
+                items: VecDeque::new(),
+                parked: false,
+            }),
             space: Condvar::new(),
+            work: Condvar::new(),
             shed: AtomicU64::new(0),
             rejected: AtomicU64::new(0),
             dropped_capture: AtomicU64::new(0),
@@ -110,7 +160,11 @@ impl AdmissionControl {
 
     /// Events currently staged.
     pub fn depth(&self) -> usize {
-        self.staged.lock().expect("admission lock").len()
+        self.lock().items.len()
+    }
+
+    fn lock(&self) -> MutexGuard<'_, Buffer> {
+        self.staged.lock().expect("admission lock")
     }
 
     /// High-water mark of the staged depth since startup.
@@ -153,11 +207,11 @@ impl AdmissionControl {
     /// the item was admitted *or* shed-on-arrival (the shed is counted);
     /// `Err(Overloaded)` only under `Reject`.
     pub fn admit(&self, priority: i64, item: Staged) -> Result<()> {
-        let mut staged = self.staged.lock().expect("admission lock");
-        if staged.len() >= self.capacity {
+        let mut staged = self.lock();
+        if staged.items.len() >= self.capacity {
             match self.policy {
                 OverloadPolicy::Block => {
-                    while staged.len() >= self.capacity {
+                    while staged.items.len() >= self.capacity {
                         staged = self.space.wait(staged).expect("admission lock");
                     }
                 }
@@ -173,13 +227,14 @@ impl AdmissionControl {
                     // min_by_key keeps the first (oldest) among ties, so
                     // equal-priority displacement is FIFO.
                     let (idx, min_pri) = staged
+                        .items
                         .iter()
                         .enumerate()
                         .min_by_key(|(_, (p, _))| *p)
                         .map(|(i, (p, _))| (i, *p))
                         .expect("capacity >= 1 so a full buffer is non-empty");
                     if min_pri < priority {
-                        staged.remove(idx);
+                        staged.items.remove(idx);
                     } else {
                         // Newcomer ranks no higher than everything
                         // staged: it is the one shed.
@@ -188,21 +243,76 @@ impl AdmissionControl {
                 }
             }
         }
-        staged.push_back((priority, item));
+        staged.items.push_back((priority, item));
         self.peak_depth
-            .fetch_max(staged.len() as u64, Ordering::Relaxed);
+            .fetch_max(staged.items.len() as u64, Ordering::Relaxed);
+        self.notify_if_parked(staged);
         Ok(())
+    }
+
+    /// Wake the parked consumer, if there is one. The flag is lowered
+    /// here, under the lock, so the admits that follow before the
+    /// consumer is scheduled skip the notify; the syscall itself runs
+    /// after the lock is released.
+    fn notify_if_parked(&self, mut staged: MutexGuard<'_, Buffer>) {
+        if staged.parked {
+            staged.parked = false;
+            drop(staged);
+            self.work.notify_all();
+        }
+    }
+
+    /// Park the consumer until an event is staged, `stop` is raised (by
+    /// a thread that then calls [`wake`](Self::wake)), or `timeout`
+    /// elapses — whichever comes first. Returns at once when work is
+    /// already staged, so a saturated pump never parks.
+    ///
+    /// `stop` is read under the buffer lock before every wait: a
+    /// stopper that stores the flag and then calls `wake` either finds
+    /// the consumer parked (and notifies it) or is seen by this read.
+    pub fn wait_for_work(&self, timeout: Duration, stop: &AtomicBool) -> Wake {
+        // `None`: the deadline is beyond what `Instant` can hold.
+        let deadline = Instant::now().checked_add(timeout);
+        let mut staged = self.lock();
+        loop {
+            let wake = if stop.load(Ordering::SeqCst) {
+                Wake::Stop
+            } else if !staged.items.is_empty() {
+                Wake::Work
+            } else {
+                let left = deadline
+                    .map_or(Duration::MAX, |d| d.saturating_duration_since(Instant::now()));
+                if !left.is_zero() {
+                    staged.parked = true;
+                    staged = self
+                        .work
+                        .wait_timeout(staged, left)
+                        .expect("admission lock")
+                        .0;
+                    continue;
+                }
+                Wake::Tick
+            };
+            staged.parked = false;
+            return wake;
+        }
+    }
+
+    /// Wake a consumer parked in [`wait_for_work`](Self::wait_for_work)
+    /// without staging anything; raise its stop flag first.
+    pub fn wake(&self) {
+        self.notify_if_parked(self.lock());
     }
 
     /// Take every staged item in arrival order and wake blocked
     /// producers. The drained sequence is the pipeline's cross-stream
     /// evaluation order.
     pub fn drain(&self) -> Vec<Staged> {
-        let mut staged = self.staged.lock().expect("admission lock");
-        if staged.is_empty() {
+        let mut staged = self.lock();
+        if staged.items.is_empty() {
             return Vec::new();
         }
-        let items: Vec<Staged> = staged.drain(..).map(|(_, item)| item).collect();
+        let items: Vec<Staged> = staged.items.drain(..).map(|(_, item)| item).collect();
         drop(staged);
         self.space.notify_all();
         items
@@ -281,5 +391,57 @@ mod tests {
         assert_eq!(ac.drain().len(), 1);
         assert_eq!(ac.shed_total() + ac.rejected_total(), 0);
         assert!(ac.peak_depth() <= 1);
+    }
+    /// Spin until the consumer thread has parked (the flag is only up
+    /// while it waits), so the test forces the interleaving it checks.
+    fn await_parked(ac: &AdmissionControl) {
+        while !ac.lock().parked {
+            std::thread::yield_now();
+        }
+    }
+
+    #[test]
+    fn wait_for_work_reports_why_it_returned() {
+        let ac = AdmissionControl::new(4, OverloadPolicy::Block);
+        let stop = AtomicBool::new(false);
+        // Nothing staged: the time-out elapses.
+        assert_eq!(ac.wait_for_work(Duration::from_millis(1), &stop), Wake::Tick);
+        assert_eq!(ac.wait_for_work(Duration::ZERO, &stop), Wake::Tick);
+        // Work staged: returns at once, however long the time-out.
+        ac.admit(0, ev(1)).unwrap();
+        assert_eq!(ac.wait_for_work(Duration::MAX, &stop), Wake::Work);
+        // Stop outranks staged work.
+        stop.store(true, Ordering::SeqCst);
+        assert_eq!(ac.wait_for_work(Duration::MAX, &stop), Wake::Stop);
+        assert!(!ac.lock().parked);
+    }
+
+    #[test]
+    fn admit_and_wake_rouse_a_parked_consumer() {
+        let ac = Arc::new(AdmissionControl::new(4, OverloadPolicy::Block));
+        let stop = Arc::new(AtomicBool::new(false));
+        let consumer = |ac: &Arc<AdmissionControl>, stop: &Arc<AtomicBool>| {
+            let (ac, stop) = (Arc::clone(ac), Arc::clone(stop));
+            std::thread::spawn(move || ac.wait_for_work(Duration::MAX, &stop))
+        };
+
+        let parked = consumer(&ac, &stop);
+        await_parked(&ac);
+        ac.admit(0, ev(1)).unwrap();
+        // The notifier lowered the flag, so this admit pays no notify.
+        assert!(!ac.lock().parked);
+        ac.admit(0, ev(2)).unwrap();
+        assert_eq!(parked.join().unwrap(), Wake::Work);
+        assert_eq!(ac.drain().len(), 2);
+
+        let parked = consumer(&ac, &stop);
+        await_parked(&ac);
+        // A bare wake with the flag down is a spurious wake-up: the
+        // consumer goes back to waiting.
+        ac.wake();
+        await_parked(&ac);
+        stop.store(true, Ordering::SeqCst);
+        ac.wake();
+        assert_eq!(parked.join().unwrap(), Wake::Stop);
     }
 }

@@ -25,7 +25,8 @@
 //!   evaluation behind [`PumpMode::Sharded`], preserving per-key order.
 //! * [`admission`] — the bounded staged-ingest buffer and its
 //!   [`OverloadPolicy`] (block / reject / shed-lowest), the explicit
-//!   overload boundary between producers and the pump.
+//!   overload boundary between producers and the pump — and the work
+//!   signal that wakes the pump when something is staged.
 //! * [`history`] — the per-stream columnar historical event store
 //!   (DESIGN.md D14): zone-map-pruned historical queries, pump-driven
 //!   compaction, and `REPLAY` back through the CQ runtime.

@@ -8,6 +8,7 @@ use evdb_analytics::Histogram;
 use evdb_types::Stage;
 use parking_lot::Mutex;
 
+use crate::admission::Wake;
 pub use evdb_obs::{Counter, Gauge, HistogramHandle, HistogramStats, Registry, Snapshot};
 
 /// Per-pipeline-stage observability handles: one event counter and one
@@ -63,6 +64,42 @@ impl StageObs {
                 samples.clear();
             }
         }
+    }
+}
+
+/// Why and how often the background pump ran (D9): from `/metrics`
+/// alone an operator can tell a pump woken 18 000×/s by staged work
+/// from one ticking idle. Shared by the sequential pump and the sharded
+/// router; bound at server construction, so the series exist (at zero)
+/// before any pump is spawned.
+pub(crate) struct PumpObs {
+    /// `evdb_pump_wakeups_total{cause=…}`, indexed by [`Wake`].
+    wakeups: [Arc<Counter>; 3],
+    /// Maintenance passes run (`evdb_pump_maintenance_total`).
+    pub(crate) maintenance: Arc<Counter>,
+    /// Cycles completed by every pump this server has run
+    /// (`evdb_pump_cycles_total`; one pump's share is on its handle).
+    pub(crate) cycles: Arc<Counter>,
+    /// Cycles or evaluations that errored (`evdb_pump_errors_total`).
+    pub(crate) errors: Arc<Counter>,
+}
+
+impl PumpObs {
+    /// Register the pump metrics with `registry`.
+    pub(crate) fn bind(registry: &Registry) -> PumpObs {
+        PumpObs {
+            wakeups: [Wake::Work, Wake::Tick, Wake::Stop].map(|w| {
+                registry.counter(&format!("evdb_pump_wakeups_total{{cause=\"{}\"}}", w.name()))
+            }),
+            maintenance: registry.counter("evdb_pump_maintenance_total"),
+            cycles: registry.counter("evdb_pump_cycles_total"),
+            errors: registry.counter("evdb_pump_errors_total"),
+        }
+    }
+
+    /// Count one return from the pump's wait, by cause.
+    pub(crate) fn wake(&self, cause: Wake) {
+        self.wakeups[cause as usize].inc();
     }
 }
 

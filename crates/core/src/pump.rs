@@ -2,20 +2,34 @@
 //!
 //! [`EventServer::pump`] is deliberately pull-driven for determinism; a
 //! deployed server wants the pump to run continuously. [`spawn_pump`]
-//! starts a worker thread that pumps on an interval and also performs
-//! queue maintenance (visibility-timeout reaping), and shuts down
-//! cleanly when the handle is stopped or dropped.
+//! starts a worker thread that runs the pipeline whenever work is
+//! staged for it and shuts down cleanly when the handle is stopped or
+//! dropped.
+//!
+//! The pump is **event-driven**: it parks on the admission buffer's
+//! work signal ([`AdmissionControl::wait_for_work`]) and a producer's
+//! `admit` wakes it, so a staged event is evaluated as soon as a core
+//! is free — no stage sleeps while work is staged for it. `interval` is
+//! only the **maintenance tick**: the longest the pump goes without a
+//! full cycle, which is what polls the pull-based captures (journal
+//! mining, query-poll snapshots), reaps queue visibility timeouts and
+//! runs history maintenance. It bounds the staleness of those, not the
+//! latency of staged events.
 //!
 //! [`spawn_pump_with`] selects the execution mode: the classic
 //! single-threaded loop ([`PumpMode::Sequential`]) or the sharded
 //! parallel pipeline ([`PumpMode::Sharded`], see [`crate::shard`]),
 //! which partitions captured events by stream/partition key across N
 //! evaluation workers behind the same [`PumpHandle`] API.
+//!
+//! [`AdmissionControl::wait_for_work`]: crate::admission::AdmissionControl::wait_for_work
 
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
+use crate::admission::{AdmissionControl, Wake};
+use crate::metrics::Counter;
 use crate::server::EventServer;
 use crate::shard;
 
@@ -47,29 +61,35 @@ impl PumpMode {
 /// Stops (and joins) on drop.
 pub struct PumpHandle {
     stop: Arc<AtomicBool>,
-    errors: Arc<AtomicU64>,
-    cycles: Arc<AtomicU64>,
+    admission: Arc<AdmissionControl>,
+    tally: Arc<PumpTally>,
     threads: Vec<std::thread::JoinHandle<()>>,
 }
 
 impl PumpHandle {
-    /// Signal the pump to stop and wait for its threads to exit.
+    /// Signal the pump to stop and wait for its threads to exit. The
+    /// pump is woken, runs one last full cycle over whatever was staged
+    /// before the call, and exits — it does not wait out a tick.
     pub fn stop(mut self) {
         self.shutdown();
     }
 
     /// Pump cycles completed so far.
     pub fn cycles(&self) -> u64 {
-        self.cycles.load(Ordering::Relaxed)
+        self.tally.cycles.load(Ordering::Relaxed)
     }
 
     /// Pump cycles that returned an error (logged, not fatal).
     pub fn errors(&self) -> u64 {
-        self.errors.load(Ordering::Relaxed)
+        self.tally.errors.load(Ordering::Relaxed)
     }
 
     fn shutdown(&mut self) {
+        // Flag first, then wake: `wait_for_work` re-reads the flag under
+        // the buffer lock before it parks, so the pump either sees it
+        // or is already parked when the wake arrives.
         self.stop.store(true, Ordering::SeqCst);
+        self.admission.wake();
         // Join in spawn order: the router drains once more and closes
         // the worker channels, workers finish their queues and close
         // the merge channel, the merge stage delivers the tail.
@@ -85,8 +105,103 @@ impl Drop for PumpHandle {
     }
 }
 
-/// Start a background thread that calls [`EventServer::pump`] (and reaps
-/// queue visibility timeouts) every `interval`.
+/// One background pump's cycle and error tallies: read through its
+/// [`PumpHandle`] (also with a disabled registry) and mirrored into the
+/// server-wide `evdb_pump_cycles_total` / `evdb_pump_errors_total`.
+pub(crate) struct PumpTally {
+    cycles: AtomicU64,
+    errors: AtomicU64,
+    cycles_total: Arc<Counter>,
+    errors_total: Arc<Counter>,
+}
+
+impl PumpTally {
+    fn new(server: &EventServer) -> PumpTally {
+        PumpTally {
+            cycles: AtomicU64::new(0),
+            errors: AtomicU64::new(0),
+            cycles_total: Arc::clone(&server.pump_obs().cycles),
+            errors_total: Arc::clone(&server.pump_obs().errors),
+        }
+    }
+
+    pub(crate) fn cycle(&self) {
+        self.cycles.fetch_add(1, Ordering::Relaxed);
+        self.cycles_total.inc();
+    }
+
+    pub(crate) fn errors(&self, n: u64) {
+        self.errors.fetch_add(n, Ordering::Relaxed);
+        self.errors_total.add(n);
+    }
+}
+
+/// What the pump thread (sequential pump or sharded router) should do
+/// with the cycle it was just woken for.
+pub(crate) struct Turn {
+    /// Maintenance is due: run the full cycle, not just the staged work.
+    pub maintenance: bool,
+    /// The stop flag is up: this is the last cycle.
+    pub stopping: bool,
+}
+
+/// Paces one pump thread: parks it until there is a reason to run,
+/// counts the reason, and decides whether the cycle includes
+/// maintenance. Work wakes never push the tick back — maintenance runs
+/// whenever `interval` has passed since it last ran, so continuous
+/// traffic cannot starve it and pull-based captures are never staler
+/// than `interval` plus one cycle.
+pub(crate) struct Pacer {
+    interval: Duration,
+    /// When maintenance last ran; `None` before the first cycle.
+    last_maintenance: Option<Instant>,
+}
+
+impl Pacer {
+    pub(crate) fn new(interval: Duration) -> Pacer {
+        Pacer {
+            interval,
+            last_maintenance: None,
+        }
+    }
+
+    /// Time left until maintenance is due (zero before the first cycle).
+    fn until_tick(&self) -> Duration {
+        self.last_maintenance
+            .map_or(Duration::ZERO, |t| self.interval.saturating_sub(t.elapsed()))
+    }
+
+    /// Park until work is staged, the tick is due or `stop` is raised.
+    pub(crate) fn next(&mut self, server: &EventServer, stop: &AtomicBool) -> Turn {
+        let cause = server.admission().wait_for_work(self.until_tick(), stop);
+        let obs = server.pump_obs();
+        obs.wake(cause);
+        let stopping = cause == Wake::Stop;
+        // The last cycle is a full one, so a clean stop leaves nothing
+        // captured-but-unevaluated behind.
+        let maintenance = stopping || self.until_tick().is_zero();
+        if maintenance {
+            self.last_maintenance = Some(Instant::now());
+            obs.maintenance.inc();
+        }
+        Turn {
+            maintenance,
+            stopping,
+        }
+    }
+}
+
+/// Queue housekeeping on the maintenance tick: make messages whose
+/// visibility timeout lapsed deliverable again.
+pub(crate) fn reap_queue_timeouts(server: &EventServer) {
+    for q in server.queues().queue_names() {
+        let _ = server.queues().reap_timeouts(&q);
+    }
+}
+
+/// Start a background thread that runs [`EventServer::pump_staged`]
+/// whenever work is staged and the full [`EventServer::pump`] (plus
+/// queue visibility-timeout reaping) at least every `interval`.
 ///
 /// Errors from individual pump cycles are counted on the handle and do
 /// not kill the thread — a poisoned event must not stop the feed
@@ -102,23 +217,22 @@ pub fn spawn_pump_with(
     mode: PumpMode,
 ) -> PumpHandle {
     let stop = Arc::new(AtomicBool::new(false));
-    let errors = Arc::new(AtomicU64::new(0));
-    let cycles = Arc::new(AtomicU64::new(0));
+    let tally = Arc::new(PumpTally::new(server));
     let threads = match mode {
-        PumpMode::Sequential => vec![spawn_sequential(server, interval, &stop, &errors, &cycles)],
+        PumpMode::Sequential => vec![spawn_sequential(server, interval, &stop, &tally)],
         PumpMode::Sharded { workers } => {
             let n = if workers == 0 {
                 std::thread::available_parallelism().map_or(1, |p| p.get())
             } else {
                 workers
             };
-            shard::spawn_sharded(server, interval, n, &stop, &errors, &cycles)
+            shard::spawn_sharded(server, interval, n, &stop, &tally)
         }
     };
     PumpHandle {
         stop,
-        errors,
-        cycles,
+        admission: Arc::clone(server.admission()),
+        tally,
         threads,
     }
 }
@@ -127,31 +241,27 @@ fn spawn_sequential(
     server: &Arc<EventServer>,
     interval: Duration,
     stop: &Arc<AtomicBool>,
-    errors: &Arc<AtomicU64>,
-    cycles: &Arc<AtomicU64>,
+    tally: &Arc<PumpTally>,
 ) -> std::thread::JoinHandle<()> {
-    let (s, st, er, cy) = (
-        Arc::clone(server),
-        Arc::clone(stop),
-        Arc::clone(errors),
-        Arc::clone(cycles),
-    );
+    let (server, stop, tally) = (Arc::clone(server), Arc::clone(stop), Arc::clone(tally));
     std::thread::Builder::new()
         .name("evdb-pump".into())
         .spawn(move || {
-            while !st.load(Ordering::SeqCst) {
-                if s.pump().is_err() {
-                    er.fetch_add(1, Ordering::Relaxed);
+            let mut pacer = Pacer::new(interval);
+            loop {
+                let turn = pacer.next(&server, &stop);
+                let cycle = if turn.maintenance {
+                    reap_queue_timeouts(&server);
+                    server.pump()
+                } else {
+                    server.pump_staged()
+                };
+                if cycle.is_err() {
+                    tally.errors(1);
                 }
-                for q in s.queues().queue_names() {
-                    let _ = s.queues().reap_timeouts(&q);
-                }
-                cy.fetch_add(1, Ordering::Relaxed);
-                // Under load skip the idle sleep: producers may already
-                // be blocked (or shedding) on a full staged buffer, and
-                // every sleep tick would stretch the overload window.
-                if s.admission().depth() == 0 {
-                    std::thread::sleep(interval);
+                tally.cycle();
+                if turn.stopping {
+                    break;
                 }
             }
         })

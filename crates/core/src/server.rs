@@ -41,7 +41,7 @@ use parking_lot::{Mutex, RwLock};
 
 use crate::admission::{AdmissionControl, OverloadPolicy, Staged};
 use crate::history::{History, HistoryConfig, HistorySlot};
-use crate::metrics::{Metrics, StageBatch, StageObs};
+use crate::metrics::{Metrics, PumpObs, StageBatch, StageObs};
 use crate::notify::{Notification, NotificationCenter, NotificationHandler, VirtPolicy};
 use crate::security::{AccessControl, Principal, Privilege};
 
@@ -226,6 +226,7 @@ pub struct EventServer {
     metrics: Arc<Metrics>,
     registry: Arc<Registry>,
     stage_obs: StageObs,
+    pump_obs: PumpObs,
     /// Committed LSNs not yet mined by journal capture (refreshed each
     /// pump while a journal capture is registered).
     journal_lag: Arc<Gauge>,
@@ -287,6 +288,7 @@ impl EventServer {
         let access = AccessControl::attach(Arc::clone(&db))?;
         let registry = config.registry;
         let stage_obs = StageObs::bind(&registry);
+        let pump_obs = PumpObs::bind(&registry);
         let journal_lag = registry.gauge("evdb_storage_journal_lag");
         let mut rt = StreamRuntime::new(config.lateness_ms);
         rt.bind_obs(&registry);
@@ -323,6 +325,7 @@ impl EventServer {
             metrics,
             registry,
             stage_obs,
+            pump_obs,
             journal_lag,
             agg_mode: config.agg_mode,
             captures: Mutex::new(Vec::new()),
@@ -526,6 +529,11 @@ impl EventServer {
     /// [`StageBatch`]es through it).
     pub fn stage_obs(&self) -> &StageObs {
         &self.stage_obs
+    }
+
+    /// The background pump's wake-up / maintenance / cycle counters.
+    pub(crate) fn pump_obs(&self) -> &PumpObs {
+        &self.pump_obs
     }
 
     /// Current engine time.
@@ -1076,10 +1084,35 @@ impl EventServer {
     // ---- the pump ------------------------------------------------------------------
 
     /// Drain all pending captured changes through the evaluation
-    /// pipeline. Deterministic: with a `SimClock`, repeated runs produce
-    /// identical results.
+    /// pipeline, then run history maintenance: the full cycle (work +
+    /// maintenance). Deterministic: with a `SimClock`, repeated runs
+    /// produce identical results. Background pumps run this on their
+    /// maintenance tick and [`pump_staged`](Self::pump_staged) on every
+    /// work wake in between.
     pub fn pump(&self) -> Result<PumpStats> {
-        let mut events = self.drain_captured()?;
+        let stats = self.evaluate_inline(self.drain_captured()?)?;
+        // Bounded history maintenance: at most one segment merge per
+        // stream per pump, so compaction rides the pump cadence instead
+        // of needing its own thread (determinism under SimClock).
+        if let Some(history) = self.history.get() {
+            history.maintain()?;
+        }
+        Ok(stats)
+    }
+
+    /// The work half of a pump cycle: evaluate what producers have
+    /// staged (trigger captures, [`ingest_async`](Self::ingest_async))
+    /// and nothing else. Pull-based captures and history maintenance
+    /// wait for the next full [`pump`](Self::pump), so the cost of this
+    /// call is proportional to the events staged — it takes no
+    /// `captures` lock and walks no queue list.
+    pub fn pump_staged(&self) -> Result<PumpStats> {
+        self.evaluate_inline(self.drain_staged())
+    }
+
+    /// Evaluate a drained batch on the calling thread, delivering
+    /// notifications inline (the sequential path).
+    fn evaluate_inline(&self, mut events: Vec<Event>) -> Result<PumpStats> {
         let mut stats = PumpStats {
             captured: events.len() as u64,
             ..PumpStats::default()
@@ -1094,81 +1127,105 @@ impl EventServer {
             self.process_event(event, stamp_now, &mut stats, &mut batch)?;
         }
         self.stage_obs.flush(&mut batch);
-        // Bounded history maintenance: at most one segment merge per
-        // stream per pump, so compaction rides the pump cadence instead
-        // of needing its own thread (determinism under SimClock).
-        if let Some(history) = self.history.get() {
-            history.maintain()?;
-        }
         Ok(stats)
     }
 
     /// Collect every pending captured change as a ready-to-evaluate
-    /// event, in capture order, without evaluating anything. This is the
-    /// ingest stage shared by the sequential pump (which evaluates the
-    /// returned batch inline) and the sharded pump's router thread
-    /// (which fans it out to workers). Capture-side metrics
-    /// (`events_captured`, capture latency) are recorded here.
+    /// event, in capture order, without evaluating anything: the staged
+    /// buffer first, then one poll of every journal-mined and
+    /// query-poll capture. This is the ingest stage of a full cycle,
+    /// shared by [`pump`](Self::pump) and the sharded pump's router
+    /// thread (which fans the batch out to workers). Capture-side
+    /// metrics (`events_captured`, capture latency) are recorded here.
     pub fn drain_captured(&self) -> Result<Vec<Event>> {
-        use std::sync::atomic::Ordering;
         let now = self.now();
         let mut events = Vec::new();
         let mut batch = StageBatch::default();
+        self.collect_staged(now, &mut events, &mut batch);
+        let polled = self.poll_captures(now, &mut events, &mut batch);
+        self.stage_obs.flush(&mut batch);
+        polled.map(|()| events)
+    }
 
-        // The staged buffer (ingest_async producers + trigger captures),
-        // processed strictly in arrival order: the admission queue is
-        // the single cross-stream sequence, so two interleaved producers
-        // are evaluated exactly as they arrived (regression-tested in
-        // tests/admission.rs).
-        let staged = self.admission.drain();
-        if !staged.is_empty() {
-            let schemas: HashMap<String, Arc<Schema>> = {
-                let captures = self.captures.lock();
-                captures
-                    .iter()
-                    .map(|t| (t.stream.clone(), Arc::clone(&t.schema)))
-                    .collect()
-            };
-            let mut dropped: HashMap<String, u64> = HashMap::new();
-            for item in staged {
-                match item {
-                    Staged::External(mut event) => {
-                        self.metrics.events_captured.fetch_add(1, Ordering::Relaxed);
-                        // Async-ingested events start their trace at event
-                        // time; capture latency is staging-to-drain lag.
-                        if event.trace.stamp_of(Stage::Capture).is_none() {
-                            event.trace.stamp(Stage::Capture, event.timestamp);
-                        }
-                        if self.stage_obs.enabled {
-                            batch.push(Stage::Capture, now.since(event.timestamp).max(0) as f64);
-                        }
-                        events.push(event);
+    /// The staged buffer alone, as ready-to-evaluate events in arrival
+    /// order: the ingest stage of a work wake. Touches neither the
+    /// pull-based captures nor (unless a trigger change is staged) the
+    /// `captures` lock.
+    pub fn drain_staged(&self) -> Vec<Event> {
+        let mut events = Vec::new();
+        let mut batch = StageBatch::default();
+        self.collect_staged(self.now(), &mut events, &mut batch);
+        self.stage_obs.flush(&mut batch);
+        events
+    }
+
+    /// Drain the staged buffer (ingest_async producers + trigger
+    /// captures) strictly in arrival order: the admission queue is the
+    /// single cross-stream sequence, so two interleaved producers are
+    /// evaluated exactly as they arrived (regression-tested in
+    /// tests/admission.rs).
+    fn collect_staged(&self, now: TimestampMs, events: &mut Vec<Event>, batch: &mut StageBatch) {
+        use std::sync::atomic::Ordering;
+        // Change-stream schemas by stream name, looked up under the
+        // `captures` lock on the first staged change of this drain: an
+        // ingest_async-only drain takes no lock and builds no map.
+        let mut schemas: Option<HashMap<String, Arc<Schema>>> = None;
+        let mut dropped: HashMap<String, u64> = HashMap::new();
+        for item in self.admission.drain() {
+            match item {
+                Staged::External(mut event) => {
+                    self.metrics.events_captured.fetch_add(1, Ordering::Relaxed);
+                    // Async-ingested events start their trace at event
+                    // time; capture latency is staging-to-drain lag.
+                    if event.trace.stamp_of(Stage::Capture).is_none() {
+                        event.trace.stamp(Stage::Capture, event.timestamp);
                     }
-                    Staged::Change(stream, change) => {
-                        let Some(schema) = schemas.get(&stream) else {
-                            // Capture deregistered between staging and
-                            // drain: count and log, never lose silently.
-                            *dropped.entry(stream).or_default() += 1;
-                            continue;
-                        };
-                        events.push(self.change_into_event(&stream, schema, change, now, &mut batch));
+                    if self.stage_obs.enabled {
+                        batch.push(Stage::Capture, now.since(event.timestamp).max(0) as f64);
                     }
+                    events.push(event);
                 }
-            }
-            if !dropped.is_empty() {
-                let total: u64 = dropped.values().sum();
-                self.admission.note_dropped_capture(total);
-                for (stream, n) in &dropped {
-                    eprintln!(
-                        "evdb: dropped {n} staged change(s) for '{stream}' \
-                         (capture deregistered before drain)"
-                    );
+                Staged::Change(stream, change) => {
+                    let schemas = schemas.get_or_insert_with(|| {
+                        self.captures
+                            .lock()
+                            .iter()
+                            .map(|t| (t.stream.clone(), Arc::clone(&t.schema)))
+                            .collect()
+                    });
+                    let Some(schema) = schemas.get(&stream) else {
+                        // Capture deregistered between staging and
+                        // drain: count and log, never lose silently.
+                        *dropped.entry(stream).or_default() += 1;
+                        continue;
+                    };
+                    events.push(self.change_into_event(&stream, schema, change, now, batch));
                 }
             }
         }
+        if !dropped.is_empty() {
+            let total: u64 = dropped.values().sum();
+            self.admission.note_dropped_capture(total);
+            for (stream, n) in &dropped {
+                eprintln!(
+                    "evdb: dropped {n} staged change(s) for '{stream}' \
+                     (capture deregistered before drain)"
+                );
+            }
+        }
+    }
 
+    /// Poll the pull-based captures (journal miners, query-poll
+    /// snapshots) once and refresh the journal-lag gauge. Runs on the
+    /// pump's maintenance tick, which bounds how stale these captures
+    /// can be.
+    fn poll_captures(
+        &self,
+        now: TimestampMs,
+        events: &mut Vec<Event>,
+        batch: &mut StageBatch,
+    ) -> Result<()> {
         let mut batches: Vec<(String, Arc<Schema>, Vec<ChangeEvent>)> = Vec::new();
-        // Journal miners and snapshots.
         {
             let mut captures = self.captures.lock();
             for task in captures.iter_mut() {
@@ -1208,11 +1265,10 @@ impl EventServer {
 
         for (stream, schema, changes) in batches {
             for change in changes {
-                events.push(self.change_into_event(&stream, &schema, change, now, &mut batch));
+                events.push(self.change_into_event(&stream, &schema, change, now, batch));
             }
         }
-        self.stage_obs.flush(&mut batch);
-        Ok(events)
+        Ok(())
     }
 
     /// Convert one captured [`ChangeEvent`] into the stream event the

@@ -23,13 +23,18 @@
 //! * **Delivery** — workers *collect* notifications
 //!   ([`EventServer::evaluate_events`], the batched evaluation path)
 //!   and the merge stage runs them through the stateful VIRT filter.
-//!   Each worker feeds its own staging channel; the merge thread drains
-//!   the shards in deterministic order (0..n) and delivers each drained
-//!   batch through one filter-lock acquisition
-//!   ([`EventServer::deliver_batch`]), so workers never contend on a
-//!   shared merge queue. A key's notifications all ride one shard's
-//!   channel in that worker's send order, so per-key delivery order
-//!   still matches the sequential pump (D15).
+//!   Workers stage `(shard, batch)` pairs into one merge channel the
+//!   merge thread blocks on; each round it takes everything queued,
+//!   orders it by shard (0..n) and delivers the round through one
+//!   filter-lock acquisition ([`EventServer::deliver_batch`]). A key's
+//!   notifications all come from one worker in that worker's send
+//!   order, so per-key delivery order still matches the sequential
+//!   pump (D15).
+//! * **Wake-ups** — no stage sleeps while work is staged for it: the
+//!   router parks on the admission buffer's work signal (see
+//!   [`crate::pump`]), workers block on their queues, the merge blocks
+//!   on its channel. The pump interval is only the router's
+//!   maintenance tick.
 //! * **Shutdown** — the router performs one final drain after the stop
 //!   flag is raised, then drops the worker queues; workers finish their
 //!   backlog and drop the merge queue; the merge delivers the tail.
@@ -38,7 +43,7 @@
 
 use std::collections::hash_map::DefaultHasher;
 use std::hash::{Hash, Hasher};
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::thread::JoinHandle;
 use std::time::Duration;
@@ -48,18 +53,18 @@ use evdb_types::Event;
 
 use crate::metrics::{ShardMetrics, StageBatch};
 use crate::notify::Notification;
+use crate::pump::{reap_queue_timeouts, Pacer, PumpTally};
 use crate::server::{EvalScratch, EventServer};
 
 /// In-flight batches a worker queue holds before the router blocks.
 const WORKER_QUEUE_BATCHES: usize = 64;
 
-/// In-flight notification batches each worker's private staging channel
-/// holds before that worker blocks on the merge stage.
+/// In-flight notification batches the merge channel holds per worker
+/// before the workers block on the merge stage.
 const MERGE_QUEUE_BATCHES: usize = 64;
 
-/// How long the merge thread sleeps when every shard's staging channel
-/// came up empty on a full drain pass.
-const MERGE_IDLE: Duration = Duration::from_micros(50);
+/// One worker's staged notifications, tagged with its shard index.
+type ShardBatch = (usize, Vec<Notification>);
 
 /// Map a partition key to a shard in `0..n`.
 ///
@@ -81,50 +86,47 @@ pub(crate) fn spawn_sharded(
     interval: Duration,
     workers: usize,
     stop: &Arc<AtomicBool>,
-    errors: &Arc<AtomicU64>,
-    cycles: &Arc<AtomicU64>,
+    tally: &Arc<PumpTally>,
 ) -> Vec<JoinHandle<()>> {
     let n = workers.max(1);
     let shard_metrics = server.metrics().register_shards(n);
 
+    // The merge exits when every worker has dropped its sender clone
+    // and the channel is drained.
+    let (merge_tx, merge_rx) = channel::bounded::<ShardBatch>(MERGE_QUEUE_BATCHES * n);
     let mut worker_txs: Vec<channel::Sender<Vec<Event>>> = Vec::with_capacity(n);
-    let mut merge_rxs: Vec<channel::Receiver<Vec<Notification>>> = Vec::with_capacity(n);
     let mut evaluators: Vec<JoinHandle<()>> = Vec::with_capacity(n);
     for (i, metrics) in shard_metrics.iter().enumerate() {
         let (tx, rx) = channel::bounded::<Vec<Event>>(WORKER_QUEUE_BATCHES);
         worker_txs.push(tx);
-        // Each worker stages into its own channel: no cross-worker
-        // contention on the way to the merge, and the merge exits a
-        // shard's drain when that worker (alone) has hung up.
-        let (merge_tx, merge_rx) = channel::bounded::<Vec<Notification>>(MERGE_QUEUE_BATCHES);
-        merge_rxs.push(merge_rx);
+        let merge_tx = merge_tx.clone();
         let s = Arc::clone(server);
         let m = Arc::clone(metrics);
-        let er = Arc::clone(errors);
+        let ta = Arc::clone(tally);
         let t = std::thread::Builder::new()
             .name(format!("evdb-shard-{i}"))
-            .spawn(move || worker_loop(&s, &rx, &merge_tx, &m, &er))
+            .spawn(move || worker_loop(&s, i, &rx, &merge_tx, &m, &ta))
             .expect("spawn shard worker thread");
         evaluators.push(t);
     }
+    drop(merge_tx);
 
     let merge_thread = {
         let s = Arc::clone(server);
         std::thread::Builder::new()
             .name("evdb-merge".into())
-            .spawn(move || merge_loop(&s, &merge_rxs))
+            .spawn(move || merge_loop(&s, &merge_rx))
             .expect("spawn merge thread")
     };
 
     let router_thread = {
         let s = Arc::clone(server);
         let st = Arc::clone(stop);
-        let er = Arc::clone(errors);
-        let cy = Arc::clone(cycles);
+        let ta = Arc::clone(tally);
         let sm = shard_metrics;
         std::thread::Builder::new()
             .name("evdb-router".into())
-            .spawn(move || router_loop(&s, interval, &worker_txs, &sm, &st, &er, &cy))
+            .spawn(move || router_loop(&s, interval, &worker_txs, &sm, &st, &ta))
             .expect("spawn router thread")
     };
 
@@ -142,15 +144,22 @@ fn router_loop(
     worker_txs: &[channel::Sender<Vec<Event>>],
     shard_metrics: &[Arc<ShardMetrics>],
     stop: &AtomicBool,
-    errors: &AtomicU64,
-    cycles: &AtomicU64,
+    tally: &PumpTally,
 ) {
     let n = worker_txs.len();
+    let mut pacer = Pacer::new(interval);
     loop {
-        // Read the flag *before* draining: the post-stop iteration then
-        // ships everything staged up to the stop call.
-        let stopping = stop.load(Ordering::SeqCst);
-        match server.drain_captured() {
+        // The flag is read *before* draining (inside `next`): the
+        // post-stop iteration then ships everything staged up to the
+        // stop call.
+        let turn = pacer.next(server, stop);
+        let drained = if turn.maintenance {
+            reap_queue_timeouts(server);
+            server.drain_captured()
+        } else {
+            Ok(server.drain_staged())
+        };
+        match drained {
             Ok(events) => {
                 let mut batches: Vec<Vec<Event>> = (0..n).map(|_| Vec::new()).collect();
                 let stamp_now = server.now();
@@ -189,7 +198,7 @@ fn router_loop(
                                     .fetch_sub(len, Ordering::Relaxed);
                             }
                             Err(channel::TrySendError::Disconnected(_)) => {
-                                errors.fetch_add(1, Ordering::Relaxed);
+                                tally.errors(1);
                                 shard_metrics[i]
                                     .queue_depth
                                     .fetch_sub(len, Ordering::Relaxed);
@@ -200,28 +209,18 @@ fn router_loop(
                         // queue backpressures the router instead of
                         // growing without bound. Err means the worker
                         // died (only on panic); count and go on.
-                        errors.fetch_add(1, Ordering::Relaxed);
+                        tally.errors(1);
                         shard_metrics[i]
                             .queue_depth
                             .fetch_sub(len, Ordering::Relaxed);
                     }
                 }
             }
-            Err(_) => {
-                errors.fetch_add(1, Ordering::Relaxed);
-            }
+            Err(_) => tally.errors(1),
         }
-        for q in server.queues().queue_names() {
-            let _ = server.queues().reap_timeouts(&q);
-        }
-        cycles.fetch_add(1, Ordering::Relaxed);
-        if stopping {
+        tally.cycle();
+        if turn.stopping {
             break;
-        }
-        // Keep draining while producers are backed up on the staged
-        // buffer; sleep only when the admission gate is empty.
-        if server.admission().depth() == 0 {
-            std::thread::sleep(interval);
         }
     }
     // Dropping the senders lets the workers drain their queues and exit.
@@ -229,10 +228,11 @@ fn router_loop(
 
 fn worker_loop(
     server: &Arc<EventServer>,
+    shard: usize,
     rx: &channel::Receiver<Vec<Event>>,
-    merge: &channel::Sender<Vec<Notification>>,
+    merge: &channel::Sender<ShardBatch>,
     metrics: &ShardMetrics,
-    errors: &AtomicU64,
+    tally: &PumpTally,
 ) {
     let mut scratch = EvalScratch::default();
     // `recv` yields every batch still queued even after the router has
@@ -244,12 +244,12 @@ fn worker_loop(
         let mut stage_batch = StageBatch::default();
         let (_derived, errs) =
             server.evaluate_events(&mut batch, stamp_now, &mut stage_batch, &mut scratch, &mut pending);
-        errors.fetch_add(errs, Ordering::Relaxed);
+        tally.errors(errs);
         server.stage_obs().flush(&mut stage_batch);
         metrics
             .queue_depth
             .fetch_sub(batch.len() as u64, Ordering::Relaxed);
-        if !pending.is_empty() && merge.send(pending).is_err() {
+        if !pending.is_empty() && merge.send((shard, pending)).is_err() {
             // Merge stage gone: only possible mid-teardown after a
             // panic; stop consuming.
             break;
@@ -257,44 +257,20 @@ fn worker_loop(
     }
 }
 
-/// The merge stage: drain every shard's staging channel in a fixed
-/// order (0..n), deliver the round's notifications as one batch, and
-/// idle briefly when nothing arrived. Draining shard-by-shard in a
-/// deterministic order keeps delivery fair across shards; per-key order
-/// needs no cross-shard coordination because a key's notifications all
-/// travel one shard's FIFO channel. Exits when every worker has hung up
-/// and every channel is drained — crossbeam yields queued batches even
-/// after a sender drops, so a clean stop delivers the tail.
-fn merge_loop(server: &Arc<EventServer>, shards: &[channel::Receiver<Vec<Notification>>]) {
-    let mut open = vec![true; shards.len()];
-    let mut staged: Vec<Notification> = Vec::new();
-    loop {
-        let mut any_open = false;
-        for (i, rx) in shards.iter().enumerate() {
-            if !open[i] {
-                continue;
-            }
-            loop {
-                match rx.try_recv() {
-                    Ok(notes) => staged.extend(notes),
-                    Err(channel::TryRecvError::Empty) => {
-                        any_open = true;
-                        break;
-                    }
-                    Err(channel::TryRecvError::Disconnected) => {
-                        open[i] = false;
-                        break;
-                    }
-                }
-            }
-        }
-        if !staged.is_empty() {
-            server.deliver_batch(std::mem::take(&mut staged));
-        } else if !any_open {
-            break;
-        } else {
-            std::thread::sleep(MERGE_IDLE);
-        }
+/// The merge stage: block until a worker stages a batch, take whatever
+/// else is queued, and deliver the round's notifications as one batch
+/// in shard order (0..n). Ordering a round by shard keeps delivery
+/// deterministic for a given set of staged batches; per-key order needs
+/// no cross-shard coordination because a key's notifications all come
+/// from one worker, in its send order. Exits when every worker has hung
+/// up and the channel is drained — queued batches are still yielded
+/// after the senders drop, so a clean stop delivers the tail.
+fn merge_loop(server: &Arc<EventServer>, staged: &channel::Receiver<ShardBatch>) {
+    while let Ok(first) = staged.recv() {
+        let mut round: Vec<ShardBatch> = std::iter::once(first).chain(staged.try_iter()).collect();
+        // Stable: a shard's batches keep their send order.
+        round.sort_by_key(|(shard, _)| *shard);
+        server.deliver_batch(round.into_iter().flat_map(|(_, notes)| notes).collect());
     }
 }
 

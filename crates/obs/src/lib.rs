@@ -216,7 +216,9 @@ impl Registry {
         self.enabled
     }
 
-    /// Get-or-create the counter `name`.
+    /// Get-or-create the counter `name`. A name of the form
+    /// `family{label="value"}` is one member of a labelled family (see
+    /// [`Registry::render`]).
     pub fn counter(&self, name: &str) -> Arc<Counter> {
         let mut inner = self.inner.lock();
         Arc::clone(inner.counters.entry(name.to_string()).or_insert_with(|| {
@@ -297,8 +299,17 @@ impl Registry {
     pub fn render(&self) -> String {
         let snap = self.snapshot();
         let mut out = String::new();
+        // A counter name may carry a label set (`family{label="x"}`).
+        // The members of a family sort next to each other, so one
+        // `# TYPE` line heads them all.
+        let mut family = "";
         for (name, v) in &snap.counters {
-            out.push_str(&format!("# TYPE {name} counter\n{name} {v}\n"));
+            let base = name.split('{').next().unwrap_or(name);
+            if base != family {
+                out.push_str(&format!("# TYPE {base} counter\n"));
+                family = base;
+            }
+            out.push_str(&format!("{name} {v}\n"));
         }
         for (name, v) in &snap.gauges {
             out.push_str(&format!("# TYPE {name} gauge\n{name} {}\n", fmt_f64(*v)));
@@ -468,6 +479,20 @@ mod tests {
         assert!(text.contains("evdb_lat_ms_count 1"));
         assert!(text.contains("evdb_lat_ms_saturated 0"));
         assert_eq!(text, r.render(), "rendering must be deterministic");
+    }
+
+    #[test]
+    fn labelled_counters_share_one_type_line() {
+        let r = Registry::new();
+        r.counter("evdb_wake_total{cause=\"work\"}").add(3);
+        r.counter("evdb_wake_total{cause=\"tick\"}").inc();
+        r.counter("evdb_wake_total_other").inc();
+        assert_eq!(
+            r.render(),
+            "# TYPE evdb_wake_total_other counter\nevdb_wake_total_other 1\n\
+             # TYPE evdb_wake_total counter\n\
+             evdb_wake_total{cause=\"tick\"} 1\nevdb_wake_total{cause=\"work\"} 3\n"
+        );
     }
 
     #[test]

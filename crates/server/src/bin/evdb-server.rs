@@ -9,9 +9,15 @@
 //! ```
 //!
 //! Defaults: in-memory engine, TCP on 127.0.0.1:7070, HTTP on
-//! 127.0.0.1:7071, capacity 65536, policy block, 1 ms background pump,
-//! 1024 connections, 60 s idle deadline, 1000 requests per HTTP
-//! keep-alive connection.
+//! 127.0.0.1:7071, capacity 65536, policy block, background pump with a
+//! 1 ms maintenance tick, 1024 connections, 60 s idle deadline, 1000
+//! requests per HTTP keep-alive connection.
+//!
+//! `--pump-ms` is the pump's maintenance tick — the maximum staleness of
+//! pull-based captures (journal mining, query polls), queue
+//! visibility-timeout reaping and history compaction. Staged events
+//! (`INGEST`, trigger captures) wake the pump themselves and do not wait
+//! for it. `none` disables the background pump (explicit `PUMP` only).
 
 use std::sync::Arc;
 use std::time::Duration;

@@ -45,7 +45,7 @@ use std::time::{Duration, Instant};
 use evdb_core::EventServer;
 use evdb_types::{Error, TimestampMs};
 
-use crate::hub::{Hub, Outbound, ServerMetrics};
+use crate::hub::{burst, Hub, Outbound, ServerMetrics};
 use crate::protocol::{parse_record, render_row};
 
 /// Cap on an HTTP request body (matches the frame cap).
@@ -633,19 +633,26 @@ fn serve_sse(
     hub.subscribe(name, session_id, tx);
     loop {
         match rx.recv_timeout(Duration::from_millis(100)) {
-            Ok(Outbound::Frame(text)) => {
-                // `UPDATE <q> ± <row>` → `data: <q> ± <row>`.
-                let payload = text.strip_prefix("UPDATE ").unwrap_or(&text);
-                metrics.frames_tx.inc();
-                if stream
-                    .write_all(format!("data: {payload}\n\n").as_bytes())
-                    .and_then(|()| stream.flush())
-                    .is_err()
-                {
-                    break; // peer hung up
+            Ok(first) => {
+                let mut body = String::new();
+                let mut open = true;
+                for msg in burst(first, &rx) {
+                    let Outbound::Frame(text) = msg else {
+                        open = false; // Outbound::Close
+                        break;
+                    };
+                    // `UPDATE <q> ± <row>` → `data: <q> ± <row>`.
+                    let payload = text.strip_prefix("UPDATE ").unwrap_or(&text);
+                    metrics.frames_tx.inc();
+                    body.push_str("data: ");
+                    body.push_str(payload);
+                    body.push_str("\n\n");
+                }
+                let sent = stream.write_all(body.as_bytes()).and_then(|()| stream.flush());
+                if sent.is_err() || !open {
+                    break; // peer hung up, or the server closed the session
                 }
             }
-            Ok(Outbound::Close) => break,
             Err(RecvTimeoutError::Timeout) => {
                 if stop.load(Ordering::SeqCst) {
                     break;

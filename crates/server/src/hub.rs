@@ -40,6 +40,20 @@ pub type OutboundSender = SyncSender<Outbound>;
 /// Receiver half, owned by the session's writer loop.
 pub type OutboundReceiver = Receiver<Outbound>;
 
+/// Most messages a transport writer covers with one write + flush:
+/// under a channel that never runs empty it still flushes (and stamps
+/// proof of life) this often, and its write buffer stays bounded.
+pub(crate) const BURST_MAX: usize = 256;
+
+/// `first` — what a writer's blocking receive returned — followed by
+/// whatever is already queued behind it, up to [`BURST_MAX`] messages.
+/// A writer encodes the whole burst and flushes once: one syscall per
+/// burst instead of one per frame, and a lone frame still goes out at
+/// once.
+pub(crate) fn burst(first: Outbound, rx: &OutboundReceiver) -> impl Iterator<Item = Outbound> + '_ {
+    std::iter::once(first).chain(rx.try_iter().take(BURST_MAX - 1))
+}
+
 struct SubEntry {
     session: u64,
     sender: OutboundSender,

@@ -76,9 +76,13 @@ pub struct NetConfig {
     /// Per-session outbound buffer (frames queued per connection before
     /// subscription pushes are shed for that subscriber).
     pub session_buffer: usize,
-    /// Spawn a background pump at this interval; `None` means the
-    /// server only pumps on explicit `PUMP` / `POST /pump` requests
-    /// (the deterministic mode the golden-transcript tests rely on).
+    /// Spawn a background pump with this maintenance tick; `None`
+    /// means the server only pumps on explicit `PUMP` / `POST /pump`
+    /// requests (the deterministic mode the golden-transcript tests
+    /// rely on). The pump is woken by staged work (`INGEST`, trigger
+    /// captures), so this is not a latency floor: it is the longest a
+    /// journal-mined or query-poll capture, a lapsed queue visibility
+    /// timeout or history compaction waits for the pump.
     pub pump_interval: Option<Duration>,
     /// Hard cap on concurrently open connections, shared across both
     /// frontends. An over-cap TCP connect is answered with a typed

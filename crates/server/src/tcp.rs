@@ -29,7 +29,7 @@ use std::time::{Duration, Instant};
 use evdb_core::EventServer;
 
 use crate::frame::{encode_frame, encode_frame_vec, FrameDecoder};
-use crate::hub::{Hub, Outbound, OutboundReceiver, ServerMetrics};
+use crate::hub::{burst, Hub, Outbound, OutboundReceiver, ServerMetrics};
 use crate::session::Session;
 
 /// How long a blocked read waits before re-checking the stop flag (and
@@ -274,23 +274,105 @@ fn writer_loop(
 ) {
     let mut out = std::io::BufWriter::new(stream);
     let mut scratch = Vec::with_capacity(4 * 1024);
-    while let Ok(msg) = rx.recv() {
-        match msg {
-            Outbound::Frame(text) => {
-                scratch.clear();
-                encode_frame(text.as_bytes(), &mut scratch);
-                metrics.frames_tx.inc();
-                if out.write_all(&scratch).and_then(|()| out.flush()).is_err() {
-                    break; // peer gone; reader will notice on its own
-                }
-                // A completed push is proof of life: the peer drained
-                // its window, so the idle deadline resets.
-                activity.touch();
+    'conn: while let Ok(first) = rx.recv() {
+        for msg in burst(first, &rx) {
+            let Outbound::Frame(text) = msg else {
+                break 'conn; // Outbound::Close; `into_inner` flushes
+            };
+            scratch.clear();
+            encode_frame(text.as_bytes(), &mut scratch);
+            metrics.frames_tx.inc();
+            if out.write_all(&scratch).is_err() {
+                break 'conn; // peer gone; reader will notice on its own
             }
-            Outbound::Close => break,
         }
+        if out.flush().is_err() {
+            break;
+        }
+        // A completed push is proof of life: the peer drained its
+        // window, so the idle deadline resets.
+        activity.touch();
     }
     if let Ok(stream) = out.into_inner() {
         let _ = stream.shutdown(std::net::Shutdown::Both);
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use evdb_core::metrics::Registry;
+
+    /// A connected loopback pair: (the writer's half, the peer's half).
+    fn socket_pair() -> (TcpStream, TcpStream) {
+        let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+        let peer = TcpStream::connect(listener.local_addr().unwrap()).unwrap();
+        let (ours, _) = listener.accept().unwrap();
+        peer.set_read_timeout(Some(Duration::from_secs(5))).unwrap();
+        (ours, peer)
+    }
+
+    fn spawn_writer(
+        stream: TcpStream,
+        rx: OutboundReceiver,
+    ) -> (Arc<ServerMetrics>, std::thread::JoinHandle<()>) {
+        let metrics = Arc::new(ServerMetrics::bind(&Registry::new(), &Hub::new()));
+        let m = Arc::clone(&metrics);
+        let writer = std::thread::spawn(move || writer_loop(stream, rx, m, Activity::new()));
+        (metrics, writer)
+    }
+
+    /// Read frames off `peer` until `n` have arrived.
+    fn read_frames(peer: &mut TcpStream, decoder: &mut FrameDecoder, n: usize) -> Vec<String> {
+        let mut frames = Vec::new();
+        let mut buf = [0u8; 4096];
+        loop {
+            while let Some(frame) = decoder.next_frame() {
+                frames.push(String::from_utf8(frame.unwrap()).unwrap());
+            }
+            if frames.len() >= n {
+                return frames;
+            }
+            let read = peer.read(&mut buf).expect("frame before the read timeout");
+            assert!(read > 0, "writer hung up after {} of {n} frames", frames.len());
+            decoder.push(&buf[..read]);
+        }
+    }
+
+    #[test]
+    fn queued_frames_arrive_intact_and_in_order() {
+        // More than one flush round, and more bytes than the BufWriter
+        // holds, all queued before the writer runs.
+        let n = 3 * crate::hub::BURST_MAX + 7;
+        let sent: Vec<String> = (0..n).map(|i| format!("UPDATE q + {i} {}", "x".repeat(i % 97))).collect();
+        let (ours, mut peer) = socket_pair();
+        let (tx, rx) = sync_channel::<Outbound>(n + 1);
+        for line in &sent {
+            tx.send(Outbound::Frame(line.clone())).unwrap();
+        }
+        tx.send(Outbound::Close).unwrap();
+        let (metrics, writer) = spawn_writer(ours, rx);
+        let got = read_frames(&mut peer, &mut FrameDecoder::new(), n);
+        assert_eq!(got, sent);
+        writer.join().unwrap();
+        assert_eq!(metrics.frames_tx.get(), n as u64);
+        // Close after the frames: the peer sees a clean end of stream.
+        assert_eq!(peer.read(&mut [0u8; 16]).unwrap(), 0);
+    }
+
+    #[test]
+    fn a_lone_frame_is_flushed_without_a_second() {
+        let (ours, mut peer) = socket_pair();
+        let (tx, rx) = sync_channel::<Outbound>(4);
+        let (_metrics, writer) = spawn_writer(ours, rx);
+        let mut decoder = FrameDecoder::new();
+        // The channel stays open and empty after each frame, so only a
+        // flush per round can get the frame to the peer.
+        for line in ["OK first", "OK second"] {
+            tx.send(Outbound::Frame(line.into())).unwrap();
+            assert_eq!(read_frames(&mut peer, &mut decoder, 1), vec![line]);
+        }
+        drop(tx);
+        writer.join().unwrap();
     }
 }
