@@ -8,7 +8,7 @@ use std::sync::Arc;
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use evdb_bench::experiments::e15_compiled::{order_events, order_rules, order_schema};
 use evdb_expr::{parse, BatchScratch, CompiledExpr};
-use evdb_rules::{IndexedMatcher, MatchScratch, Matcher, Rule, VerifyMode};
+use evdb_rules::{IndexedMatcher, MatchScratch, Matcher, Rule};
 use evdb_types::Record;
 
 /// Rows per batch call — the pipeline's working unit (as in E19).
@@ -76,7 +76,6 @@ fn bench_match_batch(c: &mut Criterion) {
     for (i, r) in order_rules(1_000, 8, 29).into_iter().enumerate() {
         matcher.add_rule(Rule::new(i as u64, "", r)).unwrap();
     }
-    matcher.set_verify_mode(VerifyMode::Compiled);
     g.bench_function("per_record", |b| {
         let mut i = 0usize;
         b.iter(|| {

@@ -8,8 +8,11 @@
 //! (`CompiledExpr`) with constant folding, conjunct reordering and
 //! precompiled LIKE shapes. Three verification arms isolate the per-event
 //! cost on the residual predicates candidates are checked against
-//! (numeric comparisons; LIKE-heavy; mixed arithmetic+LIKE), then the
-//! full indexed matcher runs end to end under both [`VerifyMode`]s.
+//! (numeric comparisons; LIKE-heavy; mixed arithmetic+LIKE). The
+//! matcher-level arm — the whole indexed matcher with its candidates
+//! verified by the interpreter — went with the matcher's interpreter
+//! mode (ISSUE 15: compiled won it 1.8×, nothing else ever selected the
+//! interpreter); EXPERIMENTS.md keeps its last recorded row as history.
 //!
 //! Measurement follows E13: arms alternate order round to round and the
 //! reported speedup is the median of per-round interpreted/compiled
@@ -22,13 +25,12 @@ use std::sync::Arc;
 use std::time::Instant;
 
 use evdb_expr::{compiler_stats, parse, CompiledExpr};
-use evdb_rules::{IndexedMatcher, Matcher, Rule, VerifyMode};
+use evdb_rules::{IndexedMatcher, Matcher, Rule};
 use evdb_types::{DataType, Record, Schema, Value};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
 use super::{Scale, Table};
-use crate::fmt_rate;
 
 /// Order events: `(sym STR, px FLOAT, qty INT, venue STR)`. The venue
 /// string is long (~90 chars) and only sometimes contains the fragments
@@ -189,72 +191,30 @@ pub fn run(scale: Scale) -> Table {
         ]);
     }
 
-    // End to end: E3's indexed matcher, candidates verified by each
-    // engine in turn. Rule registration compiles every predicate; the
-    // stats delta makes the optimizer's work visible (D9).
+    // Registering E3's rule set compiles every predicate; the stats
+    // delta makes the optimizer's work visible (D9).
     let before = compiler_stats();
-    let schema = order_schema();
-    let mut matcher = IndexedMatcher::new(Arc::clone(&schema));
+    let mut matcher = IndexedMatcher::new(order_schema());
     for (i, r) in order_rules(nrules, nsyms, 23).into_iter().enumerate() {
         matcher.add_rule(Rule::new(i as u64, "", r)).unwrap();
     }
-    let stats = {
-        let after = compiler_stats();
-        (
-            after.compiled_total - before.compiled_total,
-            after.folded_subtrees - before.folded_subtrees,
-            after.like_precompiled - before.like_precompiled,
-        )
-    };
-
-    let mut run_arm = |mode: VerifyMode| {
-        matcher.set_verify_mode(mode);
-        let t0 = Instant::now();
-        let mut matches = 0u64;
-        for e in &events {
-            matches += matcher.match_record(e).unwrap().len() as u64;
-        }
-        (events.len() as f64 / t0.elapsed().as_secs_f64(), matches)
-    };
-    // Warm-up + agreement.
-    let (_, m1) = run_arm(VerifyMode::Interpreted);
-    let (_, m2) = run_arm(VerifyMode::Compiled);
-    assert_eq!(m1, m2, "verify modes must select the same rules");
-    let (mut best_i, mut best_c) = (0f64, 0f64);
-    let mut ratios = Vec::with_capacity(rounds);
-    for r in 0..rounds {
-        let (ri, rc) = if r % 2 == 0 {
-            let a = run_arm(VerifyMode::Interpreted).0;
-            let b = run_arm(VerifyMode::Compiled).0;
-            (a, b)
-        } else {
-            let b = run_arm(VerifyMode::Compiled).0;
-            let a = run_arm(VerifyMode::Interpreted).0;
-            (a, b)
-        };
-        best_i = best_i.max(ri);
-        best_c = best_c.max(rc);
-        ratios.push(rc / ri);
-    }
-    ratios.sort_by(|a, b| a.partial_cmp(b).expect("finite"));
-    table.row(vec![
-        "indexed_match_e2e".into(),
-        fmt_rate(best_i),
-        fmt_rate(best_c),
-        format!("{:.1}x", ratios[ratios.len() / 2]),
-        "events/s".into(),
-    ]);
+    let after = compiler_stats();
+    let stats = (
+        after.compiled_total - before.compiled_total,
+        after.folded_subtrees - before.folded_subtrees,
+        after.like_precompiled - before.like_precompiled,
+    );
 
     table.note(format!(
-        "{nevents} events, {nrules} rules over {nsyms} symbols, {rounds} alternating-order \
+        "{nevents} events over {nsyms} symbols, {rounds} alternating-order \
          rounds; speedup is the median of per-round ratios (E13 method), ns/event the per-arm best"
     ));
     table.note(format!(
-        "registration compiled {} predicates, folded {} constant subtrees, precompiled {} \
+        "registering {nrules} rules compiled {} predicates, folded {} constant subtrees, precompiled {} \
          LIKE patterns (D9: optimizer work is counted, not silent)",
         stats.0, stats.1, stats.2
     ));
-    table.note("verify arms are the residuals candidates are checked against; e2e includes probe cost");
+    table.note("verify arms are the residuals candidates are checked against");
     table
 }
 
@@ -275,7 +235,7 @@ mod tests {
         } else {
             (2.0, 2.0)
         };
-        let (mut best_like, mut best_mixed, mut best_e2e) = (0f64, 0f64, 0f64);
+        let (mut best_like, mut best_mixed) = (0f64, 0f64);
         for _ in 0..3 {
             let t = run(Scale::Quick);
             let speed = |row: usize| -> f64 {
@@ -283,8 +243,7 @@ mod tests {
             };
             best_like = best_like.max(speed(1));
             best_mixed = best_mixed.max(speed(2));
-            best_e2e = best_e2e.max(speed(3));
-            if best_like >= like_floor && best_mixed >= mixed_floor && best_e2e >= 1.0 {
+            if best_like >= like_floor && best_mixed >= mixed_floor {
                 break;
             }
         }
@@ -296,16 +255,12 @@ mod tests {
             best_mixed >= mixed_floor,
             "mixed-arm speedup {best_mixed:.2}x < {mixed_floor}x"
         );
-        assert!(
-            best_e2e >= 1.0,
-            "end-to-end compiled verification slower than interpreted ({best_e2e:.2}x)"
-        );
     }
 
     #[test]
-    fn modes_agree_and_stats_are_counted() {
+    fn engines_agree_and_stats_are_counted() {
         let t = run(Scale::Quick);
-        assert_eq!(t.rows.len(), 4);
+        assert_eq!(t.rows.len(), 3);
         // The D9 note proves the compile/fold counters moved.
         assert!(t
             .notes

@@ -5,8 +5,8 @@
 //! Two claims, two sections:
 //!
 //! * **eval duel** — E15's candidate-verification workload, timed
-//!   per-event (`matches`/`match_record`, the dispatch the pipeline
-//!   used before D15) vs batched (`matches_batch`/`match_batch` over
+//!   per-event (`matches`/`match_record`, the single-record
+//!   evaluators) vs batched (`matches_batch`/`match_batch` over
 //!   [`BATCH`]-row chunks with reused scratch). Four bare-VM arms
 //!   isolate single-predicate dispatch (`eval_wide` stresses the fused
 //!   field-vs-constant fast paths). Same alternating-order/median
@@ -29,18 +29,20 @@
 //!   scale, each ran arm must reach **≥0.7× linear** up to
 //!   min(workers, cores) (asserted in-run in optimized builds).
 //!
-//! Per-event/batch equivalence is not this experiment's job: it is
+//! Scalar/batch equivalence is not this experiment's job: it is
 //! enforced differentially by `tests/prop_batch_eval.rs` (expressions),
-//! `tests/prop_order_equivalence.rs` and `tests/parallel_pump.rs`
-//! (pipeline). E19 only measures — but it measures with the agreement
-//! checks left on.
+//! and for the pipeline — which has had a single, batched evaluation
+//! path since ISSUE 15 — by `tests/prop_chunking.rs` (any cut of the
+//! input answers like the singletons cut) and `tests/parallel_pump.rs`
+//! (both pump modes agree). E19 only measures — but it measures with
+//! the agreement checks left on.
 
 use std::sync::Arc;
 use std::time::Instant;
 
 use evdb_core::PumpMode;
 use evdb_expr::{parse, BatchScratch, CompiledExpr};
-use evdb_rules::{IndexedMatcher, MatchScratch, Matcher, Rule, VerifyMode};
+use evdb_rules::{IndexedMatcher, MatchScratch, Matcher, Rule};
 use evdb_types::{Record, Result};
 
 use super::e11_parallel::{drive, multi_stream_server};
@@ -149,7 +151,6 @@ fn rules_duel(events: &[Record], nrules: usize, rounds: usize) -> (f64, f64, f64
     for (i, r) in order_rules(nrules, 8, 29).into_iter().enumerate() {
         matcher.add_rule(Rule::new(i as u64, "", r)).unwrap();
     }
-    matcher.set_verify_mode(VerifyMode::Compiled);
     let refs: Vec<&Record> = events.iter().collect();
     let mut scratch = MatchScratch::new();
     let mut out = Vec::new();
@@ -305,8 +306,8 @@ pub fn run(scale: Scale) -> Table {
          reported as speedups (E11 convention)"
     ));
     table.note(
-        "per-event/batched equivalence is enforced by tests/prop_batch_eval.rs, \
-         tests/parallel_pump.rs and tests/prop_order_equivalence.rs",
+        "scalar/batched equivalence is enforced by tests/prop_batch_eval.rs, chunking \
+         invariance by tests/prop_chunking.rs, mode equivalence by tests/parallel_pump.rs",
     );
     table
 }

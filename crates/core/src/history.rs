@@ -10,7 +10,7 @@
 //! per-zone statistics; `REPLAY` streams a seq range back in original
 //! arrival order, either to the caller or re-fed through the CQ runtime
 //! (via the dedup-bypassing replay path — see
-//! `StreamRuntime::push_event_replay`).
+//! `StreamRuntime::push_events_replay`).
 
 use std::collections::HashMap;
 use std::path::{Path, PathBuf};

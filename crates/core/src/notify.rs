@@ -36,7 +36,7 @@ pub struct Notification {
     /// When the condition was detected.
     pub timestamp: TimestampMs,
     /// Trace of the event that produced this notification; the deliver
-    /// stage is stamped by [`crate::EventServer::deliver`].
+    /// stage is stamped by [`crate::EventServer::deliver_batch`].
     pub trace: Trace,
     /// True when the triggering event was a retraction delta: the
     /// condition that paged is being *withdrawn* (out-of-order input
@@ -125,30 +125,14 @@ impl NotificationCenter {
     }
 
     /// Offer a notification; returns `true` if it passed the VIRT filter
-    /// and was delivered.
+    /// and was delivered. A batch of one.
     pub fn notify(&self, notification: Notification) -> bool {
-        use std::sync::atomic::Ordering;
-        let now = self.clock.now();
-        let admitted = {
-            let mut state = self.state.lock();
-            self.admit_locked(&mut state, &notification, now)
-        };
-        if !admitted {
-            return false;
-        }
-        self.delivered.fetch_add(1, Ordering::Relaxed);
-        for h in self.handlers.lock().iter() {
-            h(&notification);
-        }
-        self.delivered_log.lock().push(notification);
-        true
+        self.notify_batch(vec![notification]) == 1
     }
 
     /// Offer a whole batch, taking each internal lock once instead of
-    /// once per notification — the merge stage of the sharded pump feeds
-    /// entire drained shards through here (D15). Filter decisions are
-    /// identical to calling [`notify`](Self::notify) in order; returns
-    /// the number delivered.
+    /// once per notification (D15). Filter decisions are made in batch
+    /// order; returns the number delivered.
     pub fn notify_batch(&self, batch: Vec<Notification>) -> u64 {
         use std::sync::atomic::Ordering;
         if batch.is_empty() {

@@ -36,8 +36,8 @@ use crate::shard;
 /// How a background pump executes the evaluation pipeline.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum PumpMode {
-    /// One thread: drain, then evaluate every event inline. The
-    /// original, strictly ordered mode.
+    /// One thread: drain, evaluate the batch, deliver. Strictly
+    /// ordered across streams.
     #[default]
     Sequential,
     /// Router + N evaluation workers + merge stage. Events are
@@ -79,7 +79,8 @@ impl PumpHandle {
         self.tally.cycles.load(Ordering::Relaxed)
     }
 
-    /// Pump cycles that returned an error (logged, not fatal).
+    /// Errors met so far — events whose evaluation failed, capture
+    /// polls and maintenance steps that failed (counted, not fatal).
     pub fn errors(&self) -> u64 {
         self.tally.errors.load(Ordering::Relaxed)
     }
@@ -191,21 +192,13 @@ impl Pacer {
     }
 }
 
-/// Queue housekeeping on the maintenance tick: make messages whose
-/// visibility timeout lapsed deliverable again.
-pub(crate) fn reap_queue_timeouts(server: &EventServer) {
-    for q in server.queues().queue_names() {
-        let _ = server.queues().reap_timeouts(&q);
-    }
-}
-
-/// Start a background thread that runs [`EventServer::pump_staged`]
-/// whenever work is staged and the full [`EventServer::pump`] (plus
-/// queue visibility-timeout reaping) at least every `interval`.
+/// Start a background thread that evaluates staged work whenever some
+/// is staged and runs the full [`EventServer::pump`] cycle at least
+/// every `interval`.
 ///
-/// Errors from individual pump cycles are counted on the handle and do
-/// not kill the thread — a poisoned event must not stop the feed
-/// (callers watch [`PumpHandle::errors`]).
+/// Errors are counted on the handle and neither kill the thread nor
+/// cost the failing event's batch-mates their evaluation — a poisoned
+/// event must not stop the feed (callers watch [`PumpHandle::errors`]).
 pub fn spawn_pump(server: &Arc<EventServer>, interval: Duration) -> PumpHandle {
     spawn_pump_with(server, interval, PumpMode::Sequential)
 }
@@ -250,15 +243,8 @@ fn spawn_sequential(
             let mut pacer = Pacer::new(interval);
             loop {
                 let turn = pacer.next(&server, &stop);
-                let cycle = if turn.maintenance {
-                    reap_queue_timeouts(&server);
-                    server.pump()
-                } else {
-                    server.pump_staged()
-                };
-                if cycle.is_err() {
-                    tally.errors(1);
-                }
+                let (_, errors, _) = server.cycle(turn.maintenance);
+                tally.errors(errors);
                 tally.cycle();
                 if turn.stopping {
                     break;

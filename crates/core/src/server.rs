@@ -113,10 +113,9 @@ pub struct EvalScratch {
     expr: evdb_expr::BatchScratch,
     /// Indexed-matcher batch scratch (alert-rule verification).
     rules: MatchScratch,
-    /// Per-event continuous-query results.
+    /// Per-event continuous-query results (an `Err` withholds the event
+    /// from the stages after).
     cq: Vec<Result<Vec<Event>>>,
-    /// Events whose evaluation already errored (skipped downstream).
-    failed: Vec<bool>,
     /// Per-event alert-rule hits, re-scattered from the per-stream runs.
     hits: Vec<Option<Result<Vec<u64>>>>,
     /// Distinct sources with registered rules, in first-seen order.
@@ -127,6 +126,9 @@ pub struct EvalScratch {
     rule_out: Vec<Result<Vec<u64>>>,
     /// One event's staged notifications (committed only on success).
     event_notes: Vec<Notification>,
+    /// The first error of the last batch, for the by-hand entry points
+    /// that return it ([`EventServer::pump`], [`EventServer::ingest`]).
+    first_error: Option<Error>,
 }
 
 /// Statistics returned by one [`EventServer::pump`].
@@ -256,6 +258,10 @@ pub struct EventServer {
     /// [`EventServer::enable_history`]. `Arc` because the metric bridge
     /// reads it from gauge closures.
     history: Arc<HistorySlot>,
+    /// Evaluation scratch for cycles run on a caller's thread (`pump`,
+    /// `ingest`, the sequential pump thread); see
+    /// [`with_scratch`](Self::with_scratch).
+    scratch: Mutex<EvalScratch>,
     ids: IdGenerator,
 }
 
@@ -336,6 +342,7 @@ impl EventServer {
             detectors: RwLock::new(HashMap::new()),
             partition_fields: RwLock::new(HashMap::new()),
             history,
+            scratch: Mutex::new(EvalScratch::default()),
             ids: IdGenerator::default(),
             db,
         })
@@ -645,7 +652,7 @@ impl EventServer {
     }
 
     /// Push one external event into a stream, running the evaluation
-    /// pipeline for it immediately.
+    /// pipeline for it immediately: a batch of one on the calling thread.
     pub fn ingest(
         &self,
         stream: &str,
@@ -654,19 +661,14 @@ impl EventServer {
     ) -> Result<PumpStats> {
         use std::sync::atomic::Ordering;
         let mut event = self.make_event(stream, timestamp, payload)?;
-        let mut stats = PumpStats::default();
         self.metrics.events_captured.fetch_add(1, Ordering::Relaxed);
-        stats.captured = 1;
         if self.stage_obs.enabled {
             event.trace.stamp(Stage::Capture, event.timestamp);
             self.stage_obs
                 .observe(Stage::Capture, self.now().since(event.timestamp).max(0) as f64);
         }
-        let stamp_now = self.now();
-        let mut batch = StageBatch::default();
-        self.process_event(&mut event, stamp_now, &mut stats, &mut batch)?;
-        self.stage_obs.flush(&mut batch);
-        Ok(stats)
+        let (stats, _, first_error) = self.evaluate_inline(vec![event]);
+        first_error.map_or(Ok(stats), Err)
     }
 
     /// Stage one external event for the next pump instead of evaluating
@@ -739,7 +741,7 @@ impl EventServer {
     // ---- historical event store (D14) ------------------------------------------
 
     /// Enable the historical event store under `root`: from now on every
-    /// event that reaches [`EventServer::evaluate_event`] — on either
+    /// event that reaches [`EventServer::evaluate_events`] — on either
     /// pump mode — is also appended to its stream's columnar segment
     /// store, queryable and replayable after the fact. Errors if history
     /// is already enabled. Re-opening an existing root runs segment
@@ -782,7 +784,8 @@ impl EventServer {
     /// reappear here), re-driving windows and subscribers. Alert rules
     /// and detectors are not re-run — replay reconstructs derived state,
     /// it does not re-page anyone. Returns (events replayed, derived
-    /// events produced).
+    /// events produced), or the first event's error once the whole range
+    /// has been fed.
     pub fn replay_into_runtime(
         &self,
         stream: &str,
@@ -790,11 +793,26 @@ impl EventServer {
         to_seq: u64,
     ) -> Result<(u64, u64)> {
         let events = self.replay(stream, from_seq, to_seq)?;
-        let mut derived = 0u64;
-        for event in &events {
-            derived += self.runtime.push_event_replay(event)?.len() as u64;
-        }
+        let derived = self.with_scratch(|scratch| {
+            self.runtime
+                .push_events_replay(&events, &mut scratch.expr, &mut scratch.cq);
+            scratch
+                .cq
+                .drain(..)
+                .try_fold(0u64, |n, r| r.map(|d| n + d.len() as u64))
+        })?;
         Ok((events.len() as u64, derived))
+    }
+
+    /// Run `f` with the server's evaluation scratch. The scratch is taken
+    /// out of its slot for the call, never held locked across it: a
+    /// subscriber that re-enters [`EventServer::ingest`] finds an empty
+    /// scratch (and leaves its own behind) instead of a deadlock.
+    fn with_scratch<T>(&self, f: impl FnOnce(&mut EvalScratch) -> T) -> T {
+        let mut scratch = std::mem::take(&mut *self.scratch.lock());
+        let out = f(&mut scratch);
+        *self.scratch.lock() = scratch;
+        out
     }
 
     /// Historical query: events of `stream` whose payload satisfies
@@ -1084,35 +1102,66 @@ impl EventServer {
     // ---- the pump ------------------------------------------------------------------
 
     /// Drain all pending captured changes through the evaluation
-    /// pipeline, then run history maintenance: the full cycle (work +
-    /// maintenance). Deterministic: with a `SimClock`, repeated runs
-    /// produce identical results. Background pumps run this on their
-    /// maintenance tick and [`pump_staged`](Self::pump_staged) on every
-    /// work wake in between.
+    /// pipeline, then run [`maintain`](Self::maintain): the full cycle
+    /// (work + maintenance). Deterministic: with a `SimClock`, repeated
+    /// runs produce identical results. Returns the first error met — but
+    /// only after every other drained event has been evaluated and its
+    /// notifications delivered, as the background pumps do.
     pub fn pump(&self) -> Result<PumpStats> {
-        let stats = self.evaluate_inline(self.drain_captured()?)?;
-        // Bounded history maintenance: at most one segment merge per
-        // stream per pump, so compaction rides the pump cadence instead
-        // of needing its own thread (determinism under SimClock).
+        let (stats, _, first_error) = self.cycle(true);
+        first_error.map_or(Ok(stats), Err)
+    }
+
+    /// One cycle on the calling thread — what [`pump`](Self::pump) and
+    /// the sequential pump thread run. A work wake evaluates what
+    /// producers have staged (trigger captures,
+    /// [`ingest_async`](Self::ingest_async)) and nothing else, so its
+    /// cost is proportional to the events staged: no `captures` lock, no
+    /// queue list. A `maintenance` cycle also polls the pull-based
+    /// captures before evaluating and runs [`maintain`](Self::maintain)
+    /// after. Returns the stats, how many errors the cycle met and the
+    /// first of them.
+    pub(crate) fn cycle(&self, maintenance: bool) -> (PumpStats, u64, Option<Error>) {
+        let drained = if maintenance {
+            self.drain_captured()
+        } else {
+            Ok(self.drain_staged())
+        };
+        let (stats, mut errors, mut first_error) = match drained {
+            Ok(events) => self.evaluate_inline(events),
+            Err(e) => (PumpStats::default(), 1, Some(e)),
+        };
+        if maintenance {
+            if let Err(e) = self.maintain() {
+                errors += 1;
+                first_error.get_or_insert(e);
+            }
+        }
+        (stats, errors, first_error)
+    }
+
+    /// Housekeeping on the maintenance tick, shared by both pump modes:
+    /// make queue messages whose visibility timeout lapsed deliverable
+    /// again, then bounded history maintenance — at most one segment
+    /// merge per stream, so compaction rides the pump cadence instead of
+    /// needing its own thread (determinism under SimClock).
+    pub(crate) fn maintain(&self) -> Result<()> {
+        for q in self.queues.queue_names() {
+            let _ = self.queues.reap_timeouts(&q);
+        }
         if let Some(history) = self.history.get() {
             history.maintain()?;
         }
-        Ok(stats)
+        Ok(())
     }
 
-    /// The work half of a pump cycle: evaluate what producers have
-    /// staged (trigger captures, [`ingest_async`](Self::ingest_async))
-    /// and nothing else. Pull-based captures and history maintenance
-    /// wait for the next full [`pump`](Self::pump), so the cost of this
-    /// call is proportional to the events staged — it takes no
-    /// `captures` lock and walks no queue list.
-    pub fn pump_staged(&self) -> Result<PumpStats> {
-        self.evaluate_inline(self.drain_staged())
-    }
-
-    /// Evaluate a drained batch on the calling thread, delivering
-    /// notifications inline (the sequential path).
-    fn evaluate_inline(&self, mut events: Vec<Event>) -> Result<PumpStats> {
+    /// Evaluate a drained batch on the calling thread and deliver its
+    /// notifications: route stamp, [`evaluate_events`](Self::evaluate_events),
+    /// [`deliver_batch`](Self::deliver_batch) — the calls the sharded
+    /// pump spreads over its router, workers and merge stage (D7).
+    /// Returns the stats, the number of events whose evaluation errored
+    /// and the first such error.
+    fn evaluate_inline(&self, mut events: Vec<Event>) -> (PumpStats, u64, Option<Error>) {
         let mut stats = PumpStats {
             captured: events.len() as u64,
             ..PumpStats::default()
@@ -1124,10 +1173,18 @@ impl EventServer {
         let stamp_now = self.now();
         let mut batch = StageBatch::default();
         for event in &mut events {
-            self.process_event(event, stamp_now, &mut stats, &mut batch)?;
+            self.observe_route(event, stamp_now, &mut batch);
         }
+        let mut notes = Vec::new();
+        let ((derived, errors), first_error) = self.with_scratch(|scratch| {
+            let counts =
+                self.evaluate_events(&mut events, stamp_now, &mut batch, scratch, &mut notes);
+            (counts, scratch.first_error.take())
+        });
         self.stage_obs.flush(&mut batch);
-        Ok(stats)
+        stats.derived = derived;
+        stats.notified = self.deliver_batch(notes);
+        (stats, errors, first_error)
     }
 
     /// Collect every pending captured change as a ready-to-evaluate
@@ -1304,33 +1361,8 @@ impl EventServer {
         event
     }
 
-    /// Route one event: runtime queries, alert rules, detectors;
-    /// notifications delivered inline (the sequential path).
-    fn process_event(
-        &self,
-        event: &mut Event,
-        stamp_now: TimestampMs,
-        stats: &mut PumpStats,
-        batch: &mut StageBatch,
-    ) -> Result<()> {
-        self.observe_route(event, stamp_now, batch);
-        let (derived, notes) = self.evaluate_event_traced(event, stamp_now, batch)?;
-        stats.derived += derived;
-        for mut n in notes {
-            if self.stage_obs.enabled {
-                n.trace.stamp(Stage::Deliver, stamp_now);
-                let span = n.trace.span_ms(Stage::Capture, Stage::Deliver).unwrap_or(0) as f64;
-                batch.push(Stage::Deliver, span);
-            }
-            if self.deliver_untraced(n) {
-                stats.notified += 1;
-            }
-        }
-        Ok(())
-    }
-
     /// Stamp the route stage on an event at `now` and queue the
-    /// capture→route span. Called once per event by the sequential pump
+    /// capture→route span. Called once per event by the inline cycle
     /// and by the sharded pump's router thread; callers read the clock
     /// once per batch and flush the batch once per cycle (stage
     /// histograms are ms-granular).
@@ -1346,84 +1378,29 @@ impl EventServer {
         batch.push(Stage::Route, span);
     }
 
-    /// [`EventServer::evaluate_event`] plus evaluate-stage tracing:
-    /// stamps the event at `now` and queues the capture→evaluate span
-    /// (pipeline latency up to this stage). Shard workers and the
-    /// sequential pump both go through here.
-    pub fn evaluate_event_traced(
-        &self,
-        event: &mut Event,
-        now: TimestampMs,
-        batch: &mut StageBatch,
-    ) -> Result<(u64, Vec<Notification>)> {
-        if !self.stage_obs.enabled {
-            return self.evaluate_event(event);
-        }
-        let result = self.evaluate_event(event)?;
-        event.trace.stamp(Stage::Evaluate, now);
-        let span = event
-            .trace
-            .span_ms(Stage::Capture, Stage::Evaluate)
-            .unwrap_or(0) as f64;
-        batch.push(Stage::Evaluate, span);
-        Ok(result)
-    }
-
-    /// Evaluate one event — continuous queries, alert rules, detectors —
-    /// *collecting* its notifications instead of delivering them.
-    /// Returns (derived event count, pending notifications).
+    /// Evaluate a batch of routed events — continuous queries, alert
+    /// rules, detectors — *collecting* its notifications instead of
+    /// delivering them: the one evaluation path (D15). Shard workers call
+    /// it on each routed batch, the inline cycle on each drained one,
+    /// [`ingest`](Self::ingest) on a batch of one; delivery is the
+    /// caller's next step ([`deliver_batch`](Self::deliver_batch)),
+    /// because the VIRT filter is stateful per key and the sharded pump
+    /// runs it on its single merge stage.
     ///
-    /// This is the worker-side half of the sharded pump: workers
-    /// evaluate concurrently (the VIRT filter is stateful per key, so
-    /// delivery is deferred to the single merge stage, which calls
-    /// [`EventServer::deliver`] in per-key order). The sequential pump
-    /// uses the same method and delivers inline, so both modes run the
-    /// identical evaluation code.
-    pub fn evaluate_event(&self, event: &Event) -> Result<(u64, Vec<Notification>)> {
-        use std::sync::atomic::Ordering;
-        self.metrics
-            .events_processed
-            .fetch_add(1, Ordering::Relaxed);
-
-        // Historical store (D14): record before evaluation, so history
-        // reflects arrival order and a replay re-presents exactly what
-        // the pipeline saw. Both pump modes funnel through here; the
-        // replay feed itself bypasses this method (no re-recording).
-        if let Some(history) = self.history.get() {
-            history.append(event)?;
-        }
-        self.evaluate_recorded(event)
-    }
-
-    /// [`evaluate_event`](Self::evaluate_event) after the history append
-    /// (the per-event fallback of the batch path, whose events are
-    /// already recorded).
-    fn evaluate_recorded(&self, event: &Event) -> Result<(u64, Vec<Notification>)> {
-        use std::sync::atomic::Ordering;
-        // Continuous queries.
-        let derived = self.runtime.push_event(event)?;
-        self.metrics
-            .derived_events
-            .fetch_add(derived.len() as u64, Ordering::Relaxed);
-
-        let mut notes = Vec::new();
-        self.collect_alert_rules(event, &mut notes)?;
-        self.collect_detectors(event, &mut notes)?;
-        Ok((derived.len() as u64, notes))
-    }
-
-    /// Batched form of [`evaluate_event_traced`](Self::evaluate_event_traced)
-    /// over a shard's whole routed batch — the worker-side hot path of
-    /// the sharded pump (D15). Observable behavior matches evaluating
-    /// the events one at a time in order: history append, dedup and
+    /// The outcome does not depend on how the input was cut into
+    /// batches (`tests/prop_chunking.rs`): history append, dedup and
     /// detector state advance per event in arrival order, while the
     /// stateless stages amortize — continuous queries go through
     /// [`StreamRuntime::push_events`] (one pipeline lock per query per
     /// batch, head filters pre-verified through the batch VM) and alert
-    /// rules through [`Matcher::match_batch`] (one batch-VM dispatch per
-    /// candidate rule). Notifications are appended to `notes` in event
-    /// order (per event: rules, then detectors). Returns (derived event
-    /// count, events whose evaluation errored).
+    /// rules through [`Matcher::match_batch`]. Within the batch,
+    /// continuous-query subscribers run query-major; notifications are
+    /// appended to `notes` in event order (per event: rules, then
+    /// detectors). An event whose evaluation errors yields no
+    /// notifications and no evaluate stamp, and the batch goes on; an
+    /// event whose history append fails is not evaluated at all and is
+    /// rotated behind the evaluated ones in `events`. Returns (derived
+    /// event count, events whose evaluation errored).
     pub fn evaluate_events(
         &self,
         events: &mut [Event],
@@ -1433,6 +1410,7 @@ impl EventServer {
         notes: &mut Vec<Notification>,
     ) -> (u64, u64) {
         use std::sync::atomic::Ordering;
+        scratch.first_error = None;
         if events.is_empty() {
             return (0, 0);
         }
@@ -1441,65 +1419,33 @@ impl EventServer {
             .fetch_add(events.len() as u64, Ordering::Relaxed);
 
         // History first, per event in arrival order (D14: the store sees
-        // exactly the sequence the pipeline evaluates). An append error
-        // aborts that event's evaluation — like the per-event path — and
-        // drops the rest of the batch to the per-event fallback, since
-        // the batched CQ push cannot skip individual events.
+        // exactly the sequence the pipeline evaluates). The recorded
+        // events are kept a contiguous prefix, in order, for the batched
+        // stages below.
         let mut errors = 0u64;
+        let mut recorded = events.len();
         if let Some(history) = self.history.get() {
-            let mut failed: Option<usize> = None;
-            for (i, event) in events.iter().enumerate() {
-                if history.append(event).is_err() {
-                    errors += 1;
-                    failed = Some(i);
-                    break;
-                }
-            }
-            if let Some(first_bad) = failed {
-                let mut derived_total = 0u64;
-                for (i, event) in events.iter_mut().enumerate() {
-                    if i == first_bad {
-                        continue;
+            recorded = 0;
+            for i in 0..events.len() {
+                match history.append(&events[i]) {
+                    Ok(_) => {
+                        events[recorded..=i].rotate_right(1);
+                        recorded += 1;
                     }
-                    // Events before the failure are already recorded;
-                    // the rest still need their history append (the
-                    // whole batch was counted as processed above).
-                    let step = if i < first_bad {
-                        self.evaluate_recorded(event)
-                    } else {
-                        history
-                            .append(event)
-                            .and_then(|_| self.evaluate_recorded(event))
-                    };
-                    match step {
-                        Ok((derived, ns)) => {
-                            derived_total += derived;
-                            notes.extend(ns);
-                            self.stamp_evaluated(event, now, batch);
-                        }
-                        Err(_) => errors += 1,
+                    Err(e) => {
+                        errors += 1;
+                        scratch.first_error.get_or_insert(e);
                     }
                 }
-                return (derived_total, errors);
             }
         }
+        let events = &mut events[..recorded];
 
-        // Continuous queries, batched. `cq[i]` is what `push_event`
-        // would have returned for `events[i]`.
+        // Continuous queries, batched. An event that errors here is
+        // withheld from the rule and detector stages.
         self.runtime
             .push_events(events, &mut scratch.expr, &mut scratch.cq);
-        let mut derived_total = 0u64;
-        scratch.failed.clear();
-        scratch.failed.resize(events.len(), false);
-        for (i, r) in scratch.cq.iter().enumerate() {
-            match r {
-                Ok(derived) => derived_total += derived.len() as u64,
-                Err(_) => {
-                    scratch.failed[i] = true;
-                    errors += 1;
-                }
-            }
-        }
+        let derived_total: u64 = scratch.cq.iter().flatten().map(|d| d.len() as u64).sum();
         self.metrics
             .derived_events
             .fetch_add(derived_total, Ordering::Relaxed);
@@ -1513,7 +1459,7 @@ impl EventServer {
             if !rules.is_empty() {
                 scratch.sources.clear();
                 for (i, ev) in events.iter().enumerate() {
-                    if !scratch.failed[i]
+                    if scratch.cq[i].is_ok()
                         && rules.contains_key(ev.source.as_ref())
                         && !scratch.sources.contains(&ev.source)
                     {
@@ -1524,7 +1470,7 @@ impl EventServer {
                     let entry = &rules[src.as_ref()];
                     scratch.idxs.clear();
                     scratch.idxs.extend(events.iter().enumerate().filter_map(|(i, e)| {
-                        (!scratch.failed[i] && e.source == src).then_some(i as u32)
+                        (scratch.cq[i].is_ok() && e.source == src).then_some(i as u32)
                     }));
                     let records: Vec<&Record> = scratch
                         .idxs
@@ -1542,41 +1488,36 @@ impl EventServer {
         }
 
         // Per-event tail, in arrival order: materialize rule hits, then
-        // run the (stateful) detectors — the same per-event order as the
-        // sequential path, so every notification lands in `notes` where
-        // a per-event loop would have put it. An event's notes are
-        // staged and only committed if its whole evaluation succeeds,
-        // matching the per-event path's discard-on-error.
+        // run the (stateful) detectors, so every notification lands in
+        // `notes` in event order. An event's notes are staged and only
+        // committed if its whole evaluation succeeded.
         let rules = self.alert_rules.read();
         for (i, event) in events.iter_mut().enumerate() {
-            if scratch.failed[i] {
-                continue;
-            }
             scratch.event_notes.clear();
-            match scratch.hits[i].take() {
-                None => {}
-                Some(Ok(ids)) => {
-                    // `get`, not index: churn may have dropped the whole
-                    // stream's rule set since the match phase's lock.
-                    if let Some(entry) = rules.get(event.source.as_ref()) {
-                        for id in ids {
-                            scratch
-                                .event_notes
-                                .extend(Self::rule_notification(entry, id, event));
-                        }
+            let cq = std::mem::replace(&mut scratch.cq[i], Ok(Vec::new()));
+            let hits = scratch.hits[i].take().unwrap_or(Ok(Vec::new()));
+            let outcome = cq.and(hits).and_then(|ids| {
+                // `get`, not index: churn may have dropped the whole
+                // stream's rule set since the match phase's lock.
+                if let Some(entry) = rules.get(event.source.as_ref()) {
+                    for id in ids {
+                        scratch
+                            .event_notes
+                            .extend(Self::rule_notification(entry, id, event));
                     }
                 }
-                Some(Err(_)) => {
+                self.collect_detectors(event, &mut scratch.event_notes)
+            });
+            match outcome {
+                Ok(()) => {
+                    notes.append(&mut scratch.event_notes);
+                    self.stamp_evaluated(event, now, batch);
+                }
+                Err(e) => {
                     errors += 1;
-                    continue;
+                    scratch.first_error.get_or_insert(e);
                 }
             }
-            if self.collect_detectors(event, &mut scratch.event_notes).is_err() {
-                errors += 1;
-                continue;
-            }
-            notes.append(&mut scratch.event_notes);
-            self.stamp_evaluated(event, now, batch);
         }
         (derived_total, errors)
     }
@@ -1596,27 +1537,13 @@ impl EventServer {
         batch.push(Stage::Evaluate, span);
     }
 
-    /// Run a pending notification through the VIRT filter; true when it
-    /// was delivered (not suppressed). Single-threaded per key by
-    /// construction in both pump modes.
-    pub fn deliver(&self, mut notification: Notification) -> bool {
-        if self.stage_obs.enabled {
-            notification.trace.stamp(Stage::Deliver, self.now());
-            let span = notification
-                .trace
-                .span_ms(Stage::Capture, Stage::Deliver)
-                .unwrap_or(0) as f64;
-            self.stage_obs.observe(Stage::Deliver, span);
-        }
-        self.deliver_untraced(notification)
-    }
-
     /// Deliver a whole batch of pending notifications through the VIRT
     /// filter — the merge stage of the sharded pump calls this once per
-    /// drained cycle, so the filter's key-state lock is taken once per
-    /// batch instead of once per notification (D15). Returns the number
-    /// delivered. Filter decisions and handler invocations are in batch
-    /// order, identical to calling [`deliver`](Self::deliver) per item.
+    /// drained round, the inline cycle once per batch, so the filter's
+    /// key-state lock is taken once per batch instead of once per
+    /// notification (D15). Returns the number delivered. Filter
+    /// decisions and handler invocations are in batch order;
+    /// single-threaded per key by construction in both pump modes.
     pub fn deliver_batch(&self, mut batch: Vec<Notification>) -> u64 {
         if batch.is_empty() {
             return 0;
@@ -1636,33 +1563,11 @@ impl EventServer {
         delivered
     }
 
-    /// Deliver a notification whose deliver stage was already stamped
-    /// and queued by the caller (the batched sequential path).
-    fn deliver_untraced(&self, notification: Notification) -> bool {
-        let delivered = self.notifications.notify(notification);
-        self.sync_notify_metrics();
-        delivered
-    }
-
-    fn collect_alert_rules(&self, event: &Event, out: &mut Vec<Notification>) -> Result<()> {
-        let rules = self.alert_rules.read();
-        if let Some(entry) = rules.get(event.source.as_ref()) {
-            let hits = entry.matcher.match_record(&event.payload)?;
-            for id in hits {
-                out.extend(Self::rule_notification(entry, id, event));
-            }
-        }
-        Ok(())
-    }
-
-    /// Materialize the notification for one alert-rule hit (shared by
-    /// the per-event and batched matching paths). Returns `None` when
-    /// the rule is gone: the batched path matches and materializes
+    /// Materialize the notification for one alert-rule hit. Returns
+    /// `None` when the rule is gone: matching and materializing happen
     /// under two separate read-lock acquisitions, so concurrent rule
     /// churn can remove a matched rule in between — dropping the hit is
-    /// exactly the per-event outcome had the remove landed one event
-    /// earlier. (The per-event path holds one lock across both steps
-    /// and never takes the `None` arm.)
+    /// the outcome had the remove landed one batch earlier.
     fn rule_notification(entry: &AlertRules, id: u64, event: &Event) -> Option<Notification> {
         let meta = entry.meta.get(&id)?;
         let key = match meta.key_field {

@@ -53,7 +53,7 @@ use evdb_types::Event;
 
 use crate::metrics::{ShardMetrics, StageBatch};
 use crate::notify::Notification;
-use crate::pump::{reap_queue_timeouts, Pacer, PumpTally};
+use crate::pump::{Pacer, PumpTally};
 use crate::server::{EvalScratch, EventServer};
 
 /// In-flight batches a worker queue holds before the router blocks.
@@ -154,7 +154,6 @@ fn router_loop(
         // stop call.
         let turn = pacer.next(server, stop);
         let drained = if turn.maintenance {
-            reap_queue_timeouts(server);
             server.drain_captured()
         } else {
             Ok(server.drain_staged())
@@ -217,6 +216,11 @@ fn router_loop(
                 }
             }
             Err(_) => tally.errors(1),
+        }
+        // Housekeeping rides the router's tick, after the hand-off: the
+        // workers evaluate this cycle's events meanwhile.
+        if turn.maintenance && server.maintain().is_err() {
+            tally.errors(1);
         }
         tally.cycle();
         if turn.stopping {

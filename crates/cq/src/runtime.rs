@@ -104,9 +104,7 @@ struct QueryEntry {
     consistency: ConsistencyLevel,
     /// Registration sequence number: queries observe each event in
     /// registration order, independent of map iteration order, so the
-    /// concatenation of derived events across queries is deterministic
-    /// (the batched path of D15 relies on this to match the per-event
-    /// path byte for byte).
+    /// concatenation of derived events across queries is deterministic.
     reg: u64,
     inner: Mutex<QueryInner>,
 }
@@ -129,6 +127,31 @@ pub struct StreamRuntime {
     retired_stats: Mutex<OpStats>,
     /// Monotonic registration counter; see [`QueryEntry::reg`].
     next_reg: AtomicU64,
+    /// Batch-VM scratch for the single-event entry points, which have no
+    /// caller-owned one (see [`StreamRuntime::feed_one`]).
+    scratch: Mutex<evdb_expr::BatchScratch>,
+}
+
+/// Fewest events of one stream in a batch for which
+/// [`StreamRuntime::feed`] routes query-major. Below it the per-batch
+/// savings (one pipeline lock and one head-filter pass per query) are
+/// within noise, while the wait query-major order imposes on a batch's
+/// first events is not: `evbench` read `cq_embedded`'s `result_p90_ms`
+/// 20 % up with every batch routed query-major, and level — at the same
+/// throughput — with event-major routing below this size
+/// (EXPERIMENTS.md, ISSUE 15).
+const QUERY_MAJOR_MIN: usize = 8;
+
+/// How a batch enters [`StreamRuntime::feed`].
+#[derive(Clone, Copy, PartialEq, Eq)]
+enum Feed {
+    /// [`StreamRuntime::push_events`]: dedup window, live watermark.
+    Live,
+    /// [`StreamRuntime::push`]: freshly minted ids, so no dedup.
+    Minted,
+    /// [`StreamRuntime::push_events_replay`]: no dedup, each event's own
+    /// (historical) watermark.
+    Replay,
 }
 
 impl StreamRuntime {
@@ -144,6 +167,7 @@ impl StreamRuntime {
             dup_dropped: AtomicU64::new(0),
             retired_stats: Mutex::new(OpStats::default()),
             next_reg: AtomicU64::new(0),
+            scratch: Mutex::new(evdb_expr::BatchScratch::new()),
         }
     }
 
@@ -258,7 +282,7 @@ impl StreamRuntime {
     }
 
     /// Enable replay dedup on the pre-built-event ingest path
-    /// ([`StreamRuntime::push_event`]): duplicates of the most recent
+    /// ([`StreamRuntime::push_events`]): duplicates of the most recent
     /// `capacity` `(stream, event id)` pairs are dropped and counted.
     pub fn enable_dedup(&self, capacity: usize) {
         *self.dedup.lock() = Some(DedupWindow::new(capacity));
@@ -299,12 +323,6 @@ impl StreamRuntime {
     ) -> Result<Vec<Event>> {
         let entry = self.stream_entry(stream)?;
         entry.schema.validate(&payload)?;
-        let wm = {
-            let mut state = entry.state.lock();
-            state.max_ts = state.max_ts.max(timestamp);
-            state.events_in += 1;
-            state.max_ts.minus(self.lateness_ms)
-        };
         let event = Event::new(
             EventId(self.ids.next_id()),
             stream,
@@ -312,37 +330,38 @@ impl StreamRuntime {
             payload,
             Arc::clone(&entry.schema),
         );
-        self.route(&event, wm)
+        self.feed_one(&event, Feed::Minted)
     }
 
-    /// Push a pre-built event (capture adapters use this). With dedup
+    /// Push a pre-built event (capture adapters use this): the `N = 1`
+    /// case of [`push_events`](Self::push_events).
+    pub fn push_event(&self, event: &Event) -> Result<Vec<Event>> {
+        self.feed_one(event, Feed::Live)
+    }
+
+    /// Push a batch of pre-built events: `out[i]` holds the derived
+    /// events of `events[i]`, and how the input is cut into batches does
+    /// not change them (D15; `tests/prop_chunking.rs`). With dedup
     /// enabled, a replayed `(stream, event id)` pair is dropped before it
     /// can double-count into windows (recovery replays WAL prefixes).
-    pub fn push_event(&self, event: &Event) -> Result<Vec<Event>> {
-        let entry = self.stream_entry(event.source.as_ref())?;
-        if let Some(window) = self.dedup.lock().as_mut() {
-            if window.check_and_insert((Arc::clone(&event.source), event.id.0, event.retraction)) {
-                self.dup_dropped.fetch_add(1, Ordering::Relaxed);
-                return Ok(Vec::new());
-            }
-        }
-        let wm = {
-            let mut state = entry.state.lock();
-            state.max_ts = state.max_ts.max(event.timestamp);
-            state.events_in += 1;
-            state.max_ts.minus(self.lateness_ms)
-        };
-        self.route(event, wm)
+    pub fn push_events(
+        &self,
+        events: &[Event],
+        scratch: &mut evdb_expr::BatchScratch,
+        out: &mut Vec<Result<Vec<Event>>>,
+    ) {
+        self.feed(events, Feed::Live, scratch, out);
     }
 
-    /// Push a pre-built event, bypassing the replay-dedup window.
+    /// Push a batch of historical events, bypassing the replay-dedup
+    /// window.
     ///
     /// History replays (REPLAY over the segment store) legitimately
     /// re-deliver `(stream, event id)` pairs the runtime has seen before:
     /// an event that was retracted and later re-inserted in the *live*
     /// stream carries a fresh id each time (every ingest writes a new WAL
     /// record), but a replay from history re-presents the original ids
-    /// verbatim. Routing replays through [`push_event`](Self::push_event)
+    /// verbatim. Routing replays through [`push_events`](Self::push_events)
     /// therefore wrongly dropped a retracted-then-reinserted event as a
     /// "duplicate". The dedup window is only sound for WAL-prefix
     /// re-delivery after crash recovery, so replay feeds use this path
@@ -354,149 +373,152 @@ impl StreamRuntime {
     /// then sees windows open and close exactly as a live subscriber
     /// did, while already-advanced pipelines treat the stale watermark
     /// as a no-op (watermark handling is monotone).
-    pub fn push_event_replay(&self, event: &Event) -> Result<Vec<Event>> {
-        let entry = self.stream_entry(event.source.as_ref())?;
-        {
-            let mut state = entry.state.lock();
-            state.max_ts = state.max_ts.max(event.timestamp);
-            state.events_in += 1;
-        }
-        let wm = event.timestamp.minus(self.lateness_ms);
-        self.route(event, wm)
-    }
-
-    /// Batched form of [`push_event`](Self::push_event): `out[i]` is
-    /// exactly what `push_event(&events[i])` would have returned, had
-    /// the events been pushed one at a time in order (D15).
-    ///
-    /// Dedup checks and watermark bookkeeping run per event in arrival
-    /// order (phase A). Routing is then *query-major*: each query's
-    /// pipeline lock is taken once per batch, and — when the query's
-    /// head operator is a pure filter
-    /// ([`Pipeline::head_predicate`]) — the whole batch is pre-verified
-    /// through the batch VM, so non-matching events skip the per-event
-    /// push entirely (the pipeline still observes their watermarks;
-    /// dropping an event never suppresses pane closes). An event whose
-    /// evaluation errors at query *j* yields that error and is withheld
-    /// from queries after *j*, exactly as the per-event path's early
-    /// return.
-    pub fn push_events(
+    pub fn push_events_replay(
         &self,
         events: &[Event],
         scratch: &mut evdb_expr::BatchScratch,
         out: &mut Vec<Result<Vec<Event>>>,
     ) {
-        out.clear();
-        out.extend((0..events.len()).map(|_| Ok(Vec::new())));
-        // Phase A: dedup + stream state, strictly in arrival order (the
-        // watermark each event routes with depends on its predecessors).
-        let mut wms: Vec<TimestampMs> = Vec::with_capacity(events.len());
-        let mut routable = vec![true; events.len()];
-        for (i, event) in events.iter().enumerate() {
-            wms.push(TimestampMs(0));
-            let entry = match self.stream_entry(event.source.as_ref()) {
-                Ok(e) => e,
-                Err(e) => {
-                    out[i] = Err(e);
-                    routable[i] = false;
-                    continue;
-                }
-            };
+        self.feed(events, Feed::Replay, scratch, out);
+    }
+
+    /// Phase A of [`feed`](Self::feed) for one event: dedup check and
+    /// stream-state update. Returns the watermark the event routes with,
+    /// or `None` for a duplicate the dedup window dropped.
+    fn admit(&self, event: &Event, feed: Feed) -> Result<Option<TimestampMs>> {
+        let entry = self.stream_entry(event.source.as_ref())?;
+        if feed == Feed::Live {
             if let Some(window) = self.dedup.lock().as_mut() {
-                if window.check_and_insert((
-                    Arc::clone(&event.source),
-                    event.id.0,
-                    event.retraction,
-                )) {
+                let key = (Arc::clone(&event.source), event.id.0, event.retraction);
+                if window.check_and_insert(key) {
                     self.dup_dropped.fetch_add(1, Ordering::Relaxed);
-                    routable[i] = false;
-                    continue;
+                    return Ok(None);
                 }
             }
-            wms[i] = {
-                let mut state = entry.state.lock();
-                state.max_ts = state.max_ts.max(event.timestamp);
-                state.events_in += 1;
-                state.max_ts.minus(self.lateness_ms)
-            };
+        }
+        let mut state = entry.state.lock();
+        state.max_ts = state.max_ts.max(event.timestamp);
+        state.events_in += 1;
+        let high = match feed {
+            Feed::Replay => event.timestamp,
+            Feed::Live | Feed::Minted => state.max_ts,
+        };
+        Ok(Some(high.minus(self.lateness_ms)))
+    }
+
+    /// One event through [`feed`](Self::feed). The batch scratch is
+    /// taken out of its slot for the call rather than held locked, so a
+    /// subscriber that pushes into another stream re-enters safely (it
+    /// finds an empty scratch and leaves its own behind).
+    fn feed_one(&self, event: &Event, feed: Feed) -> Result<Vec<Event>> {
+        let mut scratch = std::mem::take(&mut *self.scratch.lock());
+        let mut out = Vec::with_capacity(1);
+        self.feed(std::slice::from_ref(event), feed, &mut scratch, &mut out);
+        *self.scratch.lock() = scratch;
+        out.pop().expect("one result per event")
+    }
+
+    /// The one routing routine (D15): every push — single or batched,
+    /// live or replayed — runs through here.
+    ///
+    /// Dedup checks and watermark bookkeeping run per event in arrival
+    /// order (phase A). Routing is then *query-major* (from
+    /// [`QUERY_MAJOR_MIN`] events up): each query's pipeline lock is
+    /// taken once per batch, and — when the query's head operator is a
+    /// pure filter ([`Pipeline::head_predicate`]) — the whole batch is
+    /// pre-verified through the batch VM, so non-matching events skip
+    /// the push entirely (the pipeline still observes their watermarks;
+    /// dropping an event never suppresses pane closes). An event whose
+    /// evaluation errors at query *j* yields that error and is withheld
+    /// from queries after *j*.
+    fn feed(
+        &self,
+        events: &[Event],
+        feed: Feed,
+        scratch: &mut evdb_expr::BatchScratch,
+        out: &mut Vec<Result<Vec<Event>>>,
+    ) {
+        // Phase A: dedup + stream state, strictly in arrival order (the
+        // watermark each event routes with depends on its predecessors).
+        // `None` marks an event that is not routed.
+        out.clear();
+        let mut wms = Vec::with_capacity(events.len());
+        for event in events {
+            let wm = self.admit(event, feed);
+            wms.push(wm.as_ref().ok().copied().flatten());
+            out.push(wm.map(|_| Vec::new()));
         }
 
         // Phase B: route, grouped by source then query. Pipelines of
-        // different queries are disjoint state, so query-major order is
-        // observationally equivalent to event-major for `out`.
+        // different queries are disjoint state, so query-major order
+        // yields the same `out` and the same per-query delta sequence
+        // as event-major would.
         let mut sources: Vec<&str> = Vec::new();
-        for (i, ev) in events.iter().enumerate() {
-            if routable[i] && !sources.contains(&ev.source.as_ref()) {
+        for (ev, wm) in events.iter().zip(&wms) {
+            if wm.is_some() && !sources.contains(&ev.source.as_ref()) {
                 sources.push(ev.source.as_ref());
             }
         }
         let mut pane_total = 0u64;
         let mut verdicts: Vec<Result<bool>> = Vec::new();
         for src in sources {
-            let idxs: Vec<u32> = events
-                .iter()
-                .enumerate()
-                .filter(|(i, e)| routable[*i] && e.source.as_ref() == src)
-                .map(|(i, _)| i as u32)
+            // (event index, its watermark) of the stream's routed events.
+            let idxs: Vec<(usize, TimestampMs)> = (0..events.len())
+                .filter(|i| events[*i].source.as_ref() == src)
+                .filter_map(|i| Some((i, wms[i]?)))
                 .collect();
-            for q in self.queries_for(src) {
-                let mut inner = q.inner.lock();
-                let has_pred = if let Some(pred) = inner.pipeline.head_predicate() {
-                    pred.matches_batch(
-                        &idxs,
-                        |i| &events[*i as usize].payload,
-                        scratch,
-                        &mut verdicts,
-                    );
-                    true
-                } else {
-                    false
-                };
-                for (k, &i) in idxs.iter().enumerate() {
-                    let i = i as usize;
-                    if out[i].is_err() {
-                        continue; // withheld from queries after the error
-                    }
-                    let event = &events[i];
-                    let mut push_needed = true;
-                    if has_pred {
-                        match std::mem::replace(&mut verdicts[k], Ok(false)) {
-                            // Head filter drops it: skip the push, keep
-                            // the watermark.
-                            Ok(false) => push_needed = false,
-                            Ok(true) => {}
-                            Err(e) => {
-                                out[i] = Err(e);
-                                continue;
-                            }
-                        }
-                    }
-                    let step = if push_needed && has_pred {
-                        inner.pipeline.push_verified(event)
-                    } else if push_needed {
-                        inner.pipeline.push(event)
-                    } else {
-                        Ok(Vec::new())
-                    }
-                    .and_then(|mut derived| {
-                        derived.extend(inner.pipeline.advance_watermark(wms[i])?);
-                        Ok(derived)
+            let queries = self.queries_for(src);
+            // A short batch is routed one event at a time.
+            let run = if idxs.len() < QUERY_MAJOR_MIN { 1 } else { idxs.len() };
+            for idxs in idxs.chunks(run) {
+                for q in &queries {
+                    let mut inner = q.inner.lock();
+                    let has_pred = inner.pipeline.head_predicate().is_some_and(|pred| {
+                        let payload = |(i, _): &(usize, TimestampMs)| &events[*i].payload;
+                        pred.matches_batch(idxs, payload, scratch, &mut verdicts);
+                        true
                     });
-                    match step {
-                        Ok(mut derived) => {
-                            inner.events_out += derived.len() as u64;
-                            pane_total += derived.len() as u64;
-                            for ev in &mut derived {
-                                ev.trace = event.trace;
-                                for s in &inner.subscribers {
-                                    s(ev);
+                    for (k, &(i, wm)) in idxs.iter().enumerate() {
+                        if out[i].is_err() {
+                            continue; // withheld from queries after the error
+                        }
+                        let event = &events[i];
+                        let passes = if has_pred {
+                            std::mem::replace(&mut verdicts[k], Ok(false))
+                        } else {
+                            Ok(true)
+                        };
+                        let step = passes.and_then(|passes| {
+                            let mut derived = match (passes, has_pred) {
+                                // Head filter drops it: skip the push, keep
+                                // the watermark.
+                                (false, _) => Vec::new(),
+                                (true, true) => inner.pipeline.push_verified(event)?,
+                                (true, false) => inner.pipeline.push(event)?,
+                            };
+                            derived.extend(inner.pipeline.advance_watermark(wm)?);
+                            Ok(derived)
+                        });
+                        match step {
+                            Ok(mut derived) => {
+                                inner.events_out += derived.len() as u64;
+                                pane_total += derived.len() as u64;
+                                for ev in &mut derived {
+                                    // Derived events belong to the trace of
+                                    // the event whose arrival produced them
+                                    // (stateful operators mint fresh events,
+                                    // losing the input's trace).
+                                    ev.trace = event.trace;
+                                    for s in &inner.subscribers {
+                                        s(ev);
+                                    }
+                                }
+                                if let Ok(all) = &mut out[i] {
+                                    all.extend(derived);
                                 }
                             }
-                            if let Ok(all) = &mut out[i] {
-                                all.extend(derived);
-                            }
+                            Err(e) => out[i] = Err(e),
                         }
-                        Err(e) => out[i] = Err(e),
                     }
                 }
             }
@@ -517,8 +539,7 @@ impl StreamRuntime {
     /// Queries reading from `source`, cloned out so the map lock is not
     /// held while pipelines run. Sorted by registration order: every
     /// event flows through queries in the order they were registered,
-    /// so derived-event concatenation is deterministic (and identical
-    /// between the per-event and batched push paths).
+    /// so derived-event concatenation is deterministic.
     fn queries_for(&self, source: &str) -> Vec<Arc<QueryEntry>> {
         let mut qs: Vec<Arc<QueryEntry>> = self
             .queries
@@ -529,30 +550,6 @@ impl StreamRuntime {
             .collect();
         qs.sort_unstable_by_key(|q| q.reg);
         qs
-    }
-
-    fn route(&self, event: &Event, wm: TimestampMs) -> Result<Vec<Event>> {
-        let mut all = Vec::new();
-        for q in self.queries_for(event.source.as_ref()) {
-            let mut inner = q.inner.lock();
-            let mut derived = inner.pipeline.push(event)?;
-            derived.extend(inner.pipeline.advance_watermark(wm)?);
-            inner.events_out += derived.len() as u64;
-            for ev in &mut derived {
-                // Derived events belong to the trace of the event whose
-                // arrival produced them (stateful operators mint fresh
-                // events, losing the input's trace).
-                ev.trace = event.trace;
-                for s in &inner.subscribers {
-                    s(ev);
-                }
-            }
-            all.extend(derived);
-        }
-        if let Some(c) = &self.panes_obs {
-            c.add(all.len() as u64);
-        }
-        Ok(all)
     }
 
     /// Force every query on `stream` to observe a watermark (e.g. at end
@@ -658,79 +655,6 @@ mod tests {
     }
 
     #[test]
-    fn push_events_equals_per_event_push() {
-        // Two runtimes, same query set: one fed per event, one batched.
-        // Outputs, subscriber deliveries, and stats must be identical.
-        let mk = || {
-            let rt = StreamRuntime::new(0);
-            rt.create_stream("ticks", schema()).unwrap();
-            let filtered = compile_query(
-                "SELECT sym, avg(px) AS apx FROM ticks [RANGE 1 s] WHERE px > 50 GROUP BY sym",
-                &schema(),
-                AggMode::Incremental,
-            )
-            .unwrap();
-            rt.register_query("hot", "ticks", filtered).unwrap();
-            let plain = compile_query(
-                "SELECT count() AS n FROM ticks [RANGE 1 s]",
-                &schema(),
-                AggMode::Incremental,
-            )
-            .unwrap();
-            rt.register_query("all", "ticks", plain).unwrap();
-            rt
-        };
-        let events: Vec<Event> = (0..40)
-            .map(|i| {
-                Event::new(
-                    EventId(i),
-                    "ticks",
-                    TimestampMs((i as i64) * 97),
-                    Record::from_iter([
-                        Value::from(if i % 3 == 0 { "A" } else { "B" }),
-                        Value::Float((i % 7) as f64 * 20.0),
-                    ]),
-                    schema(),
-                )
-            })
-            .collect();
-
-        let seq = mk();
-        let mut want = Vec::new();
-        for ev in &events {
-            want.push(seq.push_event(ev).unwrap());
-        }
-
-        let bat = mk();
-        let mut scratch = evdb_expr::BatchScratch::new();
-        let mut got = Vec::new();
-        // Uneven chunks so batch boundaries land mid-window.
-        for chunk in events.chunks(7) {
-            let mut out = Vec::new();
-            bat.push_events(chunk, &mut scratch, &mut out);
-            got.extend(out.into_iter().map(|r| r.unwrap()));
-        }
-
-        assert_eq!(want.len(), got.len());
-        let key = |evs: &[Event]| -> Vec<(u64, i64, String, bool)> {
-            evs.iter()
-                .map(|e| {
-                    (
-                        e.id.0,
-                        e.timestamp.0,
-                        format!("{:?}", e.payload),
-                        e.retraction,
-                    )
-                })
-                .collect()
-        };
-        for (i, (w, g)) in want.iter().zip(&got).enumerate() {
-            assert_eq!(key(w), key(g), "derived events diverge at event {i}");
-        }
-        assert_eq!(seq.stats(), bat.stats());
-    }
-
-    #[test]
     fn lateness_delays_watermark() {
         let rt = StreamRuntime::new(500);
         rt.create_stream("ticks", schema()).unwrap();
@@ -833,7 +757,7 @@ mod tests {
         // Regression: a replay from the historical store re-presents
         // original event ids. An event that was retracted and then
         // re-observed used to be swallowed by the dedup window when the
-        // replay feed went through push_event — its (stream, id, false)
+        // replay feed went through push_events — its (stream, id, false)
         // key was already "seen". The replay path must bypass dedup.
         let rt = StreamRuntime::new(0);
         rt.create_stream("ticks", schema()).unwrap();
@@ -861,7 +785,13 @@ mod tests {
         // dropped as a duplicate; the replay path must deliver it.
         assert!(rt.push_event(&insert).unwrap().is_empty()); // demonstrates the trap
         assert_eq!(rt.dup_dropped(), 1);
-        rt.push_event_replay(&insert).unwrap();
+        let mut out = Vec::new();
+        rt.push_events_replay(
+            std::slice::from_ref(&insert),
+            &mut evdb_expr::BatchScratch::new(),
+            &mut out,
+        );
+        assert!(out.pop().unwrap().is_ok());
         assert_eq!(rt.dup_dropped(), 1); // replay neither consulted nor fed the window
 
         let out = rt.flush("ticks", TimestampMs(100_000)).unwrap();

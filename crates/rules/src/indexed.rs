@@ -37,23 +37,13 @@ use std::collections::hash_map::Entry;
 use std::collections::HashMap;
 use std::sync::Arc;
 
-use evdb_expr::{analyze, BoundExpr, CompiledExpr, Constraint};
+use evdb_expr::{analyze, CompiledExpr, Constraint};
 use evdb_obs::{Counter, Registry};
 use evdb_types::{Error, Record, Result, Schema, Value};
 
 use crate::interval::{Interval, IntervalIndex};
 use crate::matcher::{MatchScratch, Matcher};
 use crate::rule::{Rule, RuleId};
-
-/// How candidate predicates are verified (experiment E15 compares both).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum VerifyMode {
-    /// Bytecode programs compiled at registration (the production path).
-    #[default]
-    Compiled,
-    /// The tree-walking interpreter (differential-testing oracle).
-    Interpreted,
-}
 
 /// Where a rule is posted, for removal. Interval postings are found
 /// again by `(low bound, slot)`, so only the low value is kept.
@@ -78,21 +68,9 @@ enum Posting {
 #[derive(Debug)]
 struct RuleMeta {
     id: RuleId,
-    /// Interpreter form (oracle; used in [`VerifyMode::Interpreted`]).
-    predicate: BoundExpr,
-    /// Bytecode form (hot path; used in [`VerifyMode::Compiled`]).
+    /// The full predicate, compiled to bytecode at registration (D11).
     compiled: CompiledExpr,
     posting: Posting,
-}
-
-impl RuleMeta {
-    #[inline]
-    fn verify(&self, record: &Record, mode: VerifyMode) -> Result<bool> {
-        match mode {
-            VerifyMode::Compiled => self.compiled.matches(record),
-            VerifyMode::Interpreted => self.predicate.matches(record),
-        }
-    }
 }
 
 /// Everything posted under one value of an equality access path.
@@ -200,8 +178,6 @@ pub struct IndexedMatcher {
     by_id: HashMap<RuleId, u32>,
     /// Rules with no indexable constraint, in registration order.
     unindexed: Vec<u32>,
-    /// Which engine verifies candidate predicates.
-    verify_mode: VerifyMode,
     /// Rule predicates evaluated (index candidates + unindexed rules).
     candidates_obs: Option<Arc<Counter>>,
     /// Rules whose full predicate matched.
@@ -246,17 +222,9 @@ impl IndexedMatcher {
             free: Vec::new(),
             by_id: HashMap::new(),
             unindexed: Vec::new(),
-            verify_mode: VerifyMode::default(),
             candidates_obs: None,
             matches_obs: None,
         }
-    }
-
-    /// Select the candidate-verification engine (default:
-    /// [`VerifyMode::Compiled`]). The interpreted mode exists for
-    /// differential testing and the E15 comparison.
-    pub fn set_verify_mode(&mut self, mode: VerifyMode) {
-        self.verify_mode = mode;
     }
 
     /// Register candidate/match counters with `registry`
@@ -287,14 +255,13 @@ impl IndexedMatcher {
 
     /// Type-check and compile a rule's predicate; touches no state, so
     /// a failure leaves the matcher as it was.
-    fn prepare(&self, rule: &Rule) -> Result<(BoundExpr, CompiledExpr)> {
-        let predicate = rule.predicate.bind_predicate(&self.schema)?;
-        let compiled = CompiledExpr::compile(&predicate);
-        Ok((predicate, compiled))
+    fn prepare(&self, rule: &Rule) -> Result<CompiledExpr> {
+        let bound = rule.predicate.bind_predicate(&self.schema)?;
+        Ok(CompiledExpr::compile(&bound))
     }
 
     /// Post a prepared rule and store it in the slab.
-    fn install(&mut self, rule: &Rule, predicate: BoundExpr, compiled: CompiledExpr) {
+    fn install(&mut self, rule: &Rule, compiled: CompiledExpr) {
         let slot = self.free.pop().unwrap_or_else(|| {
             self.slab.push(None);
             (self.slab.len() - 1) as u32
@@ -302,7 +269,6 @@ impl IndexedMatcher {
         let posting = self.post(&analyze(&rule.predicate).constraints, slot);
         self.slab[slot as usize] = Some(RuleMeta {
             id: rule.id,
-            predicate,
             compiled,
             posting,
         });
@@ -386,7 +352,7 @@ impl IndexedMatcher {
         let mut out = Vec::new();
         for &slot in slots.iter() {
             let meta = self.meta(slot);
-            if meta.verify(record, self.verify_mode)? {
+            if meta.compiled.matches(record)? {
                 out.push(meta.id);
             }
         }
@@ -412,8 +378,8 @@ impl Matcher for IndexedMatcher {
         if self.by_id.contains_key(&rule.id) {
             return Err(Error::AlreadyExists(format!("rule {}", rule.id)));
         }
-        let (predicate, compiled) = self.prepare(&rule)?;
-        self.install(&rule, predicate, compiled);
+        let compiled = self.prepare(&rule)?;
+        self.install(&rule, compiled);
         Ok(())
     }
 
@@ -459,15 +425,15 @@ impl Matcher for IndexedMatcher {
         }
         // Prepare before removing: a predicate that does not bind must
         // leave the old rule in place.
-        let (predicate, compiled) = self.prepare(&rule)?;
+        let compiled = self.prepare(&rule)?;
         self.remove_rule(rule.id)?;
-        self.install(&rule, predicate, compiled);
+        self.install(&rule, compiled);
         Ok(())
     }
 
     fn match_record(&self, record: &Record) -> Result<Vec<RuleId>> {
         self.match_one(record, &mut Vec::new(), |_, rule| {
-            rule.verify(record, self.verify_mode)
+            rule.compiled.matches(record)
         })
     }
 
@@ -485,11 +451,6 @@ impl Matcher for IndexedMatcher {
         out: &mut Vec<Result<Vec<RuleId>>>,
     ) {
         out.clear();
-        if self.verify_mode == VerifyMode::Interpreted {
-            // Oracle mode: stay on the reference evaluator.
-            out.extend(records.iter().map(|r| self.match_record(r)));
-            return;
-        }
         let MatchScratch {
             expr,
             bools,
@@ -826,34 +787,6 @@ mod tests {
                 scan.match_record(&r).unwrap(),
                 "disagreement on {r}"
             );
-        }
-    }
-
-    #[test]
-    fn verify_modes_agree() {
-        let mut m = IndexedMatcher::new(schema());
-        let preds = [
-            "sym = 'A' AND px > 10",
-            "sym LIKE 'S%' AND qty BETWEEN 2 AND 8",
-            "px * 2 > qty",
-            "length(sym) = 2 AND px < 50",
-        ];
-        for (i, p) in preds.iter().enumerate() {
-            m.add_rule(Rule::new(i as u64, "", parse(p).unwrap()))
-                .unwrap();
-        }
-        let records = [
-            rec("A", 11.0, 1),
-            rec("S7", 3.0, 5),
-            rec("ZZ", 49.0, 97),
-            rec("A", 1.0, 1),
-        ];
-        for r in &records {
-            let compiled = m.match_record(r).unwrap();
-            m.set_verify_mode(VerifyMode::Interpreted);
-            let interpreted = m.match_record(r).unwrap();
-            m.set_verify_mode(VerifyMode::Compiled);
-            assert_eq!(compiled, interpreted, "mode disagreement on {r}");
         }
     }
 }

@@ -36,7 +36,7 @@ pub mod rule;
 pub mod scan;
 
 pub use broker::{Broker, Publication, SubscriptionInfo};
-pub use indexed::{IndexedMatcher, VerifyMode};
+pub use indexed::IndexedMatcher;
 pub use matcher::{MatchScratch, Matcher};
 pub use rule::{Rule, RuleId};
 pub use scan::ScanMatcher;

@@ -1,12 +1,13 @@
-//! Background compaction for the segment store (DESIGN.md D14).
+//! Compaction policy for the segment store (DESIGN.md D14).
 //!
 //! Freezing produces many small segments; queries then pay per-segment
 //! fixed costs (open, CRC, zone directory) even when pruning works. The
 //! compactor merges **seq-adjacent runs of small segments** into larger
 //! ones under [`CompactionPolicy`]. The merge itself is
 //! [`SegmentStore::compact_segments`] — crash-safe via the manifest
-//! commit point — so the policy layer here is pure selection logic plus
-//! an optional background thread.
+//! commit point — so the policy layer here is pure selection logic; the
+//! caller decides when a step runs (the core engine's pump does, on its
+//! maintenance tick).
 //!
 //! Invariants (asserted by the torture harness, E12-style):
 //!
@@ -18,11 +19,6 @@
 //! |                            | commit that adds the merged segment      |
 //! | seq ranges stay disjoint   | only seq-adjacent runs merge             |
 //! | replay order unchanged     | seq column is carried through the merge  |
-
-use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::Arc;
-use std::thread::JoinHandle;
-use std::time::Duration;
 
 use evdb_types::Result;
 
@@ -91,7 +87,7 @@ impl CompactionPolicy {
 }
 
 /// Run one policy-selected compaction step; returns whether a merge
-/// happened. Call in a loop (or via [`Compactor`]) to converge.
+/// happened. Call in a loop to converge.
 pub fn compact_once(store: &SegmentStore, policy: &CompactionPolicy) -> Result<bool> {
     match policy.pick_run(&store.segment_metas()) {
         Some(run) => {
@@ -99,69 +95,6 @@ pub fn compact_once(store: &SegmentStore, policy: &CompactionPolicy) -> Result<b
             Ok(true)
         }
         None => Ok(false),
-    }
-}
-
-/// A background compaction thread over one store. Dropping the handle
-/// stops the thread.
-pub struct Compactor {
-    stop: Arc<AtomicBool>,
-    handle: Option<JoinHandle<()>>,
-}
-
-impl Compactor {
-    /// Spawn a thread that applies `policy` every `interval`. Errors are
-    /// retried next tick (a fault-injected merge leaves the store
-    /// consistent; the policy will pick the run again).
-    pub fn spawn(
-        store: Arc<SegmentStore>,
-        policy: CompactionPolicy,
-        interval: Duration,
-    ) -> Compactor {
-        let stop = Arc::new(AtomicBool::new(false));
-        let flag = Arc::clone(&stop);
-        let handle = std::thread::Builder::new()
-            .name("evdb-compactor".into())
-            .spawn(move || {
-                while !flag.load(Ordering::Relaxed) {
-                    // Converge fully each tick, then sleep.
-                    while !flag.load(Ordering::Relaxed) {
-                        match compact_once(&store, &policy) {
-                            Ok(true) => continue,
-                            _ => break,
-                        }
-                    }
-                    let mut waited = Duration::ZERO;
-                    let step = Duration::from_millis(10).min(interval.max(Duration::from_millis(1)));
-                    while waited < interval && !flag.load(Ordering::Relaxed) {
-                        std::thread::sleep(step);
-                        waited += step;
-                    }
-                }
-            })
-            .expect("spawn compactor");
-        Compactor {
-            stop,
-            handle: Some(handle),
-        }
-    }
-
-    /// Signal the thread and wait for it to exit.
-    pub fn stop(mut self) {
-        self.shutdown();
-    }
-
-    fn shutdown(&mut self) {
-        self.stop.store(true, Ordering::Relaxed);
-        if let Some(h) = self.handle.take() {
-            let _ = h.join();
-        }
-    }
-}
-
-impl Drop for Compactor {
-    fn drop(&mut self) {
-        self.shutdown();
     }
 }
 
@@ -238,27 +171,6 @@ mod tests {
             ..Default::default()
         };
         assert!(!compact_once(&store, &policy).unwrap());
-        fs::remove_dir_all(&dir).unwrap();
-    }
-
-    #[test]
-    fn background_compactor_runs_and_stops() {
-        let dir = tmp("bg");
-        let store = Arc::new(small_store(&dir));
-        let before = store.scan_all().unwrap();
-        let policy = CompactionPolicy {
-            max_segments: 3,
-            small_rows: 1000,
-            max_merge: 8,
-        };
-        let compactor = Compactor::spawn(Arc::clone(&store), policy, Duration::from_millis(5));
-        let deadline = std::time::Instant::now() + Duration::from_secs(10);
-        while store.segment_count() > 3 && std::time::Instant::now() < deadline {
-            std::thread::sleep(Duration::from_millis(5));
-        }
-        compactor.stop();
-        assert!(store.segment_count() <= 3, "{}", store.segment_count());
-        assert_eq!(store.scan_all().unwrap(), before);
         fs::remove_dir_all(&dir).unwrap();
     }
 }

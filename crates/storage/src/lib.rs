@@ -18,7 +18,7 @@
 //!   at any WAL append, checkpoint step or directory sync.
 //! * A per-stream **historical event store** — a write-optimized head
 //!   freezing into immutable columnar segments with per-column zone maps,
-//!   background compaction, and arrival-order replay ([`columnar`],
+//!   policy-driven compaction, and arrival-order replay ([`columnar`],
 //!   [`segment`], [`compact`]; DESIGN.md D14).
 //! * The paper's three **event capture mechanisms** (§2.2.a):
 //!   row-level **triggers** ([`trigger`]), **journal mining**
@@ -47,7 +47,7 @@ pub mod wal;
 
 pub use change::{ChangeEvent, ChangeKind};
 pub use columnar::{ColumnStats, StoredEvent};
-pub use compact::{compact_once, CompactionPolicy, Compactor};
+pub use compact::{compact_once, CompactionPolicy};
 pub use db::{Database, DbOptions};
 pub use journal::JournalMiner;
 pub use segment::{SegmentMeta, SegmentStore, SegmentStoreOptions, StoreStatsSnapshot};

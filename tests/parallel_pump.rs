@@ -19,7 +19,10 @@ use rand::{Rng, SeedableRng};
 use evdb::analytics::detector::UpdatePolicy;
 use evdb::analytics::ThresholdModel;
 use evdb::core::server::ServerConfig;
-use evdb::core::{spawn_pump_with, EventServer, Notification, PumpMode, VirtPolicy};
+use evdb::core::{
+    spawn_pump_with, EventServer, HistoryConfig, Notification, PumpMode, VirtPolicy,
+};
+use evdb::storage::{CompactionPolicy, SegmentStoreOptions};
 use evdb::types::{DataType, Record, Schema, SimClock, TimestampMs, Value};
 
 const SYMS: [&str; 8] = ["AAA", "BBB", "CCC", "DDD", "EEE", "FFF", "GGG", "HHH"];
@@ -358,4 +361,142 @@ fn stop_flushes_staged_events() {
     }
     handle.stop(); // must final-drain, not discard
     assert_eq!(server.metrics().snapshot().events_processed, 100);
+}
+
+/// Ten events on a stream whose one rule overflows (an evaluation
+/// error) on the third: every delivered notification, in order.
+fn poisoned_server() -> Arc<EventServer> {
+    let server = EventServer::in_memory(ServerConfig {
+        clock: SimClock::new(TimestampMs(0)),
+        ..Default::default()
+    })
+    .unwrap();
+    server
+        .create_stream("orders", Schema::of(&[("oid", DataType::Int), ("qty", DataType::Int)]))
+        .unwrap();
+    // 2^62 * 2 overflows i64: checked arithmetic makes that an error.
+    server
+        .add_alert_rule("lot", "orders", "qty * 4611686018427387904 > 0", 1.0, Some("oid"))
+        .unwrap();
+    for oid in 0..10 {
+        let qty = if oid == 2 { 2 } else { 1 };
+        server
+            .ingest_async(
+                "orders",
+                TimestampMs(oid),
+                Record::from_iter([Value::Int(oid), Value::Int(qty)]),
+            )
+            .unwrap();
+    }
+    Arc::new(server)
+}
+
+fn assert_nine_of_ten(server: &EventServer) {
+    let keys: Vec<String> = server
+        .notifications()
+        .drain_delivered()
+        .into_iter()
+        .map(|n| n.key)
+        .collect();
+    let want: Vec<String> = (0..10).filter(|o| *o != 2).map(|o| format!("lot:{o}")).collect();
+    assert_eq!(keys, want, "the poisoned event's batch-mates are notified");
+    let stage = |name: &str| {
+        server
+            .registry()
+            .counter(&format!("evdb_stage_{name}_events_total"))
+            .get()
+    };
+    assert_eq!(
+        (stage("capture"), stage("route"), stage("evaluate"), stage("deliver")),
+        (10, 10, 9, 9),
+        "stage counters balance: ten in, one failed, nine out"
+    );
+    assert_eq!(server.metrics().snapshot().events_processed, 10);
+}
+
+/// A poisoned event costs its batch-mates nothing. At the parent of
+/// ISSUE 15 the sequential cycle returned on the first failing event
+/// and dropped the rest of the batch it had already drained.
+#[test]
+fn poisoned_event_does_not_take_its_batch_mates() {
+    // By hand: the error comes back, after everything else was done.
+    let server = poisoned_server();
+    let err = server.pump().expect_err("the overflow is reported");
+    assert!(err.to_string().contains("overflow"), "{err}");
+    assert_nine_of_ten(&server);
+
+    for mode in [PumpMode::Sequential, PumpMode::Sharded { workers: 2 }] {
+        let server = poisoned_server();
+        let handle = spawn_pump_with(&server, Duration::from_millis(1), mode);
+        wait_processed(&server, 10, Duration::from_secs(30));
+        handle.stop();
+        assert_eq!(
+            server.registry().counter("evdb_pump_errors_total").get(),
+            1,
+            "{mode:?}: one failed event, one error"
+        );
+        assert_nine_of_ten(&server);
+    }
+}
+
+/// History compacts on the maintenance tick in both pump modes (the
+/// sharded router used to reap queues and never maintain history).
+#[test]
+fn history_compacts_under_both_pump_modes() {
+    for (i, mode) in [PumpMode::Sequential, PumpMode::Sharded { workers: 2 }]
+        .into_iter()
+        .enumerate()
+    {
+        let dir = std::env::temp_dir().join(format!("evdb-pump-history-{}-{i}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        let server = build_server(SimClock::new(TimestampMs(0)));
+        let history = server
+            .enable_history(
+                &dir,
+                HistoryConfig {
+                    store: SegmentStoreOptions {
+                        freeze_rows: 8,
+                        zone_rows: 4,
+                        ..Default::default()
+                    },
+                    compaction: Some(CompactionPolicy {
+                        max_segments: 3,
+                        small_rows: 1_000,
+                        max_merge: 4,
+                    }),
+                },
+            )
+            .unwrap();
+        let handle = spawn_pump_with(&server, Duration::from_millis(2), mode);
+        for i in 0..256 {
+            server
+                .ingest_async(
+                    "s0",
+                    TimestampMs(i),
+                    Record::from_iter([Value::from("AAA"), Value::Float(50.0)]),
+                )
+                .unwrap();
+        }
+        wait_processed(&server, 256, Duration::from_secs(30));
+        // 256 rows freeze into 32 segments; one merge per tick brings
+        // them under the policy's bound.
+        let t0 = Instant::now();
+        loop {
+            let (segments, stats) = history.stats();
+            if stats.freezes == 32 && segments <= 3 {
+                break;
+            }
+            assert!(
+                t0.elapsed() < Duration::from_secs(30),
+                "{mode:?}: {segments} segments after {} freezes and {} merges",
+                stats.freezes,
+                stats.compactions
+            );
+            std::thread::sleep(Duration::from_millis(2));
+        }
+        assert_eq!(handle.errors(), 0);
+        handle.stop();
+        assert_eq!(server.replay("s0", 0, u64::MAX).unwrap().len(), 256);
+        std::fs::remove_dir_all(&dir).unwrap();
+    }
 }
