@@ -4,7 +4,11 @@
 //! Expected shape: the indexed matcher's add/remove cost is O(rule's own
 //! constraints) — independent of the total rule count — so matching
 //! throughput holds as churn rises; an engine that rebuilt its index per
-//! change would collapse.
+//! change would collapse. The `keyed` mix replaces 5 % of the resident
+//! and of the churned rules with `sym LIKE … AND qty % 97 = k` (D1's
+//! expression keys): posting under an interned key must cost what
+//! posting under a field costs, so its add/remove figures are asserted
+//! in-run to stay within 2× of the band-only ones.
 
 use std::sync::Arc;
 use std::time::Instant;
@@ -12,7 +16,7 @@ use std::time::Instant;
 use evdb_rules::{IndexedMatcher, Matcher, Rule};
 
 use super::{Scale, Table};
-use crate::workloads::{market_ticks, tick_rules, tick_schema};
+use crate::workloads::{market_ticks, tick_rules, tick_rules_keyed, tick_schema};
 
 /// Run E4.
 pub fn run(scale: Scale) -> Table {
@@ -20,7 +24,14 @@ pub fn run(scale: Scale) -> Table {
     let iterations = scale.pick(2_000, 20_000);
     let mut table = Table::new(
         "E4: rule churn — interleaved add/remove/match on the indexed matcher",
-        &["churn/match", "add_us", "remove_us", "match_us", "ops/s"],
+        &[
+            "mix",
+            "churn/match",
+            "add_us",
+            "remove_us",
+            "match_us",
+            "ops/s",
+        ],
     );
 
     let schema = tick_schema();
@@ -29,13 +40,20 @@ pub fn run(scale: Scale) -> Table {
         .map(|t| t.record())
         .collect();
 
-    for churn_per_match in [0usize, 1, 4, 16] {
+    type RuleGen = fn(usize, usize, f64, u64) -> Vec<evdb_expr::Expr>;
+    let mixes: [(&str, RuleGen); 2] = [("band", tick_rules), ("keyed", tick_rules_keyed)];
+    // (add_us, remove_us) of the band mix at the heaviest churn.
+    let mut band_cost = None;
+    let arms = mixes
+        .iter()
+        .flat_map(|(mix, generate)| [0usize, 1, 4, 16].map(|c| (*mix, generate, c)));
+    for (mix, generate, churn_per_match) in arms {
         let mut m = IndexedMatcher::new(Arc::clone(&schema));
-        let rules = tick_rules(base_rules, 64, 0.05, 41);
+        let rules = generate(base_rules, 64, 0.05, 41);
         for (i, r) in rules.iter().enumerate() {
             m.add_rule(Rule::new(i as u64, "", r.clone())).unwrap();
         }
-        let fresh = tick_rules(iterations * churn_per_match.max(1), 64, 0.05, 42);
+        let fresh = generate(iterations * churn_per_match.max(1), 64, 0.05, 42);
 
         let mut next_id = base_rules as u64;
         let mut oldest = 0u64;
@@ -62,7 +80,20 @@ pub fn run(scale: Scale) -> Table {
             match_us += t0.elapsed().as_secs_f64() * 1e6;
         }
         let total_ops = iterations + adds as usize + rems as usize;
+        if churn_per_match == 16 {
+            let cost = (add_us / adds as f64, rem_us / rems as f64);
+            let (band_add, band_rem) = *band_cost.get_or_insert(cost);
+            // Half a microsecond of slack: these are ~2 µs operations
+            // timed one `Instant` pair each.
+            assert!(
+                cost.0 <= 2.0 * band_add + 0.5 && cost.1 <= 2.0 * band_rem + 0.5,
+                "{mix} churn costs add {:.2} / remove {:.2} us, band-only {band_add:.2} / {band_rem:.2}",
+                cost.0,
+                cost.1
+            );
+        }
         table.row(vec![
+            mix.to_string(),
             churn_per_match.to_string(),
             if adds > 0 {
                 format!("{:.1}", add_us / adds as f64)
@@ -83,6 +114,7 @@ pub fn run(scale: Scale) -> Table {
         "{base_rules} resident rules, {iterations} match iterations; churn = rules replaced per match"
     ));
     table.note("per-op cost stays flat as churn rises: updates touch only the changed rule's postings");
+    table.note("keyed = 5% `sym LIKE 'S<d>%' AND qty % 97 = k` in resident and churned rules; add/remove asserted within 2x of band");
     table
 }
 
@@ -93,11 +125,17 @@ mod tests {
     #[test]
     fn churn_experiment_runs() {
         let t = run(Scale::Quick);
-        assert_eq!(t.rows.len(), 4);
+        assert_eq!(t.rows.len(), 8);
         // Match cost with churn 16 should stay within ~5x of churn 0
-        // (flat in rule count; allow generous noise).
-        let m0: f64 = t.rows[0][3].parse().unwrap();
-        let m16: f64 = t.rows[3][3].parse().unwrap();
-        assert!(m16 < m0 * 5.0 + 50.0, "match degraded: {m0} -> {m16}");
+        // (flat in rule count; allow generous noise), in both mixes.
+        for mix in t.rows.chunks(4) {
+            let m0: f64 = mix[0][4].parse().unwrap();
+            let m16: f64 = mix[3][4].parse().unwrap();
+            assert!(
+                m16 < m0 * 5.0 + 50.0,
+                "{} match degraded: {m0} -> {m16}",
+                mix[0][0]
+            );
+        }
     }
 }

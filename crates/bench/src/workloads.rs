@@ -137,6 +137,29 @@ pub fn tick_rules(n: usize, nsyms: usize, residual_share: f64, seed: u64) -> Vec
         .collect()
 }
 
+/// [`tick_rules`] with every twentieth rule replaced by a **keyed** one:
+/// `sym LIKE 'S<d>%' AND qty % 97 = k` — no indexable field equality,
+/// but a computed left side the whole 5 % share, differing only in `k`
+/// (the shape of `evbench`'s residual rules; D1's expression keys).
+pub fn tick_rules_keyed(n: usize, nsyms: usize, residual_share: f64, seed: u64) -> Vec<Expr> {
+    let mut rules = tick_rules(n, nsyms, residual_share, seed);
+    let mut rng = StdRng::seed_from_u64(seed ^ 0x006b_6579);
+    for rule in rules.iter_mut().skip(19).step_by(20) {
+        let (digit, k) = (rng.gen_range(1..7), rng.gen_range(0..97));
+        *rule = parse(&format!("sym LIKE 'S{digit}%' AND qty % 97 = {k}")).expect("valid");
+    }
+    rules
+}
+
+/// `n` rules over `n` different left sides (`qty % 2 = 1`, `qty % 3 =
+/// 1`, …): the worst case of D1's expression keys, where nothing is
+/// shared and matching evaluates one key per rule.
+pub fn distinct_lhs_rules(n: usize) -> Vec<Expr> {
+    (0..n)
+        .map(|i| parse(&format!("qty % {} = 1", i + 2)).expect("valid"))
+        .collect()
+}
+
 /// Schema of A/B/C kind events used by pattern benches:
 /// `(kind STR, v FLOAT)`.
 pub fn kind_schema() -> Arc<Schema> {
@@ -229,6 +252,23 @@ mod tests {
             .filter(|r| evdb_expr::analyze(r).constraints.is_empty())
             .count();
         assert!(residuals > 10 && residuals < 100, "{residuals}");
+    }
+
+    #[test]
+    fn keyed_and_distinct_rule_sets_have_the_shape_they_claim() {
+        let share = |rules: &[Expr]| {
+            let keys: Vec<String> = rules
+                .iter()
+                .flat_map(|r| evdb_expr::analyze(r).keys)
+                .map(|k| k.constraint.field().to_string())
+                .collect();
+            let mut distinct = keys.clone();
+            distinct.sort();
+            distinct.dedup();
+            (keys.len(), distinct.len())
+        };
+        assert_eq!(share(&tick_rules_keyed(200, 8, 0.0, 5)), (10, 1));
+        assert_eq!(share(&distinct_lhs_rules(50)), (50, 50));
     }
 
     #[test]

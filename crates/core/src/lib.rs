@@ -46,4 +46,4 @@ pub use metrics::{Metrics, MetricsSnapshot, ShardMetrics, ShardSnapshot};
 pub use notify::{Notification, NotificationCenter, VirtPolicy};
 pub use pump::{spawn_pump, spawn_pump_with, PumpHandle, PumpMode};
 pub use security::{AccessControl, Principal, Privilege};
-pub use server::{CaptureMechanism, EventServer};
+pub use server::{CaptureMechanism, Drained, EventServer};

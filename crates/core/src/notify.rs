@@ -15,7 +15,7 @@
 //! Suppressed notifications are counted, never silently lost to
 //! observability.
 
-use std::collections::HashMap;
+use std::collections::{HashMap, VecDeque};
 use std::sync::Arc;
 
 use evdb_types::{Clock, TimestampMs, Trace};
@@ -82,13 +82,20 @@ struct KeyState {
     window_count: u32,
 }
 
+/// How many delivered notifications the in-memory log keeps. An embedder
+/// that never drains it (handlers are the delivery path; the log is for
+/// inspection) holds at most this many; the largest drain in the tree
+/// takes ~2k at once.
+const DELIVERED_LOG_CAP: usize = 8192;
+
 /// Fan-out point for notifications, guarded by a [`VirtPolicy`].
 pub struct NotificationCenter {
     policy: VirtPolicy,
     clock: Arc<dyn Clock>,
     handlers: Mutex<Vec<NotificationHandler>>,
     state: Mutex<HashMap<String, KeyState>>,
-    delivered_log: Mutex<Vec<Notification>>,
+    /// The most recent [`DELIVERED_LOG_CAP`] delivered notifications.
+    delivered_log: Mutex<VecDeque<Notification>>,
     /// Notifications delivered.
     pub delivered: std::sync::atomic::AtomicU64,
     /// Notifications suppressed by the filter.
@@ -96,6 +103,9 @@ pub struct NotificationCenter {
     /// Delivered notifications that were retraction cancels (a subset of
     /// `delivered`).
     pub retracted: std::sync::atomic::AtomicU64,
+    /// Delivered notifications the log dropped, oldest first, to stay
+    /// within its bound before anybody drained them.
+    pub log_overwritten: std::sync::atomic::AtomicU64,
 }
 
 impl NotificationCenter {
@@ -106,10 +116,11 @@ impl NotificationCenter {
             clock,
             handlers: Mutex::new(Vec::new()),
             state: Mutex::new(HashMap::new()),
-            delivered_log: Mutex::new(Vec::new()),
+            delivered_log: Mutex::new(VecDeque::new()),
             delivered: std::sync::atomic::AtomicU64::new(0),
             suppressed: std::sync::atomic::AtomicU64::new(0),
             retracted: std::sync::atomic::AtomicU64::new(0),
+            log_overwritten: std::sync::atomic::AtomicU64::new(0),
         }
     }
 
@@ -118,10 +129,12 @@ impl NotificationCenter {
         self.handlers.lock().push(handler);
     }
 
-    /// Recent delivered notifications (kept in memory for inspection;
-    /// drained by the caller).
+    /// Recent delivered notifications, oldest first (kept in memory for
+    /// inspection; drained by the caller). The log is a ring: past its
+    /// bound the oldest entries are overwritten and counted in
+    /// `log_overwritten`.
     pub fn drain_delivered(&self) -> Vec<Notification> {
-        std::mem::take(&mut self.delivered_log.lock())
+        std::mem::take(&mut *self.delivered_log.lock()).into()
     }
 
     /// Offer a notification; returns `true` if it passed the VIRT filter
@@ -161,7 +174,17 @@ impl NotificationCenter {
                 }
             }
         }
-        self.delivered_log.lock().extend(passed);
+        let mut log = self.delivered_log.lock();
+        let overflow = (log.len() + passed.len()).saturating_sub(DELIVERED_LOG_CAP);
+        if overflow > 0 {
+            self.log_overwritten
+                .fetch_add(overflow as u64, Ordering::Relaxed);
+            // The oldest go: logged entries first, then the head of this batch.
+            let from_log = overflow.min(log.len());
+            log.drain(..from_log);
+            passed.drain(..overflow - from_log);
+        }
+        log.extend(passed);
         count
     }
 
@@ -251,6 +274,43 @@ mod tests {
         assert!(!nc.notify(notif("k", 0.5)));
         assert!(nc.notify(notif("k", 1.5)));
         assert_eq!(nc.drain_delivered().len(), 1);
+    }
+
+    #[test]
+    fn delivered_log_keeps_the_most_recent() {
+        use std::sync::atomic::Ordering;
+        let nc = NotificationCenter::new(VirtPolicy::default(), SimClock::new(TimestampMs(0)));
+        let numbered = |range: std::ops::Range<usize>| -> Vec<Notification> {
+            range.map(|i| notif(&i.to_string(), 1.0)).collect()
+        };
+        let keys = |log: Vec<Notification>| -> Vec<usize> {
+            log.iter().map(|n| n.key.parse().unwrap()).collect()
+        };
+        // Undrained, the log stops growing at its bound; handlers and
+        // the delivered count still see everything.
+        nc.notify_batch(numbered(0..DELIVERED_LOG_CAP - 1));
+        assert_eq!(nc.log_overwritten.load(Ordering::Relaxed), 0);
+        nc.notify_batch(numbered(DELIVERED_LOG_CAP - 1..DELIVERED_LOG_CAP + 10));
+        assert_eq!(nc.log_overwritten.load(Ordering::Relaxed), 10);
+        assert_eq!(
+            keys(nc.drain_delivered()),
+            (10..DELIVERED_LOG_CAP + 10).collect::<Vec<_>>()
+        );
+        assert!(nc.drain_delivered().is_empty());
+        // One batch larger than the bound keeps its tail.
+        nc.notify_batch(numbered(0..2 * DELIVERED_LOG_CAP));
+        assert_eq!(
+            keys(nc.drain_delivered()),
+            (DELIVERED_LOG_CAP..2 * DELIVERED_LOG_CAP).collect::<Vec<_>>()
+        );
+        assert_eq!(
+            nc.delivered.load(Ordering::Relaxed),
+            3 * DELIVERED_LOG_CAP as u64 + 10
+        );
+        assert_eq!(
+            nc.log_overwritten.load(Ordering::Relaxed),
+            DELIVERED_LOG_CAP as u64 + 10
+        );
     }
 
     #[test]

@@ -131,6 +131,27 @@ pub struct EvalScratch {
     first_error: Option<Error>,
 }
 
+/// What [`EventServer::drain_captured`] collected.
+#[derive(Debug)]
+#[must_use = "a failed capture poll is reported only here"]
+pub struct Drained {
+    /// Ready-to-evaluate events, in capture order.
+    pub events: Vec<Event>,
+    /// The first capture poll that failed; `events` holds what the
+    /// staged buffer and every other capture gave all the same.
+    pub poll_error: Option<Error>,
+}
+
+impl Drained {
+    /// The staged buffer alone: nothing was polled.
+    pub(crate) fn staged(events: Vec<Event>) -> Drained {
+        Drained {
+            events,
+            poll_error: None,
+        }
+    }
+}
+
 /// Statistics returned by one [`EventServer::pump`].
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct PumpStats {
@@ -396,6 +417,10 @@ impl EventServer {
         let nc = Arc::clone(notifications);
         registry.gauge_fn("evdb_notify_retracted_total", move || {
             nc.retracted.load(Ordering::Relaxed) as f64
+        });
+        let nc = Arc::clone(notifications);
+        registry.gauge_fn("evdb_notify_log_overwritten_total", move || {
+            nc.log_overwritten.load(Ordering::Relaxed) as f64
         });
         let rt = Arc::clone(runtime);
         registry.gauge_fn("evdb_cq_window_memory", move || rt.window_memory() as f64);
@@ -1122,15 +1147,17 @@ impl EventServer {
     /// after. Returns the stats, how many errors the cycle met and the
     /// first of them.
     pub(crate) fn cycle(&self, maintenance: bool) -> (PumpStats, u64, Option<Error>) {
-        let drained = if maintenance {
+        let Drained { events, poll_error } = if maintenance {
             self.drain_captured()
         } else {
-            Ok(self.drain_staged())
+            Drained::staged(self.drain_staged())
         };
-        let (stats, mut errors, mut first_error) = match drained {
-            Ok(events) => self.evaluate_inline(events),
-            Err(e) => (PumpStats::default(), 1, Some(e)),
-        };
+        let (stats, mut errors, mut first_error) = self.evaluate_inline(events);
+        if let Some(e) = poll_error {
+            // The poll failed before anything was evaluated.
+            errors += 1;
+            first_error = Some(e);
+        }
         if maintenance {
             if let Err(e) = self.maintain() {
                 errors += 1;
@@ -1194,14 +1221,19 @@ impl EventServer {
     /// shared by [`pump`](Self::pump) and the sharded pump's router
     /// thread (which fans the batch out to workers). Capture-side
     /// metrics (`events_captured`, capture latency) are recorded here.
-    pub fn drain_captured(&self) -> Result<Vec<Event>> {
+    ///
+    /// A capture whose poll fails costs the cycle nothing else: the
+    /// events already taken out of admission and out of the other
+    /// captures (whose positions have advanced) are returned for
+    /// evaluation, beside the first poll error.
+    pub fn drain_captured(&self) -> Drained {
         let now = self.now();
         let mut events = Vec::new();
         let mut batch = StageBatch::default();
         self.collect_staged(now, &mut events, &mut batch);
-        let polled = self.poll_captures(now, &mut events, &mut batch);
+        let poll_error = self.poll_captures(now, &mut events, &mut batch);
         self.stage_obs.flush(&mut batch);
-        polled.map(|()| events)
+        Drained { events, poll_error }
     }
 
     /// The staged buffer alone, as ready-to-evaluate events in arrival
@@ -1275,29 +1307,30 @@ impl EventServer {
     /// Poll the pull-based captures (journal miners, query-poll
     /// snapshots) once and refresh the journal-lag gauge. Runs on the
     /// pump's maintenance tick, which bounds how stale these captures
-    /// can be.
+    /// can be. Every capture is polled whatever the others do; returns
+    /// the first poll error.
     fn poll_captures(
         &self,
         now: TimestampMs,
         events: &mut Vec<Event>,
         batch: &mut StageBatch,
-    ) -> Result<()> {
+    ) -> Option<Error> {
+        let mut first_error = None;
         let mut batches: Vec<(String, Arc<Schema>, Vec<ChangeEvent>)> = Vec::new();
         {
             let mut captures = self.captures.lock();
             for task in captures.iter_mut() {
-                match &mut task.kind {
-                    CaptureKind::Trigger => {}
+                let polled = match &mut task.kind {
+                    CaptureKind::Trigger => continue,
                     CaptureKind::Journal(miner) => {
                         self.journal_lag
                             .set(self.db.last_lsn().saturating_sub(miner.position()) as f64);
                         // The journal carries every table's ops; this
                         // capture only owns its own table's changes.
-                        let mut evs = miner.poll(&self.db)?;
-                        evs.retain(|c| c.table.as_ref() == task.table);
-                        if !evs.is_empty() {
-                            batches.push((task.stream.clone(), Arc::clone(&task.schema), evs));
-                        }
+                        miner.poll(&self.db).map(|mut evs| {
+                            evs.retain(|c| c.table.as_ref() == task.table);
+                            evs
+                        })
                     }
                     CaptureKind::Snapshot {
                         snapshot,
@@ -1308,13 +1341,18 @@ impl EventServer {
                             None => true,
                             Some(t) => now.since(*t) >= *interval_ms,
                         };
-                        if due {
-                            *last_poll = Some(now);
-                            let evs = snapshot.poll(&self.db)?;
-                            if !evs.is_empty() {
-                                batches.push((task.stream.clone(), Arc::clone(&task.schema), evs));
-                            }
+                        if !due {
+                            continue;
                         }
+                        *last_poll = Some(now);
+                        snapshot.poll(&self.db)
+                    }
+                };
+                match polled {
+                    Ok(evs) if evs.is_empty() => {}
+                    Ok(evs) => batches.push((task.stream.clone(), Arc::clone(&task.schema), evs)),
+                    Err(e) => {
+                        first_error.get_or_insert(e);
                     }
                 }
             }
@@ -1325,7 +1363,7 @@ impl EventServer {
                 events.push(self.change_into_event(&stream, &schema, change, now, batch));
             }
         }
-        Ok(())
+        first_error
     }
 
     /// Convert one captured [`ChangeEvent`] into the stream event the

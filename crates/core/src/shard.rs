@@ -54,7 +54,7 @@ use evdb_types::Event;
 use crate::metrics::{ShardMetrics, StageBatch};
 use crate::notify::Notification;
 use crate::pump::{Pacer, PumpTally};
-use crate::server::{EvalScratch, EventServer};
+use crate::server::{Drained, EvalScratch, EventServer};
 
 /// In-flight batches a worker queue holds before the router blocks.
 const WORKER_QUEUE_BATCHES: usize = 64;
@@ -148,74 +148,80 @@ fn router_loop(
 ) {
     let n = worker_txs.len();
     let mut pacer = Pacer::new(interval);
+    let mut poll_error_logged = false;
     loop {
         // The flag is read *before* draining (inside `next`): the
         // post-stop iteration then ships everything staged up to the
         // stop call.
         let turn = pacer.next(server, stop);
-        let drained = if turn.maintenance {
+        let Drained { events, poll_error } = if turn.maintenance {
             server.drain_captured()
         } else {
-            Ok(server.drain_staged())
+            Drained::staged(server.drain_staged())
         };
-        match drained {
-            Ok(events) => {
-                let mut batches: Vec<Vec<Event>> = (0..n).map(|_| Vec::new()).collect();
-                let stamp_now = server.now();
-                let mut stage_batch = StageBatch::default();
-                for mut event in events {
-                    server.observe_route(&mut event, stamp_now, &mut stage_batch);
-                    let key = server.partition_key_of(&event);
-                    batches[shard_for(&key, n)].push(event);
-                }
-                server.stage_obs().flush(&mut stage_batch);
-                let shed_at_router =
-                    server.admission().policy() == crate::admission::OverloadPolicy::ShedLowest;
-                for (i, batch) in batches.into_iter().enumerate() {
-                    if batch.is_empty() {
-                        continue;
+        if let Some(e) = poll_error {
+            // Counted; what the other captures gave is routed all the
+            // same. Nobody receives the router's errors, so the first
+            // is also said once (a capture that fails keeps failing
+            // every tick).
+            tally.errors(1);
+            if !std::mem::replace(&mut poll_error_logged, true) {
+                eprintln!("evdb: capture poll failed: {e} (later ones only count in evdb_pump_errors_total)");
+            }
+        }
+        let mut batches: Vec<Vec<Event>> = (0..n).map(|_| Vec::new()).collect();
+        let stamp_now = server.now();
+        let mut stage_batch = StageBatch::default();
+        for mut event in events {
+            server.observe_route(&mut event, stamp_now, &mut stage_batch);
+            let key = server.partition_key_of(&event);
+            batches[shard_for(&key, n)].push(event);
+        }
+        server.stage_obs().flush(&mut stage_batch);
+        let shed_at_router =
+            server.admission().policy() == crate::admission::OverloadPolicy::ShedLowest;
+        for (i, batch) in batches.into_iter().enumerate() {
+            if batch.is_empty() {
+                continue;
+            }
+            let len = batch.len() as u64;
+            shard_metrics[i]
+                .events_routed
+                .fetch_add(len, Ordering::Relaxed);
+            shard_metrics[i]
+                .queue_depth
+                .fetch_add(len, Ordering::Relaxed);
+            if shed_at_router {
+                // ShedLowest must not stall the router on one
+                // saturated worker: a full queue sheds the batch
+                // into the same accounting the admission gate
+                // uses, so offered == evaluated + shed + rejected
+                // still balances (DESIGN.md D10).
+                match worker_txs[i].try_send(batch) {
+                    Ok(()) => {}
+                    Err(channel::TrySendError::Full(batch)) => {
+                        server.admission().note_shed(batch.len() as u64);
+                        shard_metrics[i]
+                            .queue_depth
+                            .fetch_sub(len, Ordering::Relaxed);
                     }
-                    let len = batch.len() as u64;
-                    shard_metrics[i]
-                        .events_routed
-                        .fetch_add(len, Ordering::Relaxed);
-                    shard_metrics[i]
-                        .queue_depth
-                        .fetch_add(len, Ordering::Relaxed);
-                    if shed_at_router {
-                        // ShedLowest must not stall the router on one
-                        // saturated worker: a full queue sheds the batch
-                        // into the same accounting the admission gate
-                        // uses, so offered == evaluated + shed + rejected
-                        // still balances (DESIGN.md D10).
-                        match worker_txs[i].try_send(batch) {
-                            Ok(()) => {}
-                            Err(channel::TrySendError::Full(batch)) => {
-                                server.admission().note_shed(batch.len() as u64);
-                                shard_metrics[i]
-                                    .queue_depth
-                                    .fetch_sub(len, Ordering::Relaxed);
-                            }
-                            Err(channel::TrySendError::Disconnected(_)) => {
-                                tally.errors(1);
-                                shard_metrics[i]
-                                    .queue_depth
-                                    .fetch_sub(len, Ordering::Relaxed);
-                            }
-                        }
-                    } else if worker_txs[i].send(batch).is_err() {
-                        // Blocking send (Block/Reject): a full worker
-                        // queue backpressures the router instead of
-                        // growing without bound. Err means the worker
-                        // died (only on panic); count and go on.
+                    Err(channel::TrySendError::Disconnected(_)) => {
                         tally.errors(1);
                         shard_metrics[i]
                             .queue_depth
                             .fetch_sub(len, Ordering::Relaxed);
                     }
                 }
+            } else if worker_txs[i].send(batch).is_err() {
+                // Blocking send (Block/Reject): a full worker
+                // queue backpressures the router instead of
+                // growing without bound. Err means the worker
+                // died (only on panic); count and go on.
+                tally.errors(1);
+                shard_metrics[i]
+                    .queue_depth
+                    .fetch_sub(len, Ordering::Relaxed);
             }
-            Err(_) => tally.errors(1),
         }
         // Housekeeping rides the router's tick, after the hand-off: the
         // workers evaluate this cycle's events meanwhile.

@@ -17,13 +17,21 @@
 //!   `['abc', 'abd')` as a [`Constraint::Range`] (a wildcard-free pattern
 //!   is a [`Constraint::Eq`]) — and the LIKE *also stays in the residual*,
 //!   because the range is implied by it, not equivalent to it
-//! * everything else (ORs, functions, cross-field comparisons, NOTs…)
+//! * the same four shapes over a **computed left side** — `volume % 97 = 5`,
+//!   `length(sym) IN (2, 3)`, `10 < qty * 2` — → a [`KeyConstraint`] in
+//!   [`ConjunctiveForm::keys`]: the non-constant expression plus the
+//!   constraint on its value. Like the LIKE prefix it is implied, not
+//!   equivalent (evaluating the expression can fail), so the conjunct
+//!   *also stays in the residual*. Rules that share a left side differ
+//!   only in the constant, which is what lets a matcher evaluate the
+//!   expression once per event and hash on the result.
+//! * everything else (ORs, cross-field comparisons, NOTs, `!=`…)
 //!   → folded back into the residual expression.
 //!
 //! The decomposition is **sound, not complete**: the original predicate is
 //! always equivalent to `constraints ∧ residual` (verified by proptest in
-//! the rules crate), but some index opportunities inside ORs are left to
-//! the residual.
+//! the rules crate) and implies every key constraint, but some index
+//! opportunities inside ORs are left to the residual.
 
 use evdb_types::Value;
 
@@ -119,11 +127,27 @@ impl Constraint {
     }
 }
 
+/// An indexable constraint on a computed value: a top-level conjunct
+/// `⟨expr⟩ ⟨op⟩ constants` whose left side is neither a bare field nor a
+/// constant.
+#[derive(Debug, Clone, PartialEq)]
+pub struct KeyConstraint {
+    /// The left-hand expression, as parsed (no algebraic normalisation:
+    /// `qty * 2` and `2 * qty` are different keys).
+    pub expr: Expr,
+    /// What the conjunct requires of its value. `field` holds `expr`'s
+    /// canonical text, the key's identity.
+    pub constraint: Constraint,
+}
+
 /// The result of [`analyze`]: indexable constraints plus what is left.
 #[derive(Debug, Clone, Default)]
 pub struct ConjunctiveForm {
-    /// Indexable atoms; the predicate implies each of them.
+    /// Indexable atoms on fields; the predicate implies each of them.
     pub constraints: Vec<Constraint>,
+    /// Indexable atoms on computed values; implied by the predicate and
+    /// still part of `residual`.
+    pub keys: Vec<KeyConstraint>,
     /// Remaining predicate (`None` means "TRUE").
     pub residual: Option<Expr>,
 }
@@ -146,9 +170,17 @@ pub fn analyze(expr: &Expr) -> ConjunctiveForm {
 
     for atom in atoms {
         match extract(atom) {
-            Some(c) => form.constraints.push(c),
-            None => {
-                // Implied, not equivalent: the LIKE itself stays residual.
+            Some((Expr::Field(_), c)) => form.constraints.push(c),
+            // Implied, not equivalent: what implies a constraint below
+            // stays residual itself.
+            Some((expr, constraint)) if !expr.referenced_fields().is_empty() => {
+                form.keys.push(KeyConstraint {
+                    expr: expr.clone(),
+                    constraint,
+                });
+                residual_parts.push(atom.clone());
+            }
+            _ => {
                 form.constraints.extend(like_prefix(atom));
                 residual_parts.push(atom.clone());
             }
@@ -173,59 +205,39 @@ fn collect_conjuncts<'e>(expr: &'e Expr, out: &mut Vec<&'e Expr>) {
     }
 }
 
-/// Try to turn one conjunct into an indexable constraint.
-fn extract(atom: &Expr) -> Option<Constraint> {
+/// Try to read one conjunct as `target ⟨op⟩ constants`: the constrained
+/// expression and the constraint on its value, named by the target's
+/// text (a field's name, a key's canonical form). The target may still
+/// be a constant; the caller sorts that out.
+fn extract(atom: &Expr) -> Option<(&Expr, Constraint)> {
+    let bound = |value, inclusive| Some(Bound { value, inclusive });
     match atom {
         Expr::Binary { op, left, right } if op.is_comparison() => {
-            // Normalize to field-op-constant.
-            let (field, op, value) = match (&**left, &**right) {
-                (Expr::Field(f), rhs) => (f, *op, const_eval(rhs)?),
-                (lhs, Expr::Field(f)) => (f, op.flipped(), const_eval(lhs)?),
-                _ => return None,
+            // Normalize to target-op-constant.
+            let (target, op, value) = match const_eval(right) {
+                Some(v) => (&**left, *op, v),
+                None => (&**right, op.flipped(), const_eval(left)?),
             };
             if value.is_null() {
-                return None; // `field = NULL` never matches; leave in residual
+                return None; // `x = NULL` never matches; leave in residual
             }
-            match op {
-                BinaryOp::Eq => Some(Constraint::Eq {
-                    field: field.clone(),
-                    value,
-                }),
-                BinaryOp::Lt => Some(Constraint::Range {
-                    field: field.clone(),
+            let field = target.to_string();
+            let constraint = match op {
+                BinaryOp::Eq => Constraint::Eq { field, value },
+                BinaryOp::Lt | BinaryOp::Le => Constraint::Range {
+                    field,
                     low: None,
-                    high: Some(Bound {
-                        value,
-                        inclusive: false,
-                    }),
-                }),
-                BinaryOp::Le => Some(Constraint::Range {
-                    field: field.clone(),
-                    low: None,
-                    high: Some(Bound {
-                        value,
-                        inclusive: true,
-                    }),
-                }),
-                BinaryOp::Gt => Some(Constraint::Range {
-                    field: field.clone(),
-                    low: Some(Bound {
-                        value,
-                        inclusive: false,
-                    }),
+                    high: bound(value, op == BinaryOp::Le),
+                },
+                BinaryOp::Gt | BinaryOp::Ge => Constraint::Range {
+                    field,
+                    low: bound(value, op == BinaryOp::Ge),
                     high: None,
-                }),
-                BinaryOp::Ge => Some(Constraint::Range {
-                    field: field.clone(),
-                    low: Some(Bound {
-                        value,
-                        inclusive: true,
-                    }),
-                    high: None,
-                }),
+                },
                 // `!=` is not usefully indexable.
-                _ => None,
-            }
+                _ => return None,
+            };
+            Some((target, constraint))
         }
         Expr::Between {
             expr,
@@ -233,36 +245,23 @@ fn extract(atom: &Expr) -> Option<Constraint> {
             high,
             negated: false,
         } => {
-            let field = match &**expr {
-                Expr::Field(f) => f,
-                _ => return None,
-            };
             let lo = const_eval(low)?;
             let hi = const_eval(high)?;
             if lo.is_null() || hi.is_null() {
                 return None;
             }
-            Some(Constraint::Range {
-                field: field.clone(),
-                low: Some(Bound {
-                    value: lo,
-                    inclusive: true,
-                }),
-                high: Some(Bound {
-                    value: hi,
-                    inclusive: true,
-                }),
-            })
+            let constraint = Constraint::Range {
+                field: expr.to_string(),
+                low: bound(lo, true),
+                high: bound(hi, true),
+            };
+            Some((expr, constraint))
         }
         Expr::InList {
             expr,
             list,
             negated: false,
         } => {
-            let field = match &**expr {
-                Expr::Field(f) => f,
-                _ => return None,
-            };
             let mut values = Vec::with_capacity(list.len());
             for e in list {
                 let v = const_eval(e)?;
@@ -273,10 +272,11 @@ fn extract(atom: &Expr) -> Option<Constraint> {
                     values.push(v);
                 }
             }
-            Some(Constraint::In {
-                field: field.clone(),
+            let constraint = Constraint::In {
+                field: expr.to_string(),
                 values,
-            })
+            };
+            Some((expr, constraint))
         }
         _ => None,
     }
@@ -490,6 +490,98 @@ mod tests {
             );
             assert!(f.residual.is_some());
         }
+    }
+
+    /// The key atoms of `src` as `(key text, constraint)`; every one of
+    /// them must also still be in the residual.
+    fn keys(src: &str) -> Vec<(String, Constraint)> {
+        let f = form(src);
+        let residual = f.residual.map(|r| r.to_string()).unwrap_or_default();
+        f.keys
+            .into_iter()
+            .map(|k| {
+                assert_eq!(k.expr.to_string(), k.constraint.field());
+                assert!(residual.contains(k.constraint.field()), "{src}: {residual}");
+                (k.expr.to_string(), k.constraint)
+            })
+            .collect()
+    }
+
+    fn int_bound(value: i64, inclusive: bool) -> Option<Bound> {
+        Some(Bound {
+            value: Value::Int(value),
+            inclusive,
+        })
+    }
+
+    #[test]
+    fn computed_left_sides_become_keys() {
+        let eq5 = Constraint::Eq {
+            field: "volume % 97".into(),
+            value: Value::Int(5),
+        };
+        assert_eq!(keys("volume % 97 = 5"), vec![("volume % 97".into(), eq5)]);
+        // Flipped operands and a const-folded right side: same key, same atom.
+        assert_eq!(keys("5 = volume % 97"), keys("volume % 97 = 5"));
+        assert_eq!(keys("volume % 97 = 2 + 3"), keys("volume % 97 = 5"));
+        // Beside a field constraint: the field goes to `constraints`, the
+        // key to `keys`, and only the key conjunct stays residual.
+        let f = form("sym = 'A' AND volume % 97 = 5");
+        assert_eq!(f.constraints.len(), 1);
+        assert_eq!(f.keys.len(), 1);
+        assert_eq!(f.residual.unwrap().to_string(), "volume % 97 = 5");
+        // Relops, either operand order.
+        let range = |low, high| Constraint::Range {
+            field: "qty * 2".into(),
+            low,
+            high,
+        };
+        assert_eq!(keys("qty * 2 > 10")[0].1, range(int_bound(10, false), None));
+        assert_eq!(keys("10 >= qty * 2")[0].1, range(None, int_bound(10, true)));
+        assert_eq!(
+            keys("qty * 2 BETWEEN 4 AND 2 * 4")[0].1,
+            range(int_bound(4, true), int_bound(8, true))
+        );
+        assert_eq!(
+            keys("length(sym) IN (2, 3, 2)"),
+            vec![(
+                "length(sym)".into(),
+                Constraint::In {
+                    field: "length(sym)".into(),
+                    values: vec![Value::Int(2), Value::Int(3)],
+                }
+            )]
+        );
+        // Structural identity only: no algebraic normalisation.
+        assert_ne!(keys("qty * 2 = 4")[0].0, keys("2 * qty = 4")[0].0);
+        // The text tells an integer literal from a float one at any
+        // magnitude — integer and float division are different keys.
+        assert_ne!(
+            keys("qty / 1000000000000000 = 0")[0].0,
+            keys("qty / 1000000000000000.0 = 0")[0].0
+        );
+    }
+
+    #[test]
+    fn what_is_not_a_key() {
+        for src in [
+            "a = 1",              // bare field: a Constraint
+            "1 + 1 = 2",          // constant left side
+            "2 = 1 + 1",          // ... in either order
+            "NOT a % 2 = 1",      // negation
+            "a % 2 != 1",         // inequality
+            "a % 2 = NULL",       // NULL constant
+            "a % 2 IN (1, NULL)", // NULL in the list
+            "a % 2 NOT IN (1)",   // negated list
+            "a % 2 NOT BETWEEN 0 AND 1",
+            "a % 2 = b", // non-constant right side
+            "a % 2 BETWEEN 0 AND b",
+            "a % 2 IN (1, b)",
+            "a % 2 = 1 OR a = 3", // not a top-level conjunct
+        ] {
+            assert!(form(src).keys.is_empty(), "{src}");
+        }
+        assert_eq!(form("a = 1").constraints.len(), 1);
     }
 
     #[test]

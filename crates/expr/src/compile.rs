@@ -1862,7 +1862,8 @@ mod tests {
         let before = compiler_stats();
         let (_, c) = compile("a > 5 AND s LIKE 'ab%'");
         let after = compiler_stats();
-        assert_eq!(after.compiled_total, before.compiled_total + 1);
+        // Process-wide counters: sibling tests compile concurrently.
+        assert!(after.compiled_total > before.compiled_total);
         assert!(after.like_precompiled > before.like_precompiled);
         assert!(c.matches(&record(6, "abx")).unwrap());
         assert!(!c.matches(&record(6, "zzz")).unwrap());

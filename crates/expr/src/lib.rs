@@ -52,7 +52,7 @@ pub mod parser;
 pub mod token;
 pub mod typecheck;
 
-pub use analysis::{analyze, ConjunctiveForm, Constraint};
+pub use analysis::{analyze, ConjunctiveForm, Constraint, KeyConstraint};
 pub use ast::{BinaryOp, Expr, UnaryOp};
 pub use bind::BoundExpr;
 pub use compile::{batch_stats, compiler_stats, BatchScratch, CompiledExpr, CompilerStats, FoldStats};

@@ -197,6 +197,13 @@ impl IntervalIndex {
         }
     }
 
+    /// Append the slot of every posting, in `(low, slot)` order.
+    pub fn all(&self, out: &mut Vec<u32>) {
+        for block in &self.blocks {
+            out.extend(block.postings.iter().map(|p| p.slot));
+        }
+    }
+
     /// Append the slot of every posting whose interval contains `v`, in
     /// `(low, slot)` order.
     pub fn stab(&self, v: &Value, out: &mut Vec<u32>) {

@@ -4,22 +4,25 @@
 use evdb_expr::BatchScratch;
 use evdb_types::{Record, Result};
 
+use crate::indexed::KeyMemo;
 use crate::rule::{Rule, RuleId};
 
 /// Reusable state for [`Matcher::match_batch`]: the expression-VM batch
-/// scratch plus the indexed matcher's per-record candidate buffer. Hold
-/// one per evaluating thread; buffers size themselves to the batch on
-/// first use and are reused afterwards (D15).
+/// scratch plus the indexed matcher's per-record candidate buffers and
+/// key-value memo. Hold one per evaluating thread; buffers size
+/// themselves to the batch on first use and are reused afterwards (D15).
 #[derive(Debug, Default)]
 pub struct MatchScratch {
     /// Expression-VM scratch shared by every rule verified batch-wide.
     pub(crate) expr: BatchScratch,
     /// Verdict buffer for one batch-wide rule.
     pub(crate) bools: Vec<Result<bool>>,
-    /// One record's candidate slots, in verify order.
-    pub(crate) slots: Vec<u32>,
+    /// Per record of the batch, its candidate slots in verify order.
+    pub(crate) slots: Vec<Vec<u32>>,
     /// Unindexed rules' verdicts over the whole batch, rule-major.
     pub(crate) verdicts: Vec<Result<bool>>,
+    /// The batch's expression-key values.
+    pub(crate) keys: KeyMemo,
 }
 
 impl MatchScratch {

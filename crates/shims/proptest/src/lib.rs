@@ -47,8 +47,14 @@ pub mod test_runner {
     }
 
     impl Default for ProptestConfig {
+        /// 256 cases, or what `PROPTEST_CASES` asks for — as in the real
+        /// crate, an explicit `with_cases` is not overridden.
         fn default() -> ProptestConfig {
-            ProptestConfig { cases: 256 }
+            let cases = std::env::var("PROPTEST_CASES")
+                .ok()
+                .and_then(|n| n.parse().ok())
+                .unwrap_or(256);
+            ProptestConfig { cases }
         }
     }
 

@@ -292,7 +292,9 @@ impl fmt::Display for Value {
             Value::Bool(b) => write!(f, "{b}"),
             Value::Int(i) => write!(f, "{i}"),
             Value::Float(x) => {
-                if x.fract() == 0.0 && x.is_finite() && x.abs() < 1e15 {
+                // An integral float keeps its fraction, whatever its
+                // size: the text must not read back as an integer.
+                if x.fract() == 0.0 && x.is_finite() {
                     write!(f, "{x:.1}")
                 } else {
                     write!(f, "{x}")
@@ -416,6 +418,12 @@ mod tests {
         assert_eq!(Value::from("o'brien").to_string(), "'o''brien'");
         assert_eq!(Value::Float(2.0).to_string(), "2.0");
         assert_eq!(Value::Int(2).to_string(), "2");
+        // A float never prints as an integer literal, however large.
+        assert_eq!(Value::Float(1e15).to_string(), "1000000000000000.0");
+        assert_ne!(
+            Value::Float(1e18).to_string(),
+            Value::Int(10i64.pow(18)).to_string()
+        );
         assert_eq!(Value::bytes([0xde, 0xad].as_slice().to_vec()).to_string(), "x'dead'");
         assert_eq!(Value::Null.to_string(), "NULL");
     }

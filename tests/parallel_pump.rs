@@ -20,7 +20,8 @@ use evdb::analytics::detector::UpdatePolicy;
 use evdb::analytics::ThresholdModel;
 use evdb::core::server::ServerConfig;
 use evdb::core::{
-    spawn_pump_with, EventServer, HistoryConfig, Notification, PumpMode, VirtPolicy,
+    spawn_pump_with, CaptureMechanism, EventServer, HistoryConfig, Notification, PumpMode,
+    VirtPolicy,
 };
 use evdb::storage::{CompactionPolicy, SegmentStoreOptions};
 use evdb::types::{DataType, Record, Schema, SimClock, TimestampMs, Value};
@@ -498,5 +499,109 @@ fn history_compacts_under_both_pump_modes() {
         handle.stop();
         assert_eq!(server.replay("s0", 0, u64::MAX).unwrap().len(), 256);
         std::fs::remove_dir_all(&dir).unwrap();
+    }
+}
+
+fn row_schema() -> Arc<Schema> {
+    Schema::of(&[("id", DataType::Int), ("v", DataType::Float)])
+}
+
+/// Three pull-based captures — journal, query poll, journal — whose
+/// middle one will fail to poll once its table is dropped, plus a plain
+/// stream; every stream notifies on every event.
+fn server_with_a_failing_capture(clock: Arc<SimClock>) -> Arc<EventServer> {
+    let server = EventServer::in_memory(ServerConfig {
+        clock,
+        ..Default::default()
+    })
+    .unwrap();
+    for (table, mechanism) in [
+        ("a", CaptureMechanism::Journal),
+        ("b", CaptureMechanism::QueryPoll { interval_ms: 1 }),
+        ("c", CaptureMechanism::Journal),
+    ] {
+        server.db().create_table(table, row_schema(), "id").unwrap();
+        let stream = server.capture_table(table, mechanism).unwrap();
+        server
+            .add_alert_rule(&format!("all-{table}"), &stream, "TRUE", 1.0, Some("row_key"))
+            .unwrap();
+    }
+    server.create_stream("s", row_schema()).unwrap();
+    server.add_alert_rule("all-s", "s", "TRUE", 1.0, None).unwrap();
+    Arc::new(server)
+}
+
+fn insert_rows(server: &EventServer, table: &str, ids: std::ops::Range<i64>) {
+    for id in ids {
+        let row = Record::from_iter([Value::Int(id), Value::Float(id as f64)]);
+        server.db().insert(table, row).unwrap();
+    }
+}
+
+/// A capture whose poll fails costs the cycle nothing else. At the
+/// parent of ISSUE 16 `poll_captures` returned on the first failing
+/// poll: the events already drained from admission and from earlier
+/// captures (their journal positions advanced) were dropped, and the
+/// captures after it were not polled.
+#[test]
+fn failing_capture_poll_keeps_what_the_cycle_drained() {
+    let modes = [None, Some(PumpMode::Sequential), Some(PumpMode::Sharded { workers: 2 })];
+    for mode in modes {
+        let clock = SimClock::new(TimestampMs(0));
+        let server = server_with_a_failing_capture(clock.clone());
+        server.pump().unwrap(); // the query poll takes its (empty) baseline
+        insert_rows(&server, "a", 0..3);
+        insert_rows(&server, "c", 0..2);
+        for id in 0..4 {
+            let row = Record::from_iter([Value::Int(id), Value::Float(0.0)]);
+            server.ingest_async("s", TimestampMs(id), row).unwrap();
+        }
+        server.db().drop_table("b").unwrap();
+        clock.advance(10); // b's poll is due, and fails
+
+        let errors = || server.registry().counter("evdb_pump_errors_total").get();
+        // The merge stage delivers behind the workers: collect the log
+        // until `n` notifications are in.
+        let delivered = |n: usize| {
+            let (mut log, t0) = (Vec::new(), Instant::now());
+            loop {
+                log.extend(server.notifications().drain_delivered());
+                if log.len() >= n {
+                    return log;
+                }
+                assert!(t0.elapsed() < Duration::from_secs(30), "{} of {n} notified", log.len());
+                std::thread::sleep(Duration::from_millis(2));
+            }
+        };
+        let handle = match mode {
+            None => {
+                let err = server.pump().expect_err("the failed poll is reported");
+                assert!(err.to_string().contains("'b'"), "{err}");
+                None
+            }
+            Some(mode) => Some(spawn_pump_with(&server, Duration::from_millis(2), mode)),
+        };
+        let log = delivered(9);
+        let mut titles: Vec<&str> = log.iter().map(|n| n.title.as_str()).collect();
+        titles.sort_unstable();
+        titles.dedup();
+        assert_eq!(
+            (server.metrics().snapshot().events_processed, log.len(), titles.len()),
+            (9, 9, 3),
+            "{mode:?}: staged events and both journals' changes evaluated: {titles:?}"
+        );
+
+        // The table comes back: the next due poll recovers, no new error.
+        server.db().create_table("b", row_schema(), "id").unwrap();
+        insert_rows(&server, "b", 0..1);
+        clock.advance(10);
+        match handle {
+            None => assert_eq!(server.pump().unwrap().notified, 1),
+            Some(handle) => {
+                assert_eq!(delivered(1).len(), 1);
+                handle.stop();
+                assert_eq!(errors(), 1, "{mode:?}: one failed poll, one error");
+            }
+        }
     }
 }

@@ -200,9 +200,18 @@ fn server_outcome(events: &[Event], cut: &[usize]) -> ServerOutcome {
         server
             .add_alert_rule("lot", stream, "sym = 'S1' AND qty BETWEEN 3 AND 9", 2.0, None)
             .unwrap();
-        // Unindexed, and an overflow when `qty >= 10`.
+        // Posted under the key `qty * …`, which overflows when `qty >=
+        // 10`: the failed key admits the rule and verification reports it.
         server
             .add_alert_rule("big", stream, "qty * 1024819115206086200 > 0", 3.0, Some("sym"))
+            .unwrap();
+        // Two rules sharing the key `qty % 4`: as access path and, behind
+        // a field equality, as second constraint.
+        server
+            .add_alert_rule("mod0", stream, "qty % 4 = 0 AND px > 30", 1.5, Some("sym"))
+            .unwrap();
+        server
+            .add_alert_rule("mod1", stream, "sym = 'S2' AND qty % 4 = 1", 2.5, None)
             .unwrap();
     }
     server

@@ -4,7 +4,10 @@
 //! (`match_record`, `match_batch`) are equivalent to each other. The
 //! grammar covers every shape the index treats specially (D1): equality
 //! clusters with a second range/equality constraint, IN lists posted
-//! into several clusters, LIKE prefixes as string ranges, NULL fields.
+//! into several clusters, LIKE prefixes as string ranges, NULL fields,
+//! and expression keys (`qty % 5 = k`: a computed left side shared by
+//! many rules) as access path, as second constraint and over a nullable
+//! operand.
 
 use std::sync::Arc;
 
@@ -48,7 +51,15 @@ fn arb_rule_text() -> impl Strategy<Value = String> {
         (sym.clone(), qty.clone(), px.clone())
             .prop_map(|(s, q, p)| format!("sym = 'S{s}' AND qty >= {q} AND px <= {p:.2}")),
         // LIKE: a literal prefix is a string range, `_` first is not.
+        // With a computed left side beside it, that is the access path.
         (0i64..7).prop_map(|k| format!("sym LIKE 'S1%' AND qty % 7 = {k}")),
+        // Expression keys: access path, range, second constraint (the
+        // field wins at equal rank), function, nullable operand.
+        (0i64..5).prop_map(|k| format!("qty % 5 = {k}")),
+        (0i64..200, 0i64..40).prop_map(|(lo, w)| format!("qty * 2 BETWEEN {lo} AND {}", lo + w)),
+        (sym.clone(), 0i64..3).prop_map(|(s, k)| format!("sym = 'S{s}' AND qty % 3 = {k}")),
+        (1usize..4, px.clone()).prop_map(|(n, p)| format!("length(sym) = {n} AND px > {p:.2}")),
+        (0i64..400).prop_map(|v| format!("px * 2 = {v}")),
         (sym.clone(), px.clone()).prop_map(|(s, p)| format!("sym LIKE 'S{s}_' AND px > {p:.2}")),
         Just("sym LIKE '_1%'".to_string()),
         Just("sym LIKE 'S3'".to_string()),
@@ -99,9 +110,8 @@ fn assert_batch_equals_record(idx: &IndexedMatcher, events: &[Record]) {
     }
 }
 
+// No `proptest_config`: the default count, which `PROPTEST_CASES` sets.
 proptest! {
-    #![proptest_config(ProptestConfig::with_cases(128))]
-
     #[test]
     fn indexed_equals_scan(
         rule_texts in proptest::collection::vec(arb_rule_text(), 1..40),
