@@ -32,7 +32,21 @@
 //! so a wake-up cannot fall between the emptiness check and the wait,
 //! and a running pump (flag down) costs producers no `notify` at all.
 //!
+//! Offering has two halves, and a producer may take them apart:
+//! [`push`](AdmissionControl::push) stages without touching the
+//! consumer, [`wake`](AdmissionControl::wake) rouses it if it is parked;
+//! `admit` is the two under one lock acquisition. A producer that is
+//! about to evaluate what it staged itself
+//! ([`EventServer::run_staged`]) pushes quietly and wakes the pump only
+//! if it could not. Nothing is stranded by the split: the push comes
+//! before the decision not to wake, and `wait_for_work` re-reads the
+//! buffer under its lock before it parks. The one rule the quiet half
+//! adds is in `Block`: a producer about to wait for *space* wakes a
+//! parked consumer first, because the stager whose cycle would have made
+//! the space may be that very producer.
+//!
 //! [`ingest_async`]: crate::server::EventServer::ingest_async
+//! [`EventServer::run_staged`]: crate::server::EventServer::run_staged
 
 use std::collections::VecDeque;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
@@ -203,14 +217,36 @@ impl AdmissionControl {
     }
 
     /// Offer one item at `priority` (higher survives longer under
-    /// `ShedLowest`; ignored by the other policies). Returns `Ok` when
-    /// the item was admitted *or* shed-on-arrival (the shed is counted);
-    /// `Err(Overloaded)` only under `Reject`.
+    /// `ShedLowest`; ignored by the other policies) and wake the parked
+    /// consumer. Returns `Ok` when the item was admitted *or*
+    /// shed-on-arrival (the shed is counted); `Err(Overloaded)` only
+    /// under `Reject`.
     pub fn admit(&self, priority: i64, item: Staged) -> Result<()> {
+        let staged = self.push_locked(priority, item)?;
+        self.notify_if_parked(staged);
+        Ok(())
+    }
+
+    /// The first half of [`admit`](Self::admit): stage the item under
+    /// the overload policy and leave the consumer alone. The caller owes
+    /// the second half — it evaluates what is staged itself or calls
+    /// [`wake`](Self::wake).
+    pub fn push(&self, priority: i64, item: Staged) -> Result<()> {
+        self.push_locked(priority, item).map(drop)
+    }
+
+    fn push_locked(&self, priority: i64, item: Staged) -> Result<MutexGuard<'_, Buffer>> {
         let mut staged = self.lock();
         if staged.items.len() >= self.capacity {
             match self.policy {
                 OverloadPolicy::Block => {
+                    // Whoever staged the buffer full may have pushed
+                    // quietly and be this very thread: a parked consumer
+                    // has to be told before we wait on it for space.
+                    if staged.parked {
+                        staged.parked = false;
+                        self.work.notify_all();
+                    }
                     while staged.items.len() >= self.capacity {
                         staged = self.space.wait(staged).expect("admission lock");
                     }
@@ -238,7 +274,7 @@ impl AdmissionControl {
                     } else {
                         // Newcomer ranks no higher than everything
                         // staged: it is the one shed.
-                        return Ok(());
+                        return Ok(staged);
                     }
                 }
             }
@@ -246,8 +282,7 @@ impl AdmissionControl {
         staged.items.push_back((priority, item));
         self.peak_depth
             .fetch_max(staged.items.len() as u64, Ordering::Relaxed);
-        self.notify_if_parked(staged);
-        Ok(())
+        Ok(staged)
     }
 
     /// Wake the parked consumer, if there is one. The flag is lowered
@@ -299,7 +334,9 @@ impl AdmissionControl {
     }
 
     /// Wake a consumer parked in [`wait_for_work`](Self::wait_for_work)
-    /// without staging anything; raise its stop flag first.
+    /// without staging anything: the second half of
+    /// [`admit`](Self::admit) after a [`push`](Self::push), or a stop
+    /// (raise the stop flag first).
     pub fn wake(&self) {
         self.notify_if_parked(self.lock());
     }
@@ -443,5 +480,55 @@ mod tests {
         stop.store(true, Ordering::SeqCst);
         ac.wake();
         assert_eq!(parked.join().unwrap(), Wake::Stop);
+    }
+
+    #[test]
+    fn push_stages_without_the_wake_and_wake_is_the_other_half() {
+        let ac = Arc::new(AdmissionControl::new(4, OverloadPolicy::Block));
+        let stop = Arc::new(AtomicBool::new(false));
+        let parked = {
+            let (ac, stop) = (Arc::clone(&ac), Arc::clone(&stop));
+            std::thread::spawn(move || ac.wait_for_work(Duration::MAX, &stop))
+        };
+        await_parked(&ac);
+        ac.push(0, ev(1)).unwrap();
+        // Staged, and the consumer was left alone.
+        assert_eq!(ac.depth(), 1);
+        assert!(ac.lock().parked);
+        ac.wake();
+        assert_eq!(parked.join().unwrap(), Wake::Work);
+        assert_eq!(ac.drain().len(), 1);
+    }
+
+    #[test]
+    fn a_blocked_producer_wakes_the_parked_consumer_before_it_waits() {
+        // The tick is far away: only a wake gets the buffer drained.
+        const TICK: Duration = Duration::from_secs(30);
+        let ac = Arc::new(AdmissionControl::new(1, OverloadPolicy::Block));
+        let stop = Arc::new(AtomicBool::new(false));
+        let consumer = {
+            let (ac, stop) = (Arc::clone(&ac), Arc::clone(&stop));
+            std::thread::spawn(move || {
+                let mut drained = 0;
+                while ac.wait_for_work(TICK, &stop) != Wake::Stop {
+                    drained += ac.drain().len();
+                }
+                drained + ac.drain().len()
+            })
+        };
+        await_parked(&ac);
+        let t0 = Instant::now();
+        // A quiet stager fills the buffer, then offers again before it
+        // has run anything: nobody else will ever wake the consumer.
+        ac.push(0, ev(1)).unwrap();
+        ac.push(0, ev(2)).unwrap();
+        assert!(
+            t0.elapsed() < TICK / 2,
+            "waited for the tick: {:?}",
+            t0.elapsed()
+        );
+        stop.store(true, Ordering::SeqCst);
+        ac.wake();
+        assert_eq!(consumer.join().unwrap(), 2);
     }
 }

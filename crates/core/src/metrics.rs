@@ -80,6 +80,10 @@ pub(crate) struct PumpObs {
     /// Cycles completed by every pump this server has run
     /// (`evdb_pump_cycles_total`; one pump's share is on its handle).
     pub(crate) cycles: Arc<Counter>,
+    /// Of those, the ones a stager ran on its own thread instead of
+    /// waking the pump (`evdb_pump_inline_cycles_total`, see
+    /// `EventServer::run_staged`).
+    pub(crate) inline_cycles: Arc<Counter>,
     /// Cycles or evaluations that errored (`evdb_pump_errors_total`).
     pub(crate) errors: Arc<Counter>,
 }
@@ -93,6 +97,7 @@ impl PumpObs {
             }),
             maintenance: registry.counter("evdb_pump_maintenance_total"),
             cycles: registry.counter("evdb_pump_cycles_total"),
+            inline_cycles: registry.counter("evdb_pump_inline_cycles_total"),
             errors: registry.counter("evdb_pump_errors_total"),
         }
     }

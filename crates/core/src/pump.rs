@@ -16,6 +16,21 @@
 //! runs history maintenance. It bounds the staleness of those, not the
 //! latency of staged events.
 //!
+//! A **sequential** pump also lets stagers stand in for it. While one is
+//! attached, [`EventServer::stage`] pushes without the wake and
+//! [`EventServer::run_staged`] runs the cycle on the stager's own thread
+//! if the cycle gate is free — a connection's reader that would block
+//! right after staging evaluates its own events instead of waking this
+//! thread and waiting for it to be scheduled. The pump thread is then
+//! what is left over: the tick, trigger captures (which fire inside a
+//! writer's transaction, where no cycle may run), whatever a stager
+//! found the gate taken for, and embedders' `ingest_async`. Whoever runs
+//! it, one cycle is in flight at a time (the gate; D15), so
+//! [`EventServer::pump`] beside a background pump waits its turn rather
+//! than evaluating a second batch next to the first.
+//! `evdb_pump_wakeups_total{cause="work"}` counts the hand-offs actually
+//! taken, `evdb_pump_inline_cycles_total` the cycles stagers ran.
+//!
 //! [`spawn_pump_with`] selects the execution mode: the classic
 //! single-threaded loop ([`PumpMode::Sequential`]) or the sharded
 //! parallel pipeline ([`PumpMode::Sharded`], see [`crate::shard`]),
@@ -237,9 +252,14 @@ fn spawn_sequential(
     tally: &Arc<PumpTally>,
 ) -> std::thread::JoinHandle<()> {
     let (server, stop, tally) = (Arc::clone(server), Arc::clone(stop), Arc::clone(tally));
+    // Counted in before the thread exists, so a stager that sees the
+    // handle also sees the pump attached; counted out when the thread
+    // ends, however it ends.
+    let attached = server.attach_sequential_pump();
     std::thread::Builder::new()
         .name("evdb-pump".into())
         .spawn(move || {
+            let _attached = attached;
             let mut pacer = Pacer::new(interval);
             loop {
                 let turn = pacer.next(&server, &stop);

@@ -18,6 +18,7 @@
 
 use std::collections::HashMap;
 use std::path::Path;
+use std::sync::atomic::AtomicUsize;
 use std::sync::Arc;
 
 use evdb_analytics::detector::UpdatePolicy;
@@ -283,8 +284,28 @@ pub struct EventServer {
     /// `ingest`, the sequential pump thread); see
     /// [`with_scratch`](Self::with_scratch).
     scratch: Mutex<EvalScratch>,
+    /// The cycle gate: one cycle — drain, evaluate, deliver — is in
+    /// flight at a time, whichever thread runs it (D15). Held by
+    /// [`cycle`](Self::cycle) for its whole run, tried by
+    /// [`run_staged`](Self::run_staged).
+    cycle_gate: Mutex<()>,
+    /// Sequential background pumps currently attached (see
+    /// [`crate::pump`]): while there is one, a stager may stand in for it.
+    sequential_pumps: AtomicUsize,
+    /// Called after each batch's subscriber callbacks, on the thread
+    /// that ran them ([`on_batch_end`](Self::on_batch_end)).
+    batch_end_hooks: RwLock<Vec<BatchEndHook>>,
     ids: IdGenerator,
 }
+
+/// An end-of-batch callback ([`EventServer::on_batch_end`]).
+pub type BatchEndHook = Arc<dyn Fn() + Send + Sync>;
+
+/// Cycles a stager runs back to back in [`EventServer::run_staged`]
+/// before it hands what is still staged to the pump thread: enough to
+/// sweep up what raced in behind its own events, few enough that one
+/// connection is never captured by everybody else's traffic.
+const STAGER_PASSES: usize = 4;
 
 impl EventServer {
     /// Ephemeral server (in-memory journal).
@@ -364,6 +385,9 @@ impl EventServer {
             partition_fields: RwLock::new(HashMap::new()),
             history,
             scratch: Mutex::new(EvalScratch::default()),
+            cycle_gate: Mutex::new(()),
+            sequential_pumps: AtomicUsize::new(0),
+            batch_end_hooks: RwLock::new(Vec::new()),
             ids: IdGenerator::default(),
             db,
         })
@@ -709,6 +733,83 @@ impl EventServer {
         timestamp: TimestampMs,
         payload: Record,
     ) -> Result<()> {
+        let (pri, item) = self.external(stream, timestamp, payload)?;
+        self.admission.admit(pri, item)
+    }
+
+    /// [`ingest_async`](Self::ingest_async) for a caller that would
+    /// otherwise block right after staging (a connection's reader): the
+    /// first half of the stage-then-run pair. While a sequential
+    /// background pump is attached the event is pushed *without* waking
+    /// it, and the caller owes a [`run_staged`](Self::run_staged) once it
+    /// has staged all it has in hand. With no pump attached, or a sharded
+    /// one, this is `ingest_async` exactly.
+    pub fn stage(&self, stream: &str, timestamp: TimestampMs, payload: Record) -> Result<()> {
+        let (pri, item) = self.external(stream, timestamp, payload)?;
+        if self.stager_stands_in() {
+            self.admission.push(pri, item)
+        } else {
+            self.admission.admit(pri, item)
+        }
+    }
+
+    /// The second half of the pair: evaluate what is staged on the
+    /// calling thread if no cycle is in flight, instead of waking the
+    /// pump thread and waiting for it to be scheduled. The gate holder
+    /// runs work cycles until the buffer is empty, at most
+    /// [`STAGER_PASSES`] of them, then leaves the rest to the pump; a
+    /// caller that finds the gate taken wakes the pump and returns — the
+    /// cycle in flight, or the pump after it, takes the events on. Either
+    /// way no event waits for the tick: the push came before the `try`,
+    /// and the pump re-reads the buffer under its lock before it parks.
+    ///
+    /// Does nothing unless a sequential background pump is attached
+    /// (without one [`stage`](Self::stage) was a plain `ingest_async`),
+    /// so a server that is only pumped by hand evaluates nothing here.
+    /// Must not be called from inside a trigger: the cycle would run
+    /// inside the writer's transaction. (From a subscriber it is
+    /// harmless — the gate is taken, by the caller's own cycle.)
+    pub fn run_staged(&self) {
+        if !self.stager_stands_in() {
+            return;
+        }
+        let Some(gate) = self.cycle_gate.try_lock() else {
+            self.admission.wake();
+            return;
+        };
+        for _ in 0..STAGER_PASSES {
+            if self.admission.depth() == 0 {
+                return;
+            }
+            let (_, errors, _) = self.cycle_gated(false);
+            self.pump_obs.inline_cycles.inc();
+            self.pump_obs.cycles.inc();
+            self.pump_obs.errors.add(errors);
+        }
+        drop(gate);
+        if self.admission.depth() > 0 {
+            self.admission.wake();
+        }
+    }
+
+    fn stager_stands_in(&self) -> bool {
+        self.sequential_pumps.load(std::sync::atomic::Ordering::SeqCst) > 0
+    }
+
+    /// Count a sequential background pump in; the returned guard counts
+    /// it out again when the pump thread drops it.
+    pub(crate) fn attach_sequential_pump(self: &Arc<Self>) -> SequentialPumpGuard {
+        self.sequential_pumps
+            .fetch_add(1, std::sync::atomic::Ordering::SeqCst);
+        SequentialPumpGuard(Arc::clone(self))
+    }
+
+    fn external(
+        &self,
+        stream: &str,
+        timestamp: TimestampMs,
+        payload: Record,
+    ) -> Result<(i64, Staged)> {
         let event = self.make_event(stream, timestamp, payload)?;
         let pri = self
             .ingest_priorities
@@ -716,7 +817,7 @@ impl EventServer {
             .get(stream)
             .copied()
             .unwrap_or(0);
-        self.admission.admit(pri, Staged::External(event))
+        Ok((pri, Staged::External(event)))
     }
 
     fn make_event(&self, stream: &str, timestamp: TimestampMs, payload: Record) -> Result<Event> {
@@ -915,6 +1016,24 @@ impl EventServer {
             name,
             Arc::new(move |event: &Event| subscriber(&event.payload, event.is_retraction())),
         )
+    }
+
+    /// Register an end-of-batch callback: it runs after each batch's
+    /// subscriber callbacks — query subscribers in
+    /// [`evaluate_events`](Self::evaluate_events), notification handlers
+    /// in [`deliver_batch`](Self::deliver_batch) — on the thread that ran
+    /// them. A subscriber that only buffers per row (the server's hub)
+    /// does its per-batch work here: one socket write per batch, not per
+    /// row.
+    pub fn on_batch_end(&self, hook: BatchEndHook) {
+        self.batch_end_hooks.write().push(hook);
+    }
+
+    /// Give subscribers the end-of-batch signal.
+    pub(crate) fn end_batch(&self) {
+        for hook in self.batch_end_hooks.read().iter() {
+            hook();
+        }
     }
 
     // ---- alert rules -------------------------------------------------------------
@@ -1132,13 +1251,20 @@ impl EventServer {
     /// runs produce identical results. Returns the first error met — but
     /// only after every other drained event has been evaluated and its
     /// notifications delivered, as the background pumps do.
+    ///
+    /// Waits for a cycle in flight on another thread (one at a time,
+    /// D15) — so not to be called from a subscriber or notification
+    /// handler, which runs inside one.
     pub fn pump(&self) -> Result<PumpStats> {
         let (stats, _, first_error) = self.cycle(true);
         first_error.map_or(Ok(stats), Err)
     }
 
     /// One cycle on the calling thread — what [`pump`](Self::pump) and
-    /// the sequential pump thread run. A work wake evaluates what
+    /// the sequential pump thread run — under the cycle gate: a second
+    /// caller waits for the first to finish, so two batches are never
+    /// evaluated side by side and per-key arrival order (D15) holds
+    /// whoever pumps. A work wake evaluates what
     /// producers have staged (trigger captures,
     /// [`ingest_async`](Self::ingest_async)) and nothing else, so its
     /// cost is proportional to the events staged: no `captures` lock, no
@@ -1147,6 +1273,12 @@ impl EventServer {
     /// after. Returns the stats, how many errors the cycle met and the
     /// first of them.
     pub(crate) fn cycle(&self, maintenance: bool) -> (PumpStats, u64, Option<Error>) {
+        let _gate = self.cycle_gate.lock();
+        self.cycle_gated(maintenance)
+    }
+
+    /// The cycle itself; the caller holds the gate.
+    fn cycle_gated(&self, maintenance: bool) -> (PumpStats, u64, Option<Error>) {
         let Drained { events, poll_error } = if maintenance {
             self.drain_captured()
         } else {
@@ -1211,6 +1343,7 @@ impl EventServer {
         self.stage_obs.flush(&mut batch);
         stats.derived = derived;
         stats.notified = self.deliver_batch(notes);
+        self.end_batch();
         (stats, errors, first_error)
     }
 
@@ -1688,6 +1821,18 @@ impl EventServer {
     /// Flush trailing windows on a stream (end of input).
     pub fn flush_stream(&self, stream: &str, watermark: TimestampMs) -> Result<Vec<Event>> {
         self.runtime.flush(stream, watermark)
+    }
+}
+
+/// Held by a sequential pump thread for as long as it runs; see
+/// [`EventServer::attach_sequential_pump`].
+pub(crate) struct SequentialPumpGuard(Arc<EventServer>);
+
+impl Drop for SequentialPumpGuard {
+    fn drop(&mut self) {
+        self.0
+            .sequential_pumps
+            .fetch_sub(1, std::sync::atomic::Ordering::SeqCst);
     }
 }
 

@@ -255,6 +255,7 @@ fn worker_loop(
         let (_derived, errs) =
             server.evaluate_events(&mut batch, stamp_now, &mut stage_batch, &mut scratch, &mut pending);
         tally.errors(errs);
+        server.end_batch();
         server.stage_obs().flush(&mut stage_batch);
         metrics
             .queue_depth
@@ -281,6 +282,7 @@ fn merge_loop(server: &Arc<EventServer>, staged: &channel::Receiver<ShardBatch>)
         // Stable: a shard's batches keep their send order.
         round.sort_by_key(|(shard, _)| *shard);
         server.deliver_batch(round.into_iter().flat_map(|(_, notes)| notes).collect());
+        server.end_batch();
     }
 }
 

@@ -90,11 +90,9 @@ pub(crate) fn spawn_listener(
 ) -> std::io::Result<(SocketAddr, std::thread::JoinHandle<()>)> {
     let listener = TcpListener::bind(addr)?;
     let local = listener.local_addr()?;
-    listener.set_nonblocking(true)?;
     let handle = std::thread::Builder::new()
         .name("evdb-http-accept".into())
-        .spawn(move || accept_loop(listener, frontend))
-        .expect("spawn http accept thread");
+        .spawn(move || accept_loop(listener, frontend))?;
     Ok((local, handle))
 }
 
@@ -115,10 +113,15 @@ fn reject_over_cap(stream: TcpStream, max: usize) {
     let _ = s.shutdown(std::net::Shutdown::Both);
 }
 
+/// Blocks in `accept`; `NetServer::shutdown` raises `stop` and then
+/// connects once to unblock it.
 fn accept_loop(listener: TcpListener, frontend: HttpFrontend) {
     while !frontend.stop.load(Ordering::SeqCst) {
         match listener.accept() {
             Ok((stream, _peer)) => {
+                if frontend.stop.load(Ordering::SeqCst) {
+                    break;
+                }
                 if !frontend.hub.try_admit_connection(frontend.max_connections) {
                     frontend.metrics.conns_rejected.inc();
                     reject_over_cap(stream, frontend.max_connections);
@@ -148,9 +151,8 @@ fn accept_loop(listener: TcpListener, frontend: HttpFrontend) {
                     frontend.hub.release_connection();
                 }
             }
-            Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => {
-                std::thread::sleep(Duration::from_millis(5));
-            }
+            // Out of descriptors, or the peer reset before we got to it:
+            // pause so a persistent failure cannot spin the thread.
             Err(_) => std::thread::sleep(Duration::from_millis(5)),
         }
     }
@@ -516,6 +518,8 @@ fn handle_request(
         }
         ("POST", ["ingest", stream_name]) => {
             let (staged, err) = ingest_body(engine, stream_name, &req.body);
+            // Stage-then-run, like a TCP reader at the end of a read.
+            engine.run_staged();
             match err {
                 None => respond(
                     stream,
@@ -596,7 +600,7 @@ fn ingest_body(engine: &EventServer, stream: &str, body: &[u8]) -> (u64, Option<
             Ok(r) => r,
             Err(e) => return (staged, Some(e)),
         };
-        if let Err(e) = engine.ingest_async(stream, TimestampMs(ts), record) {
+        if let Err(e) = engine.stage(stream, TimestampMs(ts), record) {
             return (staged, Some(e));
         }
         staged += 1;

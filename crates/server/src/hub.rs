@@ -2,17 +2,26 @@
 //! out to every connected session, plus a compacted materialized view
 //! served by `GET <query>` / `GET /query/:name`.
 //!
-//! Delivery never blocks the notify path: each session owns a bounded
-//! outbound channel and the hub `try_send`s into it. A session that
-//! disconnected is pruned on the next delivery; a session that is alive
-//! but too slow to drain its buffer has updates shed — counted in
-//! `evdb_server_updates_dropped_total`, never silent (D9) — so one
-//! stalled subscriber cannot wedge the pump for everyone else.
+//! Delivery never blocks the notify path. A subscriber is one of two
+//! sinks: a TCP session's [`Outbox`] (the frame, encoded once per
+//! update, is appended to each subscriber's byte buffer) or a bounded
+//! channel (`subscribe`: SSE connections and embedders; one
+//! [`Outbound`] message per update, `try_send`). Neither waits. A
+//! session that disconnected is pruned on the next delivery; a session
+//! that is alive but too slow to drain its buffer has updates shed —
+//! counted in `evdb_server_updates_dropped_total`, never silent (D9) —
+//! so one stalled subscriber cannot wedge the pump for everyone else.
+//!
+//! The per-row callback only buffers. Outboxes that took a frame are
+//! remembered, and the engine's end-of-batch signal
+//! ([`Hub::flush_outboxes`], registered by `NetServer::start`) flushes
+//! each once on the thread that ran the cycle: one non-blocking `send`
+//! per subscriber per batch, however many rows the batch produced.
 //!
 //! Ordering: the engine invokes the per-query callback sequentially
-//! (delivery happens on the pumping thread), and the hub pushes to
-//! every session inside that callback, so all subscribers observe the
-//! same per-query update sequence in the same order.
+//! (one cycle at a time, D15), and the hub pushes to every session
+//! inside that callback, so all subscribers observe the same per-query
+//! update sequence in the same order.
 
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -24,6 +33,8 @@ use evdb_obs::{Counter, Registry};
 use evdb_types::{Record, Result};
 use parking_lot::Mutex;
 
+use crate::frame::encode_frame;
+use crate::outbox::{Outbox, Push};
 use crate::protocol::render_row;
 
 /// A message bound for one session's transport writer.
@@ -54,9 +65,17 @@ pub(crate) fn burst(first: Outbound, rx: &OutboundReceiver) -> impl Iterator<Ite
     std::iter::once(first).chain(rx.try_iter().take(BURST_MAX - 1))
 }
 
+/// Where a subscriber's updates go.
+enum Sink {
+    /// A bench- or SSE-owned channel: one message per update.
+    Channel(OutboundSender),
+    /// A TCP session's outbox: buffered here, flushed at end of batch.
+    Outbox(Arc<Outbox>),
+}
+
 struct SubEntry {
     session: u64,
-    sender: OutboundSender,
+    sink: Sink,
 }
 
 #[derive(Default)]
@@ -93,6 +112,12 @@ pub struct ServerMetrics {
     /// Connections closed by the server because the idle deadline
     /// passed with no traffic in either direction.
     pub conns_reaped: Arc<Counter>,
+    /// Outbox flushes the socket took whole, on the thread that filled
+    /// the outbox (no writer-thread wake-up).
+    pub direct_flushes: Arc<Counter>,
+    /// Outbox flushes that left a tail to the connection's writer
+    /// thread (socket full, or no non-blocking send on this platform).
+    pub writer_handoffs: Arc<Counter>,
 }
 
 impl ServerMetrics {
@@ -119,6 +144,8 @@ impl ServerMetrics {
             updates_dropped: registry.counter("evdb_server_updates_dropped_total"),
             conns_rejected: registry.counter("evdb_server_conns_rejected_total"),
             conns_reaped: registry.counter("evdb_server_conns_reaped_total"),
+            direct_flushes: registry.counter("evdb_server_direct_flushes_total"),
+            writer_handoffs: registry.counter("evdb_server_writer_handoffs_total"),
         }
     }
 }
@@ -129,6 +156,9 @@ pub struct Hub {
     /// Live transport connections (bridged as a gauge).
     pub active_connections: AtomicU64,
     metrics: Mutex<Option<Arc<ServerMetrics>>>,
+    /// Outboxes holding pushes no flush has covered yet (each once, see
+    /// [`Push::Queued`]); emptied by [`flush_outboxes`](Hub::flush_outboxes).
+    unflushed: Mutex<Vec<Arc<Outbox>>>,
 }
 
 impl Hub {
@@ -138,6 +168,7 @@ impl Hub {
             queries: Mutex::new(HashMap::new()),
             active_connections: AtomicU64::new(0),
             metrics: Mutex::new(None),
+            unflushed: Mutex::new(Vec::new()),
         })
     }
 
@@ -203,10 +234,31 @@ impl Hub {
     /// Add a session's sender to `query`'s fan-out list.
     /// [`ensure_query`](Hub::ensure_query) must have succeeded first.
     pub fn subscribe(&self, query: &str, session: u64, sender: OutboundSender) {
+        self.add_sub(query, session, Sink::Channel(sender));
+    }
+
+    /// [`subscribe`](Hub::subscribe) for a TCP session: updates are
+    /// appended to its outbox and flushed at the end of each batch.
+    pub(crate) fn subscribe_outbox(&self, query: &str, session: u64, outbox: Arc<Outbox>) {
+        self.add_sub(query, session, Sink::Outbox(outbox));
+    }
+
+    fn add_sub(&self, query: &str, session: u64, sink: Sink) {
         let mut queries = self.queries.lock();
         let state = queries.entry(query.to_string()).or_default();
         if state.subs.iter().all(|s| s.session != session) {
-            state.subs.push(SubEntry { session, sender });
+            state.subs.push(SubEntry { session, sink });
+        }
+    }
+
+    /// The end-of-batch half of delivery: flush every outbox the batch's
+    /// updates were buffered into, on the calling thread — the one that
+    /// ran the cycle. Each flush is one non-blocking send; a subscriber
+    /// whose socket is full is left to its writer thread.
+    pub fn flush_outboxes(&self) {
+        let unflushed = std::mem::take(&mut *self.unflushed.lock());
+        for outbox in unflushed {
+            outbox.flush();
         }
     }
 
@@ -257,10 +309,12 @@ impl Hub {
         }
         let sign = if is_retraction { '-' } else { '+' };
         let frame = format!("UPDATE {query} {sign} {}", render_row(row));
+        // Encoded on the first outbox subscriber, appended to the rest.
+        let mut encoded = Vec::new();
         let mut delivered = 0u64;
         let mut dropped = 0u64;
-        state.subs.retain(|sub| {
-            match sub.sender.try_send(Outbound::Frame(frame.clone())) {
+        state.subs.retain(|sub| match &sub.sink {
+            Sink::Channel(sender) => match sender.try_send(Outbound::Frame(frame.clone())) {
                 Ok(()) => {
                     delivered += 1;
                     true
@@ -275,6 +329,25 @@ impl Hub {
                 // here is what keeps a dropped subscriber from wedging
                 // or slowing the notify path.
                 Err(TrySendError::Disconnected(_)) => false,
+            },
+            Sink::Outbox(outbox) => {
+                if encoded.is_empty() {
+                    encode_frame(frame.as_bytes(), &mut encoded);
+                }
+                match outbox.push(&encoded) {
+                    Push::Queued { first } => {
+                        delivered += 1;
+                        if first {
+                            self.unflushed.lock().push(Arc::clone(outbox));
+                        }
+                        true
+                    }
+                    Push::Shed => {
+                        dropped += 1;
+                        true
+                    }
+                    Push::Gone => false,
+                }
             }
         });
         drop(queries);
@@ -359,6 +432,58 @@ mod tests {
         // Buffer of 1: first update queued, the rest shed.
         assert_eq!(rx.try_iter().count(), 1);
         assert_eq!(hub.active_subscriptions(), 1);
+    }
+
+    #[test]
+    fn outbox_subscriber_is_flushed_at_end_of_batch_and_pruned_once_dead() {
+        use std::io::Read;
+        let engine = engine_with_query();
+        let hub = Hub::new();
+        let metrics = Arc::new(ServerMetrics::bind(engine.registry(), &hub));
+        hub.set_metrics(Arc::clone(&metrics));
+        hub.ensure_query(&engine, "q").unwrap();
+        let flusher = Arc::clone(&hub);
+        engine.on_batch_end(Arc::new(move || flusher.flush_outboxes()));
+
+        let listener = std::net::TcpListener::bind("127.0.0.1:0").unwrap();
+        let mut peer = std::net::TcpStream::connect(listener.local_addr().unwrap()).unwrap();
+        let (ours, _) = listener.accept().unwrap();
+        let activity = crate::tcp::Activity::new();
+        let outbox = Outbox::new(ours, 16, Arc::clone(&metrics), activity);
+        hub.subscribe_outbox("q", 1, outbox);
+        let ingest = |i: i64| {
+            engine
+                .ingest(
+                    "s",
+                    TimestampMs(i),
+                    evdb_types::Record::from_iter([Value::Int(i)]),
+                )
+                .unwrap();
+        };
+
+        // No writer thread runs here: only the end-of-batch flush, on
+        // the ingesting thread, can have put the frame on the socket.
+        ingest(0);
+        let mut frame = [0u8; 13];
+        peer.set_read_timeout(Some(std::time::Duration::from_secs(5)))
+            .unwrap();
+        peer.read_exact(&mut frame).unwrap();
+        assert_eq!(&frame, b"UPDATE q + 1\n");
+        assert_eq!(metrics.direct_flushes.get(), 1);
+        assert_eq!(metrics.updates_delivered.get(), 1);
+
+        // The peer goes away without a teardown: a flush fails, the next
+        // push finds the outbox gone and the subscription is pruned.
+        drop(peer);
+        for i in 1.. {
+            if hub.active_subscriptions() == 0 {
+                break;
+            }
+            assert!(i < 5_000, "a dead outbox was never pruned");
+            ingest(i);
+            std::thread::sleep(std::time::Duration::from_millis(1));
+        }
+        assert_eq!(metrics.updates_dropped.get(), 0);
     }
 
     #[test]

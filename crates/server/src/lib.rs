@@ -17,13 +17,21 @@
 //!
 //! The overload contract (DESIGN.md D13): admission control's policy
 //! becomes client-visible behavior. `Block` parks the connection's
-//! reader inside `ingest_async`, so TCP flow control stalls the
+//! reader inside `EventServer::stage`, so TCP flow control stalls the
 //! producer's socket; `Reject` surfaces as `ERR overloaded` / HTTP 503
 //! with the write rolled back; `ShedLowest` accepts the write and the
 //! shed shows up in `STATS` and the `evdb_ingest_shed_total` counter.
 //! Nothing is silently dropped at the network layer either: fan-out
 //! sheds to slow subscribers are counted in
 //! `evdb_server_updates_dropped_total`.
+//!
+//! Threading (DESIGN.md D13): a TCP connection's reader thread stages
+//! the events of one `read()`, runs the evaluation cycle for them itself
+//! when no other cycle is in flight, and writes the results — the
+//! subscribers' `UPDATE`s, then its own replies — with one non-blocking
+//! send per socket ([`tcp`], `outbox`). The background pump and the
+//! per-connection writer threads are for ticks, trigger captures,
+//! contention and slow peers.
 //!
 //! The connection lifecycle is resource-bounded (DESIGN.md D13): HTTP
 //! is persistent (HTTP/1.1 keep-alive with a per-connection request
@@ -50,11 +58,12 @@
 pub mod frame;
 pub mod hub;
 pub mod http;
+mod outbox;
 pub mod protocol;
 pub mod session;
 pub mod tcp;
 
-use std::net::SocketAddr;
+use std::net::{SocketAddr, TcpStream};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
 use std::thread::JoinHandle;
@@ -79,10 +88,11 @@ pub struct NetConfig {
     /// Spawn a background pump with this maintenance tick; `None`
     /// means the server only pumps on explicit `PUMP` / `POST /pump`
     /// requests (the deterministic mode the golden-transcript tests
-    /// rely on). The pump is woken by staged work (`INGEST`, trigger
-    /// captures), so this is not a latency floor: it is the longest a
-    /// journal-mined or query-poll capture, a lapsed queue visibility
-    /// timeout or history compaction waits for the pump.
+    /// rely on). With a pump attached, connections evaluate what they
+    /// stage themselves and the pump is woken for the rest (trigger
+    /// captures, contention), so this is not a latency floor: it is the
+    /// longest a journal-mined or query-poll capture, a lapsed queue
+    /// visibility timeout or history compaction waits for the pump.
     pub pump_interval: Option<Duration>,
     /// Hard cap on concurrently open connections, shared across both
     /// frontends. An over-cap TCP connect is answered with a typed
@@ -127,7 +137,8 @@ pub struct NetServer {
     stop: Arc<AtomicBool>,
     tcp_addr: SocketAddr,
     http_addr: Option<SocketAddr>,
-    accept_threads: Vec<JoinHandle<()>>,
+    /// Each accept loop with the address that reaches its listener.
+    accept_threads: Vec<(SocketAddr, JoinHandle<()>)>,
     _pump: Option<PumpHandle>,
 }
 
@@ -137,6 +148,10 @@ impl NetServer {
         let hub = Hub::new();
         let metrics = Arc::new(ServerMetrics::bind(engine.registry(), &hub));
         hub.set_metrics(Arc::clone(&metrics));
+        // Query updates are only buffered per row; the thread that ran
+        // the batch sends them when the engine says the batch is over.
+        let flusher = Arc::clone(&hub);
+        engine.on_batch_end(Arc::new(move || flusher.flush_outboxes()));
         let stop = Arc::new(AtomicBool::new(false));
         let session_ids = Arc::new(AtomicU64::new(1));
 
@@ -154,7 +169,7 @@ impl NetServer {
             },
             &config.tcp_addr,
         )?;
-        accept_threads.push(tcp_thread);
+        accept_threads.push((tcp_addr, tcp_thread));
 
         let mut http_addr = None;
         if let Some(addr) = &config.http_addr {
@@ -173,7 +188,7 @@ impl NetServer {
                 addr,
             )?;
             http_addr = Some(bound);
-            accept_threads.push(http_thread);
+            accept_threads.push((bound, http_thread));
         }
 
         let pump = config
@@ -221,11 +236,29 @@ impl NetServer {
     /// Idempotent; also invoked by `Drop`.
     pub fn shutdown(&mut self) {
         self.stop.store(true, Ordering::SeqCst);
-        for handle in self.accept_threads.drain(..) {
-            let _ = handle.join();
+        for (addr, handle) in self.accept_threads.drain(..) {
+            // The loop blocks in `accept`: one connect of our own makes
+            // it return and see the flag. If even that cannot be had the
+            // thread is left detached rather than joined forever; it
+            // exits on the next connect from anyone.
+            if TcpStream::connect_timeout(&reachable(addr), Duration::from_secs(1)).is_ok() {
+                let _ = handle.join();
+            }
         }
         self._pump = None; // drop stops the pump thread
     }
+}
+
+/// The address a local connect uses for a listener bound to `addr`: a
+/// wildcard bind is reached over loopback.
+fn reachable(mut addr: SocketAddr) -> SocketAddr {
+    if addr.ip().is_unspecified() {
+        addr.set_ip(match addr {
+            SocketAddr::V4(_) => std::net::Ipv4Addr::LOCALHOST.into(),
+            SocketAddr::V6(_) => std::net::Ipv6Addr::LOCALHOST.into(),
+        });
+    }
+    addr
 }
 
 impl Drop for NetServer {

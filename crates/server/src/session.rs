@@ -1,21 +1,31 @@
 //! Sessioned request dispatch, shared by the TCP frontend (every
 //! command) and the HTTP frontend (the ingest/query/pump subset).
 //!
-//! A session is one transport connection: a unique id, an outbound
-//! channel its writer drains, and whatever subscriptions it has
+//! A session is one transport connection: a unique id, the
+//! connection's [`Outbox`], and whatever subscriptions it has
 //! registered with the [`Hub`]. Dispatch itself is synchronous — the
-//! admission gate inside [`EventServer::ingest_async`] is what turns a
+//! admission gate inside [`EventServer::stage`] is what turns a
 //! full staged buffer into either a stalled reader (Block → socket
 //! backpressure), an `ERR overloaded` reply (Reject), or a counted
 //! shed (ShedLowest), making the overload policy a client-visible
 //! contract (DESIGN.md D13).
+//!
+//! Dispatch only *appends* replies to the outbox and only *stages*
+//! events. The connection's reader calls [`Session::end_of_read`] once
+//! it has dispatched every frame of one `read()`: that runs the cycle
+//! over what was staged (on this thread, if a background pump is
+//! attached and no cycle is in flight — `EventServer::run_staged`),
+//! then flushes the replies. Subscribers hear before the producer is
+//! acknowledged, and a pipelined burst costs one cycle and one `send`.
 
+use std::cell::Cell;
 use std::sync::Arc;
 
 use evdb_core::server::CaptureMechanism;
 use evdb_core::EventServer;
 
-use crate::hub::{Hub, Outbound, OutboundSender, ServerMetrics};
+use crate::hub::{Hub, ServerMetrics};
+use crate::outbox::Outbox;
 use crate::protocol::{
     parse_record, parse_request, render_err, render_proto_err, render_row, Request,
 };
@@ -30,15 +40,28 @@ pub struct Session {
     pub hub: Arc<Hub>,
     /// Server-layer counters.
     pub metrics: Arc<ServerMetrics>,
-    /// This session's outbound channel (writer drains it).
-    pub out: OutboundSender,
+    /// This connection's outbound buffer.
+    pub(crate) out: Arc<Outbox>,
+    /// An `INGEST` staged an event since the last
+    /// [`end_of_read`](Session::end_of_read).
+    pub(crate) staged: Cell<bool>,
 }
 
 impl Session {
-    /// Queue one reply frame (drops silently if the writer is gone —
-    /// the reader loop notices the dead socket on its own).
+    /// Queue one reply frame (drops silently if the peer is gone — the
+    /// reader loop notices the dead socket on its own). On the wire at
+    /// the next [`end_of_read`](Session::end_of_read).
     pub fn reply(&self, frame: String) {
-        let _ = self.out.send(Outbound::Frame(frame));
+        self.out.reply(&frame);
+    }
+
+    /// The reader has dispatched every frame of one `read()`: evaluate
+    /// what they staged, then send what they were answered.
+    pub fn end_of_read(&self) {
+        if self.staged.replace(false) {
+            self.engine.run_staged();
+        }
+        self.out.flush();
     }
 
     fn reply_err(&self, frame: String) {
@@ -64,7 +87,7 @@ impl Session {
             Request::Ping => self.reply("PONG".into()),
             Request::Quit => {
                 self.reply("BYE".into());
-                let _ = self.out.send(Outbound::Close);
+                self.out.close();
                 return false;
             }
             Request::CreateStream { name, schema } => {
@@ -113,7 +136,8 @@ impl Session {
             Request::Subscribe { query } => {
                 match self.hub.ensure_query(&self.engine, &query) {
                     Ok(()) => {
-                        self.hub.subscribe(&query, self.id, self.out.clone());
+                        self.hub
+                            .subscribe_outbox(&query, self.id, Arc::clone(&self.out));
                         self.reply(format!("OK subscribed {query}"));
                     }
                     Err(e) => self.reply_err(render_err(&e)),
@@ -159,7 +183,8 @@ impl Session {
         true
     }
 
-    /// Stage one event through admission control. Under `Block` this
+    /// Stage one event through admission control, quietly: the cycle
+    /// runs at [`end_of_read`](Session::end_of_read). Under `Block` this
     /// call parks until the pump drains — the reader stops consuming
     /// and TCP flow control propagates the stall to the producer.
     fn stage(
@@ -170,12 +195,16 @@ impl Session {
     ) -> evdb_types::Result<()> {
         let schema = self.engine.runtime().stream_schema(stream)?;
         let record = parse_record(&schema, values)?;
-        self.engine.ingest_async(stream, ts, record)
+        self.engine.stage(stream, ts, record)?;
+        self.staged.set(true);
+        Ok(())
     }
 
     /// Insert through the storage engine; a trigger capture's admission
     /// check runs inside this write, so `Reject` rolls the row back
-    /// before the error reaches the client.
+    /// before the error reaches the client. The trigger wakes the pump
+    /// itself (`admit`): no cycle may run inside the writer's
+    /// transaction, so this stages nothing for `end_of_read`.
     fn insert(&self, table: &str, values: &str) -> evdb_types::Result<()> {
         let table_ref = self.engine.db().table(table)?;
         let record = parse_record(table_ref.schema(), values)?;

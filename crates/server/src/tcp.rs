@@ -1,13 +1,28 @@
 //! The TCP line-protocol frontend: framed requests in, framed replies
 //! and subscription pushes out.
 //!
-//! One reader thread per connection parses frames off the socket and
-//! dispatches them through [`Session`]; one writer thread per
-//! connection drains the session's outbound channel. Splitting the
-//! halves means a subscription push never interleaves bytes with a
-//! reply (both funnel through the single writer) and a `Block`ed
-//! admission call — which parks the *reader* — leaves already-queued
-//! replies flowing while TCP flow control stalls the producer.
+//! **Threading model** (DESIGN.md D13). Each connection has a reader
+//! thread and a writer thread, and on the served path only the reader
+//! runs. It parses frames off the socket and dispatches them through
+//! [`Session`], which appends replies to the connection's [`Outbox`] and
+//! stages `INGEST`ed events quietly; after the last frame of one
+//! `read()` it runs the cycle those events need itself
+//! (`EventServer::run_staged` — when a background pump is attached and
+//! no cycle is in flight) and then sends its replies with one
+//! non-blocking `send`. The cycle's `UPDATE`s were appended to the
+//! subscribers' outboxes and sent the same way, by the same thread, at
+//! the engine's end-of-batch signal. So a paced request costs no thread
+//! hand-off at all. The other threads are for what that path cannot do:
+//! the pump thread for ticks, trigger captures and cycles that found the
+//! gate taken; a connection's writer thread for the tail of a send the
+//! socket did not take whole (a slow or stalled peer), and for the last
+//! frames of a closing session.
+//!
+//! Whoever writes, a subscription push never interleaves bytes with a
+//! reply (one buffer, one writer at a time — see [`crate::outbox`]), and
+//! a `Block`ed admission call — which parks the *reader* — leaves
+//! already-handed-off frames flowing while TCP flow control stalls the
+//! producer.
 //!
 //! Connections are resource-bounded (DESIGN.md D13): the accept loop
 //! refuses connects past `max_connections` with a typed
@@ -19,17 +34,18 @@
 //! reaped; a silently-dead peer stops acking, its pushes stop
 //! completing, and the deadline catches it.
 
+use std::cell::Cell;
 use std::io::{Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::mpsc::sync_channel;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use evdb_core::EventServer;
 
-use crate::frame::{encode_frame, encode_frame_vec, FrameDecoder};
-use crate::hub::{burst, Hub, Outbound, OutboundReceiver, ServerMetrics};
+use crate::frame::{encode_frame_vec, FrameDecoder};
+use crate::hub::{Hub, ServerMetrics};
+use crate::outbox::Outbox;
 use crate::session::Session;
 
 /// How long a blocked read waits before re-checking the stop flag (and
@@ -77,7 +93,8 @@ pub(crate) struct TcpFrontend {
     pub metrics: Arc<ServerMetrics>,
     pub stop: Arc<AtomicBool>,
     pub session_ids: Arc<AtomicU64>,
-    /// Outbound channel capacity per session (subscription buffering).
+    /// Frames a session's outbox queues before subscription pushes are
+    /// shed for it.
     pub session_buffer: usize,
     /// Cap on live connections (shared with the HTTP frontend).
     pub max_connections: usize,
@@ -93,33 +110,37 @@ pub(crate) fn spawn_listener(
 ) -> std::io::Result<(SocketAddr, std::thread::JoinHandle<()>)> {
     let listener = TcpListener::bind(addr)?;
     let local = listener.local_addr()?;
-    listener.set_nonblocking(true)?;
     let handle = std::thread::Builder::new()
         .name("evdb-tcp-accept".into())
-        .spawn(move || accept_loop(listener, frontend))
-        .expect("spawn tcp accept thread");
+        .spawn(move || accept_loop(listener, frontend))?;
     Ok((local, handle))
 }
 
-/// Refuse an over-cap connect: one typed frame, then close. Runs on
-/// the accept thread, so the write is timeout-bounded.
-fn reject_over_cap(stream: TcpStream, max: usize) {
+/// Refuse a connect the server has no room for: one typed
+/// `ERR overloaded <why>` frame, then close. May run on the accept
+/// thread, so the write is timeout-bounded.
+fn refuse(stream: TcpStream, why: &str) {
     let _ = stream.set_write_timeout(Some(Duration::from_secs(1)));
     let mut s = stream;
-    let frame = encode_frame_vec(
-        format!("ERR overloaded connection limit ({max}) reached").as_bytes(),
-    );
+    let frame = encode_frame_vec(format!("ERR overloaded {why}").as_bytes());
     let _ = s.write_all(&frame).and_then(|()| s.flush());
     let _ = s.shutdown(std::net::Shutdown::Both);
 }
 
+/// Blocks in `accept` — a connect gets its session thread at once, not
+/// at the next poll. `NetServer::shutdown` raises `stop` and then
+/// connects once to unblock it.
 fn accept_loop(listener: TcpListener, frontend: TcpFrontend) {
     while !frontend.stop.load(Ordering::SeqCst) {
         match listener.accept() {
             Ok((stream, _peer)) => {
-                if !frontend.hub.try_admit_connection(frontend.max_connections) {
+                if frontend.stop.load(Ordering::SeqCst) {
+                    break;
+                }
+                let max = frontend.max_connections;
+                if !frontend.hub.try_admit_connection(max) {
                     frontend.metrics.conns_rejected.inc();
-                    reject_over_cap(stream, frontend.max_connections);
+                    refuse(stream, &format!("connection limit ({max}) reached"));
                     continue;
                 }
                 frontend.metrics.connections.inc();
@@ -137,9 +158,10 @@ fn accept_loop(listener: TcpListener, frontend: TcpFrontend) {
                     .name(format!("evdb-conn-{session_id}"))
                     .spawn(move || {
                         serve_connection(
-                            stream, session_id, engine, hub, metrics, stop, buffer,
+                            stream, session_id, engine, &hub, metrics, stop, buffer,
                             idle_timeout,
                         );
+                        hub.release_connection();
                     });
                 if spawned.is_err() {
                     // The handler never ran: release the slot claimed
@@ -147,20 +169,21 @@ fn accept_loop(listener: TcpListener, frontend: TcpFrontend) {
                     frontend.hub.release_connection();
                 }
             }
-            Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => {
-                std::thread::sleep(Duration::from_millis(5));
-            }
+            // Out of descriptors, or the peer reset before we got to it:
+            // pause so a persistent failure cannot spin the thread.
             Err(_) => std::thread::sleep(Duration::from_millis(5)),
         }
     }
 }
 
+/// One connection, from its first byte to its teardown. The caller
+/// releases the hub slot when this returns, whichever way it returns.
 #[allow(clippy::too_many_arguments)]
 fn serve_connection(
     stream: TcpStream,
     session_id: u64,
     engine: Arc<EventServer>,
-    hub: Arc<Hub>,
+    hub: &Arc<Hub>,
     metrics: Arc<ServerMetrics>,
     stop: Arc<AtomicBool>,
     buffer: usize,
@@ -172,39 +195,46 @@ fn serve_connection(
     // error the writer out instead of blocking it forever (the reader
     // joins the writer at teardown).
     let _ = stream.set_write_timeout(Some(idle_timeout.unwrap_or(DEFAULT_WRITE_TIMEOUT)));
-    let write_half = match stream.try_clone() {
-        Ok(s) => s,
-        Err(_) => {
-            hub.release_connection();
-            return;
-        }
+    let Ok(write_half) = stream.try_clone() else {
+        return;
     };
     let activity = Activity::new();
-    let (tx, rx) = sync_channel::<Outbound>(buffer.max(1));
+    let out = Outbox::new(
+        write_half,
+        buffer,
+        Arc::clone(&metrics),
+        Arc::clone(&activity),
+    );
     let writer = {
-        let metrics = Arc::clone(&metrics);
-        let activity = Arc::clone(&activity);
+        let out = Arc::clone(&out);
         std::thread::Builder::new()
             .name(format!("evdb-conn-{session_id}-w"))
-            .spawn(move || writer_loop(write_half, rx, metrics, activity))
-            .expect("spawn connection writer")
+            .spawn(move || out.writer_loop())
+    };
+    let Ok(writer) = writer else {
+        // No thread to be had: as typed and counted as the cap, and
+        // the slot goes back (the caller releases it).
+        metrics.conns_rejected.inc();
+        refuse(stream, "cannot start the connection's writer thread");
+        return;
     };
 
     let session = Session {
         id: session_id,
         engine,
-        hub: Arc::clone(&hub),
-        metrics: Arc::clone(&metrics),
-        out: tx,
+        hub: Arc::clone(hub),
+        metrics,
+        out,
+        staged: Cell::new(false),
     };
     reader_loop(stream, &session, &stop, &activity, idle_timeout);
 
     // Teardown: subscriptions first (so the hub stops queueing into this
-    // session), then drop our sender so the writer drains and exits.
+    // session), then close the outbox so the writer sends what is left
+    // and exits.
     session.teardown();
-    drop(session);
+    session.out.close();
     let _ = writer.join();
-    hub.release_connection();
 }
 
 fn reader_loop(
@@ -216,12 +246,13 @@ fn reader_loop(
 ) {
     let mut decoder = FrameDecoder::new();
     let mut buf = [0u8; 16 * 1024];
-    'conn: while !stop.load(Ordering::SeqCst) {
+    while !stop.load(Ordering::SeqCst) {
         match stream.read(&mut buf) {
             Ok(0) => break, // peer closed
             Ok(n) => {
                 activity.touch();
                 decoder.push(&buf[..n]);
+                let mut open = true;
                 while let Some(frame) = decoder.next_frame() {
                     match frame {
                         Ok(payload) => {
@@ -230,7 +261,8 @@ fn reader_loop(
                             // reply path panic-free on arbitrary bytes.
                             let line = String::from_utf8_lossy(&payload);
                             if !session.handle_line(&line) {
-                                break 'conn;
+                                open = false;
+                                break;
                             }
                         }
                         Err(e) => {
@@ -238,6 +270,12 @@ fn reader_loop(
                             session.reply(format!("ERR frame {e}"));
                         }
                     }
+                }
+                // Everything this read carried is dispatched: one cycle
+                // for what it staged, one send for what it was answered.
+                session.end_of_read();
+                if !open {
+                    break;
                 }
             }
             Err(e)
@@ -255,7 +293,6 @@ fn reader_loop(
                             "ERR idle connection idle for {}ms, closing",
                             limit.as_millis()
                         ));
-                        let _ = session.out.send(Outbound::Close);
                         break;
                     }
                 }
@@ -263,116 +300,5 @@ fn reader_loop(
             }
             Err(_) => break,
         }
-    }
-}
-
-fn writer_loop(
-    stream: TcpStream,
-    rx: OutboundReceiver,
-    metrics: Arc<ServerMetrics>,
-    activity: Arc<Activity>,
-) {
-    let mut out = std::io::BufWriter::new(stream);
-    let mut scratch = Vec::with_capacity(4 * 1024);
-    'conn: while let Ok(first) = rx.recv() {
-        for msg in burst(first, &rx) {
-            let Outbound::Frame(text) = msg else {
-                break 'conn; // Outbound::Close; `into_inner` flushes
-            };
-            scratch.clear();
-            encode_frame(text.as_bytes(), &mut scratch);
-            metrics.frames_tx.inc();
-            if out.write_all(&scratch).is_err() {
-                break 'conn; // peer gone; reader will notice on its own
-            }
-        }
-        if out.flush().is_err() {
-            break;
-        }
-        // A completed push is proof of life: the peer drained its
-        // window, so the idle deadline resets.
-        activity.touch();
-    }
-    if let Ok(stream) = out.into_inner() {
-        let _ = stream.shutdown(std::net::Shutdown::Both);
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-    use evdb_core::metrics::Registry;
-
-    /// A connected loopback pair: (the writer's half, the peer's half).
-    fn socket_pair() -> (TcpStream, TcpStream) {
-        let listener = TcpListener::bind("127.0.0.1:0").unwrap();
-        let peer = TcpStream::connect(listener.local_addr().unwrap()).unwrap();
-        let (ours, _) = listener.accept().unwrap();
-        peer.set_read_timeout(Some(Duration::from_secs(5))).unwrap();
-        (ours, peer)
-    }
-
-    fn spawn_writer(
-        stream: TcpStream,
-        rx: OutboundReceiver,
-    ) -> (Arc<ServerMetrics>, std::thread::JoinHandle<()>) {
-        let metrics = Arc::new(ServerMetrics::bind(&Registry::new(), &Hub::new()));
-        let m = Arc::clone(&metrics);
-        let writer = std::thread::spawn(move || writer_loop(stream, rx, m, Activity::new()));
-        (metrics, writer)
-    }
-
-    /// Read frames off `peer` until `n` have arrived.
-    fn read_frames(peer: &mut TcpStream, decoder: &mut FrameDecoder, n: usize) -> Vec<String> {
-        let mut frames = Vec::new();
-        let mut buf = [0u8; 4096];
-        loop {
-            while let Some(frame) = decoder.next_frame() {
-                frames.push(String::from_utf8(frame.unwrap()).unwrap());
-            }
-            if frames.len() >= n {
-                return frames;
-            }
-            let read = peer.read(&mut buf).expect("frame before the read timeout");
-            assert!(read > 0, "writer hung up after {} of {n} frames", frames.len());
-            decoder.push(&buf[..read]);
-        }
-    }
-
-    #[test]
-    fn queued_frames_arrive_intact_and_in_order() {
-        // More than one flush round, and more bytes than the BufWriter
-        // holds, all queued before the writer runs.
-        let n = 3 * crate::hub::BURST_MAX + 7;
-        let sent: Vec<String> = (0..n).map(|i| format!("UPDATE q + {i} {}", "x".repeat(i % 97))).collect();
-        let (ours, mut peer) = socket_pair();
-        let (tx, rx) = sync_channel::<Outbound>(n + 1);
-        for line in &sent {
-            tx.send(Outbound::Frame(line.clone())).unwrap();
-        }
-        tx.send(Outbound::Close).unwrap();
-        let (metrics, writer) = spawn_writer(ours, rx);
-        let got = read_frames(&mut peer, &mut FrameDecoder::new(), n);
-        assert_eq!(got, sent);
-        writer.join().unwrap();
-        assert_eq!(metrics.frames_tx.get(), n as u64);
-        // Close after the frames: the peer sees a clean end of stream.
-        assert_eq!(peer.read(&mut [0u8; 16]).unwrap(), 0);
-    }
-
-    #[test]
-    fn a_lone_frame_is_flushed_without_a_second() {
-        let (ours, mut peer) = socket_pair();
-        let (tx, rx) = sync_channel::<Outbound>(4);
-        let (_metrics, writer) = spawn_writer(ours, rx);
-        let mut decoder = FrameDecoder::new();
-        // The channel stays open and empty after each frame, so only a
-        // flush per round can get the frame to the peer.
-        for line in ["OK first", "OK second"] {
-            tx.send(Outbound::Frame(line.into())).unwrap();
-            assert_eq!(read_frames(&mut peer, &mut decoder, 1), vec![line]);
-        }
-        drop(tx);
-        writer.join().unwrap();
     }
 }

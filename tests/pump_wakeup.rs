@@ -8,17 +8,33 @@
 //! announces — to show the tick still runs, with and without work wakes
 //! competing for the pump.
 //!
-//! Each case runs for `PumpMode::Sequential` and `Sharded { workers: 2 }`.
+//! Each of those cases runs for `PumpMode::Sequential` and
+//! `Sharded { workers: 2 }`.
+//!
+//! The cases after them are the other side of the same coin, the served
+//! path and the cycle gate: a connection's reader runs the cycle its
+//! read staged and writes the results itself, so a paced connection
+//! takes *no* hand-off (counted: zero work wakes, zero writer hand-offs,
+//! one inline cycle per request); racing connections take the hand-off
+//! and lose nothing; and `pump()` beside a background pump cannot
+//! reorder a key's events.
+//!
 //! Timing assertions: run in release (`cargo test --release --test
 //! pump_wakeup`, its own CI step).
 
-use std::sync::atomic::{AtomicBool, AtomicU8, Ordering};
+use std::io::{Read, Write};
+use std::net::{SocketAddr, TcpStream};
+use std::sync::atomic::{AtomicBool, AtomicI64, AtomicU8, Ordering};
 use std::sync::mpsc::{channel, Receiver};
 use std::sync::{Arc, Barrier, Mutex};
 use std::time::{Duration, Instant};
 
 use evdb::core::server::ServerConfig;
-use evdb::core::{spawn_pump_with, CaptureMechanism, EventServer, PumpHandle, PumpMode};
+use evdb::core::{
+    spawn_pump, spawn_pump_with, CaptureMechanism, EventServer, PumpHandle, PumpMode,
+};
+use evdb::net::frame::{encode_frame_vec, FrameDecoder};
+use evdb::net::{NetConfig, NetServer};
 use evdb::types::{DataType, Record, Schema, TimestampMs, Value};
 
 const MODES: [PumpMode; 2] = [PumpMode::Sequential, PumpMode::Sharded { workers: 2 }];
@@ -323,4 +339,283 @@ fn journal_capture_is_polled_on_the_tick() {
             "{mode:?}"
         );
     }
+}
+
+// ---- the served path -------------------------------------------------
+
+/// A blocking line-protocol client.
+struct Client {
+    stream: TcpStream,
+    decoder: FrameDecoder,
+}
+
+impl Client {
+    fn connect(addr: SocketAddr) -> Client {
+        let stream = TcpStream::connect(addr).unwrap();
+        stream.set_nodelay(true).unwrap();
+        stream
+            .set_read_timeout(Some(Duration::from_millis(25)))
+            .unwrap();
+        Client {
+            stream,
+            decoder: FrameDecoder::new(),
+        }
+    }
+
+    fn send(&mut self, cmd: &str) {
+        self.stream
+            .write_all(&encode_frame_vec(cmd.as_bytes()))
+            .unwrap();
+    }
+
+    /// Next frame, waiting up to `wait`; `None` on timeout.
+    fn try_recv(&mut self, wait: Duration) -> Option<String> {
+        let deadline = Instant::now() + wait;
+        loop {
+            if let Some(frame) = self.decoder.next_frame() {
+                return Some(String::from_utf8(frame.unwrap()).unwrap());
+            }
+            if Instant::now() >= deadline {
+                return None;
+            }
+            let mut buf = [0u8; 16 * 1024];
+            match self.stream.read(&mut buf) {
+                Ok(0) => return None,
+                Ok(n) => self.decoder.push(&buf[..n]),
+                Err(_) => {} // timeout tick
+            }
+        }
+    }
+
+    fn recv(&mut self) -> String {
+        self.try_recv(Duration::from_secs(5))
+            .expect("timed out waiting for a frame")
+    }
+
+    fn call(&mut self, cmd: &str) -> String {
+        self.send(cmd);
+        self.recv()
+    }
+}
+
+/// A server with stream `s`, the stateless query `feed` over it, and a
+/// background pump on `pump_interval` (parked by the time this returns).
+fn served(pump_interval: Option<Duration>) -> (NetServer, Client) {
+    let engine = Arc::new(EventServer::in_memory(ServerConfig::default()).unwrap());
+    let server = NetServer::start(
+        engine,
+        NetConfig {
+            http_addr: None,
+            pump_interval,
+            session_buffer: 1 << 16,
+            ..Default::default()
+        },
+    )
+    .unwrap();
+    let mut admin = Client::connect(server.tcp_addr());
+    assert_eq!(admin.call("CREATE STREAM s v:INT"), "OK");
+    assert_eq!(admin.call("REGISTER QUERY feed SELECT v FROM s"), "OK");
+    if pump_interval.is_some() {
+        let t0 = Instant::now();
+        while counter(server.engine(), "evdb_pump_cycles_total") == 0 {
+            assert!(t0.elapsed() < Duration::from_secs(5), "pump never started");
+            std::thread::sleep(Duration::from_millis(1));
+        }
+        std::thread::sleep(Duration::from_millis(20));
+    }
+    (server, admin)
+}
+
+/// Counted, not timed: a connection that sends one request at a time is
+/// served end to end by its own reader thread.
+#[test]
+fn a_paced_connection_takes_no_hand_off() {
+    const REQUESTS: i64 = 200;
+    // The tick must not fall inside the run: it would contend for the
+    // gate and turn one inline cycle into a (correct) hand-off.
+    let (mut server, mut conn) = served(Some(Duration::from_secs(120)));
+    assert_eq!(conn.call("SUBSCRIBE feed"), "OK subscribed feed");
+    let engine = Arc::clone(server.engine());
+    let before = |name: &str| counter(&engine, name);
+    let cycles = before("evdb_pump_cycles_total");
+    let direct = before("evdb_server_direct_flushes_total");
+    for i in 0..REQUESTS {
+        conn.send(&format!("INGEST s {i} {i}"));
+        let mut got = [conn.recv(), conn.recv()];
+        got.sort();
+        assert_eq!(got, ["OK staged".to_string(), format!("UPDATE feed + {i}")]);
+    }
+    // The reader counts a cycle after running it, which is after the
+    // update is out: one more round trip and the counts have settled.
+    assert_eq!(conn.call("PING"), "PONG");
+    assert_eq!(before("evdb_pump_wakeups_total{cause=\"work\"}"), 0);
+    assert_eq!(before("evdb_pump_inline_cycles_total"), REQUESTS as u64);
+    assert_eq!(before("evdb_pump_cycles_total"), cycles + REQUESTS as u64);
+    assert_eq!(before("evdb_server_writer_handoffs_total"), 0);
+    // Reply and update left in one send each time. (Not exact: a flush
+    // is counted after its send, so the replies around the loop may or
+    // may not be in either reading.)
+    let flushes = before("evdb_server_direct_flushes_total") - direct;
+    assert!(
+        (REQUESTS as u64..=REQUESTS as u64 + 2).contains(&flushes),
+        "{flushes} sends for {REQUESTS} requests"
+    );
+    assert_eq!(before("evdb_server_updates_dropped_total"), 0);
+    assert_eq!(before("evdb_pump_errors_total"), 0);
+    server.shutdown();
+}
+
+/// With no background pump nothing stands in for one: `INGEST` stages
+/// and evaluates nothing until `PUMP` (the golden transcripts'
+/// deterministic mode).
+#[test]
+fn without_a_pump_ingest_evaluates_nothing_until_pump() {
+    let (mut server, mut conn) = served(None);
+    assert_eq!(conn.call("SUBSCRIBE feed"), "OK subscribed feed");
+    for i in 0..3 {
+        assert_eq!(conn.call(&format!("INGEST s {i} {i}")), "OK staged");
+    }
+    assert_eq!(conn.try_recv(Duration::from_millis(100)), None);
+    assert_eq!(server.engine().admission().depth(), 3);
+    assert_eq!(server.engine().metrics().snapshot().events_processed, 0);
+    conn.send("PUMP");
+    let got: Vec<String> = (0..4).map(|_| conn.recv()).collect();
+    assert_eq!(
+        got,
+        [
+            "UPDATE feed + 0",
+            "UPDATE feed + 1",
+            "UPDATE feed + 2",
+            "OK captured=3 derived=3 notified=0"
+        ]
+    );
+    assert_eq!(counter(server.engine(), "evdb_pump_inline_cycles_total"), 0);
+    server.shutdown();
+}
+
+/// `no_wakeup_is_lost_under_racing_producers` over sockets: two
+/// connections stage into one stream as fast as their acks come back, so
+/// each keeps finding the other's cycle in flight and hands its events
+/// over. Every event reaches the subscriber exactly once, each
+/// connection's in the order it sent them, and none waits for the tick.
+#[test]
+fn racing_connections_hand_off_without_loss_or_reordering() {
+    const PRODUCERS: i64 = 2;
+    const PER_PRODUCER: i64 = 4_000;
+    const BURST: i64 = 8;
+    let (mut server, _admin) = served(Some(LONG_INTERVAL));
+    let addr = server.tcp_addr();
+    let mut sink = Client::connect(addr);
+    assert_eq!(sink.call("SUBSCRIBE feed"), "OK subscribed feed");
+    let start = Arc::new(Barrier::new(PRODUCERS as usize));
+    let producers: Vec<_> = (0..PRODUCERS)
+        .map(|p| {
+            let start = Arc::clone(&start);
+            std::thread::spawn(move || {
+                let mut conn = Client::connect(addr);
+                start.wait();
+                for first in (0..PER_PRODUCER).step_by(BURST as usize) {
+                    for i in first..first + BURST {
+                        let v = p * 1_000_000 + i;
+                        conn.send(&format!("INGEST s {v} {v}"));
+                    }
+                    for _ in 0..BURST {
+                        assert_eq!(conn.recv(), "OK staged");
+                    }
+                }
+            })
+        })
+        .collect();
+    let mut next = [0i64; PRODUCERS as usize];
+    let mut last_progress = Instant::now();
+    while next.iter().sum::<i64>() < PRODUCERS * PER_PRODUCER {
+        let Some(frame) = sink.try_recv(DEADLINE) else {
+            // Nothing for a whole deadline: fine while producers are
+            // still sending slowly, a lost wake-up once they are done.
+            assert!(
+                producers.iter().any(|p| !p.is_finished())
+                    || last_progress.elapsed() < 2 * DEADLINE,
+                "{next:?} of {PER_PRODUCER} each arrived — an event waited for the tick"
+            );
+            continue;
+        };
+        last_progress = Instant::now();
+        let v: i64 = frame
+            .strip_prefix("UPDATE feed + ")
+            .unwrap_or_else(|| panic!("unexpected frame {frame}"))
+            .parse()
+            .unwrap();
+        let (p, i) = ((v / 1_000_000) as usize, v % 1_000_000);
+        assert_eq!(i, next[p], "connection {p}: lost, duplicated or reordered");
+        next[p] += 1;
+    }
+    for p in producers {
+        p.join().unwrap();
+    }
+    assert_eq!(
+        sink.try_recv(Duration::from_millis(50)),
+        None,
+        "a duplicate"
+    );
+    let engine = server.engine();
+    assert!(
+        counter(engine, "evdb_pump_wakeups_total{cause=\"work\"}") > 0,
+        "the contended branch never ran"
+    );
+    assert!(counter(engine, "evdb_pump_inline_cycles_total") > 0);
+    assert_eq!(counter(engine, "evdb_server_updates_dropped_total"), 0);
+    assert_eq!(counter(engine, "evdb_pump_errors_total"), 0);
+    server.shutdown();
+}
+
+/// `pump()` beside a background pump (what `PUMP` on a served
+/// connection is): both drain the one buffer, and only the cycle gate
+/// keeps the second batch from being evaluated beside the first — which
+/// would let a later event of a key overtake an earlier one.
+#[test]
+fn pump_beside_the_background_pump_keeps_arrival_order() {
+    const EVENTS: i64 = 50_000;
+    let server = Arc::new(EventServer::in_memory(ServerConfig::default()).unwrap());
+    server
+        .create_stream("s", Schema::of(&[("seq", DataType::Int)]))
+        .unwrap();
+    server.register_cql("feed", "SELECT seq FROM s").unwrap();
+    let last = Arc::new(AtomicI64::new(-1));
+    let inversions = Arc::new(AtomicI64::new(0));
+    {
+        let (last, inversions) = (Arc::clone(&last), Arc::clone(&inversions));
+        server
+            .on_query_updates("feed", move |row, _| {
+                let seq = row.get(0).and_then(Value::as_int).unwrap();
+                if last.swap(seq, Ordering::SeqCst) >= seq {
+                    inversions.fetch_add(1, Ordering::SeqCst);
+                }
+            })
+            .unwrap();
+    }
+    let handle = spawn_pump(&server, LONG_INTERVAL);
+    let done = Arc::new(AtomicBool::new(false));
+    let hammer = {
+        let (server, done) = (Arc::clone(&server), Arc::clone(&done));
+        std::thread::spawn(move || {
+            while !done.load(Ordering::Relaxed) {
+                server.pump().unwrap();
+            }
+        })
+    };
+    for seq in 0..EVENTS {
+        server
+            .ingest_async("s", TimestampMs(seq), Record::from_iter([Value::Int(seq)]))
+            .unwrap();
+    }
+    done.store(true, Ordering::Relaxed);
+    hammer.join().unwrap();
+    handle.stop();
+    assert_eq!(server.metrics().snapshot().events_processed, EVENTS as u64);
+    assert_eq!(last.load(Ordering::SeqCst), EVENTS - 1);
+    assert_eq!(
+        inversions.load(Ordering::SeqCst),
+        0,
+        "a subscriber saw events of one stream out of arrival order"
+    );
 }

@@ -18,7 +18,6 @@ use evdb::net::{NetConfig, NetServer};
 use evdb::types::{SimClock, TimestampMs};
 
 const PRODUCERS: usize = 4;
-const SUBSCRIBERS: usize = 8;
 const EVENTS_PER_PRODUCER: i64 = 50;
 const TOTAL: usize = PRODUCERS * EVENTS_PER_PRODUCER as usize;
 
@@ -89,6 +88,17 @@ fn start_server() -> NetServer {
 
 #[test]
 fn fanout_is_ordered_complete_and_teardown_safe() {
+    fanout(8);
+}
+
+/// The same with a subscriber list long enough that one cycle's
+/// end-of-batch flush is dozens of sends on one thread.
+#[test]
+fn fanout_to_64_subscribers_is_identical_and_drops_nothing() {
+    fanout(64);
+}
+
+fn fanout(subscribers: usize) {
     let mut server = start_server();
     let addr = server.tcp_addr();
 
@@ -99,7 +109,7 @@ fn fanout_is_ordered_complete_and_teardown_safe() {
     assert_eq!(admin.call("REGISTER QUERY feed SELECT v FROM s"), "OK");
 
     // All subscribers attach before any event flows.
-    let mut subs: Vec<Client> = (0..SUBSCRIBERS)
+    let mut subs: Vec<Client> = (0..subscribers)
         .map(|_| {
             let mut c = Client::connect(addr);
             assert_eq!(c.call("SUBSCRIBE feed"), "OK subscribed feed");
@@ -173,7 +183,7 @@ fn fanout_is_ordered_complete_and_teardown_safe() {
 
     // Teardown: the dead subscriber was pruned; the survivors remain.
     let deadline = Instant::now() + Duration::from_secs(5);
-    while server.hub().active_subscriptions() != SUBSCRIBERS {
+    while server.hub().active_subscriptions() != subscribers {
         assert!(
             Instant::now() < deadline,
             "dead subscriber not pruned: {} subscriptions",
@@ -184,6 +194,7 @@ fn fanout_is_ordered_complete_and_teardown_safe() {
 
     // Nothing was shed for the survivors (buffers were sized for the
     // full stream), so delivered counts are exact.
+    assert_eq!(server.metrics().updates_dropped.get(), 0);
     assert_eq!(
         server.engine().admission().rejected_total(),
         0,

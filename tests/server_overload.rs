@@ -5,7 +5,9 @@
 //!   rolled back, and the client-observed rejection count equal to the
 //!   admission counters;
 //! * `Block` → the producer's socket stalls (no reply) until another
-//!   connection pumps the buffer down;
+//!   connection pumps the buffer down — or, with a background pump
+//!   attached, until the blocked reader has woken it (not until its
+//!   tick);
 //! * `ShedLowest` → every offer acknowledged, the overflow counted in
 //!   `evdb_ingest_shed_total`, and `offered == evaluated + shed` exact.
 
@@ -373,6 +375,140 @@ fn block_stalls_the_producer_socket_until_drained() {
     let ac = server.engine().admission().clone();
     assert_eq!(ac.shed_total(), 0);
     assert_eq!(ac.rejected_total(), 0);
+    server.shutdown();
+}
+
+/// A server with a background pump on a tick far longer than any
+/// deadline below, parked by the time this returns.
+fn served_with(capacity: usize, overload: OverloadPolicy) -> NetServer {
+    let engine = Arc::new(
+        EventServer::in_memory(ServerConfig {
+            ingest_capacity: capacity,
+            overload,
+            ..Default::default()
+        })
+        .unwrap(),
+    );
+    let server = NetServer::start(
+        engine,
+        NetConfig {
+            http_addr: None,
+            pump_interval: Some(Duration::from_secs(60)),
+            ..Default::default()
+        },
+    )
+    .unwrap();
+    let t0 = Instant::now();
+    while counter(&server, "evdb_pump_cycles_total") == 0 {
+        assert!(t0.elapsed() < Duration::from_secs(5), "pump never started");
+        std::thread::sleep(Duration::from_millis(1));
+    }
+    std::thread::sleep(Duration::from_millis(20));
+    server
+}
+
+fn counter(server: &NetServer, name: &str) -> u64 {
+    server.engine().registry().snapshot().counters[name]
+}
+
+/// The served quiet-stage case: a reader stages without waking the pump
+/// (it means to run the cycle itself once its read is dispatched), so a
+/// read that carries more requests than the buffer holds blocks *that
+/// reader* on a buffer only it knows is full. It wakes the parked pump
+/// before it waits; the acks arrive now, not at the tick.
+#[test]
+fn block_on_a_quietly_filled_buffer_wakes_the_parked_pump() {
+    let mut server = served_with(1, OverloadPolicy::Block);
+    let mut producer = Client::connect(server.tcp_addr());
+    assert_eq!(producer.call("CREATE STREAM s v:INT"), "OK");
+
+    // One write, so one read carries all three.
+    let burst: Vec<u8> = (1..=3)
+        .flat_map(|i| encode_frame_vec(format!("INGEST s {i} {i}").as_bytes()))
+        .collect();
+    let t0 = Instant::now();
+    producer.stream.write_all(&burst).unwrap();
+    for _ in 0..3 {
+        assert_eq!(
+            producer.try_recv(Duration::from_secs(5)).as_deref(),
+            Some("OK staged"),
+            "the blocked reader waited for the tick"
+        );
+    }
+    assert!(t0.elapsed() < Duration::from_secs(5));
+    assert_eq!(producer.call("PING"), "PONG"); // counts settled
+    assert!(
+        counter(&server, "evdb_pump_wakeups_total{cause=\"work\"}") >= 1,
+        "the pump was never woken: the three requests did not share a read"
+    );
+    // Acknowledged means staged; whoever holds the gate evaluates.
+    while server.engine().metrics().snapshot().events_processed < 3 {
+        assert!(
+            t0.elapsed() < Duration::from_secs(5),
+            "an event waited for the tick"
+        );
+        std::thread::sleep(Duration::from_millis(1));
+    }
+    let ac = server.engine().admission().clone();
+    assert_eq!((ac.shed_total(), ac.rejected_total()), (0, 0));
+    server.shutdown();
+}
+
+/// A trigger capture fires inside the inserting connection's write
+/// transaction: no cycle may run there, so it wakes the pump as it
+/// always did and the reader runs nothing itself.
+#[test]
+fn trigger_captured_insert_on_a_served_connection_only_wakes_the_pump() {
+    let mut server = served_with(1024, OverloadPolicy::Block);
+    let mut c = Client::connect(server.tcp_addr());
+    assert_eq!(c.call("CREATE TABLE t k:INT KEY k"), "OK");
+    assert_eq!(c.call("CAPTURE t TRIGGER"), "OK t_changes");
+    assert_eq!(c.call("INSERT t 1"), "OK inserted");
+    let t0 = Instant::now();
+    while server.engine().metrics().snapshot().events_processed < 1 {
+        assert!(
+            t0.elapsed() < Duration::from_secs(5),
+            "the captured insert waited for the tick"
+        );
+        std::thread::sleep(Duration::from_millis(1));
+    }
+    assert_eq!(c.call("PING"), "PONG");
+    assert_eq!(counter(&server, "evdb_pump_inline_cycles_total"), 0);
+    assert!(counter(&server, "evdb_pump_wakeups_total{cause=\"work\"}") >= 1);
+    server.shutdown();
+}
+
+/// One cycle may produce more rows for a subscriber than its session
+/// buffer holds frames. The buffer bounds what a *peer* leaves unread,
+/// not the size of a batch: a subscriber that keeps reading loses
+/// nothing.
+#[test]
+fn a_batch_larger_than_the_session_buffer_sheds_nothing_for_a_live_reader() {
+    const EVENTS: usize = 5_000; // default session_buffer: 1024 frames
+    let mut server = server_with(1 << 20, OverloadPolicy::Block);
+    let mut producer = Client::connect(server.tcp_addr());
+    assert_eq!(producer.call("CREATE STREAM s v:INT"), "OK");
+    assert_eq!(producer.call("REGISTER QUERY feed SELECT v FROM s"), "OK");
+    let mut sink = Client::connect(server.tcp_addr());
+    assert_eq!(sink.call("SUBSCRIBE feed"), "OK subscribed feed");
+    for first in (0..EVENTS).step_by(100) {
+        for i in first..first + 100 {
+            producer.send(&format!("INGEST s {i} {i}"));
+        }
+        for _ in 0..100 {
+            assert_eq!(producer.recv(), "OK staged");
+        }
+    }
+    // No background pump: all of it is one cycle's batch.
+    producer.send("PUMP");
+    for i in 0..EVENTS {
+        assert_eq!(sink.recv(), format!("UPDATE feed + {i}"));
+    }
+    assert_eq!(
+        producer.recv(),
+        format!("OK captured={EVENTS} derived={EVENTS} notified=0")
+    );
+    assert_eq!(server.metrics().updates_dropped.get(), 0);
     server.shutdown();
 }
 
