@@ -38,9 +38,10 @@
 //! `admit` is the two under one lock acquisition. A producer that is
 //! about to evaluate what it staged itself
 //! ([`EventServer::run_staged`]) pushes quietly and wakes the pump only
-//! if it could not. Nothing is stranded by the split: the push comes
-//! before the decision not to wake, and `wait_for_work` re-reads the
-//! buffer under its lock before it parks. The one rule the quiet half
+//! for what it leaves behind. Nothing is stranded by the split: the
+//! quiet producer evaluates what is staged itself, and `wait_for_work`
+//! re-reads the buffer under its lock before it parks. The one rule the
+//! quiet half
 //! adds is in `Block`: a producer about to wait for *space* wakes a
 //! parked consumer first, because the stager whose cycle would have made
 //! the space may be that very producer.

@@ -19,17 +19,19 @@
 //! A **sequential** pump also lets stagers stand in for it. While one is
 //! attached, [`EventServer::stage`] pushes without the wake and
 //! [`EventServer::run_staged`] runs the cycle on the stager's own thread
-//! if the cycle gate is free — a connection's reader that would block
-//! right after staging evaluates its own events instead of waking this
-//! thread and waiting for it to be scheduled. The pump thread is then
-//! what is left over: the tick, trigger captures (which fire inside a
-//! writer's transaction, where no cycle may run), whatever a stager
-//! found the gate taken for, and embedders' `ingest_async`. Whoever runs
-//! it, one cycle is in flight at a time (the gate; D15), so
-//! [`EventServer::pump`] beside a background pump waits its turn rather
-//! than evaluating a second batch next to the first.
-//! `evdb_pump_wakeups_total{cause="work"}` counts the hand-offs actually
-//! taken, `evdb_pump_inline_cycles_total` the cycles stagers ran.
+//! — a connection's reader that would block right after staging
+//! evaluates its own events instead of waking this thread and waiting
+//! for it to be scheduled. The pump thread is then what is left over:
+//! the tick (which takes along whatever it finds staged), trigger
+//! captures (which fire inside a writer's transaction, where no cycle
+//! may run), what a stager left behind after its bounded number of
+//! passes, and embedders' `ingest_async`. Whoever runs it, one cycle is
+//! in flight at a time (the gate; D15), so [`EventServer::pump`] or a
+//! stager beside a background pump waits its turn rather than
+//! evaluating a second batch next to the first.
+//! `evdb_pump_wakeups_total{cause="work"}` counts the turns the pump
+//! thread took because events were staged, `evdb_pump_inline_cycles_total`
+//! the cycles stagers ran.
 //!
 //! [`spawn_pump_with`] selects the execution mode: the classic
 //! single-threaded loop ([`PumpMode::Sequential`]) or the sharded

@@ -286,8 +286,8 @@ pub struct EventServer {
     scratch: Mutex<EvalScratch>,
     /// The cycle gate: one cycle — drain, evaluate, deliver — is in
     /// flight at a time, whichever thread runs it (D15). Held by
-    /// [`cycle`](Self::cycle) for its whole run, tried by
-    /// [`run_staged`](Self::run_staged).
+    /// [`cycle`](Self::cycle) and by [`run_staged`](Self::run_staged)
+    /// for their whole run.
     cycle_gate: Mutex<()>,
     /// Sequential background pumps currently attached (see
     /// [`crate::pump`]): while there is one, a stager may stand in for it.
@@ -754,29 +754,32 @@ impl EventServer {
     }
 
     /// The second half of the pair: evaluate what is staged on the
-    /// calling thread if no cycle is in flight, instead of waking the
-    /// pump thread and waiting for it to be scheduled. The gate holder
-    /// runs work cycles until the buffer is empty, at most
-    /// [`STAGER_PASSES`] of them, then leaves the rest to the pump; a
-    /// caller that finds the gate taken wakes the pump and returns — the
-    /// cycle in flight, or the pump after it, takes the events on. Either
-    /// way no event waits for the tick: the push came before the `try`,
-    /// and the pump re-reads the buffer under its lock before it parks.
+    /// calling thread, instead of waking the pump thread and waiting for
+    /// it to be scheduled. The caller takes the cycle gate — waiting out
+    /// a cycle in flight, as [`pump`](Self::pump) does — and runs work
+    /// cycles until the buffer is empty, at most [`STAGER_PASSES`] of
+    /// them, then leaves the rest to the pump. A caller whose events the
+    /// cycle in flight already took finds nothing staged and returns.
+    /// No event waits for the tick: whoever pushed it is on its way to
+    /// the gate.
+    ///
+    /// Waiting, not handing over: a stager that woke the pump whenever
+    /// it met a cycle in flight (the tick's, once a millisecond) kept
+    /// finding the pump's next cycle in flight, so a busy connection
+    /// flipped between serving itself and feeding the pump thread for
+    /// seconds at a time, at very different throughputs (DESIGN.md §7).
     ///
     /// Does nothing unless a sequential background pump is attached
     /// (without one [`stage`](Self::stage) was a plain `ingest_async`),
     /// so a server that is only pumped by hand evaluates nothing here.
-    /// Must not be called from inside a trigger: the cycle would run
-    /// inside the writer's transaction. (From a subscriber it is
-    /// harmless — the gate is taken, by the caller's own cycle.)
+    /// Must not be called from inside a trigger (the cycle would run
+    /// inside the writer's transaction) nor from inside a subscriber
+    /// (its cycle holds the gate).
     pub fn run_staged(&self) {
         if !self.stager_stands_in() {
             return;
         }
-        let Some(gate) = self.cycle_gate.try_lock() else {
-            self.admission.wake();
-            return;
-        };
+        let gate = self.cycle_gate.lock();
         for _ in 0..STAGER_PASSES {
             if self.admission.depth() == 0 {
                 return;

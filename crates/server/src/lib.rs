@@ -27,11 +27,12 @@
 //!
 //! Threading (DESIGN.md D13): a TCP connection's reader thread stages
 //! the events of one `read()`, runs the evaluation cycle for them itself
-//! when no other cycle is in flight, and writes the results — the
+//! (one cycle at a time: it waits out another thread's), and writes the
+//! results — the
 //! subscribers' `UPDATE`s, then its own replies — with one non-blocking
 //! send per socket ([`tcp`], `outbox`). The background pump and the
-//! per-connection writer threads are for ticks, trigger captures,
-//! contention and slow peers.
+//! per-connection writer threads are for ticks, trigger captures and
+//! slow peers.
 //!
 //! The connection lifecycle is resource-bounded (DESIGN.md D13): HTTP
 //! is persistent (HTTP/1.1 keep-alive with a per-connection request
@@ -90,7 +91,7 @@ pub struct NetConfig {
     /// requests (the deterministic mode the golden-transcript tests
     /// rely on). With a pump attached, connections evaluate what they
     /// stage themselves and the pump is woken for the rest (trigger
-    /// captures, contention), so this is not a latency floor: it is the
+    /// captures), so this is not a latency floor: it is the
     /// longest a journal-mined or query-poll capture, a lapsed queue
     /// visibility timeout or history compaction waits for the pump.
     pub pump_interval: Option<Duration>,

@@ -14,9 +14,9 @@
 //! events. The connection's reader calls [`Session::end_of_read`] once
 //! it has dispatched every frame of one `read()`: that runs the cycle
 //! over what was staged (on this thread, if a background pump is
-//! attached and no cycle is in flight — `EventServer::run_staged`),
-//! then flushes the replies. Subscribers hear before the producer is
-//! acknowledged, and a pipelined burst costs one cycle and one `send`.
+//! attached — `EventServer::run_staged`), then flushes the replies.
+//! Subscribers hear before the producer is acknowledged, and a
+//! pipelined burst costs one cycle and one `send`.
 
 use std::cell::Cell;
 use std::sync::Arc;

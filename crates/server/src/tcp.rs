@@ -7,14 +7,14 @@
 //! [`Session`], which appends replies to the connection's [`Outbox`] and
 //! stages `INGEST`ed events quietly; after the last frame of one
 //! `read()` it runs the cycle those events need itself
-//! (`EventServer::run_staged` — when a background pump is attached and
-//! no cycle is in flight) and then sends its replies with one
-//! non-blocking `send`. The cycle's `UPDATE`s were appended to the
+//! (`EventServer::run_staged` — when a background pump is attached;
+//! a cycle in flight on another thread is waited out) and then sends
+//! its replies with one non-blocking `send`. The cycle's `UPDATE`s were appended to the
 //! subscribers' outboxes and sent the same way, by the same thread, at
 //! the engine's end-of-batch signal. So a paced request costs no thread
 //! hand-off at all. The other threads are for what that path cannot do:
-//! the pump thread for ticks, trigger captures and cycles that found the
-//! gate taken; a connection's writer thread for the tail of a send the
+//! the pump thread for ticks, trigger captures and what a reader left
+//! staged after its few passes; a connection's writer thread for the tail of a send the
 //! socket did not take whole (a slow or stalled peer), and for the last
 //! frames of a closing session.
 //!
