@@ -32,19 +32,15 @@
 //! so a wake-up cannot fall between the emptiness check and the wait,
 //! and a running pump (flag down) costs producers no `notify` at all.
 //!
-//! Offering has two halves, and a producer may take them apart:
-//! [`push`](AdmissionControl::push) stages without touching the
-//! consumer, [`wake`](AdmissionControl::wake) rouses it if it is parked;
-//! `admit` is the two under one lock acquisition. A producer that is
-//! about to evaluate what it staged itself
-//! ([`EventServer::run_staged`]) pushes quietly and wakes the pump only
-//! for what it leaves behind. Nothing is stranded by the split: the
-//! quiet producer evaluates what is staged itself, and `wait_for_work`
-//! re-reads the buffer under its lock before it parks. The one rule the
-//! quiet half
-//! adds is in `Block`: a producer about to wait for *space* wakes a
-//! parked consumer first, because the stager whose cycle would have made
-//! the space may be that very producer.
+//! Offering has two halves: [`push`](AdmissionControl::push) stages,
+//! [`wake`](AdmissionControl::wake) asks for the consumer, and `admit`
+//! is both under one lock acquisition. A producer that evaluates what it
+//! staged itself ([`EventServer::run_staged`]) pushes quietly, and a
+//! consumer leaves quiet pushes to it: they are not work until asked for.
+//! Nothing is stranded: the stager runs what it staged and asks for the
+//! rest. The one rule the quiet half adds is in `Block`: a producer
+//! about to wait for *space* asks first, because the stager whose cycle
+//! would have made the space may be that very producer.
 //!
 //! [`ingest_async`]: crate::server::EventServer::ingest_async
 //! [`EventServer::run_staged`]: crate::server::EventServer::run_staged
@@ -93,9 +89,9 @@ pub enum Staged {
 /// Why [`AdmissionControl::wait_for_work`] returned.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Wake {
-    /// At least one event is staged.
+    /// Events are staged and were asked for (not only pushed quietly).
     Work,
-    /// The time-out elapsed with nothing staged.
+    /// The time-out elapsed with nothing staged asked for.
     Tick,
     /// The caller's stop flag is raised.
     Stop,
@@ -115,11 +111,13 @@ impl Wake {
 /// The staged events plus the consumer's parked flag, under one lock.
 struct Buffer {
     items: VecDeque<(i64, Staged)>,
-    /// True while a consumer waits on `work`. Raised by
-    /// `wait_for_work` after it saw `items` empty; lowered by whoever
+    /// True while a consumer waits on `work`. Raised by `wait_for_work`
+    /// after it saw nothing `wanted` staged; lowered by whoever
     /// notifies (so a burst of admits pays for one notify) or by the
     /// consumer itself when it times out.
     parked: bool,
+    /// Asked for since the last drain (`admit`, `wake`, a `Block`ed push).
+    wanted: bool,
 }
 
 /// The bounded staging buffer shared by every push-side producer.
@@ -127,7 +125,7 @@ struct Buffer {
 /// Depth, peak depth and the shed / rejected / dropped-capture counters
 /// are exported through the metrics registry as `evdb_ingest_depth`,
 /// `evdb_ingest_shed_total`, `evdb_ingest_rejected_total` and
-/// `evdb_ingest_dropped_capture_total` (see `EventServer::bridge_gauges`).
+/// `evdb_ingest_dropped_capture_total` (bridged by the capture stage).
 pub struct AdmissionControl {
     capacity: usize,
     policy: OverloadPolicy,
@@ -153,6 +151,7 @@ impl AdmissionControl {
             staged: Mutex::new(Buffer {
                 items: VecDeque::new(),
                 parked: false,
+                wanted: false,
             }),
             space: Condvar::new(),
             work: Condvar::new(),
@@ -242,8 +241,9 @@ impl AdmissionControl {
             match self.policy {
                 OverloadPolicy::Block => {
                     // Whoever staged the buffer full may have pushed
-                    // quietly and be this very thread: a parked consumer
-                    // has to be told before we wait on it for space.
+                    // quietly and be this very thread: the consumer has
+                    // to be asked before we wait on it for space.
+                    staged.wanted = true;
                     if staged.parked {
                         staged.parked = false;
                         self.work.notify_all();
@@ -286,11 +286,12 @@ impl AdmissionControl {
         Ok(staged)
     }
 
-    /// Wake the parked consumer, if there is one. The flag is lowered
-    /// here, under the lock, so the admits that follow before the
-    /// consumer is scheduled skip the notify; the syscall itself runs
-    /// after the lock is released.
+    /// Ask for what is staged and wake the parked consumer, if there is
+    /// one. The flag is lowered here, under the lock, so the admits that
+    /// follow before the consumer is scheduled skip the notify; the
+    /// syscall itself runs after the lock is released.
     fn notify_if_parked(&self, mut staged: MutexGuard<'_, Buffer>) {
+        staged.wanted = !staged.items.is_empty();
         if staged.parked {
             staged.parked = false;
             drop(staged);
@@ -298,10 +299,10 @@ impl AdmissionControl {
         }
     }
 
-    /// Park the consumer until an event is staged, `stop` is raised (by
-    /// a thread that then calls [`wake`](Self::wake)), or `timeout`
-    /// elapses — whichever comes first. Returns at once when work is
-    /// already staged, so a saturated pump never parks.
+    /// Park the consumer until staged events are asked for, `stop` is
+    /// raised (by a thread that then calls [`wake`](Self::wake)), or
+    /// `timeout` elapses — whichever comes first. Returns at once when
+    /// work is already staged, so a saturated pump never parks.
     ///
     /// `stop` is read under the buffer lock before every wait: a
     /// stopper that stores the flag and then calls `wake` either finds
@@ -313,7 +314,7 @@ impl AdmissionControl {
         loop {
             let wake = if stop.load(Ordering::SeqCst) {
                 Wake::Stop
-            } else if !staged.items.is_empty() {
+            } else if staged.wanted && !staged.items.is_empty() {
                 Wake::Work
             } else {
                 let left = deadline
@@ -334,10 +335,10 @@ impl AdmissionControl {
         }
     }
 
-    /// Wake a consumer parked in [`wait_for_work`](Self::wait_for_work)
-    /// without staging anything: the second half of
-    /// [`admit`](Self::admit) after a [`push`](Self::push), or a stop
-    /// (raise the stop flag first).
+    /// Ask for what is staged and wake a consumer parked in
+    /// [`wait_for_work`](Self::wait_for_work) without staging anything:
+    /// the second half of [`admit`](Self::admit) after a
+    /// [`push`](Self::push), or a stop (raise the stop flag first).
     pub fn wake(&self) {
         self.notify_if_parked(self.lock());
     }
@@ -347,6 +348,7 @@ impl AdmissionControl {
     /// evaluation order.
     pub fn drain(&self) -> Vec<Staged> {
         let mut staged = self.lock();
+        staged.wanted = false;
         if staged.items.is_empty() {
             return Vec::new();
         }
@@ -499,6 +501,34 @@ mod tests {
         ac.wake();
         assert_eq!(parked.join().unwrap(), Wake::Work);
         assert_eq!(ac.drain().len(), 1);
+    }
+
+    #[test]
+    fn quiet_pushes_stay_with_their_stager_until_asked_for() {
+        let ac = AdmissionControl::new(4, OverloadPolicy::Block);
+        let stop = AtomicBool::new(false);
+        ac.push(0, ev(1)).unwrap();
+        // Not work: the consumer times out with the event still staged
+        // for the stager.
+        assert_eq!(ac.wait_for_work(Duration::from_millis(1), &stop), Wake::Tick);
+        assert_eq!(ac.depth(), 1);
+        // Asked for by a wake, or by an admit behind it.
+        ac.wake();
+        assert_eq!(ac.wait_for_work(Duration::MAX, &stop), Wake::Work);
+        assert_eq!(ac.drain().len(), 1);
+        ac.push(0, ev(2)).unwrap();
+        ac.admit(0, ev(3)).unwrap();
+        assert_eq!(ac.wait_for_work(Duration::MAX, &stop), Wake::Work);
+        let drained: Vec<u64> = ac.drain().iter().map(id_of).collect();
+        assert_eq!(drained, [2, 3]);
+        // A drain answers the ask, and a bare wake on an empty buffer
+        // asks for nothing.
+        ac.push(0, ev(4)).unwrap();
+        assert_eq!(ac.wait_for_work(Duration::ZERO, &stop), Wake::Tick);
+        ac.drain();
+        ac.wake();
+        ac.push(0, ev(5)).unwrap();
+        assert_eq!(ac.wait_for_work(Duration::ZERO, &stop), Wake::Tick);
     }
 
     #[test]

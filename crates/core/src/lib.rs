@@ -1,9 +1,9 @@
 //! # evdb-core
 //!
 //! The EventDB facade: one [`EventServer`] that composes the storage
-//! engine, staging areas, rules broker, continuous-query runtime,
-//! analytics detectors and the distribution fabric into the event-driven
-//! architecture of Chandy & Gawlick's tutorial.
+//! engine, staging areas, rules broker, continuous-query runtime and
+//! analytics detectors into the event-driven architecture of Chandy &
+//! Gawlick's tutorial.
 //!
 //! The server is **pump-driven**: captures buffer change events, and each
 //! [`EventServer::pump`] drains them through the evaluation pipeline
@@ -11,27 +11,32 @@
 //! every experiment deterministic under a simulated clock; callers that
 //! want liveness call `pump` from their own loop or timer thread.
 //!
-//! * [`server`] — the facade: tables, capture mechanisms (trigger /
-//!   journal / query-poll), streams, CQL queries, queues, topics,
-//!   detectors, pump.
-//! * [`notify`] — the notification center with the **VIRT** filter
-//!   ("Valuable Information at the Right Time", §1): severity floor,
-//!   per-key duplicate suppression and rate limiting against
-//!   information overload.
-//! * [`security`] — principals, grants and the audit trail
-//!   (the "security, auditing, tracking" operational characteristic).
-//! * [`metrics`] — counters and latency histograms for the harness.
-//! * [`shard`] — the sharded parallel pump: partitioned multi-worker
-//!   evaluation behind [`PumpMode::Sharded`], preserving per-key order.
-//! * [`admission`] — the bounded staged-ingest buffer and its
-//!   [`OverloadPolicy`] (block / reject / shed-lowest), the explicit
-//!   overload boundary between producers and the pump — and the work
-//!   signal that wakes the pump when something is staged.
+//! * [`server`] — the facade: construction, wiring and the registration
+//!   API (tables, capture mechanisms, streams, CQL queries, rules,
+//!   detectors, queues, history).
+//! * The cycle, one module per stage, each owning its locks and handing
+//!   the next a typed value (DESIGN.md §6): `capture` (capture tasks and
+//!   the admission buffer → [`Drained`]), `evaluate` (history, queries,
+//!   rules, detectors → notifications + first error), [`notify`] (the
+//!   **VIRT** filter — "Valuable Information at the Right Time", §1 —
+//!   and the end-of-batch hooks), and `cycle` (the gate, one cycle at a
+//!   time, and the entry points that run it).
+//! * [`pump`] / [`shard`] — the background pump threads: sequential, or
+//!   partitioned over N workers behind [`PumpMode::Sharded`] with per-key
+//!   order preserved.
+//! * [`admission`] — the bounded staged-ingest buffer, its
+//!   [`OverloadPolicy`] (block / reject / shed-lowest) and the work signal
+//!   that wakes the pump.
 //! * [`history`] — the per-stream columnar historical event store
-//!   (DESIGN.md D14): zone-map-pruned historical queries, pump-driven
-//!   compaction, and `REPLAY` back through the CQ runtime.
+//!   (DESIGN.md D14): pruned historical queries, pump-driven compaction,
+//!   `REPLAY` back through the CQ runtime.
+//! * [`security`] — principals, grants and the audit trail.
+//! * [`metrics`] — counters and latency histograms for the harness.
 
 pub mod admission;
+mod capture;
+mod cycle;
+mod evaluate;
 pub mod history;
 pub mod metrics;
 pub mod notify;

@@ -8,7 +8,6 @@ use evdb_analytics::Histogram;
 use evdb_types::Stage;
 use parking_lot::Mutex;
 
-use crate::admission::Wake;
 pub use evdb_obs::{Counter, Gauge, HistogramHandle, HistogramStats, Registry, Snapshot};
 
 /// Per-pipeline-stage observability handles: one event counter and one
@@ -67,45 +66,27 @@ impl StageObs {
     }
 }
 
-/// Why and how often the background pump ran (D9): from `/metrics`
-/// alone an operator can tell a pump woken 18 000×/s by staged work
-/// from one ticking idle. Shared by the sequential pump and the sharded
-/// router; bound at server construction, so the series exist (at zero)
-/// before any pump is spawned.
-pub(crate) struct PumpObs {
-    /// `evdb_pump_wakeups_total{cause=…}`, indexed by [`Wake`].
-    wakeups: [Arc<Counter>; 3],
-    /// Maintenance passes run (`evdb_pump_maintenance_total`).
-    pub(crate) maintenance: Arc<Counter>,
-    /// Cycles completed by every pump this server has run
-    /// (`evdb_pump_cycles_total`; one pump's share is on its handle).
-    pub(crate) cycles: Arc<Counter>,
-    /// Of those, the ones a stager ran on its own thread instead of
-    /// waking the pump (`evdb_pump_inline_cycles_total`, see
-    /// `EventServer::run_staged`).
-    pub(crate) inline_cycles: Arc<Counter>,
-    /// Cycles or evaluations that errored (`evdb_pump_errors_total`).
-    pub(crate) errors: Arc<Counter>,
+/// A bridged gauge's name and how to read it off its source.
+pub(crate) type GaugeRead<T> = (&'static str, fn(&T) -> f64);
+
+/// Bridge pull-style gauges over a component's own counters, so the text
+/// exposition covers the whole engine without double-counting: each
+/// `(name, read)` becomes a gauge that applies `read` to `source` at
+/// render time. Each stage bridges its own share when it is built.
+pub(crate) fn bridge<T: Send + Sync + 'static>(
+    registry: &Registry,
+    source: &Arc<T>,
+    gauges: &[GaugeRead<T>],
+) {
+    for &(name, read) in gauges {
+        let source = Arc::clone(source);
+        registry.gauge_fn(name, move || read(&source));
+    }
 }
 
-impl PumpObs {
-    /// Register the pump metrics with `registry`.
-    pub(crate) fn bind(registry: &Registry) -> PumpObs {
-        PumpObs {
-            wakeups: [Wake::Work, Wake::Tick, Wake::Stop].map(|w| {
-                registry.counter(&format!("evdb_pump_wakeups_total{{cause=\"{}\"}}", w.name()))
-            }),
-            maintenance: registry.counter("evdb_pump_maintenance_total"),
-            cycles: registry.counter("evdb_pump_cycles_total"),
-            inline_cycles: registry.counter("evdb_pump_inline_cycles_total"),
-            errors: registry.counter("evdb_pump_errors_total"),
-        }
-    }
-
-    /// Count one return from the pump's wait, by cause.
-    pub(crate) fn wake(&self, cause: Wake) {
-        self.wakeups[cause as usize].inc();
-    }
+/// A counter's current value as a gauge reading.
+pub(crate) fn relaxed(counter: &AtomicU64) -> f64 {
+    counter.load(Ordering::Relaxed) as f64
 }
 
 /// Per-batch scratch for stage latency samples. Hot loops (the pump,

@@ -14,12 +14,20 @@
 //!
 //! Suppressed notifications are counted, never silently lost to
 //! observability.
+//!
+//! `Notify`, the cycle's last stage, wraps the center: it stamps the
+//! deliver stage, runs a batch through the filter and gives the
+//! end-of-batch signal.
 
 use std::collections::{HashMap, VecDeque};
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
-use evdb_types::{Clock, TimestampMs, Trace};
-use parking_lot::Mutex;
+use evdb_types::{Clock, Stage, TimestampMs, Trace};
+use parking_lot::{Mutex, RwLock};
+
+use crate::metrics::{bridge, relaxed, Metrics, StageBatch, StageObs};
+use crate::server::ServerConfig;
 
 /// An outbound notification.
 #[derive(Debug, Clone, PartialEq)]
@@ -97,15 +105,15 @@ pub struct NotificationCenter {
     /// The most recent [`DELIVERED_LOG_CAP`] delivered notifications.
     delivered_log: Mutex<VecDeque<Notification>>,
     /// Notifications delivered.
-    pub delivered: std::sync::atomic::AtomicU64,
+    pub delivered: AtomicU64,
     /// Notifications suppressed by the filter.
-    pub suppressed: std::sync::atomic::AtomicU64,
+    pub suppressed: AtomicU64,
     /// Delivered notifications that were retraction cancels (a subset of
     /// `delivered`).
-    pub retracted: std::sync::atomic::AtomicU64,
+    pub retracted: AtomicU64,
     /// Delivered notifications the log dropped, oldest first, to stay
     /// within its bound before anybody drained them.
-    pub log_overwritten: std::sync::atomic::AtomicU64,
+    pub log_overwritten: AtomicU64,
 }
 
 impl NotificationCenter {
@@ -117,10 +125,10 @@ impl NotificationCenter {
             handlers: Mutex::new(Vec::new()),
             state: Mutex::new(HashMap::new()),
             delivered_log: Mutex::new(VecDeque::new()),
-            delivered: std::sync::atomic::AtomicU64::new(0),
-            suppressed: std::sync::atomic::AtomicU64::new(0),
-            retracted: std::sync::atomic::AtomicU64::new(0),
-            log_overwritten: std::sync::atomic::AtomicU64::new(0),
+            delivered: AtomicU64::new(0),
+            suppressed: AtomicU64::new(0),
+            retracted: AtomicU64::new(0),
+            log_overwritten: AtomicU64::new(0),
         }
     }
 
@@ -147,7 +155,6 @@ impl NotificationCenter {
     /// once per notification (D15). Filter decisions are made in batch
     /// order; returns the number delivered.
     pub fn notify_batch(&self, batch: Vec<Notification>) -> u64 {
-        use std::sync::atomic::Ordering;
         if batch.is_empty() {
             return 0;
         }
@@ -198,7 +205,6 @@ impl NotificationCenter {
         notification: &Notification,
         now: TimestampMs,
     ) -> bool {
-        use std::sync::atomic::Ordering;
         if notification.severity < self.policy.min_severity {
             self.suppressed.fetch_add(1, Ordering::Relaxed);
             return false;
@@ -244,10 +250,84 @@ impl NotificationCenter {
     }
 }
 
+/// An end-of-batch callback ([`crate::EventServer::on_batch_end`]).
+pub type BatchEndHook = Arc<dyn Fn() + Send + Sync>;
+
+/// The notify stage (§2.2.d), last in the cycle: the VIRT-filtered
+/// [`NotificationCenter`] and the end-of-batch hooks. It takes the
+/// notifications evaluation handed forward; past it there are only the
+/// subscribers' own callbacks.
+pub(crate) struct Notify {
+    pub(crate) center: Arc<NotificationCenter>,
+    metrics: Arc<Metrics>,
+    stage_obs: StageObs,
+    /// Called after each batch's subscribers, on the thread that ran them.
+    hooks: RwLock<Vec<BatchEndHook>>,
+}
+
+impl Notify {
+    pub(crate) fn new(metrics: &Arc<Metrics>, config: &ServerConfig) -> Notify {
+        let (registry, clock) = (&config.registry, Arc::clone(&config.clock));
+        let center = Arc::new(NotificationCenter::new(config.virt, clock));
+        if registry.is_enabled() {
+            bridge(registry, &center, &[
+                ("evdb_notify_delivered", |nc| relaxed(&nc.delivered)),
+                ("evdb_notify_suppressed", |nc| relaxed(&nc.suppressed)),
+                ("evdb_notify_retracted_total", |nc| relaxed(&nc.retracted)),
+                ("evdb_notify_log_overwritten_total", |nc| relaxed(&nc.log_overwritten)),
+            ]);
+        }
+        Notify {
+            center,
+            metrics: Arc::clone(metrics),
+            stage_obs: StageObs::bind(registry),
+            hooks: RwLock::new(Vec::new()),
+        }
+    }
+
+    /// Deliver a whole batch of pending notifications through the VIRT
+    /// filter; see [`crate::EventServer::deliver_batch`].
+    pub(crate) fn deliver_batch(&self, mut batch: Vec<Notification>) -> u64 {
+        if batch.is_empty() {
+            return 0;
+        }
+        if self.stage_obs.enabled {
+            let now = self.center.clock.now();
+            let mut spans = StageBatch::default();
+            for n in &mut batch {
+                n.trace.stamp(Stage::Deliver, now);
+                let span = n.trace.span_ms(Stage::Capture, Stage::Deliver).unwrap_or(0) as f64;
+                spans.push(Stage::Deliver, span);
+            }
+            self.stage_obs.flush(&mut spans);
+        }
+        let delivered = self.center.notify_batch(batch);
+        let (metrics, center, order) = (&self.metrics, &self.center, Ordering::Relaxed);
+        metrics.notifications.store(center.delivered.load(order), order);
+        metrics.suppressed.store(center.suppressed.load(order), order);
+        delivered
+    }
+
+    /// Register an end-of-batch callback.
+    pub(crate) fn on_batch_end(&self, hook: BatchEndHook) {
+        self.hooks.write().push(hook);
+    }
+
+    /// Give subscribers the end-of-batch signal.
+    pub(crate) fn end_batch(&self) {
+        for hook in self.hooks.read().iter() {
+            hook();
+        }
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
-    use evdb_types::SimClock;
+    use crate::server::tests::server;
+    use crate::server::{CaptureMechanism, ServerConfig};
+    use crate::EventServer;
+    use evdb_types::{DataType, Record, Schema, SimClock, Value};
 
     fn notif(key: &str, sev: f64) -> Notification {
         Notification {
@@ -460,5 +540,62 @@ mod tests {
         nc.notify(notif("a", 1.0));
         nc.notify(notif("b", 1.0));
         assert_eq!(n.load(Ordering::SeqCst), 2);
+    }
+
+    #[test]
+    fn virt_policy_suppresses_duplicates_end_to_end() {
+        let clock = SimClock::new(TimestampMs(0));
+        let s = EventServer::in_memory(ServerConfig {
+            clock: clock.clone(),
+            virt: VirtPolicy {
+                suppression_window_ms: 10_000,
+                ..Default::default()
+            },
+            ..Default::default()
+        })
+        .unwrap();
+        s.create_stream("t", Schema::of(&[("v", DataType::Float)]))
+            .unwrap();
+        s.add_alert_rule("hot", "t", "v > 10", 1.0, None).unwrap();
+        let mut total = 0;
+        for _ in 0..5 {
+            total += s
+                .ingest("t", clock.now(), Record::from_iter([Value::Float(50.0)]))
+                .unwrap()
+                .notified;
+        }
+        assert_eq!(total, 1); // four suppressed
+        assert_eq!(s.metrics().snapshot().suppressed, 4);
+    }
+
+    #[test]
+    fn notifications_persist_to_a_queue() {
+        let (s, _clock) = server();
+        let stream = s
+            .capture_table("orders", CaptureMechanism::Trigger)
+            .unwrap();
+        s.add_alert_rule("big", &stream, "amt > 100", 2.5, Some("oid"))
+            .unwrap();
+        s.persist_notifications("alerts").unwrap();
+        s.queues().subscribe("alerts", "oncall").unwrap();
+
+        s.db()
+            .insert(
+                "orders",
+                Record::from_iter([Value::Int(1), Value::Float(500.0)]),
+            )
+            .unwrap();
+        s.db()
+            .insert(
+                "orders",
+                Record::from_iter([Value::Int(2), Value::Float(5.0)]),
+            )
+            .unwrap();
+        s.pump().unwrap();
+
+        let d = s.queues().dequeue("alerts", "oncall", 10).unwrap();
+        assert_eq!(d.len(), 1);
+        assert_eq!(d[0].message.payload.get(1), Some(&Value::Float(2.5)));
+        assert_eq!(d[0].message.source, "notification-center");
     }
 }

@@ -1,52 +1,35 @@
 //! Background pumping: liveness without hand-rolled loops.
 //!
-//! [`EventServer::pump`] is deliberately pull-driven for determinism; a
-//! deployed server wants the pump to run continuously. [`spawn_pump`]
-//! starts a worker thread that runs the pipeline whenever work is
-//! staged for it and shuts down cleanly when the handle is stopped or
-//! dropped.
-//!
-//! The pump is **event-driven**: it parks on the admission buffer's
+//! [`EventServer::pump`] is deliberately pull-driven for determinism;
+//! [`spawn_pump`] starts a thread that runs the cycle whenever work is
+//! staged and shuts down cleanly when its handle is stopped or dropped.
+//! The thread is **event-driven**: it parks on the admission buffer's
 //! work signal ([`AdmissionControl::wait_for_work`]) and a producer's
-//! `admit` wakes it, so a staged event is evaluated as soon as a core
-//! is free — no stage sleeps while work is staged for it. `interval` is
-//! only the **maintenance tick**: the longest the pump goes without a
-//! full cycle, which is what polls the pull-based captures (journal
-//! mining, query-poll snapshots), reaps queue visibility timeouts and
-//! runs history maintenance. It bounds the staleness of those, not the
-//! latency of staged events.
+//! `admit` wakes it. `interval` is only the **maintenance tick** — the
+//! longest the pump goes without a full cycle, which polls the
+//! pull-based captures, reaps queue visibility timeouts and maintains
+//! history; it bounds their staleness, not the latency of staged events.
 //!
-//! A **sequential** pump also lets stagers stand in for it. While one is
-//! attached, [`EventServer::stage`] pushes without the wake and
-//! [`EventServer::run_staged`] runs the cycle on the stager's own thread
-//! — a connection's reader that would block right after staging
-//! evaluates its own events instead of waking this thread and waiting
-//! for it to be scheduled. The pump thread is then what is left over:
-//! the tick (which takes along whatever it finds staged), trigger
-//! captures (which fire inside a writer's transaction, where no cycle
-//! may run), what a stager left behind after its bounded number of
-//! passes, and embedders' `ingest_async`. Whoever runs it, one cycle is
-//! in flight at a time (the gate; D15), so [`EventServer::pump`] or a
-//! stager beside a background pump waits its turn rather than
-//! evaluating a second batch next to the first.
-//! `evdb_pump_wakeups_total{cause="work"}` counts the turns the pump
-//! thread took because events were staged, `evdb_pump_inline_cycles_total`
-//! the cycles stagers ran.
+//! A **sequential** pump also lets stagers stand in for it
+//! ([`EventServer::stage`] + [`EventServer::run_staged`]; one cycle in
+//! flight at a time, whoever runs it). The pump thread is then what is
+//! left over: the tick (which leaves a stager's quiet pushes to it),
+//! trigger captures (which fire inside a writer's transaction, where no
+//! cycle may run), what a stager left behind after its bounded number of
+//! passes, and embedders' `ingest_async`.
 //!
-//! [`spawn_pump_with`] selects the execution mode: the classic
-//! single-threaded loop ([`PumpMode::Sequential`]) or the sharded
-//! parallel pipeline ([`PumpMode::Sharded`], see [`crate::shard`]),
-//! which partitions captured events by stream/partition key across N
-//! evaluation workers behind the same [`PumpHandle`] API.
+//! [`spawn_pump_with`] selects [`PumpMode::Sequential`] or the sharded
+//! pipeline ([`PumpMode::Sharded`], see [`crate::shard`]) behind the
+//! same [`PumpHandle`].
 //!
 //! [`AdmissionControl::wait_for_work`]: crate::admission::AdmissionControl::wait_for_work
 
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use crate::admission::{AdmissionControl, Wake};
-use crate::metrics::Counter;
+use crate::cycle::PumpTally;
 use crate::server::EventServer;
 use crate::shard;
 
@@ -123,88 +106,39 @@ impl Drop for PumpHandle {
     }
 }
 
-/// One background pump's cycle and error tallies: read through its
-/// [`PumpHandle`] (also with a disabled registry) and mirrored into the
-/// server-wide `evdb_pump_cycles_total` / `evdb_pump_errors_total`.
-pub(crate) struct PumpTally {
-    cycles: AtomicU64,
-    errors: AtomicU64,
-    cycles_total: Arc<Counter>,
-    errors_total: Arc<Counter>,
-}
-
-impl PumpTally {
-    fn new(server: &EventServer) -> PumpTally {
-        PumpTally {
-            cycles: AtomicU64::new(0),
-            errors: AtomicU64::new(0),
-            cycles_total: Arc::clone(&server.pump_obs().cycles),
-            errors_total: Arc::clone(&server.pump_obs().errors),
-        }
-    }
-
-    pub(crate) fn cycle(&self) {
-        self.cycles.fetch_add(1, Ordering::Relaxed);
-        self.cycles_total.inc();
-    }
-
-    pub(crate) fn errors(&self, n: u64) {
-        self.errors.fetch_add(n, Ordering::Relaxed);
-        self.errors_total.add(n);
-    }
-}
-
-/// What the pump thread (sequential pump or sharded router) should do
-/// with the cycle it was just woken for.
-pub(crate) struct Turn {
-    /// Maintenance is due: run the full cycle, not just the staged work.
-    pub maintenance: bool,
-    /// The stop flag is up: this is the last cycle.
-    pub stopping: bool,
-}
-
-/// Paces one pump thread: parks it until there is a reason to run,
-/// counts the reason, and decides whether the cycle includes
-/// maintenance. Work wakes never push the tick back — maintenance runs
-/// whenever `interval` has passed since it last ran, so continuous
-/// traffic cannot starve it and pull-based captures are never staler
-/// than `interval` plus one cycle.
-pub(crate) struct Pacer {
+/// Run one pump thread — the sequential pump or the sharded router:
+/// park until staged work is asked for, the maintenance tick is due or
+/// `stop` is raised, count why it woke, run `cycle(maintenance, staged)`
+/// (which returns the errors it met), count the turn on `tally`; after
+/// the stop, one last full cycle, so a clean stop leaves nothing
+/// captured but unevaluated. A tick leaves the staged buffer (`staged`
+/// false) to the stagers who pushed it quietly. Work wakes never push
+/// the tick back, so continuous traffic cannot starve maintenance and
+/// pull-based captures are never staler than `interval` plus one cycle.
+pub(crate) fn drive(
+    server: &EventServer,
     interval: Duration,
-    /// When maintenance last ran; `None` before the first cycle.
-    last_maintenance: Option<Instant>,
-}
-
-impl Pacer {
-    pub(crate) fn new(interval: Duration) -> Pacer {
-        Pacer {
-            interval,
-            last_maintenance: None,
-        }
-    }
-
-    /// Time left until maintenance is due (zero before the first cycle).
-    fn until_tick(&self) -> Duration {
-        self.last_maintenance
-            .map_or(Duration::ZERO, |t| self.interval.saturating_sub(t.elapsed()))
-    }
-
-    /// Park until work is staged, the tick is due or `stop` is raised.
-    pub(crate) fn next(&mut self, server: &EventServer, stop: &AtomicBool) -> Turn {
-        let cause = server.admission().wait_for_work(self.until_tick(), stop);
-        let obs = server.pump_obs();
-        obs.wake(cause);
+    stop: &AtomicBool,
+    tally: &PumpTally,
+    mut cycle: impl FnMut(bool, bool) -> u64,
+) {
+    // When maintenance last ran; `None` before the first cycle.
+    let mut last_maintenance: Option<Instant> = None;
+    let until_tick = |last: Option<Instant>| {
+        last.map_or(Duration::ZERO, |t| interval.saturating_sub(t.elapsed()))
+    };
+    loop {
+        let cause = server.admission().wait_for_work(until_tick(last_maintenance), stop);
         let stopping = cause == Wake::Stop;
-        // The last cycle is a full one, so a clean stop leaves nothing
-        // captured-but-unevaluated behind.
-        let maintenance = stopping || self.until_tick().is_zero();
+        let maintenance = stopping || until_tick(last_maintenance).is_zero();
         if maintenance {
-            self.last_maintenance = Some(Instant::now());
-            obs.maintenance.inc();
+            last_maintenance = Some(Instant::now());
         }
-        Turn {
-            maintenance,
-            stopping,
+        server.cycle.woke(cause, maintenance);
+        let errors = cycle(maintenance, cause != Wake::Tick);
+        server.cycle.count(Some(tally), 1, errors);
+        if stopping {
+            break;
         }
     }
 }
@@ -227,7 +161,7 @@ pub fn spawn_pump_with(
     mode: PumpMode,
 ) -> PumpHandle {
     let stop = Arc::new(AtomicBool::new(false));
-    let tally = Arc::new(PumpTally::new(server));
+    let tally = Arc::new(PumpTally::default());
     let threads = match mode {
         PumpMode::Sequential => vec![spawn_sequential(server, interval, &stop, &tally)],
         PumpMode::Sharded { workers } => {
@@ -257,21 +191,14 @@ fn spawn_sequential(
     // Counted in before the thread exists, so a stager that sees the
     // handle also sees the pump attached; counted out when the thread
     // ends, however it ends.
-    let attached = server.attach_sequential_pump();
+    let attached = server.cycle.attach_pump();
     std::thread::Builder::new()
         .name("evdb-pump".into())
         .spawn(move || {
             let _attached = attached;
-            let mut pacer = Pacer::new(interval);
-            loop {
-                let turn = pacer.next(&server, &stop);
-                let (_, errors, _) = server.cycle(turn.maintenance);
-                tally.errors(errors);
-                tally.cycle();
-                if turn.stopping {
-                    break;
-                }
-            }
+            drive(&server, interval, &stop, &tally, |maintenance, staged| {
+                server.run_cycle(maintenance, staged).1
+            });
         })
         .expect("spawn pump thread")
 }

@@ -11,30 +11,23 @@
 //!                                                                 ┘
 //! ```
 //!
+//! Each thread runs the same stage calls as the inline cycle: the router
+//! drains and routes (and parks on the admission buffer's work signal
+//! like the sequential pump), workers evaluate, the merge delivers.
+//!
 //! * **Partitioning** — the router hashes each event's partition key
-//!   ([`EventServer::partition_key_of`]: the stream name, optionally
-//!   refined by a payload field) with [`shard_for`]. Same key ⇒ same
-//!   shard ⇒ evaluated in arrival order, so stream-runtime windows,
-//!   detector state and VIRT keys see exactly the sequence they would
-//!   see sequentially.
+//!   (the stream name, optionally refined by a payload field set with
+//!   [`EventServer::set_partition_field`]) with [`shard_for`]. Same key ⇒
+//!   same shard ⇒ evaluated in arrival order, so windows, detector state
+//!   and VIRT keys see exactly the sequence they would see sequentially.
 //! * **Backpressure** — worker queues are bounded channels; when a
 //!   worker falls behind, the router blocks on its queue rather than
 //!   buffering without limit.
-//! * **Delivery** — workers *collect* notifications
-//!   ([`EventServer::evaluate_events`], the batched evaluation path)
-//!   and the merge stage runs them through the stateful VIRT filter.
-//!   Workers stage `(shard, batch)` pairs into one merge channel the
-//!   merge thread blocks on; each round it takes everything queued,
-//!   orders it by shard (0..n) and delivers the round through one
-//!   filter-lock acquisition ([`EventServer::deliver_batch`]). A key's
-//!   notifications all come from one worker in that worker's send
-//!   order, so per-key delivery order still matches the sequential
-//!   pump (D15).
-//! * **Wake-ups** — no stage sleeps while work is staged for it: the
-//!   router parks on the admission buffer's work signal (see
-//!   [`crate::pump`]), workers block on their queues, the merge blocks
-//!   on its channel. The pump interval is only the router's
-//!   maintenance tick.
+//! * **Delivery** — workers *collect* notifications and the single merge
+//!   thread runs them through the stateful VIRT filter, a round at a
+//!   time in shard order (see `merge_loop`); a key's notifications all
+//!   come from one worker, so per-key delivery order matches the
+//!   sequential pump (D15).
 //! * **Shutdown** — the router performs one final drain after the stop
 //!   flag is raised, then drops the worker queues; workers finish their
 //!   backlog and drop the merge queue; the merge delivers the tail.
@@ -51,10 +44,13 @@ use std::time::Duration;
 use crossbeam::channel;
 use evdb_types::Event;
 
+use crate::capture::Drained;
+use crate::cycle::PumpTally;
+use crate::evaluate::EvalScratch;
 use crate::metrics::{ShardMetrics, StageBatch};
 use crate::notify::Notification;
-use crate::pump::{Pacer, PumpTally};
-use crate::server::{Drained, EvalScratch, EventServer};
+use crate::server::EventServer;
+use crate::{pump, OverloadPolicy};
 
 /// In-flight batches a worker queue holds before the router blocks.
 const WORKER_QUEUE_BATCHES: usize = 64;
@@ -99,10 +95,8 @@ pub(crate) fn spawn_sharded(
     for (i, metrics) in shard_metrics.iter().enumerate() {
         let (tx, rx) = channel::bounded::<Vec<Event>>(WORKER_QUEUE_BATCHES);
         worker_txs.push(tx);
-        let merge_tx = merge_tx.clone();
-        let s = Arc::clone(server);
-        let m = Arc::clone(metrics);
-        let ta = Arc::clone(tally);
+        let (s, m, ta, merge_tx) =
+            (Arc::clone(server), Arc::clone(metrics), Arc::clone(tally), merge_tx.clone());
         let t = std::thread::Builder::new()
             .name(format!("evdb-shard-{i}"))
             .spawn(move || worker_loop(&s, i, &rx, &merge_tx, &m, &ta))
@@ -120,10 +114,7 @@ pub(crate) fn spawn_sharded(
     };
 
     let router_thread = {
-        let s = Arc::clone(server);
-        let st = Arc::clone(stop);
-        let ta = Arc::clone(tally);
-        let sm = shard_metrics;
+        let (s, st, ta, sm) = (Arc::clone(server), Arc::clone(stop), Arc::clone(tally), shard_metrics);
         std::thread::Builder::new()
             .name("evdb-router".into())
             .spawn(move || router_loop(&s, interval, &worker_txs, &sm, &st, &ta))
@@ -147,24 +138,19 @@ fn router_loop(
     tally: &PumpTally,
 ) {
     let n = worker_txs.len();
-    let mut pacer = Pacer::new(interval);
+    let shed_at_router = server.admission().policy() == OverloadPolicy::ShedLowest;
     let mut poll_error_logged = false;
-    loop {
-        // The flag is read *before* draining (inside `next`): the
-        // post-stop iteration then ships everything staged up to the
-        // stop call.
-        let turn = pacer.next(server, stop);
-        let Drained { events, poll_error } = if turn.maintenance {
-            server.drain_captured()
-        } else {
-            Drained::staged(server.drain_staged())
-        };
+    // The stop flag is read *before* draining (in `drive`'s wait): the
+    // post-stop turn then ships everything staged up to the stop call.
+    pump::drive(server, interval, stop, tally, |maintenance, staged| {
+        let Drained { events, poll_error } = server.capture.drain(maintenance, staged);
+        let mut errors = 0;
         if let Some(e) = poll_error {
             // Counted; what the other captures gave is routed all the
             // same. Nobody receives the router's errors, so the first
             // is also said once (a capture that fails keeps failing
             // every tick).
-            tally.errors(1);
+            errors += 1;
             if !std::mem::replace(&mut poll_error_logged, true) {
                 eprintln!("evdb: capture poll failed: {e} (later ones only count in evdb_pump_errors_total)");
             }
@@ -173,66 +159,54 @@ fn router_loop(
         let stamp_now = server.now();
         let mut stage_batch = StageBatch::default();
         for mut event in events {
-            server.observe_route(&mut event, stamp_now, &mut stage_batch);
-            let key = server.partition_key_of(&event);
+            server.capture.route(&mut event, stamp_now, &mut stage_batch);
+            let key = server.capture.partition_key_of(&event);
             batches[shard_for(&key, n)].push(event);
         }
-        server.stage_obs().flush(&mut stage_batch);
-        let shed_at_router =
-            server.admission().policy() == crate::admission::OverloadPolicy::ShedLowest;
-        for (i, batch) in batches.into_iter().enumerate() {
+        server.stage_obs.flush(&mut stage_batch);
+        for (batch, (tx, shard)) in batches.into_iter().zip(worker_txs.iter().zip(shard_metrics)) {
             if batch.is_empty() {
                 continue;
             }
             let len = batch.len() as u64;
-            shard_metrics[i]
-                .events_routed
-                .fetch_add(len, Ordering::Relaxed);
-            shard_metrics[i]
-                .queue_depth
-                .fetch_add(len, Ordering::Relaxed);
-            if shed_at_router {
-                // ShedLowest must not stall the router on one
-                // saturated worker: a full queue sheds the batch
-                // into the same accounting the admission gate
-                // uses, so offered == evaluated + shed + rejected
-                // still balances (DESIGN.md D10).
-                match worker_txs[i].try_send(batch) {
-                    Ok(()) => {}
-                    Err(channel::TrySendError::Full(batch)) => {
-                        server.admission().note_shed(batch.len() as u64);
-                        shard_metrics[i]
-                            .queue_depth
-                            .fetch_sub(len, Ordering::Relaxed);
+            shard.events_routed.fetch_add(len, Ordering::Relaxed);
+            shard.queue_depth.fetch_add(len, Ordering::Relaxed);
+            let sent = if shed_at_router {
+                // ShedLowest must not stall the router on one saturated
+                // worker: a full queue sheds the batch into the same
+                // accounting the admission gate uses, so offered ==
+                // evaluated + shed + rejected still balances (D10).
+                match tx.try_send(batch) {
+                    Ok(()) => true,
+                    Err(channel::TrySendError::Full(_)) => {
+                        server.admission().note_shed(len);
+                        false
                     }
                     Err(channel::TrySendError::Disconnected(_)) => {
-                        tally.errors(1);
-                        shard_metrics[i]
-                            .queue_depth
-                            .fetch_sub(len, Ordering::Relaxed);
+                        errors += 1;
+                        false
                     }
                 }
-            } else if worker_txs[i].send(batch).is_err() {
-                // Blocking send (Block/Reject): a full worker
-                // queue backpressures the router instead of
-                // growing without bound. Err means the worker
-                // died (only on panic); count and go on.
-                tally.errors(1);
-                shard_metrics[i]
-                    .queue_depth
-                    .fetch_sub(len, Ordering::Relaxed);
+            } else {
+                // Blocking send (Block/Reject): a full worker queue
+                // backpressures the router instead of growing without
+                // bound. Err means the worker died (only on panic);
+                // count and go on.
+                let sent = tx.send(batch).is_ok();
+                errors += u64::from(!sent);
+                sent
+            };
+            if !sent {
+                shard.queue_depth.fetch_sub(len, Ordering::Relaxed);
             }
         }
         // Housekeeping rides the router's tick, after the hand-off: the
         // workers evaluate this cycle's events meanwhile.
-        if turn.maintenance && server.maintain().is_err() {
-            tally.errors(1);
+        if maintenance && server.maintain().is_err() {
+            errors += 1;
         }
-        tally.cycle();
-        if turn.stopping {
-            break;
-        }
-    }
+        errors
+    });
     // Dropping the senders lets the workers drain their queues and exit.
 }
 
@@ -252,11 +226,12 @@ fn worker_loop(
         let mut pending = Vec::new();
         let stamp_now = server.now();
         let mut stage_batch = StageBatch::default();
-        let (_derived, errs) =
-            server.evaluate_events(&mut batch, stamp_now, &mut stage_batch, &mut scratch, &mut pending);
-        tally.errors(errs);
-        server.end_batch();
-        server.stage_obs().flush(&mut stage_batch);
+        let (_, errors) = server.evaluate.evaluate_events(
+            &mut batch, stamp_now, &mut stage_batch, &mut scratch, &mut pending,
+        );
+        server.cycle.count(Some(tally), 0, errors);
+        server.notify.end_batch();
+        server.stage_obs.flush(&mut stage_batch);
         metrics
             .queue_depth
             .fetch_sub(batch.len() as u64, Ordering::Relaxed);
@@ -281,8 +256,10 @@ fn merge_loop(server: &Arc<EventServer>, staged: &channel::Receiver<ShardBatch>)
         let mut round: Vec<ShardBatch> = std::iter::once(first).chain(staged.try_iter()).collect();
         // Stable: a shard's batches keep their send order.
         round.sort_by_key(|(shard, _)| *shard);
-        server.deliver_batch(round.into_iter().flat_map(|(_, notes)| notes).collect());
-        server.end_batch();
+        server
+            .notify
+            .deliver_batch(round.into_iter().flat_map(|(_, notes)| notes).collect());
+        server.notify.end_batch();
     }
 }
 

@@ -376,7 +376,9 @@ mod tests {
     }
 
     /// Read frames off `peer`, `chunk` bytes at a time, until `n` have
-    /// arrived.
+    /// arrived. Frames read beyond the `n`th stay in `decoder` for the
+    /// next call: a reply the writer sent right behind a backlog may come
+    /// in the same chunk as the backlog's last frame.
     fn read_frames(
         peer: &mut TcpStream,
         decoder: &mut FrameDecoder,
@@ -386,7 +388,10 @@ mod tests {
         let mut frames = Vec::new();
         let mut buf = vec![0u8; chunk];
         loop {
-            while let Some(frame) = decoder.next_frame() {
+            while frames.len() < n {
+                let Some(frame) = decoder.next_frame() else {
+                    break;
+                };
                 frames.push(String::from_utf8(frame.unwrap()).unwrap());
             }
             if frames.len() >= n {

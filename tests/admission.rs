@@ -53,7 +53,7 @@ fn drain_preserves_cross_stream_arrival_order() {
     server.db().insert("a", row(3)).unwrap();
 
     let sources: Vec<String> = server
-        .drain_staged()
+        .drain(false).events
         .iter()
         .map(|e| e.source.to_string())
         .collect();
@@ -150,7 +150,7 @@ fn shed_lowest_prefers_high_priority_streams() {
     offer("lo", 5); // buffer full of higher priority: newcomer shed
 
     let drained: Vec<String> = server
-        .drain_staged()
+        .drain(false).events
         .iter()
         .map(|e| e.source.to_string())
         .collect();

@@ -73,12 +73,12 @@ proptest! {
                 }
                 prop_assert!(server.admission().depth() <= capacity);
             } else {
-                for ev in server.drain_staged() {
+                for ev in server.drain(false).events {
                     drained_ids.push(ev.payload.get(0).unwrap().as_int().unwrap());
                 }
             }
         }
-        for ev in server.drain_staged() {
+        for ev in server.drain(false).events {
             drained_ids.push(ev.payload.get(0).unwrap().as_int().unwrap());
         }
 
@@ -139,7 +139,7 @@ proptest! {
                 t0.elapsed() < Duration::from_secs(30),
                 "blocked producer never unblocked"
             );
-            for ev in server.drain_staged() {
+            for ev in server.drain(false).events {
                 drained_ids.push(ev.payload.get(0).unwrap().as_int().unwrap());
             }
         }
