@@ -8,13 +8,18 @@
 //! counted. The entry points that run a cycle on the caller's thread are
 //! here too, on [`EventServer`]; the sharded pump (`shard.rs`) calls the
 //! same stage methods in the same order on its own threads.
+//!
+//! The gate knows which thread holds it, so a subscriber or notification
+//! handler that calls back into [`pump`](EventServer::pump) or
+//! [`run_staged`](EventServer::run_staged) is refused (and counted as an
+//! error) instead of waiting forever for the cycle that is calling it.
 
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::Arc;
 
 use evdb_obs::{Counter, Registry};
 use evdb_types::{Error, Event, Record, Result, TimestampMs};
-use parking_lot::Mutex;
+use parking_lot::{Mutex, MutexGuard};
 
 use crate::admission::Wake;
 use crate::capture::Drained;
@@ -30,6 +35,13 @@ const STAGER_PASSES: usize = 4;
 /// A cycle's stats, how many errors it met, and the first of them.
 pub(crate) type Outcome = (PumpStats, u64, Option<Error>);
 
+static NEXT_THREAD: AtomicUsize = AtomicUsize::new(1);
+
+thread_local! {
+    /// This thread's token for [`Cycle::holder`]: nonzero, unique per thread.
+    static THREAD: usize = NEXT_THREAD.fetch_add(1, Ordering::Relaxed);
+}
+
 /// The cycle's owner; see the module documentation. Its counters are
 /// bound at server construction, so the series exist (at zero) before
 /// any pump is spawned: from `/metrics` alone an operator can tell a
@@ -41,6 +53,10 @@ pub(crate) type Outcome = (PumpStats, u64, Option<Error>);
 /// those, the ones stagers ran), `errors` (cycles or evaluations that errored).
 pub(crate) struct Cycle {
     gate: Mutex<()>,
+    /// The token of the thread holding the gate, 0 when none does. Only a
+    /// thread stores its own token, so a thread that reads its own token
+    /// here holds the gate.
+    holder: AtomicUsize,
     /// Sequential background pumps currently attached.
     pumps: Arc<AtomicUsize>,
     wakeups: [Arc<Counter>; 3],
@@ -56,6 +72,19 @@ pub(crate) struct Cycle {
 pub(crate) struct PumpTally {
     pub(crate) cycles: AtomicU64,
     pub(crate) errors: AtomicU64,
+}
+
+/// The held cycle gate; marks its thread as the holder until dropped.
+struct Held<'a> {
+    holder: &'a AtomicUsize,
+    _gate: MutexGuard<'a, ()>,
+}
+
+impl Drop for Held<'_> {
+    fn drop(&mut self) {
+        // Runs before the guard's own drop: unmarked, then unlocked.
+        self.holder.store(0, Ordering::Relaxed);
+    }
 }
 
 /// Counts a sequential background pump in for as long as it is held.
@@ -81,6 +110,7 @@ impl Cycle {
         let counter = |name: &str| registry.counter(name);
         Cycle {
             gate: Mutex::new(()),
+            holder: AtomicUsize::new(0),
             pumps: Arc::new(AtomicUsize::new(0)),
             wakeups: [Wake::Work, Wake::Tick, Wake::Stop]
                 .map(|w| counter(&format!("evdb_pump_wakeups_total{{cause=\"{}\"}}", w.name()))),
@@ -89,6 +119,21 @@ impl Cycle {
             inline_cycles: counter("evdb_pump_inline_cycles_total"),
             errors: counter("evdb_pump_errors_total"),
         }
+    }
+
+    /// Take the gate, waiting out a cycle in flight on another thread.
+    /// `None`, counted as an error, when this thread holds it already: a
+    /// subscriber or hook calling back into its own cycle would wait for
+    /// itself.
+    fn enter(&self) -> Option<Held<'_>> {
+        let me = THREAD.with(|t| *t);
+        if self.holder.load(Ordering::Relaxed) == me {
+            self.errors.inc();
+            return None;
+        }
+        let gate = self.gate.lock();
+        self.holder.store(me, Ordering::Relaxed);
+        Some(Held { holder: &self.holder, _gate: gate })
     }
 
     /// Count a sequential background pump in, before its thread exists;
@@ -133,8 +178,9 @@ impl EventServer {
     /// pipeline, then maintenance. Deterministic: with a `SimClock`,
     /// repeated runs produce identical results. Returns the first error
     /// met, after every other drained event was evaluated and delivered.
-    /// Waits for a cycle in flight on another thread (D15), so it must not
-    /// be called from a subscriber or notification handler (inside one).
+    /// Waits for a cycle in flight on another thread (D15); called from a
+    /// subscriber or notification handler (inside this server's cycle) it
+    /// returns [`Error::Reentrant`] at once.
     pub fn pump(&self) -> Result<PumpStats> {
         let (stats, _, first_error) = self.run_cycle(true, true);
         first_error.map_or(Ok(stats), Err)
@@ -171,22 +217,23 @@ impl EventServer {
     /// Does nothing unless a sequential background pump is attached
     /// (without one [`stage`](Self::stage) was a plain `ingest_async`).
     /// Must not be called from inside a trigger (the cycle would run
-    /// inside the writer's transaction) nor from inside a subscriber
-    /// (its cycle holds the gate).
+    /// inside the writer's transaction). Called from inside a subscriber
+    /// (this server's cycle holds the gate) it counts an error, leaves
+    /// what is staged to the pump and returns at once.
     pub fn run_staged(&self) {
         if !self.cycle.stands_in() {
             return;
         }
         let admission = &self.capture.admission;
-        let gate = self.cycle.gate.lock();
-        for _ in 0..STAGER_PASSES {
-            if admission.depth() == 0 {
-                return;
+        if let Some(_held) = self.cycle.enter() {
+            for _ in 0..STAGER_PASSES {
+                if admission.depth() == 0 {
+                    return;
+                }
+                let (_, errors, _) = self.cycle_gated(false, true);
+                self.cycle.count(None, 1, errors);
             }
-            let (_, errors, _) = self.cycle_gated(false, true);
-            self.cycle.count(None, 1, errors);
         }
-        drop(gate);
         if admission.depth() > 0 {
             admission.wake();
         }
@@ -197,7 +244,12 @@ impl EventServer {
     /// (see [`drive`](crate::pump::drive)); a `maintenance` cycle also
     /// polls the pull-based captures and runs [`maintain`](Self::maintain).
     pub(crate) fn run_cycle(&self, maintenance: bool, staged: bool) -> Outcome {
-        let _gate = self.cycle.gate.lock();
+        let Some(_held) = self.cycle.enter() else {
+            // Only `pump()` can get here (the pump thread never nests);
+            // `enter` counted the error.
+            let refused = "pump() called from inside this server's cycle (by a subscriber or handler)";
+            return (PumpStats::default(), 0, Some(Error::Reentrant(refused.into())));
+        };
         self.cycle_gated(maintenance, staged)
     }
 
@@ -256,5 +308,57 @@ impl EventServer {
             history.maintain()?;
         }
         Ok(())
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use std::sync::mpsc;
+    use std::sync::Arc;
+    use std::time::Duration;
+
+    use evdb_types::{DataType, Record, Schema, TimestampMs, Value};
+
+    use crate::pump::spawn_pump;
+    use crate::server::tests::server;
+
+    /// A subscriber runs inside the cycle, on the thread holding the gate;
+    /// calling back into `run_staged()` or `pump()` from there used to wait
+    /// for that very cycle. Now each is refused at once and counted.
+    #[test]
+    fn a_subscriber_calling_back_into_its_own_cycle_is_refused_not_hung() {
+        let (s, _clock) = server();
+        let s = Arc::new(s);
+        s.create_stream("ticks", Schema::of(&[("px", DataType::Float)])).unwrap();
+        s.register_cql("all", "SELECT px FROM ticks").unwrap();
+        let (tx, rx) = mpsc::channel();
+        let weak = Arc::downgrade(&s);
+        s.on_query(
+            "all",
+            Arc::new(move |_| {
+                let s = weak.upgrade().expect("server outlives its cycle");
+                s.run_staged();
+                let _ = tx.send(s.pump().map(|_| ()).map_err(|e| e.kind()));
+            }),
+        )
+        .unwrap();
+        let errors = |s: &crate::EventServer| s.registry().snapshot().counters["evdb_pump_errors_total"];
+        let before = errors(&s);
+        // `run_staged` only runs cycles while a background pump is attached;
+        // the pump runs this event's cycle and so the subscriber.
+        let pump = spawn_pump(&s, Duration::from_secs(120));
+        s.ingest_async("ticks", TimestampMs(1_000), Record::from_iter([Value::Float(1.0)]))
+            .unwrap();
+        let Ok(got) = rx.recv_timeout(Duration::from_secs(10)) else {
+            // The pump thread is stuck in its own cycle: dropping the
+            // handle would join it and hang the test instead of failing it.
+            std::mem::forget(pump);
+            panic!("a call from inside the cycle waited for the cycle");
+        };
+        assert_eq!(got, Err("reentrant"));
+        pump.stop();
+        assert_eq!(errors(&s) - before, 2, "both refusals are counted");
+        // The gate was released: a call from outside runs normally.
+        assert!(s.pump().is_ok());
     }
 }

@@ -37,6 +37,27 @@
 //! Count and session windows are defined by arrival order/gaps rather
 //! than event-time boundaries, so the consistency level does not change
 //! their behavior.
+//!
+//! # Cost contract (time windows, DESIGN.md D5)
+//!
+//! The runtime advances every query's watermark after every event, so
+//! what an event pays is its own fold *plus* a watermark:
+//!
+//! * **Per event:** one (pane, group) cell update plus O(1). The fold
+//!   evaluates the inputs into a reused buffer and looks the group up by
+//!   a reused key buffer, so it allocates nothing when the cell exists. A
+//!   watermark that closes nothing returns after one comparison
+//!   (`frontier − width < next_window_start`), and pruning only looks at
+//!   the oldest retained key. Neither depends on `width / slide`.
+//! * **Per close:** O(panes × groups) of the closing windows — merging
+//!   (or, in Recompute mode, rescanning) their panes — plus one ordered
+//!   map probe per window that has data, never a walk over empty starts.
+//!   A pane is dropped once, when its last containing window is final.
+//! * **Per late event (Speculative):** a merge of its group's panes for
+//!   each emitted, not-yet-final window it revises; an in-order event
+//!   revises none and walks none.
+//!
+//! Session windows scan every open group per watermark (O(groups)).
 
 use std::collections::{BTreeMap, HashMap};
 use std::sync::Arc;
@@ -47,7 +68,7 @@ use evdb_types::{
 };
 
 use crate::delta::ConsistencyLevel;
-use crate::op::{key_of, OpStats, Operator};
+use crate::op::{OpStats, Operator};
 use crate::window::WindowSpec;
 
 /// Aggregate function.
@@ -332,6 +353,43 @@ impl Acc {
     }
 }
 
+/// One empty accumulator per aggregate column.
+fn fresh_accs(aggs: &[(AggSpec, AggInput)]) -> Vec<Acc> {
+    aggs.iter().map(|(s, _)| Acc::new(s.func)).collect()
+}
+
+/// `merged[group]`, created empty on a miss — the only time the key is
+/// cloned.
+fn cell<'m>(
+    merged: &'m mut HashMap<Vec<Value>, Vec<Acc>>,
+    group: &[Value],
+    aggs: &[(AggSpec, AggInput)],
+) -> &'m mut Vec<Acc> {
+    if !merged.contains_key(group) {
+        merged.insert(group.to_vec(), fresh_accs(aggs));
+    }
+    merged.get_mut(group).expect("inserted above")
+}
+
+/// Fold one row's evaluated inputs into a cell's accumulators.
+fn fold(accs: &mut [Acc], inputs: &[Option<Value>], ts: TimestampMs, seq: u64) -> Result<()> {
+    for (a, v) in accs.iter_mut().zip(inputs) {
+        a.update(v.as_ref(), ts, seq)?;
+    }
+    Ok(())
+}
+
+/// Drop the entries keyed below `boundary`, oldest first: a look at the
+/// oldest key when nothing has expired.
+fn prune_below<V>(map: &mut BTreeMap<i64, V>, boundary: i64) {
+    while let Some(oldest) = map.first_entry() {
+        if *oldest.key() >= boundary {
+            break;
+        }
+        oldest.remove();
+    }
+}
+
 /// Raw row stored by Recompute mode: (group key, agg inputs, ts, seq).
 type RawRow = (Vec<Value>, Vec<Option<Value>>, TimestampMs, u64);
 
@@ -371,6 +429,11 @@ pub struct WindowAggregateOp {
     // Count/session state.
     count_state: HashMap<Vec<Value>, SessionState>,
     counts: HashMap<Vec<Value>, usize>,
+
+    /// The current event's group key and aggregate inputs, reused across
+    /// events so a fold into an existing cell allocates nothing.
+    key: Vec<Value>,
+    inputs: Vec<Option<Value>>,
 
     seq: u64,
     emit_seq: u64,
@@ -456,6 +519,8 @@ impl WindowAggregateOp {
             final_wm: i64::MIN,
             count_state: HashMap::new(),
             counts: HashMap::new(),
+            key: Vec::new(),
+            inputs: Vec::new(),
             seq: 0,
             emit_seq: 0,
             late_events: 0,
@@ -478,19 +543,22 @@ impl WindowAggregateOp {
         self.consistency
     }
 
-    fn agg_inputs(&self, rec: &Record) -> Result<Vec<Option<Value>>> {
-        self.aggs
-            .iter()
-            .map(|(_, arg)| match arg {
-                AggInput::Star => Ok(None),
-                AggInput::Field(i) => Ok(Some(rec.get(*i).cloned().unwrap_or(Value::Null))),
-                AggInput::Computed(c) => c.eval(rec).map(Some),
-            })
-            .collect()
-    }
-
-    fn fresh_accs(&self) -> Vec<Acc> {
-        self.aggs.iter().map(|(s, _)| Acc::new(s.func)).collect()
+    /// Evaluate `rec`'s group key and aggregate inputs into the reused
+    /// buffers — every input before any accumulator sees one, so an
+    /// evaluation error leaves the window state untouched.
+    fn load(&mut self, rec: &Record) -> Result<()> {
+        self.key.clear();
+        self.key
+            .extend(self.group_fields.iter().map(|i| rec.get(*i).cloned().unwrap_or(Value::Null)));
+        self.inputs.clear();
+        for (_, arg) in &self.aggs {
+            self.inputs.push(match arg {
+                AggInput::Star => None,
+                AggInput::Field(i) => Some(rec.get(*i).cloned().unwrap_or(Value::Null)),
+                AggInput::Computed(c) => Some(c.eval(rec)?),
+            });
+        }
+        Ok(())
     }
 
     /// Width and slide of a time window (`None` for count/session).
@@ -544,37 +612,32 @@ impl WindowAggregateOp {
 
     /// All groups' accumulators for the window `[s, s + width)`.
     fn window_groups(&self, s: i64, width: i64) -> Result<HashMap<Vec<Value>, Vec<Acc>>> {
+        let mut merged: HashMap<Vec<Value>, Vec<Acc>> = HashMap::new();
         match self.mode {
             AggMode::Incremental => {
-                let mut merged: HashMap<Vec<Value>, Vec<Acc>> = HashMap::new();
                 for (_, groups) in self.panes.range(s..s + width) {
                     for (g, accs) in groups {
-                        let entry = merged.entry(g.clone()).or_insert_with(|| self.fresh_accs());
+                        let entry = cell(&mut merged, g, &self.aggs);
                         for (m, a) in entry.iter_mut().zip(accs) {
                             m.merge(a);
                         }
                     }
                 }
-                Ok(merged)
             }
             AggMode::Recompute => {
-                let mut computed: HashMap<Vec<Value>, Vec<Acc>> = HashMap::new();
                 for (_, rows) in self.raw.range(s..s + width) {
                     for (g, inputs, ts, seq) in rows {
-                        let accs = computed.entry(g.clone()).or_insert_with(|| self.fresh_accs());
-                        for (a, v) in accs.iter_mut().zip(inputs) {
-                            a.update(v.as_ref(), *ts, *seq)?;
-                        }
+                        fold(cell(&mut merged, g, &self.aggs), inputs, *ts, *seq)?;
                     }
                 }
-                Ok(computed)
             }
         }
+        Ok(merged)
     }
 
     /// One group's accumulators for the window `[s, s + width)`.
     fn window_group_accs(&self, s: i64, width: i64, group: &[Value]) -> Result<Vec<Acc>> {
-        let mut accs = self.fresh_accs();
+        let mut accs = fresh_accs(&self.aggs);
         match self.mode {
             AggMode::Incremental => {
                 for (_, groups) in self.panes.range(s..s + width) {
@@ -589,9 +652,7 @@ impl WindowAggregateOp {
                 for (_, rows) in self.raw.range(s..s + width) {
                     for (g, inputs, ts, seq) in rows {
                         if g.as_slice() == group {
-                            for (a, v) in accs.iter_mut().zip(inputs) {
-                                a.update(v.as_ref(), *ts, *seq)?;
-                            }
+                            fold(&mut accs, inputs, *ts, *seq)?;
                         }
                     }
                 }
@@ -600,52 +661,55 @@ impl WindowAggregateOp {
         Ok(accs)
     }
 
-    /// Emit every not-yet-emitted window ending at or before `frontier`,
-    /// advancing `next_window_start`. Speculative mode records emitted
-    /// rows (for later retraction); Watermark mode does not need to.
+    /// The oldest retained pane starting at or after `lower`.
+    fn first_pane_from(&self, lower: i64) -> Option<i64> {
+        match self.mode {
+            AggMode::Incremental => self.panes.range(lower..).next().map(|(ps, _)| *ps),
+            AggMode::Recompute => self.raw.range(lower..).next().map(|(ps, _)| *ps),
+        }
+    }
+
+    /// Emit every not-yet-emitted window with data ending at or before
+    /// `frontier`, in start order, advancing `next_window_start`.
+    /// Speculative mode records emitted rows (for later retraction);
+    /// Watermark mode does not need to.
     fn emit_up_to(&mut self, frontier: i64, out: &mut Vec<Event>) -> Result<()> {
         let (width, slide) = match self.time_window_dims() {
             Some(dims) => dims,
             None => return Ok(()),
         };
-        if !self.started {
+        // Every window left to emit starts at or after next_window_start:
+        // if the first of them is still open, nothing closes (O(1)).
+        if !self.started || frontier.saturating_sub(width) < self.next_window_start {
             return Ok(());
         }
-        // Candidate window starts s with s + width ≤ frontier,
-        // s ≥ next_window_start, and at least one pane with data.
-        let pane_keys: Vec<i64> = match self.mode {
-            AggMode::Incremental => self.panes.keys().copied().collect(),
-            AggMode::Recompute => self.raw.keys().copied().collect(),
-        };
-        let mut starts: Vec<i64> = Vec::new();
-        for ps in pane_keys {
-            // Windows containing pane ps start in (ps - width, ps].
-            let mut s = ps;
-            while s > ps - width {
-                if s >= self.next_window_start && s + width <= frontier {
-                    starts.push(s);
-                }
-                s -= slide;
-            }
-        }
-        starts.sort_unstable();
-        starts.dedup();
-
         let speculative = self.consistency == ConsistencyLevel::Speculative;
-        for s in starts {
+        // Window starts are multiples of the slide (as are pane starts and
+        // next_window_start, unless it is still i64::MIN). The earliest
+        // window at or after `lower` that holds data is the earliest one
+        // containing the first pane at or after `lower`, so each step
+        // probes the pane map once and never walks empty starts (the
+        // end-of-input flush passes a frontier near i64::MAX).
+        let mut lower = self.next_window_start;
+        while let Some(ps) = self.first_pane_from(lower) {
+            let s = lower.max(ps - width + slide);
+            if s + width > frontier {
+                break;
+            }
             let start = TimestampMs(s);
             let end = TimestampMs(s + width);
-            let groups = self.window_groups(s, width)?;
-            let mut keys: Vec<Vec<Value>> = groups.keys().cloned().collect();
-            keys.sort();
-            for g in keys {
-                let record = self.result_record(&g, start, end, &groups[&g]);
+            let mut groups: Vec<(Vec<Value>, Vec<Acc>)> =
+                self.window_groups(s, width)?.into_iter().collect();
+            groups.sort_unstable_by(|a, b| a.0.cmp(&b.0));
+            for (g, accs) in groups {
+                let record = self.result_record(&g, start, end, &accs);
                 if speculative {
                     self.emitted.entry(s).or_default().insert(g, record.clone());
                 }
                 self.emit_record(record, end, false, out);
             }
             self.next_window_start = self.next_window_start.max(s + slide);
+            lower = s + slide;
         }
         Ok(())
     }
@@ -661,8 +725,8 @@ impl WindowAggregateOp {
                 // Prune panes whose last containing window (starting at
                 // the pane itself) has been emitted.
                 let boundary = self.next_window_start;
-                self.panes = self.panes.split_off(&boundary);
-                self.raw = self.raw.split_off(&boundary);
+                prune_below(&mut self.panes, boundary);
+                prune_below(&mut self.raw, boundary);
             }
             ConsistencyLevel::Speculative => {
                 self.final_wm = self.final_wm.max(wm.0);
@@ -674,9 +738,9 @@ impl WindowAggregateOp {
                 // be revised only while some containing window is open,
                 // i.e. while ps + width > final_wm.
                 let boundary = self.final_wm - width + 1;
-                self.panes = self.panes.split_off(&boundary);
-                self.raw = self.raw.split_off(&boundary);
-                self.emitted = self.emitted.split_off(&boundary);
+                prune_below(&mut self.panes, boundary);
+                prune_below(&mut self.raw, boundary);
+                prune_below(&mut self.emitted, boundary);
             }
         }
         Ok(())
@@ -689,36 +753,36 @@ impl WindowAggregateOp {
     fn speculate(&mut self, ps: i64, group: &[Value], out: &mut Vec<Event>) -> Result<()> {
         let (width, slide) = self.time_window_dims().expect("time window");
         let mut reopened = false;
-        // Windows containing pane ps start in (ps - width, ps]; those
-        // before next_window_start are already emitted.
-        let mut s = ps;
-        while s > ps - width {
-            if s < self.next_window_start && s + width > self.final_wm {
-                reopened = true;
-                self.pane_reopens += 1;
-                let start = TimestampMs(s);
-                let end = TimestampMs(s + width);
-                let accs = self.window_group_accs(s, width, group)?;
-                let record = self.result_record(group, start, end, &accs);
-                let prev = self.emitted.entry(s).or_default().get(group).cloned();
-                match prev {
-                    Some(old) if old == record => {} // revision was a no-op
-                    Some(old) => {
-                        self.emitted
-                            .get_mut(&s)
-                            .expect("slot exists")
-                            .insert(group.to_vec(), record.clone());
-                        self.emit_record(old, end, true, out);
-                        self.emit_record(record, end, false, out);
-                    }
-                    None => {
-                        // A group this window never emitted: plain insert.
-                        self.emitted
-                            .get_mut(&s)
-                            .expect("slot exists")
-                            .insert(group.to_vec(), record.clone());
-                        self.emit_record(record, end, false, out);
-                    }
+        // Windows containing pane ps start in (ps - width, ps]; the ones
+        // to revise were emitted (start < next_window_start) and are not
+        // final (end > final_wm). Walk them newest first: an in-order
+        // event's pane lies past every emitted window, so it walks none.
+        let mut s = ps.min(self.next_window_start.saturating_sub(slide));
+        while s > ps - width && s + width > self.final_wm {
+            reopened = true;
+            self.pane_reopens += 1;
+            let start = TimestampMs(s);
+            let end = TimestampMs(s + width);
+            let accs = self.window_group_accs(s, width, group)?;
+            let record = self.result_record(group, start, end, &accs);
+            let prev = self.emitted.entry(s).or_default().get(group).cloned();
+            match prev {
+                Some(old) if old == record => {} // revision was a no-op
+                Some(old) => {
+                    self.emitted
+                        .get_mut(&s)
+                        .expect("slot exists")
+                        .insert(group.to_vec(), record.clone());
+                    self.emit_record(old, end, true, out);
+                    self.emit_record(record, end, false, out);
+                }
+                None => {
+                    // A group this window never emitted: plain insert.
+                    self.emitted
+                        .get_mut(&s)
+                        .expect("slot exists")
+                        .insert(group.to_vec(), record.clone());
+                    self.emit_record(record, end, false, out);
                 }
             }
             s -= slide;
@@ -735,7 +799,6 @@ impl Operator for WindowAggregateOp {
     fn on_event(&mut self, event: &Event, out: &mut Vec<Event>) -> Result<()> {
         self.seq += 1;
         let seq = self.seq;
-        let group = key_of(&event.payload, &self.group_fields);
         match self.window {
             WindowSpec::Tumbling { .. } | WindowSpec::Sliding { .. } => {
                 let pane_ms = self.window.pane_ms().expect("time window has panes");
@@ -761,49 +824,46 @@ impl Operator for WindowAggregateOp {
                     }
                 }
                 self.started = true;
-                let speculative = self.consistency == ConsistencyLevel::Speculative;
-                let spec_group = if speculative { Some(group.clone()) } else { None };
+                self.load(&event.payload)?;
+                let ts = event.timestamp;
                 match self.mode {
                     AggMode::Incremental => {
-                        let inputs = self.agg_inputs(&event.payload)?;
-                        let fresh = self.fresh_accs();
-                        let accs = self
-                            .panes
-                            .entry(ps)
-                            .or_default()
-                            .entry(group)
-                            .or_insert(fresh);
-                        for (a, v) in accs.iter_mut().zip(&inputs) {
-                            a.update(v.as_ref(), event.timestamp, seq)?;
+                        let groups = self.panes.entry(ps).or_default();
+                        match groups.get_mut(self.key.as_slice()) {
+                            Some(accs) => fold(accs, &self.inputs, ts, seq)?,
+                            None => {
+                                let accs = groups
+                                    .entry(self.key.clone())
+                                    .or_insert(fresh_accs(&self.aggs));
+                                fold(accs, &self.inputs, ts, seq)?;
+                            }
                         }
                     }
                     AggMode::Recompute => {
-                        let inputs = self.agg_inputs(&event.payload)?;
-                        self.raw
-                            .entry(ps)
-                            .or_default()
-                            .push((group, inputs, event.timestamp, seq));
+                        let row = (self.key.clone(), self.inputs.clone(), ts, seq);
+                        self.raw.entry(ps).or_default().push(row);
                     }
                 }
-                if let Some(g) = spec_group {
-                    self.max_event_ts = self.max_event_ts.max(event.timestamp.0);
-                    self.speculate(ps, &g, out)?;
+                if self.consistency == ConsistencyLevel::Speculative {
+                    self.max_event_ts = self.max_event_ts.max(ts.0);
+                    let group = std::mem::take(&mut self.key);
+                    let revised = self.speculate(ps, &group, out);
+                    self.key = group;
+                    revised?;
                 }
             }
             WindowSpec::CountTumbling { count } => {
-                let inputs = self.agg_inputs(&event.payload)?;
-                let fresh = self.fresh_accs();
+                self.load(&event.payload)?;
+                let group = self.key.clone();
                 let st = self
                     .count_state
                     .entry(group.clone())
                     .or_insert_with(|| SessionState {
-                        accs: fresh,
+                        accs: fresh_accs(&self.aggs),
                         first_ts: event.timestamp,
                         last_ts: event.timestamp,
                     });
-                for (a, v) in st.accs.iter_mut().zip(&inputs) {
-                    a.update(v.as_ref(), event.timestamp, seq)?;
-                }
+                fold(&mut st.accs, &self.inputs, event.timestamp, seq)?;
                 st.last_ts = st.last_ts.max(event.timestamp);
                 let n = self.counts.entry(group.clone()).or_insert(0);
                 *n += 1;
@@ -814,8 +874,8 @@ impl Operator for WindowAggregateOp {
                 }
             }
             WindowSpec::Session { gap_ms } => {
-                let inputs = self.agg_inputs(&event.payload)?;
-                let fresh = self.fresh_accs();
+                self.load(&event.payload)?;
+                let group = self.key.clone();
                 // Close the running session first if the gap has lapsed.
                 if let Some(st) = self.count_state.get(&group) {
                     if event.timestamp.since(st.last_ts) > gap_ms {
@@ -825,15 +885,13 @@ impl Operator for WindowAggregateOp {
                 }
                 let st = self
                     .count_state
-                    .entry(group.clone())
+                    .entry(group)
                     .or_insert_with(|| SessionState {
-                        accs: fresh,
+                        accs: fresh_accs(&self.aggs),
                         first_ts: event.timestamp,
                         last_ts: event.timestamp,
                     });
-                for (a, v) in st.accs.iter_mut().zip(&inputs) {
-                    a.update(v.as_ref(), event.timestamp, seq)?;
-                }
+                fold(&mut st.accs, &self.inputs, event.timestamp, seq)?;
                 st.first_ts = st.first_ts.min(event.timestamp);
                 st.last_ts = st.last_ts.max(event.timestamp);
             }
@@ -1160,6 +1218,23 @@ mod tests {
         assert_eq!(retracts, op.retractions);
         assert_eq!(inserts, 3); // [0,1000) twice (v1, corrected v2) + [1000,2000)
         assert_eq!(inserts - retracts, 2); // two final rows
+    }
+
+    #[test]
+    fn speculative_event_on_the_watermark_still_revises_its_window() {
+        // [0,1000) ends one past the watermark 999, so it is not final:
+        // pruning must keep its pane and its emitted row.
+        let mut op = spec_op(AggMode::Incremental, WindowSpec::Tumbling { width_ms: 1000 });
+        let mut out = Vec::new();
+        op.on_event(&ev(100, "A", 10.0), &mut out).unwrap();
+        op.on_event(&ev(1_200, "A", 2.0), &mut out).unwrap(); // emits [0,1000)
+        op.on_watermark(TimestampMs(999), &mut out).unwrap();
+        op.on_event(&ev(999, "A", 5.0), &mut out).unwrap();
+        assert_eq!(out.len(), 3);
+        assert!(out[1].is_retraction());
+        assert_eq!(out[2].payload.get(3), Some(&Value::Int(2)));
+        assert_eq!(out[2].payload.get(4), Some(&Value::Float(15.0)));
+        assert_eq!((op.late_events, op.pane_reopens), (0, 1));
     }
 
     #[test]

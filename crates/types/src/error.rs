@@ -51,6 +51,10 @@ pub enum Error {
     /// checkpointed state, not the log — callers must re-baseline and
     /// resync the cursor rather than continue as if nothing was lost.
     TruncatedHistory(String),
+    /// A call that runs the engine's cycle came from inside that cycle
+    /// (a subscriber or notification handler calling `pump()`): waiting
+    /// for the cycle in flight would be waiting for itself.
+    Reentrant(String),
 }
 
 impl Error {
@@ -80,6 +84,7 @@ impl Error {
             Error::Invalid(_) => "invalid",
             Error::Overloaded(_) => "overloaded",
             Error::TruncatedHistory(_) => "truncated_history",
+            Error::Reentrant(_) => "reentrant",
         }
     }
 }
@@ -104,6 +109,7 @@ impl fmt::Display for Error {
             Error::Invalid(m) => write!(f, "invalid: {m}"),
             Error::Overloaded(m) => write!(f, "overloaded: {m}"),
             Error::TruncatedHistory(m) => write!(f, "truncated history: {m}"),
+            Error::Reentrant(m) => write!(f, "reentrant call: {m}"),
         }
     }
 }

@@ -431,9 +431,9 @@ fn served(pump_interval: Option<Duration>) -> (NetServer, Client) {
 #[test]
 fn a_paced_connection_takes_no_hand_off() {
     const REQUESTS: i64 = 200;
-    // The tick must not fall inside the run: one that fires between a
-    // push and its `run_staged` takes the event along (correctly), and
-    // the reader then finds nothing staged.
+    // The tick must not fall inside the run: a tick turn leaves the
+    // reader's quietly staged events alone (D10), but it is a cycle of
+    // its own and would be counted in `evdb_pump_cycles_total` below.
     let (mut server, mut conn) = served(Some(Duration::from_secs(120)));
     assert_eq!(conn.call("SUBSCRIBE feed"), "OK subscribed feed");
     let engine = Arc::clone(server.engine());
