@@ -22,7 +22,7 @@ use std::collections::{BinaryHeap, HashMap, HashSet};
 use std::sync::Arc;
 
 use evdb_storage::codec::{self, Reader};
-use evdb_storage::{Database, Transaction};
+use evdb_storage::{Database, Table, Transaction};
 use evdb_types::{
     DataType, Error, Record, Result, Schema, Stage, TimestampMs, Trace, Value,
 };
@@ -173,6 +173,28 @@ fn dlq_schema() -> Arc<Schema> {
     ])
 }
 
+/// Column `idx` of a row read back from queue table `table`, decoded by
+/// `get`. Recovery reads what the disk holds: a missing or wrong-typed
+/// value is `Error::Corruption` naming the table, the row (by its key,
+/// column 0) and the column, never a panic.
+fn column<'r, T>(
+    table: &Table,
+    row: &'r Record,
+    idx: usize,
+    get: impl FnOnce(&'r Value) -> Option<T>,
+) -> Result<T> {
+    row.get(idx).and_then(get).ok_or_else(|| {
+        // Debug forms: a queue state key embeds a control character.
+        let shown = |i: usize| row.get(i).map_or_else(|| "nothing".into(), |v| format!("{v:?}"));
+        let (key, found) = (shown(0), shown(idx));
+        let col = table.schema().fields().get(idx).map_or("?", |f| f.name.as_str());
+        Error::Corruption(format!(
+            "queue table '{}' row {key}: column {idx} '{col}' holds {found}, not the type recovery expects",
+            table.name()
+        ))
+    })
+}
+
 impl QueueManager {
     /// Attach to (or initialize) the queue subsystem in a database,
     /// rebuilding queue metadata, id allocation and ready heaps from the
@@ -231,39 +253,42 @@ impl QueueManager {
         };
 
         // Load queue catalog and rebuild runtimes.
-        let metas = mgr.db.table(META)?.scan();
-        let groups_rows = mgr.db.table(GROUPS)?.scan();
+        let meta_table = mgr.db.table(META)?;
+        let groups_table = mgr.db.table(GROUPS)?;
+        let groups_rows = groups_table.scan();
         let mut queues = mgr.queues.lock();
-        for m in metas {
-            let name = m.get(0).unwrap().as_str().unwrap().to_string();
-            let schema_bytes = match m.get(1) {
-                Some(Value::Bytes(b)) => b.clone(),
-                _ => return Err(Error::Corruption("queue meta payload".into())),
-            };
-            let schema = codec::decode_schema(&mut Reader::new(&schema_bytes))?;
+        for m in meta_table.scan() {
+            let int = |idx| column(&meta_table, &m, idx, Value::as_int);
+            let name = column(&meta_table, &m, 0, Value::as_str)?.to_string();
+            let schema_bytes = column(&meta_table, &m, 1, |v| match v {
+                Value::Bytes(b) => Some(b),
+                _ => None,
+            })?;
+            let schema = codec::decode_schema(&mut Reader::new(schema_bytes))?;
             // Range-check before the narrowing cast: a stored negative
             // max_attempts would otherwise wrap to ~4 billion and turn
             // dead-lettering off.
-            let max_att = m.get(3).unwrap().as_int().unwrap();
+            let max_att = int(3)?;
             if !(1..=i64::from(u32::MAX)).contains(&max_att) {
                 return Err(Error::Corruption(format!(
                     "queue '{name}' meta: max_attempts {max_att} out of range"
                 )));
             }
             let config = QueueConfig {
-                visibility_timeout_ms: m.get(2).unwrap().as_int().unwrap(),
+                visibility_timeout_ms: int(2)?,
                 max_attempts: max_att as u32,
-                default_priority: m.get(4).unwrap().as_int().unwrap(),
-                retention_ms: m.get(5).unwrap().as_int().unwrap(),
+                default_priority: int(4)?,
+                retention_ms: int(5)?,
             };
             config.validate().map_err(|e| {
                 Error::Corruption(format!("queue '{name}' meta rejected: {e}"))
             })?;
-            let groups: Vec<String> = groups_rows
-                .iter()
-                .filter(|g| g.get(1).unwrap().as_str() == Some(&name))
-                .map(|g| g.get(2).unwrap().as_str().unwrap().to_string())
-                .collect();
+            let mut groups = Vec::new();
+            for g in &groups_rows {
+                if column(&groups_table, g, 1, Value::as_str)? == name {
+                    groups.push(column(&groups_table, g, 2, Value::as_str)?.to_string());
+                }
+            }
             let mut info = QueueInfo {
                 schema,
                 config,
@@ -272,21 +297,23 @@ impl QueueManager {
                 purged_inflight: HashSet::new(),
             };
             // Rebuild heaps from the state table.
-            let states = mgr.db.table(&state_table(&name))?.scan();
+            let states = mgr.db.table(&state_table(&name))?;
             let now = mgr.db.now();
             for g in &groups {
                 info.runtimes.insert(g.clone(), GroupRuntime::default());
             }
-            for s in states {
-                let grp = s.get(2).unwrap().as_str().unwrap().to_string();
-                let state = s.get(3).unwrap().as_int().unwrap();
-                let visible_at = s.get(4).unwrap().as_timestamp().unwrap();
+            for s in states.scan() {
+                let int = |idx| column(&states, &s, idx, Value::as_int);
+                let ts = |idx| column(&states, &s, idx, Value::as_timestamp);
+                let grp = column(&states, &s, 2, Value::as_str)?;
+                let state = int(3)?;
+                let visible_at = ts(4)?;
                 let key = ReadyKey {
-                    priority: s.get(6).unwrap().as_int().unwrap(),
-                    id: s.get(1).unwrap().as_int().unwrap() as u64,
+                    priority: int(6)?,
+                    id: int(1)? as u64,
                 };
-                let delay_until = s.get(7).unwrap().as_timestamp().unwrap();
-                if let Some(rt) = info.runtimes.get_mut(&grp) {
+                let delay_until = ts(7)?;
+                if let Some(rt) = info.runtimes.get_mut(grp) {
                     match state {
                         STATE_READY if delay_until > now => rt.delayed.push((delay_until, key)),
                         STATE_READY => rt.ready.push(key),

@@ -9,7 +9,9 @@
 //!   reports `staged=<n>`. A full buffer under `Reject` maps to
 //!   `503 Service Unavailable` with the `ERR overloaded …` body, after
 //!   the lines already staged.
-//! * `GET /query/<name>` — the query's materialized rows, one per line.
+//! * `GET /query/<name>` — the query's materialized rows, one per line
+//!   (its newest [`VIEW_ROWS`](crate::hub::VIEW_ROWS); TCP `GET` reports
+//!   how many were evicted).
 //! * `GET /metrics` — exactly [`Registry::render`]: the in-process and
 //!   over-the-wire expositions are byte-identical modulo sample values
 //!   (pinned by `tests/server_metrics.rs`).
@@ -46,7 +48,7 @@ use evdb_core::EventServer;
 use evdb_types::{Error, TimestampMs};
 
 use crate::hub::{burst, Hub, Outbound, ServerMetrics};
-use crate::protocol::{parse_record, render_row};
+use crate::protocol::parse_record;
 
 /// Cap on an HTTP request body (matches the frame cap).
 const MAX_BODY: usize = crate::frame::MAX_FRAME;
@@ -493,10 +495,10 @@ fn handle_request(
         }
         ("GET", ["query", name]) => match hub.ensure_query(engine, name) {
             Ok(()) => {
-                let rows = hub.rows(name).unwrap_or_default();
+                let view = hub.rows(name).unwrap_or_default();
                 let mut body = String::new();
-                for row in &rows {
-                    body.push_str(&render_row(row));
+                for row in &view.rows {
+                    body.push_str(row);
                     body.push('\n');
                 }
                 respond(stream, 200, "text/plain", &body, keep_alive);

@@ -2,6 +2,13 @@
 //! out to every connected session, plus a compacted materialized view
 //! served by `GET <query>` / `GET /query/:name`.
 //!
+//! The view is bounded: the rendered text of a query's newest
+//! [`VIEW_ROWS`] live rows, oldest first. An insert past the cap evicts
+//! the oldest row and counts it (`evdb_server_view_evicted_total`, and
+//! per query in `GET`'s `OK <n> rows evicted=<m>`), so a truncated
+//! answer is never mistaken for a whole one. Each update is rendered
+//! once: the `UPDATE` frame's row text is what the view stores.
+//!
 //! Delivery never blocks the notify path. A subscriber is one of two
 //! sinks: a TCP session's [`Outbox`] (the frame, encoded once per
 //! update, is appended to each subscriber's byte buffer) or a bounded
@@ -23,10 +30,10 @@
 //! inside that callback, so all subscribers observe the same per-query
 //! update sequence in the same order.
 
-use std::collections::HashMap;
+use std::collections::{HashMap, VecDeque};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::mpsc::{Receiver, SyncSender, TrySendError};
-use std::sync::Arc;
+use std::sync::{Arc, OnceLock};
 
 use evdb_core::EventServer;
 use evdb_obs::{Counter, Registry};
@@ -35,7 +42,11 @@ use parking_lot::Mutex;
 
 use crate::frame::encode_frame;
 use crate::outbox::{Outbox, Push};
-use crate::protocol::render_row;
+use crate::protocol::render_row_into;
+
+/// Rows one query's materialized view holds before the oldest is
+/// evicted — the same bound as the engine's delivered-notification log.
+pub const VIEW_ROWS: usize = 8_192;
 
 /// A message bound for one session's transport writer.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -78,12 +89,50 @@ struct SubEntry {
     sink: Sink,
 }
 
+/// One query's compacted materialized view: the rendered text of its
+/// newest live rows, oldest first, at most [`VIEW_ROWS`] of them.
+/// Inserts append; a retraction removes the oldest row with its text
+/// (multiset semantics, like `DeltaLog`), and is a no-op when the row
+/// was evicted or never there.
+#[derive(Debug, Default, Clone)]
+pub(crate) struct View {
+    pub(crate) rows: VecDeque<String>,
+    /// Rows this view has evicted to stay within [`VIEW_ROWS`].
+    pub(crate) evicted: u64,
+}
+
+impl View {
+    /// Append one row; at the cap the oldest goes, and its buffer holds
+    /// the newcomer. Returns whether a row was evicted.
+    fn insert(&mut self, text: &str) -> bool {
+        let full = self.rows.len() >= VIEW_ROWS;
+        let mut slot = if full {
+            self.rows.pop_front().unwrap_or_default()
+        } else {
+            String::new()
+        };
+        slot.clear();
+        slot.push_str(text);
+        self.rows.push_back(slot);
+        self.evicted += u64::from(full);
+        full
+    }
+
+    fn retract(&mut self, text: &str) {
+        if let Some(pos) = self.rows.iter().position(|r| r == text) {
+            self.rows.remove(pos);
+        }
+    }
+}
+
 #[derive(Default)]
 struct QueryState {
-    /// Compacted materialized view: inserts append, retractions remove
-    /// the first matching row (multiset semantics, like `DeltaLog`).
-    rows: Vec<Record>,
+    view: View,
     subs: Vec<SubEntry>,
+    /// The last update's `UPDATE` frame text, and the same frame encoded
+    /// for outboxes: buffers reused from update to update.
+    frame: String,
+    encoded: Vec<u8>,
 }
 
 /// Counters the server layer adds to the shared registry (all
@@ -118,6 +167,8 @@ pub struct ServerMetrics {
     /// Outbox flushes that left a tail to the connection's writer
     /// thread (socket full, or no non-blocking send on this platform).
     pub writer_handoffs: Arc<Counter>,
+    /// Rows evicted from materialized views at the [`VIEW_ROWS`] cap.
+    pub view_evicted: Arc<Counter>,
 }
 
 impl ServerMetrics {
@@ -133,6 +184,8 @@ impl ServerMetrics {
         registry.gauge_fn("evdb_server_subscriptions_active", move || {
             h.active_subscriptions() as f64
         });
+        let h = Arc::clone(hub);
+        registry.gauge_fn("evdb_server_view_rows", move || h.view_rows() as f64);
         ServerMetrics {
             connections: registry.counter("evdb_server_connections_total"),
             frames_rx: registry.counter("evdb_server_frames_rx_total"),
@@ -146,6 +199,7 @@ impl ServerMetrics {
             conns_reaped: registry.counter("evdb_server_conns_reaped_total"),
             direct_flushes: registry.counter("evdb_server_direct_flushes_total"),
             writer_handoffs: registry.counter("evdb_server_writer_handoffs_total"),
+            view_evicted: registry.counter("evdb_server_view_evicted_total"),
         }
     }
 }
@@ -155,7 +209,7 @@ pub struct Hub {
     queries: Mutex<HashMap<String, QueryState>>,
     /// Live transport connections (bridged as a gauge).
     pub active_connections: AtomicU64,
-    metrics: Mutex<Option<Arc<ServerMetrics>>>,
+    metrics: OnceLock<Arc<ServerMetrics>>,
     /// Outboxes holding pushes no flush has covered yet (each once, see
     /// [`Push::Queued`]); emptied by [`flush_outboxes`](Hub::flush_outboxes).
     unflushed: Mutex<Vec<Arc<Outbox>>>,
@@ -167,26 +221,30 @@ impl Hub {
         Arc::new(Hub {
             queries: Mutex::new(HashMap::new()),
             active_connections: AtomicU64::new(0),
-            metrics: Mutex::new(None),
+            metrics: OnceLock::new(),
             unflushed: Mutex::new(Vec::new()),
         })
     }
 
     /// Attach the metric handles (after [`ServerMetrics::bind`], which
-    /// needs the hub for its gauges — hence two-phase).
+    /// needs the hub for its gauges — hence two-phase). The first call
+    /// wins; updates read them without a lock.
     pub fn set_metrics(&self, metrics: Arc<ServerMetrics>) {
-        *self.metrics.lock() = Some(metrics);
-    }
-
-    fn with_metrics(&self, f: impl FnOnce(&ServerMetrics)) {
-        if let Some(m) = self.metrics.lock().as_ref() {
-            f(m);
-        }
+        let _ = self.metrics.set(metrics);
     }
 
     /// Subscriptions currently registered across all queries.
     pub fn active_subscriptions(&self) -> usize {
         self.queries.lock().values().map(|q| q.subs.len()).sum()
+    }
+
+    /// Rows held across every query's materialized view.
+    pub(crate) fn view_rows(&self) -> usize {
+        self.queries
+            .lock()
+            .values()
+            .map(|q| q.view.rows.len())
+            .sum()
     }
 
     /// Claim a connection slot against the `max` cap. The increment
@@ -286,9 +344,10 @@ impl Hub {
         }
     }
 
-    /// Current materialized rows for `query` (`None`: never ensured).
-    pub fn rows(&self, query: &str) -> Option<Vec<Record>> {
-        self.queries.lock().get(query).map(|q| q.rows.clone())
+    /// A copy of `query`'s materialized view (`None`: never ensured).
+    /// A copy, so `GET` replies without holding up the fan-out.
+    pub(crate) fn rows(&self, query: &str) -> Option<View> {
+        self.queries.lock().get(query).map(|q| q.view.clone())
     }
 
     /// The engine-side delta callback: maintain the view, fan out.
@@ -297,23 +356,33 @@ impl Hub {
         let Some(state) = queries.get_mut(query) else {
             return;
         };
-        if is_retraction {
-            if let Some(pos) = state.rows.iter().position(|r| r == row) {
-                state.rows.remove(pos);
-            }
-        } else {
-            state.rows.push(row.clone());
-        }
-        if state.subs.is_empty() {
-            return;
-        }
+        let QueryState {
+            view,
+            subs,
+            frame,
+            encoded,
+        } = state;
+        // Rendered once: the frame's tail is the row text the view keeps.
         let sign = if is_retraction { '-' } else { '+' };
-        let frame = format!("UPDATE {query} {sign} {}", render_row(row));
+        frame.clear();
+        frame.push_str("UPDATE ");
+        frame.push_str(query);
+        frame.push(' ');
+        frame.push(sign);
+        frame.push(' ');
+        let row_at = frame.len();
+        render_row_into(row, frame);
+        let evicted = if is_retraction {
+            view.retract(&frame[row_at..]);
+            false
+        } else {
+            view.insert(&frame[row_at..])
+        };
         // Encoded on the first outbox subscriber, appended to the rest.
-        let mut encoded = Vec::new();
+        encoded.clear();
         let mut delivered = 0u64;
         let mut dropped = 0u64;
-        state.subs.retain(|sub| match &sub.sink {
+        subs.retain(|sub| match &sub.sink {
             Sink::Channel(sender) => match sender.try_send(Outbound::Frame(frame.clone())) {
                 Ok(()) => {
                     delivered += 1;
@@ -332,9 +401,9 @@ impl Hub {
             },
             Sink::Outbox(outbox) => {
                 if encoded.is_empty() {
-                    encode_frame(frame.as_bytes(), &mut encoded);
+                    encode_frame(frame.as_bytes(), encoded);
                 }
-                match outbox.push(&encoded) {
+                match outbox.push(encoded) {
                     Push::Queued { first } => {
                         delivered += 1;
                         if first {
@@ -351,10 +420,13 @@ impl Hub {
             }
         });
         drop(queries);
-        self.with_metrics(|m| {
+        if let Some(m) = self.metrics.get() {
             m.updates_delivered.add(delivered);
             m.updates_dropped.add(dropped);
-        });
+            if evicted {
+                m.view_evicted.inc();
+            }
+        }
     }
 }
 
@@ -414,7 +486,7 @@ mod tests {
             .unwrap();
         assert_eq!(hub.active_subscriptions(), 0, "dead sub must be pruned");
         // And the view still accumulates.
-        assert_eq!(hub.rows("q").unwrap().len(), 1);
+        assert_eq!(hub.rows("q").unwrap().rows, ["1"]);
     }
 
     #[test]
@@ -491,11 +563,53 @@ mod tests {
         let engine = engine_with_query();
         let hub = Hub::new();
         hub.ensure_query(&engine, "q").unwrap();
-        // Simulate a signed delta pair directly through the callback.
-        let row = evdb_types::Record::from_iter([Value::Int(1)]);
-        hub.on_update("q", &row, false);
-        assert_eq!(hub.rows("q").unwrap().len(), 1);
-        hub.on_update("q", &row, true);
-        assert_eq!(hub.rows("q").unwrap().len(), 0);
+        // Simulate signed deltas directly through the callback.
+        let int = |i: i64| evdb_types::Record::from_iter([Value::Int(i)]);
+        for i in [1, 2, 1] {
+            hub.on_update("q", &int(i), false);
+        }
+        assert_eq!(hub.rows("q").unwrap().rows, ["1", "2", "1"]);
+        // The oldest matching row goes; the order of the rest stands.
+        hub.on_update("q", &int(1), true);
+        assert_eq!(hub.rows("q").unwrap().rows, ["2", "1"]);
+        hub.on_update("q", &int(2), true);
+        hub.on_update("q", &int(1), true);
+        assert!(hub.rows("q").unwrap().rows.is_empty());
+    }
+
+    #[test]
+    fn view_keeps_the_newest_rows_and_retracting_an_evicted_row_is_a_no_op() {
+        let engine = engine_with_query();
+        let hub = Hub::new();
+        let metrics = Arc::new(ServerMetrics::bind(engine.registry(), &hub));
+        hub.set_metrics(Arc::clone(&metrics));
+        hub.ensure_query(&engine, "q").unwrap();
+        let int = |i: i64| evdb_types::Record::from_iter([Value::Int(i)]);
+        let n = VIEW_ROWS as i64 + 3;
+        for i in 0..n {
+            hub.on_update("q", &int(i), false);
+        }
+        let view = hub.rows("q").unwrap();
+        assert_eq!(view.evicted, 3);
+        assert_eq!(metrics.view_evicted.get(), 3);
+        assert_eq!(view.rows.len(), VIEW_ROWS);
+        let newest: Vec<String> = (3..n).map(|i| i.to_string()).collect();
+        assert!(
+            view.rows.iter().eq(newest.iter()),
+            "newest rows, in arrival order"
+        );
+
+        // Row 0 was evicted: its retraction finds nothing and changes nothing.
+        hub.on_update("q", &int(0), true);
+        let after = hub.rows("q").unwrap();
+        assert!(after.rows.iter().eq(newest.iter()));
+        assert_eq!((after.evicted, hub.view_rows()), (3, VIEW_ROWS));
+        // A live row's retraction still lands.
+        hub.on_update("q", &int(3), true);
+        assert_eq!(hub.view_rows(), VIEW_ROWS - 1);
+        assert_eq!(
+            hub.rows("q").unwrap().rows.front().map(String::as_str),
+            Some("4")
+        );
     }
 }

@@ -19,7 +19,9 @@
 //! ```
 //!
 //! Replies are `OK[ detail]`, `ROW <row>` (one per result row, before a
-//! closing `OK <n> rows`), `UPDATE <query> +|- <row>` (subscription
+//! closing `OK <n> rows`, or `OK <n> rows evicted=<m>` when the query's
+//! view dropped its `m` oldest rows at its cap — see
+//! [`VIEW_ROWS`](crate::hub::VIEW_ROWS)), `UPDATE <query> +|- <row>` (subscription
 //! push; `-` marks a retraction delta from `on_query_updates`), or
 //! `ERR <kind> <message>` where `<kind>` is the machine-readable
 //! [`evdb_types::Error::kind`] (`overloaded`, `not_found`, `parse`, …)
@@ -41,6 +43,7 @@
 //! immune to hostile string values, round-trippable via
 //! [`parse_record`].
 
+use std::fmt::Write;
 use std::sync::Arc;
 
 use evdb_types::{DataType, Error, Record, Result, Schema, TimestampMs, Value};
@@ -365,6 +368,13 @@ fn unescape_quoted(inner: &str) -> String {
 /// the quoted form with escapes — so one-row-per-line framing (SSE
 /// events, `/query` bodies, line frames) survives any column value.
 pub fn render_value(v: &Value) -> String {
+    let mut out = String::new();
+    render_value_into(v, &mut out);
+    out
+}
+
+/// [`render_value`], appended to `out`.
+fn render_value_into(v: &Value, out: &mut String) {
     match v {
         // Strings quote only when the raw form would not parse back
         // (commas, quotes, escapes, newlines, surrounding whitespace,
@@ -375,9 +385,10 @@ pub fn render_value(v: &Value) -> String {
                 && s.trim() == s.as_ref()
                 && s.as_ref() != "NULL";
             if plain {
-                return s.to_string();
+                out.push_str(s);
+                return;
             }
-            let mut out = String::with_capacity(s.len() + 2);
+            out.reserve(s.len() + 2);
             out.push('\'');
             for c in s.chars() {
                 match c {
@@ -389,21 +400,32 @@ pub fn render_value(v: &Value) -> String {
                 }
             }
             out.push('\'');
-            out
         }
-        other => other.to_string(), // Display already matches the parse forms
+        // Display already matches the parse forms; writing to a String
+        // cannot fail.
+        other => {
+            let _ = write!(out, "{other}");
+        }
     }
 }
 
 /// Render a row as a comma-separated value list (the `ROW`/`UPDATE`
 /// payload form, re-ingestable via `parse_record`).
 pub fn render_row(record: &Record) -> String {
-    record
-        .values()
-        .iter()
-        .map(render_value)
-        .collect::<Vec<_>>()
-        .join(",")
+    let mut out = String::new();
+    render_row_into(record, &mut out);
+    out
+}
+
+/// [`render_row`], appended to `out`: no allocation beyond growing the
+/// caller's buffer, so a caller that reuses one renders for free.
+pub fn render_row_into(record: &Record, out: &mut String) {
+    for (i, v) in record.values().iter().enumerate() {
+        if i > 0 {
+            out.push(',');
+        }
+        render_value_into(v, out);
+    }
 }
 
 /// Render the standard error reply for an engine error.
@@ -474,6 +496,10 @@ mod tests {
         let rendered = render_row(&rec);
         let back = parse_record(&schema, &rendered).unwrap();
         assert_eq!(back, rec, "render must re-parse identically: {rendered}");
+        // The buffer form appends exactly the same text.
+        let mut buf = String::from("ROW ");
+        render_row_into(&rec, &mut buf);
+        assert_eq!(buf, format!("ROW {rendered}"));
     }
 
     #[test]

@@ -26,9 +26,7 @@ use evdb_core::EventServer;
 
 use crate::hub::{Hub, ServerMetrics};
 use crate::outbox::Outbox;
-use crate::protocol::{
-    parse_record, parse_request, render_err, render_proto_err, render_row, Request,
-};
+use crate::protocol::{parse_record, parse_request, render_err, render_proto_err, Request};
 
 /// One connection's dispatch context.
 pub struct Session {
@@ -154,11 +152,16 @@ impl Session {
             }
             Request::Get { query } => match self.hub.ensure_query(&self.engine, &query) {
                 Ok(()) => {
-                    let rows = self.hub.rows(&query).unwrap_or_default();
-                    for row in &rows {
-                        self.reply(format!("ROW {}", render_row(row)));
+                    let view = self.hub.rows(&query).unwrap_or_default();
+                    for row in &view.rows {
+                        self.reply(format!("ROW {row}"));
                     }
-                    self.reply(format!("OK {} rows", rows.len()));
+                    // A view truncated at its cap says so.
+                    let n = view.rows.len();
+                    self.reply(match view.evicted {
+                        0 => format!("OK {n} rows"),
+                        m => format!("OK {n} rows evicted={m}"),
+                    });
                 }
                 Err(e) => self.reply_err(render_err(&e)),
             },

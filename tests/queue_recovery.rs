@@ -6,7 +6,7 @@ use std::sync::Arc;
 
 use evdb::queue::{QueueConfig, QueueManager};
 use evdb::storage::{Database, DbOptions};
-use evdb::types::{DataType, Record, Schema, SimClock, TimestampMs, Value};
+use evdb::types::{DataType, FieldDef, Record, Schema, SimClock, TimestampMs, Value};
 
 fn tmpdir(tag: &str) -> std::path::PathBuf {
     let d = std::env::temp_dir().join(format!(
@@ -122,6 +122,49 @@ fn dead_letters_survive_recovery() {
         assert_eq!(q.depth("work").unwrap(), 0);
         assert!(q.dequeue("work", "g", 1).unwrap().is_empty());
     }
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+#[test]
+fn wrong_typed_state_column_is_a_typed_error_on_reopen() {
+    let dir = tmpdir("qcorrupt");
+    let clock = SimClock::new(TimestampMs(0));
+    {
+        let (db, q) = open(&dir, clock.clone());
+        q.create_queue(
+            "work",
+            Schema::of(&[("job", DataType::Int)]),
+            QueueConfig::default(),
+        )
+        .unwrap();
+        q.subscribe("work", "g").unwrap();
+        q.enqueue("work", Record::from_iter([Value::Int(1)]), "p").unwrap();
+        // Swap the state table for one whose `state` column is text and
+        // holds the one delivery row, journaled like any other DDL.
+        let states = db.table("__q_work_s").unwrap();
+        let mut fields = states.schema().fields().to_vec();
+        fields[3] = FieldDef::required("state", DataType::Str);
+        let mut row = states.scan().remove(0).into_values();
+        row[3] = Value::from("ready");
+        db.drop_table("__q_work_s").unwrap();
+        db.create_table("__q_work_s", Schema::new(fields).unwrap(), "sid")
+            .unwrap();
+        db.insert("__q_work_s", Record::new(row)).unwrap();
+    }
+    let db = Database::open(
+        &dir,
+        DbOptions {
+            clock,
+            ..Default::default()
+        },
+    )
+    .unwrap();
+    let err = QueueManager::attach(db)
+        .err()
+        .expect("a wrong-typed state row must not attach");
+    assert_eq!(err.kind(), "corruption");
+    let msg = err.to_string();
+    assert!(msg.contains("'__q_work_s'") && msg.contains("'state'"), "{msg}");
     let _ = std::fs::remove_dir_all(&dir);
 }
 
