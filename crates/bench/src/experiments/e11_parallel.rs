@@ -1,27 +1,18 @@
-//! E11 — sharded parallel pump (DESIGN.md §D7): throughput of the
-//! router/worker/merge pipeline vs the sequential pump as the worker
-//! count grows, on the two workload shapes the partitioner supports.
+//! E11 — the background pump's throughput (DESIGN.md §7) on the two
+//! workload shapes a partitioned pump would split:
 //!
 //! * **multi-stream** — 8 independent streams, each with a keyed alert
-//!   rule, a windowed CQL query and a keyed detector; default
-//!   by-stream routing spreads the streams over the shards.
-//! * **keyed-hot-stream** — one stream partitioned by its `sym` field
-//!   (16 symbols), keyed rule + keyed detector, no CQ — the
-//!   configuration where keyed routing is semantics-preserving.
+//!   rule, a windowed CQL query and a keyed detector;
+//! * **keyed-hot-stream** — one stream whose keyed rule and keyed
+//!   detector are scoped by its `sym` field (16 symbols), no CQ.
 //!
 //! Events are staged with `ingest_async` before the pump starts, so
-//! the measurement covers routing + evaluation + merge, not producer
-//! cost. Correctness of the parallel modes (identical notification
-//! multiset and per-key order vs sequential) is enforced separately by
-//! `tests/parallel_pump.rs`; this experiment only measures.
+//! the measurement covers drain + evaluation + delivery, not producer
+//! cost. Every row records the detected core count.
 //!
-//! Wall-clock speedup is bounded by the host's core count: on a
-//! single-core box every mode time-slices one CPU and the sharded
-//! pipeline can only show its coordination overhead, not scaling. Every
-//! row therefore records the detected core count, and scaling arms
-//! whose worker count exceeds it are **skipped** outright — printing an
-//! overhead ratio as if it were a speedup misleads readers comparing
-//! hosts.
+//! Evaluation runs one cycle at a time (DESIGN.md D7); the sharded
+//! arms this table used to compare against are recorded, with why they
+//! went, in EXPERIMENTS.md and DESIGN.md §7.
 
 use std::sync::Arc;
 use std::time::{Duration, Instant};
@@ -29,7 +20,7 @@ use std::time::{Duration, Instant};
 use evdb_analytics::detector::UpdatePolicy;
 use evdb_analytics::ThresholdModel;
 use evdb_core::server::ServerConfig;
-use evdb_core::{spawn_pump_with, EventServer, PumpMode};
+use evdb_core::{spawn_pump, EventServer};
 use evdb_types::{DataType, Record, Schema, SimClock, TimestampMs, Value};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -46,7 +37,7 @@ fn tick_schema() -> Arc<Schema> {
 }
 
 /// Build the 8-stream workload server and stage `n` events.
-pub fn multi_stream_server(n: usize, seed: u64) -> Arc<EventServer> {
+fn multi_stream_server(n: usize, seed: u64) -> Arc<EventServer> {
     let server = Arc::new(
         EventServer::in_memory(ServerConfig {
             clock: SimClock::new(TimestampMs(0)),
@@ -95,7 +86,7 @@ pub fn multi_stream_server(n: usize, seed: u64) -> Arc<EventServer> {
 }
 
 /// Build the keyed hot-stream workload server and stage `n` events.
-pub fn keyed_stream_server(n: usize, seed: u64) -> Arc<EventServer> {
+fn keyed_stream_server(n: usize, seed: u64) -> Arc<EventServer> {
     let server = Arc::new(
         EventServer::in_memory(ServerConfig {
             clock: SimClock::new(TimestampMs(0)),
@@ -117,7 +108,6 @@ pub fn keyed_stream_server(n: usize, seed: u64) -> Arc<EventServer> {
             || Box::new(ThresholdModel::new(1.0, 98.0)),
         )
         .unwrap();
-    server.set_partition_field("ticks", "sym").unwrap();
     let mut rng = StdRng::seed_from_u64(seed);
     for i in 0..n {
         server
@@ -134,11 +124,12 @@ pub fn keyed_stream_server(n: usize, seed: u64) -> Arc<EventServer> {
     server
 }
 
-/// Run a pump mode over a staged server until all `n` events are
-/// processed; returns (events/s, busy shard count).
-pub fn drive(server: &Arc<EventServer>, n: usize, mode: PumpMode) -> (f64, usize) {
+/// Run the background pump over a staged server until all `n` events
+/// are evaluated and delivered and the pump has stopped; returns
+/// events/s.
+fn drive(server: &Arc<EventServer>, n: usize) -> f64 {
     let t0 = Instant::now();
-    let handle = spawn_pump_with(server, Duration::from_millis(1), mode);
+    let handle = spawn_pump(server, Duration::from_millis(1));
     while (server.metrics().snapshot().events_processed as usize) < n {
         assert!(
             t0.elapsed() < Duration::from_secs(300),
@@ -147,66 +138,10 @@ pub fn drive(server: &Arc<EventServer>, n: usize, mode: PumpMode) -> (f64, usize
         );
         std::thread::sleep(Duration::from_micros(200));
     }
-    let secs = t0.elapsed().as_secs_f64();
+    // `events_processed` counts a batch as it enters evaluation; the stop
+    // joins the pump once that cycle has evaluated and delivered.
     handle.stop();
-    let busy = server
-        .metrics()
-        .shard_snapshots()
-        .iter()
-        .filter(|s| s.events_routed > 0)
-        .count();
-    (n as f64 / secs, busy)
-}
-
-const MODES: [(&str, PumpMode); 5] = [
-    ("seq", PumpMode::Sequential),
-    ("shard-1", PumpMode::Sharded { workers: 1 }),
-    ("shard-2", PumpMode::Sharded { workers: 2 }),
-    ("shard-4", PumpMode::Sharded { workers: 4 }),
-    ("shard-8", PumpMode::Sharded { workers: 8 }),
-];
-
-fn workload(
-    table: &mut Table,
-    label: &str,
-    n: usize,
-    cores: usize,
-    build: impl Fn() -> Arc<EventServer>,
-) {
-    let mut seq_rate = None;
-    for (name, mode) in MODES {
-        // A scaling arm with more workers than cores can only measure
-        // time-slicing overhead; reporting that ratio as a "speedup"
-        // misleads. Skip the arm and say why.
-        if let PumpMode::Sharded { workers } = mode {
-            if workers > cores {
-                table.row(vec![
-                    label.into(),
-                    name.into(),
-                    "-".into(),
-                    format!("skipped ({cores} cores < {workers} workers)"),
-                    "-".into(),
-                    cores.to_string(),
-                ]);
-                continue;
-            }
-        }
-        let server = build();
-        let (rate, busy) = drive(&server, n, mode);
-        let base = *seq_rate.get_or_insert(rate);
-        table.row(vec![
-            label.into(),
-            name.into(),
-            fmt_rate(rate),
-            format!("{:.2}x", rate / base),
-            if matches!(mode, PumpMode::Sequential) {
-                "-".into()
-            } else {
-                busy.to_string()
-            },
-            cores.to_string(),
-        ]);
-    }
+    n as f64 / t0.elapsed().as_secs_f64()
 }
 
 /// Run E11.
@@ -214,20 +149,18 @@ pub fn run(scale: Scale) -> Table {
     let n = scale.pick(4_000, 60_000);
     let cores = std::thread::available_parallelism().map_or(1, |p| p.get());
     let mut table = Table::new(
-        "E11: sharded parallel pump (multi-stream / keyed hot stream)",
-        &["workload", "mode", "events/s", "speedup", "busy_shards", "cores"],
+        "E11: background pump throughput (multi-stream / keyed hot stream)",
+        &["workload", "mode", "events/s", "cores"],
     );
-    workload(&mut table, "multi-stream", n, cores, || {
-        multi_stream_server(n, 111)
-    });
-    workload(&mut table, "keyed-hot-stream", n, cores, || {
-        keyed_stream_server(n, 222)
-    });
-    table.note(format!(
-        "host has {cores} core(s); arms with workers > cores are skipped, not reported as speedups"
-    ));
-    table
-        .note("sequential equivalence of every sharded mode is asserted in tests/parallel_pump.rs");
+    let rates = [
+        ("multi-stream", drive(&multi_stream_server(n, 111), n)),
+        ("keyed-hot-stream", drive(&keyed_stream_server(n, 222), n)),
+    ];
+    for (label, rate) in rates {
+        table.row(vec![label.into(), "seq".into(), fmt_rate(rate), cores.to_string()]);
+    }
+    table.note(format!("{n} events staged per row; host has {cores} core(s)"));
+    table.note("the deleted sharded pump's last recorded rows are in EXPERIMENTS.md (E11)");
     table
 }
 
@@ -239,47 +172,13 @@ mod tests {
     fn e11_completes_and_shards_engage() {
         let cores = std::thread::available_parallelism().map_or(1, |p| p.get());
         let t = run(Scale::Quick);
-        // Every arm gets a row whether it ran or was skipped, and every
-        // row self-describes the host's core count.
-        assert_eq!(t.rows.len(), 10);
-        for row in &t.rows {
-            assert_eq!(row[5].parse::<usize>().unwrap(), cores);
-        }
-        // Arms with workers > cores must be marked skipped, not report
-        // a time-slicing overhead ratio as a speedup.
-        for (label, workers) in [("shard-1", 1), ("shard-2", 2), ("shard-4", 4), ("shard-8", 8)] {
-            let row = t
-                .rows
-                .iter()
-                .find(|r| r[0] == "multi-stream" && r[1] == label)
-                .unwrap();
-            if workers > cores {
-                assert!(
-                    row[3].starts_with("skipped ("),
-                    "workers={workers} cores={cores}: {row:?}"
-                );
-                assert_eq!(row[2], "-");
-            } else {
-                assert!(row[3].ends_with('x'), "{row:?}");
-                assert!(row[4].parse::<usize>().unwrap() >= 1);
-            }
-        }
-        // When the host can actually scale, spread arms engage >1 shard.
-        if cores >= 4 {
-            let row = t
-                .rows
-                .iter()
-                .find(|r| r[0] == "multi-stream" && r[1] == "shard-4")
-                .unwrap();
-            assert!(row[4].parse::<usize>().unwrap() > 1);
-        }
-        if cores >= 8 {
-            let row = t
-                .rows
-                .iter()
-                .find(|r| r[0] == "keyed-hot-stream" && r[1] == "shard-8")
-                .unwrap();
-            assert!(row[4].parse::<usize>().unwrap() > 1);
+        // One `seq` row per workload, each with a rate and the host's
+        // core count.
+        assert_eq!(t.rows.len(), 2);
+        for (row, label) in t.rows.iter().zip(["multi-stream", "keyed-hot-stream"]) {
+            assert_eq!((row[0].as_str(), row[1].as_str()), (label, "seq"));
+            assert!(!row[2].is_empty() && row[2] != "-", "{row:?}");
+            assert_eq!(row[3].parse::<usize>().unwrap(), cores);
         }
     }
 }

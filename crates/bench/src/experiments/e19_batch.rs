@@ -1,55 +1,37 @@
-//! E19 — the batched hot path end to end (DESIGN.md D15): does
-//! vectorized dispatch actually buy throughput where evaluation
-//! dominates, and does the sharded pipeline built on it scale?
+//! E19 — the batched hot path (DESIGN.md D15): does vectorized
+//! dispatch actually buy throughput where evaluation dominates?
 //!
-//! Two claims, two sections:
-//!
-//! * **eval duel** — E15's candidate-verification workload, timed
-//!   per-event (`matches`/`match_record`, the single-record
-//!   evaluators) vs batched (`matches_batch`/`match_batch` over
-//!   [`BATCH`]-row chunks with reused scratch). Four bare-VM arms
-//!   isolate single-predicate dispatch (`eval_wide` stresses the fused
-//!   field-vs-constant fast paths). Same alternating-order/median
-//!   method as E13/E15. In optimized builds the best bare-VM arm must
-//!   clear **≥1.5×** — that floor is asserted in-run, not just
-//!   eyeballed, because it is the premise the batched pipeline rests on.
-//!   The `rules_verify` arm runs the full indexed matcher through both
-//!   entry points and is reported, not floored: since D1's
-//!   conjunction-aware index, `match_batch` is `match_record` per record
-//!   (one probe routine) and only rules *no* index narrows go through
-//!   the batch VM, so on this all-indexed rule set the two columns are
-//!   the same code and the ratio is ~1.0×.
-//! * **pipeline scaling** — E11's multi-stream workload through the
-//!   sharded pump (whose workers now evaluate via the batch path and
-//!   merge through per-shard staging). Reported as speedup over the
-//!   one-worker batched baseline. Following E11's convention, arms with
-//!   more workers than detected cores are **skipped** with an
-//!   explanatory cell, never reported as if overhead ratios were
-//!   speedups; every row records the core count. On hosts that can
-//!   scale, each ran arm must reach **≥0.7× linear** (asserted in-run in
-//!   optimized builds where cores > workers + 2, leaving the router, the
-//!   merge stage and the feeding thread cores of their own).
+//! E15's candidate-verification workload, timed per-event
+//! (`matches`/`match_record`, the single-record evaluators) vs batched
+//! (`matches_batch`/`match_batch` over [`BATCH`]-row chunks with reused
+//! scratch). Four bare-VM arms isolate single-predicate dispatch
+//! (`eval_wide` stresses the fused field-vs-constant fast paths). Same
+//! alternating-order/median method as E13/E15. In optimized builds the
+//! best bare-VM arm must clear **≥1.5×** — that floor is asserted in-run,
+//! not just eyeballed, because it is the premise the batched pipeline
+//! rests on. The `rules_verify` arm runs the full indexed matcher
+//! through both entry points and is reported, not floored: since D1's
+//! conjunction-aware index, `match_batch` is `match_record` per record
+//! (one probe routine) and only rules *no* index narrows go through the
+//! batch VM, so on this all-indexed rule set the two columns are the
+//! same code and the ratio is ~1.0×.
 //!
 //! Scalar/batch equivalence is not this experiment's job: it is
 //! enforced differentially by `tests/prop_batch_eval.rs` (expressions),
-//! and for the pipeline — which has had a single, batched evaluation
-//! path since ISSUE 15 — by `tests/prop_chunking.rs` (any cut of the
-//! input answers like the singletons cut) and `tests/parallel_pump.rs`
-//! (both pump modes agree). E19 only measures — but it measures with
-//! the agreement checks left on.
+//! and for the pipeline — which has a single, batched evaluation path
+//! (D15) — by `tests/prop_chunking.rs` (any cut of the input answers
+//! like the singletons cut). E19 only measures — but it
+//! measures with the agreement checks left on.
 
 use std::sync::Arc;
 use std::time::Instant;
 
-use evdb_core::PumpMode;
 use evdb_expr::{parse, BatchScratch, CompiledExpr};
 use evdb_rules::{IndexedMatcher, MatchScratch, Matcher, Rule};
 use evdb_types::{Record, Result};
 
-use super::e11_parallel::{drive, multi_stream_server};
 use super::e15_compiled::{order_events, order_rules, order_schema};
 use super::{Scale, Table};
-use crate::fmt_rate;
 
 /// Rows per `matches_batch` call — the pipeline's working unit.
 const BATCH: usize = 256;
@@ -215,7 +197,7 @@ pub fn run(scale: Scale) -> Table {
     let events = order_events(nevents, 8, 83);
 
     let mut table = Table::new(
-        "E19: batched hot path — vectorized dispatch and pipeline scaling (D15)",
+        "E19: batched hot path — vectorized dispatch (D15)",
         &["arm", "per_event", "batched", "speedup", "unit", "cores"],
     );
 
@@ -255,61 +237,13 @@ pub fn run(scale: Scale) -> Table {
         );
     }
 
-    // Pipeline scaling: the E11 multi-stream workload through the
-    // sharded pump, whose workers evaluate in batches and merge through
-    // per-shard staging. Baseline is the one-worker batched pipeline.
-    let pn = scale.pick(4_000, 60_000);
-    let mut base_rate = None;
-    for workers in [1usize, 2, 4, 8] {
-        let name = format!("pipeline-shard-{workers}");
-        if workers > cores {
-            table.row(vec![
-                name,
-                "-".into(),
-                "-".into(),
-                format!("skipped ({cores} cores < {workers} workers)"),
-                "-".into(),
-                cores.to_string(),
-            ]);
-            continue;
-        }
-        let server = multi_stream_server(pn, 311);
-        let (rate, _busy) = drive(&server, pn, PumpMode::Sharded { workers });
-        let base = *base_rate.get_or_insert(rate);
-        let speedup = rate / base;
-        table.row(vec![
-            name,
-            "-".into(),
-            fmt_rate(rate),
-            format!("{speedup:.2}x"),
-            "events/s".into(),
-            cores.to_string(),
-        ]);
-        // Scaling floor, only meaningful where the host runs the workers
-        // in parallel with cores to spare for the router, the merge stage
-        // and the feeding thread (on 2 cores 2 workers read 0.70–0.85x linear).
-        if !cfg!(debug_assertions) && workers > 1 && cores > workers + 2 {
-            assert!(
-                speedup >= 0.7 * workers as f64,
-                "pipeline at {workers} workers reached only {speedup:.2}x \
-                 (floor {:.2}x = 0.7x linear)",
-                0.7 * workers as f64
-            );
-        }
-    }
-
     table.note(format!(
         "{nevents} events/arm, batch size {BATCH}, {rounds} alternating-order rounds; \
          eval speedup is the median per-round ratio (E13 method), ns/event the per-arm best"
     ));
-    table.note(format!(
-        "host has {cores} core(s); pipeline arms with workers > cores are skipped, not \
-         reported as speedups (E11 convention); the 0.7x-linear floor is asserted only \
-         where cores > workers + 2"
-    ));
     table.note(
         "scalar/batched equivalence is enforced by tests/prop_batch_eval.rs, chunking \
-         invariance by tests/prop_chunking.rs, mode equivalence by tests/parallel_pump.rs",
+         invariance by tests/prop_chunking.rs",
     );
     table
 }
@@ -322,22 +256,13 @@ mod tests {
     fn e19_reports_all_arms_and_agrees() {
         let cores = std::thread::available_parallelism().map_or(1, |p| p.get());
         let t = run(Scale::Quick);
-        // 5 eval arms (4 bare VM + rules_verify) + 4 pipeline arms,
-        // ran or skipped.
-        assert_eq!(t.rows.len(), 9);
+        // 5 eval arms: 4 bare VM + rules_verify.
+        assert_eq!(t.rows.len(), 5);
         for row in &t.rows {
             assert_eq!(row[5].parse::<usize>().unwrap(), cores);
         }
-        for row in t.rows.iter().take(5) {
+        for row in &t.rows {
             assert!(row[3].ends_with('x'), "{row:?}");
-        }
-        for row in t.rows.iter().skip(5) {
-            let workers: usize = row[0].trim_start_matches("pipeline-shard-").parse().unwrap();
-            if workers > cores {
-                assert!(row[3].starts_with("skipped ("), "{row:?}");
-            } else {
-                assert!(row[3].ends_with('x'), "{row:?}");
-            }
         }
     }
 

@@ -186,8 +186,7 @@ impl AdmissionControl {
         self.peak_depth.load(Ordering::Relaxed)
     }
 
-    /// Events shed so far (displaced or turned away under `ShedLowest`,
-    /// plus batches the sharded router shed at saturated worker queues).
+    /// Events shed so far (displaced or turned away under `ShedLowest`).
     pub fn shed_total(&self) -> u64 {
         self.shed.load(Ordering::Relaxed)
     }
@@ -201,13 +200,6 @@ impl AdmissionControl {
     /// drain could resolve their stream (counted, logged, never silent).
     pub fn dropped_capture_total(&self) -> u64 {
         self.dropped_capture.load(Ordering::Relaxed)
-    }
-
-    /// Record `n` events shed outside the admission gate (the sharded
-    /// router sheds whole batches when a worker queue is saturated under
-    /// `ShedLowest`); keeps the accounting invariant in one place.
-    pub fn note_shed(&self, n: u64) {
-        self.shed.fetch_add(n, Ordering::Relaxed);
     }
 
     /// Record `n` staged changes dropped because their capture task was

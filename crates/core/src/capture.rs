@@ -3,9 +3,9 @@
 //! [`Capture`] owns everything upstream of evaluation — the capture
 //! tasks (one per captured table: trigger, journal miner or query-poll
 //! snapshot), the bounded admission buffer producers stage into
-//! (DESIGN.md D10), the per-stream shed priorities and partition fields,
-//! and the event-id generator — and hands the next stage one typed
-//! value: [`Drained`], the ready-to-evaluate events in arrival order.
+//! (DESIGN.md D10), the per-stream shed priorities and the event-id
+//! generator — and hands the next stage one typed value: [`Drained`],
+//! the ready-to-evaluate events in arrival order.
 //! It holds no handle to any stage after it.
 
 use std::collections::HashMap;
@@ -16,9 +16,7 @@ use evdb_cq::delta::{change_schema, change_to_event};
 use evdb_cq::StreamRuntime;
 use evdb_obs::Gauge;
 use evdb_storage::{ChangeEvent, Database, JournalMiner, QuerySnapshot, TriggerOps, TriggerTiming};
-use evdb_types::{
-    Error, Event, EventId, IdGenerator, Record, Result, Schema, Stage, TimestampMs, Value,
-};
+use evdb_types::{Error, Event, EventId, IdGenerator, Record, Result, Schema, Stage, TimestampMs};
 use parking_lot::{Mutex, RwLock};
 
 use crate::admission::{AdmissionControl, Staged};
@@ -86,8 +84,6 @@ pub(crate) struct Capture {
     /// Per-stream shed priority for `OverloadPolicy::ShedLowest`
     /// (default 0). Shared with trigger closures, hence the `Arc`.
     priorities: Arc<RwLock<HashMap<String, i64>>>,
-    /// Per-stream partition field for sharded routing (see `shard.rs`).
-    partition_fields: RwLock<HashMap<String, usize>>,
 }
 
 impl Capture {
@@ -119,7 +115,6 @@ impl Capture {
             admission,
             tasks: Mutex::new(Vec::new()),
             priorities: Arc::new(RwLock::new(HashMap::new())),
-            partition_fields: RwLock::new(HashMap::new()),
             db: Arc::clone(db),
             runtime: Arc::clone(runtime),
             metrics: Arc::clone(metrics),
@@ -257,9 +252,9 @@ impl Capture {
         ))
     }
 
-    /// The first step of every cycle, inline or sharded; see
+    /// The first step of every cycle; see
     /// [`EventServer::drain`](crate::EventServer::drain); a pump's tick
-    /// skips the `staged` buffer ([`crate::pump::drive`]).
+    /// skips the `staged` buffer ([`crate::pump::spawn_pump`]).
     pub(crate) fn drain(&self, maintenance: bool, staged: bool) -> Drained {
         let now = self.db.now();
         let mut events = Vec::new();
@@ -420,8 +415,8 @@ impl Capture {
 
     /// Stamp the route stage on an event at `now` and queue the
     /// capture→route span: the last thing done to an event before it is
-    /// handed on, by the inline cycle or the sharded router (one clock
-    /// read and one flush per batch; stage histograms are ms-granular).
+    /// evaluated (one clock read and one flush per batch; stage
+    /// histograms are ms-granular).
     #[inline]
     pub(crate) fn route(&self, event: &mut Event, now: TimestampMs, batch: &mut StageBatch) {
         if !self.stage_obs.enabled {
@@ -434,39 +429,13 @@ impl Capture {
             .unwrap_or(0) as f64;
         batch.push(Stage::Route, span);
     }
-
-    /// Partition a stream's events by a payload field for sharded pumping.
-    pub(crate) fn set_partition_field(&self, stream: &str, field: &str) -> Result<()> {
-        let schema = self.runtime.stream_schema(stream)?;
-        let idx = schema
-            .index_of(field)
-            .ok_or_else(|| Error::Schema(format!("unknown partition field '{field}'")))?;
-        self.partition_fields
-            .write()
-            .insert(stream.to_string(), idx);
-        Ok(())
-    }
-
-    /// The routing key the sharded pump hashes for this event: the
-    /// stream name, refined by the stream's partition field if one is
-    /// configured.
-    pub(crate) fn partition_key_of(&self, event: &Event) -> String {
-        match self.partition_fields.read().get(event.source.as_ref()) {
-            Some(&i) => format!(
-                "{}/{}",
-                event.source,
-                event.payload.get(i).cloned().unwrap_or(Value::Null)
-            ),
-            None => event.source.to_string(),
-        }
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::server::tests::server;
-    use evdb_types::DataType;
+    use evdb_types::{DataType, Value};
 
     #[test]
     fn trigger_capture_to_alert_rule() {

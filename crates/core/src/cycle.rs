@@ -3,11 +3,11 @@
 //!
 //! [`Cycle`] owns what the cycle needs beside its stages: the **gate**
 //! (held from drain to delivery, so per-key arrival order holds whoever
-//! pumps), the count of attached sequential pumps, the stager's pass
+//! pumps), the count of attached background pumps, the stager's pass
 //! bound, and the one place where cycles, errors and wake-ups are
 //! counted. The entry points that run a cycle on the caller's thread are
-//! here too, on [`EventServer`]; the sharded pump (`shard.rs`) calls the
-//! same stage methods in the same order on its own threads.
+//! here too, on [`EventServer`]; the pump thread (`pump.rs`) runs the
+//! same [`run_cycle`](EventServer::run_cycle).
 //!
 //! The gate knows which thread holds it, so a subscriber or notification
 //! handler that calls back into [`pump`](EventServer::pump) or
@@ -23,7 +23,7 @@ use parking_lot::{Mutex, MutexGuard};
 
 use crate::admission::Wake;
 use crate::capture::Drained;
-use crate::metrics::{bridge, Metrics, StageBatch};
+use crate::metrics::StageBatch;
 use crate::server::{EventServer, PumpStats};
 
 /// Cycles a stager runs back to back in [`EventServer::run_staged`]
@@ -57,7 +57,7 @@ pub(crate) struct Cycle {
     /// thread stores its own token, so a thread that reads its own token
     /// here holds the gate.
     holder: AtomicUsize,
-    /// Sequential background pumps currently attached.
+    /// Background pumps currently attached.
     pumps: Arc<AtomicUsize>,
     wakeups: [Arc<Counter>; 3],
     maintenance: Arc<Counter>,
@@ -87,7 +87,7 @@ impl Drop for Held<'_> {
     }
 }
 
-/// Counts a sequential background pump in for as long as it is held.
+/// Counts a background pump in for as long as it is held.
 pub(crate) struct Attached(Arc<AtomicUsize>);
 
 impl Drop for Attached {
@@ -97,16 +97,7 @@ impl Drop for Attached {
 }
 
 impl Cycle {
-    pub(crate) fn new(metrics: &Arc<Metrics>, registry: &Registry) -> Cycle {
-        if registry.is_enabled() {
-            bridge(registry, metrics, &[
-                ("evdb_shard_events_routed", |m| m.total_events_routed() as f64),
-                ("evdb_shard_busy_cycles", |m| m.total_busy_cycles() as f64),
-                ("evdb_shard_queue_depth", |m| {
-                    m.shard_snapshots().iter().map(|s| s.queue_depth).sum::<u64>() as f64
-                }),
-            ]);
-        }
+    pub(crate) fn new(registry: &Registry) -> Cycle {
         let counter = |name: &str| registry.counter(name);
         Cycle {
             gate: Mutex::new(()),
@@ -136,15 +127,15 @@ impl Cycle {
         Some(Held { holder: &self.holder, _gate: gate })
     }
 
-    /// Count a sequential background pump in, before its thread exists;
-    /// dropping the guard counts it out, however the thread ends.
+    /// Count a background pump in, before its thread exists; dropping
+    /// the guard counts it out, however the thread ends.
     pub(crate) fn attach_pump(&self) -> Attached {
         self.pumps.fetch_add(1, Ordering::SeqCst);
         Attached(Arc::clone(&self.pumps))
     }
 
-    /// True while a sequential background pump is attached: a stager may
-    /// then stand in for it.
+    /// True while a background pump is attached: a stager may then
+    /// stand in for it.
     fn stands_in(&self) -> bool {
         self.pumps.load(Ordering::SeqCst) > 0
     }
@@ -196,11 +187,10 @@ impl EventServer {
 
     /// [`ingest_async`](Self::ingest_async) for a caller that would
     /// otherwise block right after staging (a connection's reader): the
-    /// first half of the stage-then-run pair. While a sequential
-    /// background pump is attached the event is pushed quietly — the
-    /// pump leaves it alone — and the caller owes a
-    /// [`run_staged`](Self::run_staged) once it has staged all it has in
-    /// hand. With no pump attached, or a sharded one, this is
+    /// first half of the stage-then-run pair. While a background pump is
+    /// attached the event is pushed quietly — the pump leaves it alone —
+    /// and the caller owes a [`run_staged`](Self::run_staged) once it has
+    /// staged all it has in hand. With no pump attached this is
     /// `ingest_async` exactly.
     pub fn stage(&self, stream: &str, timestamp: TimestampMs, payload: Record) -> Result<()> {
         self.capture.offer(stream, timestamp, payload, self.cycle.stands_in())
@@ -214,7 +204,7 @@ impl EventServer {
     /// asks the pump for the rest. No event waits for the tick: whoever
     /// pushed it quietly is on its way to the gate.
     ///
-    /// Does nothing unless a sequential background pump is attached
+    /// Does nothing unless a background pump is attached
     /// (without one [`stage`](Self::stage) was a plain `ingest_async`).
     /// Must not be called from inside a trigger (the cycle would run
     /// inside the writer's transaction). Called from inside a subscriber
@@ -240,8 +230,8 @@ impl EventServer {
     }
 
     /// One cycle under the gate — what [`pump`](Self::pump) and the
-    /// sequential pump thread run. It evaluates what producers `staged`
-    /// (see [`drive`](crate::pump::drive)); a `maintenance` cycle also
+    /// pump thread run. It evaluates what producers `staged` (a pump's
+    /// tick leaves that to the stagers); a `maintenance` cycle also
     /// polls the pull-based captures and runs [`maintain`](Self::maintain).
     pub(crate) fn run_cycle(&self, maintenance: bool, staged: bool) -> Outcome {
         let Some(_held) = self.cycle.enter() else {
@@ -271,9 +261,8 @@ impl EventServer {
         (stats, errors, first_error)
     }
 
-    /// Route, evaluate and deliver a batch on the calling thread — the
-    /// calls the sharded pump spreads over its router, workers and merge
-    /// stage (D7) — then give the end-of-batch signal.
+    /// Route, evaluate and deliver a batch on the calling thread, then
+    /// give the end-of-batch signal.
     fn run_batch(&self, mut events: Vec<Event>) -> Outcome {
         // One clock read serves every stage stamp this cycle: the stage
         // histograms have 10ms bins, so per-event clock reads would buy
@@ -295,12 +284,12 @@ impl EventServer {
         (stats, evaluated.errors, evaluated.first_error)
     }
 
-    /// Housekeeping on the maintenance tick, shared by both pump modes:
-    /// make queue messages whose visibility timeout lapsed deliverable
-    /// again, then bounded history maintenance — at most one segment
-    /// merge per stream, so compaction rides the pump cadence instead of
-    /// needing its own thread (determinism under SimClock).
-    pub(crate) fn maintain(&self) -> Result<()> {
+    /// Housekeeping on the maintenance tick: make queue messages whose
+    /// visibility timeout lapsed deliverable again, then bounded history
+    /// maintenance — at most one segment merge per stream, so compaction
+    /// rides the pump cadence instead of needing its own thread
+    /// (determinism under SimClock).
+    fn maintain(&self) -> Result<()> {
         for q in self.queues().queue_names() {
             let _ = self.queues().reap_timeouts(&q);
         }

@@ -6,8 +6,7 @@
 //! [`EvalScratch`] and the cycle's `StageBatch`) and hands forward the
 //! batch's notifications and its first error; it never delivers them
 //! itself — delivery is the notify stage's, because the VIRT filter is
-//! stateful per key and the sharded pump runs it on its single merge
-//! stage. It holds no handle to any stage after it.
+//! stateful per key. It holds no handle to any stage after it.
 
 use std::collections::HashMap;
 use std::sync::atomic::Ordering;
@@ -28,8 +27,8 @@ use crate::notify::Notification;
 
 /// Reusable buffers for [`EventServer::evaluate_events`]: the batch-VM
 /// scratch plus the per-batch staging vectors. Hold one per evaluating
-/// thread (each shard worker owns one); buffers size themselves to the
-/// batch on first use and are reused afterwards (D15).
+/// thread; buffers size themselves to the batch on first use and are
+/// reused afterwards (D15).
 ///
 /// [`EventServer::evaluate_events`]: crate::EventServer::evaluate_events
 #[derive(Default)]
@@ -98,16 +97,16 @@ pub(crate) struct Evaluate {
     /// `enable_history`. `Arc` because the metric bridge reads it from
     /// gauge closures.
     pub(crate) history: Arc<HistorySlot>,
-    /// Read-mostly: rule registration is rare, matching is per-event and
-    /// concurrent under the sharded pump ([`IndexedMatcher::match_record`]
-    /// takes `&self`).
+    /// Read-mostly: rule registration is rare and runs beside the cycle,
+    /// matching is per-event ([`IndexedMatcher::match_record`] takes
+    /// `&self`), so a registration never waits for a cycle to finish.
     rules: RwLock<HashMap<String, AlertRules>>,
     /// Alert-rule ids, server-wide so an id is never issued twice even
     /// when a stream's rule set is dropped and recreated.
     rule_ids: IdGenerator,
-    /// Each detector group has its own lock so sharded workers touching
-    /// different groups (or different streams) never contend; the outer
-    /// map is read-mostly like `rules`.
+    /// Each detector group has its own lock so a registration, or an
+    /// `ingest` beside the cycle, touching a different group (or stream)
+    /// never contends with it; the outer map is read-mostly like `rules`.
     detectors: RwLock<HashMap<String, Vec<Mutex<DetectorGroup>>>>,
     /// Evaluation scratch of cycles run on a caller's thread (`pump`,
     /// `ingest`, the pump thread, stagers); see [`Self::with_scratch`].

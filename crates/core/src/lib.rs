@@ -21,9 +21,8 @@
 //!   **VIRT** filter — "Valuable Information at the Right Time", §1 —
 //!   and the end-of-batch hooks), and `cycle` (the gate, one cycle at a
 //!   time, and the entry points that run it).
-//! * [`pump`] / [`shard`] — the background pump threads: sequential, or
-//!   partitioned over N workers behind [`PumpMode::Sharded`] with per-key
-//!   order preserved.
+//! * [`pump`] — the background pump thread: parks on the work signal,
+//!   runs the one cycle when work is staged and on the maintenance tick.
 //! * [`admission`] — the bounded staged-ingest buffer, its
 //!   [`OverloadPolicy`] (block / reject / shed-lowest) and the work signal
 //!   that wakes the pump.
@@ -43,12 +42,11 @@ pub mod notify;
 pub mod pump;
 pub mod security;
 pub mod server;
-pub mod shard;
 
 pub use admission::{AdmissionControl, OverloadPolicy};
 pub use history::{History, HistoryConfig};
-pub use metrics::{Metrics, MetricsSnapshot, ShardMetrics, ShardSnapshot};
+pub use metrics::{Metrics, MetricsSnapshot};
 pub use notify::{Notification, NotificationCenter, VirtPolicy};
-pub use pump::{spawn_pump, spawn_pump_with, PumpHandle, PumpMode};
+pub use pump::{spawn_pump, PumpHandle};
 pub use security::{AccessControl, Principal, Privilege};
 pub use server::{CaptureMechanism, Drained, EventServer};

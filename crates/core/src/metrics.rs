@@ -1,5 +1,4 @@
-//! Engine metrics: cheap atomic counters plus a latency histogram, and
-//! per-shard counters when the sharded pump is running.
+//! Engine metrics: cheap atomic counters plus a latency histogram.
 
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
@@ -38,8 +37,8 @@ impl StageObs {
 
     /// Count one event through `stage` with its latency sample (ms).
     /// Per-call cost is an atomic add plus a mutex-guarded histogram
-    /// bin increment — fine for one-off sites (inline ingest, the merge
-    /// thread); batch loops should accrue into a [`StageBatch`] and
+    /// bin increment — fine for one-off sites (inline ingest); batch
+    /// loops should accrue into a [`StageBatch`] and
     /// [`StageObs::flush`] once instead.
     pub fn observe(&self, stage: Stage, latency_ms: f64) {
         if !self.enabled {
@@ -89,8 +88,8 @@ pub(crate) fn relaxed(counter: &AtomicU64) -> f64 {
     counter.load(Ordering::Relaxed) as f64
 }
 
-/// Per-batch scratch for stage latency samples. Hot loops (the pump,
-/// the shard router/workers) push one sample per event per stage and
+/// Per-batch scratch for stage latency samples. Hot loops (the cycle)
+/// push one sample per event per stage and
 /// flush once per batch through [`StageObs::flush`], so the per-event
 /// instrumentation cost is a `Vec` push rather than an atomic add plus
 /// a histogram lock — the difference between a ~6% and a ~1% tax in
@@ -124,37 +123,6 @@ pub struct Metrics {
     /// Notifications suppressed by the VIRT filter.
     pub suppressed: AtomicU64,
     latency: Mutex<Histogram>,
-    /// One entry per worker of the active sharded pump (empty when the
-    /// pump is sequential). Replaced wholesale by `register_shards`.
-    shards: Mutex<Vec<Arc<ShardMetrics>>>,
-    /// Totals folded in from shard sets retired by `register_shards`, so
-    /// cumulative counters stay monotone across pump restarts.
-    retired_routed: AtomicU64,
-    /// Busy-cycle total from retired shard sets.
-    retired_busy: AtomicU64,
-}
-
-/// Live counters for one shard worker of the sharded pump.
-#[derive(Debug, Default)]
-pub struct ShardMetrics {
-    /// Events the router has assigned to this shard.
-    pub events_routed: AtomicU64,
-    /// Events currently enqueued for (not yet finished by) this worker.
-    pub queue_depth: AtomicU64,
-    /// Batches the worker has pulled and evaluated (busy cycles; the
-    /// gap between this and the router's cycle count is idle time).
-    pub busy_cycles: AtomicU64,
-}
-
-/// A point-in-time copy of one shard's counters.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct ShardSnapshot {
-    /// Events routed to the shard so far.
-    pub events_routed: u64,
-    /// Events enqueued but not yet evaluated.
-    pub queue_depth: u64,
-    /// Batches evaluated by the worker.
-    pub busy_cycles: u64,
 }
 
 /// A point-in-time copy of the counters.
@@ -192,9 +160,6 @@ impl Default for Metrics {
             suppressed: AtomicU64::new(0),
             // 0..10s in 10ms bins covers poll-driven capture latencies.
             latency: Mutex::new(Histogram::new(0.0, 10_000.0, 1_000)),
-            shards: Mutex::new(Vec::new()),
-            retired_routed: AtomicU64::new(0),
-            retired_busy: AtomicU64::new(0),
         }
     }
 }
@@ -220,64 +185,6 @@ impl Metrics {
             latency_saturated: latency.saturated(),
         }
     }
-
-    /// Install `n` fresh shard counter sets (called by the sharded pump
-    /// at startup) and return them for the workers to update.
-    ///
-    /// The retiring sets' totals are folded into persistent accumulators
-    /// first, so [`Metrics::total_events_routed`] and
-    /// [`Metrics::total_busy_cycles`] never go backwards when the pump
-    /// restarts (e.g. a `PumpMode` switch mid-session).
-    pub fn register_shards(&self, n: usize) -> Vec<Arc<ShardMetrics>> {
-        let fresh: Vec<Arc<ShardMetrics>> =
-            (0..n).map(|_| Arc::new(ShardMetrics::default())).collect();
-        let mut shards = self.shards.lock();
-        for old in shards.iter() {
-            self.retired_routed
-                .fetch_add(old.events_routed.load(Ordering::Relaxed), Ordering::Relaxed);
-            self.retired_busy
-                .fetch_add(old.busy_cycles.load(Ordering::Relaxed), Ordering::Relaxed);
-        }
-        *shards = fresh.clone();
-        fresh
-    }
-
-    /// Cumulative events routed across every shard set ever registered
-    /// (monotone across pump restarts).
-    pub fn total_events_routed(&self) -> u64 {
-        let live: u64 = self
-            .shards
-            .lock()
-            .iter()
-            .map(|s| s.events_routed.load(Ordering::Relaxed))
-            .sum();
-        self.retired_routed.load(Ordering::Relaxed) + live
-    }
-
-    /// Cumulative busy cycles across every shard set ever registered.
-    pub fn total_busy_cycles(&self) -> u64 {
-        let live: u64 = self
-            .shards
-            .lock()
-            .iter()
-            .map(|s| s.busy_cycles.load(Ordering::Relaxed))
-            .sum();
-        self.retired_busy.load(Ordering::Relaxed) + live
-    }
-
-    /// Point-in-time copies of the per-shard counters (empty unless a
-    /// sharded pump has registered).
-    pub fn shard_snapshots(&self) -> Vec<ShardSnapshot> {
-        self.shards
-            .lock()
-            .iter()
-            .map(|s| ShardSnapshot {
-                events_routed: s.events_routed.load(Ordering::Relaxed),
-                queue_depth: s.queue_depth.load(Ordering::Relaxed),
-                busy_cycles: s.busy_cycles.load(Ordering::Relaxed),
-            })
-            .collect()
-    }
 }
 
 #[cfg(test)]
@@ -295,47 +202,6 @@ mod tests {
         assert_eq!(s.events_processed, 0);
         let p50 = s.latency_p50_ms.unwrap();
         assert!(p50 > 0.0 && p50 < 50.0);
-    }
-
-    #[test]
-    fn shard_registration_resets_counters() {
-        let m = Metrics::default();
-        assert!(m.shard_snapshots().is_empty());
-        let shards = m.register_shards(2);
-        shards[1].events_routed.fetch_add(7, Ordering::Relaxed);
-        let snaps = m.shard_snapshots();
-        assert_eq!(snaps.len(), 2);
-        assert_eq!(snaps[0].events_routed, 0);
-        assert_eq!(snaps[1].events_routed, 7);
-        // Re-registration replaces the old counters.
-        m.register_shards(4);
-        assert!(m.shard_snapshots().iter().all(|s| s.events_routed == 0));
-    }
-
-    #[test]
-    fn shard_totals_monotone_across_registration() {
-        // Regression: re-registration used to drop the old counters on
-        // the floor, so cumulative totals went backwards on pump restart.
-        let m = Metrics::default();
-        let shards = m.register_shards(2);
-        shards[0].events_routed.fetch_add(5, Ordering::Relaxed);
-        shards[1].events_routed.fetch_add(7, Ordering::Relaxed);
-        shards[1].busy_cycles.fetch_add(3, Ordering::Relaxed);
-        assert_eq!(m.total_events_routed(), 12);
-
-        let before = m.total_events_routed();
-        let shards = m.register_shards(3);
-        assert!(
-            m.total_events_routed() >= before,
-            "total went backwards across register_shards"
-        );
-        assert_eq!(m.total_events_routed(), 12);
-        assert_eq!(m.total_busy_cycles(), 3);
-
-        shards[2].events_routed.fetch_add(1, Ordering::Relaxed);
-        assert_eq!(m.total_events_routed(), 13);
-        // Live per-shard snapshots still start from zero for the new set.
-        assert_eq!(m.shard_snapshots()[0].events_routed, 0);
     }
 
     #[test]

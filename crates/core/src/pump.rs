@@ -10,17 +10,13 @@
 //! pull-based captures, reaps queue visibility timeouts and maintains
 //! history; it bounds their staleness, not the latency of staged events.
 //!
-//! A **sequential** pump also lets stagers stand in for it
+//! While a pump is attached, stagers stand in for it
 //! ([`EventServer::stage`] + [`EventServer::run_staged`]; one cycle in
 //! flight at a time, whoever runs it). The pump thread is then what is
 //! left over: the tick (which leaves a stager's quiet pushes to it),
 //! trigger captures (which fire inside a writer's transaction, where no
 //! cycle may run), what a stager left behind after its bounded number of
 //! passes, and embedders' `ingest_async`.
-//!
-//! [`spawn_pump_with`] selects [`PumpMode::Sequential`] or the sharded
-//! pipeline ([`PumpMode::Sharded`], see [`crate::shard`]) behind the
-//! same [`PumpHandle`].
 //!
 //! [`AdmissionControl::wait_for_work`]: crate::admission::AdmissionControl::wait_for_work
 
@@ -31,43 +27,17 @@ use std::time::{Duration, Instant};
 use crate::admission::{AdmissionControl, Wake};
 use crate::cycle::PumpTally;
 use crate::server::EventServer;
-use crate::shard;
 
-/// How a background pump executes the evaluation pipeline.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum PumpMode {
-    /// One thread: drain, evaluate the batch, deliver. Strictly
-    /// ordered across streams.
-    #[default]
-    Sequential,
-    /// Router + N evaluation workers + merge stage. Events are
-    /// partitioned by stream (or the stream's partition field, see
-    /// [`EventServer::set_partition_field`]); events sharing a key stay
-    /// on one worker in arrival order.
-    Sharded {
-        /// Worker count; `0` means `std::thread::available_parallelism()`.
-        workers: usize,
-    },
-}
-
-impl PumpMode {
-    /// Sharded with one worker per available core.
-    pub fn sharded_auto() -> PumpMode {
-        PumpMode::Sharded { workers: 0 }
-    }
-}
-
-/// Handle to a running pump (one thread sequential, N+2 sharded).
-/// Stops (and joins) on drop.
+/// Handle to a running pump thread. Stops (and joins) on drop.
 pub struct PumpHandle {
     stop: Arc<AtomicBool>,
     admission: Arc<AdmissionControl>,
     tally: Arc<PumpTally>,
-    threads: Vec<std::thread::JoinHandle<()>>,
+    thread: Option<std::thread::JoinHandle<()>>,
 }
 
 impl PumpHandle {
-    /// Signal the pump to stop and wait for its threads to exit. The
+    /// Signal the pump to stop and wait for its thread to exit. The
     /// pump is woken, runs one last full cycle over whatever was staged
     /// before the call, and exits — it does not wait out a tick.
     pub fn stop(mut self) {
@@ -91,10 +61,7 @@ impl PumpHandle {
         // or is already parked when the wake arrives.
         self.stop.store(true, Ordering::SeqCst);
         self.admission.wake();
-        // Join in spawn order: the router drains once more and closes
-        // the worker channels, workers finish their queues and close
-        // the merge channel, the merge stage delivers the tail.
-        for t in self.threads.drain(..) {
+        if let Some(t) = self.thread.take() {
             let _ = t.join();
         }
     }
@@ -106,101 +73,60 @@ impl Drop for PumpHandle {
     }
 }
 
-/// Run one pump thread — the sequential pump or the sharded router:
-/// park until staged work is asked for, the maintenance tick is due or
-/// `stop` is raised, count why it woke, run `cycle(maintenance, staged)`
-/// (which returns the errors it met), count the turn on `tally`; after
-/// the stop, one last full cycle, so a clean stop leaves nothing
-/// captured but unevaluated. A tick leaves the staged buffer (`staged`
-/// false) to the stagers who pushed it quietly. Work wakes never push
-/// the tick back, so continuous traffic cannot starve maintenance and
-/// pull-based captures are never staler than `interval` plus one cycle.
-pub(crate) fn drive(
-    server: &EventServer,
-    interval: Duration,
-    stop: &AtomicBool,
-    tally: &PumpTally,
-    mut cycle: impl FnMut(bool, bool) -> u64,
-) {
-    // When maintenance last ran; `None` before the first cycle.
-    let mut last_maintenance: Option<Instant> = None;
-    let until_tick = |last: Option<Instant>| {
-        last.map_or(Duration::ZERO, |t| interval.saturating_sub(t.elapsed()))
-    };
-    loop {
-        let cause = server.admission().wait_for_work(until_tick(last_maintenance), stop);
-        let stopping = cause == Wake::Stop;
-        let maintenance = stopping || until_tick(last_maintenance).is_zero();
-        if maintenance {
-            last_maintenance = Some(Instant::now());
-        }
-        server.cycle.woke(cause, maintenance);
-        let errors = cycle(maintenance, cause != Wake::Tick);
-        server.cycle.count(Some(tally), 1, errors);
-        if stopping {
-            break;
-        }
-    }
-}
-
 /// Start a background thread that evaluates staged work whenever some
 /// is staged and runs the full [`EventServer::pump`] cycle at least
 /// every `interval`.
+///
+/// The thread parks until staged work is asked for, the maintenance tick
+/// is due or the handle stops it, counts why it woke, and runs one cycle
+/// under the gate; after the stop, one last full cycle, so a clean stop
+/// leaves nothing captured but unevaluated. A tick leaves the staged
+/// buffer to the stagers who pushed it quietly. Work wakes never push
+/// the tick back, so continuous traffic cannot starve maintenance and
+/// pull-based captures are never staler than `interval` plus one cycle.
 ///
 /// Errors are counted on the handle and neither kill the thread nor
 /// cost the failing event's batch-mates their evaluation — a poisoned
 /// event must not stop the feed (callers watch [`PumpHandle::errors`]).
 pub fn spawn_pump(server: &Arc<EventServer>, interval: Duration) -> PumpHandle {
-    spawn_pump_with(server, interval, PumpMode::Sequential)
-}
-
-/// Start a background pump in the given [`PumpMode`].
-pub fn spawn_pump_with(
-    server: &Arc<EventServer>,
-    interval: Duration,
-    mode: PumpMode,
-) -> PumpHandle {
     let stop = Arc::new(AtomicBool::new(false));
     let tally = Arc::new(PumpTally::default());
-    let threads = match mode {
-        PumpMode::Sequential => vec![spawn_sequential(server, interval, &stop, &tally)],
-        PumpMode::Sharded { workers } => {
-            let n = if workers == 0 {
-                std::thread::available_parallelism().map_or(1, |p| p.get())
-            } else {
-                workers
-            };
-            shard::spawn_sharded(server, interval, n, &stop, &tally)
-        }
-    };
-    PumpHandle {
-        stop,
-        admission: Arc::clone(server.admission()),
-        tally,
-        threads,
-    }
-}
-
-fn spawn_sequential(
-    server: &Arc<EventServer>,
-    interval: Duration,
-    stop: &Arc<AtomicBool>,
-    tally: &Arc<PumpTally>,
-) -> std::thread::JoinHandle<()> {
-    let (server, stop, tally) = (Arc::clone(server), Arc::clone(stop), Arc::clone(tally));
+    let (s, st, ta) = (Arc::clone(server), Arc::clone(&stop), Arc::clone(&tally));
     // Counted in before the thread exists, so a stager that sees the
     // handle also sees the pump attached; counted out when the thread
     // ends, however it ends.
     let attached = server.cycle.attach_pump();
-    std::thread::Builder::new()
+    let thread = std::thread::Builder::new()
         .name("evdb-pump".into())
         .spawn(move || {
             let _attached = attached;
-            drive(&server, interval, &stop, &tally, |maintenance, staged| {
-                server.run_cycle(maintenance, staged).1
-            });
+            // When maintenance last ran; `None` before the first cycle.
+            let mut last_maintenance: Option<Instant> = None;
+            let until_tick = |last: Option<Instant>| {
+                last.map_or(Duration::ZERO, |t| interval.saturating_sub(t.elapsed()))
+            };
+            loop {
+                let cause = s.admission().wait_for_work(until_tick(last_maintenance), &st);
+                let stopping = cause == Wake::Stop;
+                let maintenance = stopping || until_tick(last_maintenance).is_zero();
+                if maintenance {
+                    last_maintenance = Some(Instant::now());
+                }
+                s.cycle.woke(cause, maintenance);
+                let (_, errors, _) = s.run_cycle(maintenance, cause != Wake::Tick);
+                s.cycle.count(Some(&ta), 1, errors);
+                if stopping {
+                    break;
+                }
+            }
         })
-        .expect("spawn pump thread")
+        .expect("spawn pump thread");
+    PumpHandle {
+        stop,
+        admission: Arc::clone(server.admission()),
+        tally,
+        thread: Some(thread),
+    }
 }
 
 #[cfg(test)]
@@ -256,14 +182,12 @@ mod tests {
         // notification necessarily lands; captured count is the check.
     }
 
+    /// Exact accounting across the stop: every mined change is captured
+    /// and evaluated once, nothing is left behind, nothing errors.
     #[test]
     fn sharded_pump_processes_changes() {
         let server = journal_server();
-        let handle = spawn_pump_with(
-            &server,
-            Duration::from_millis(5),
-            PumpMode::Sharded { workers: 3 },
-        );
+        let handle = spawn_pump(&server, Duration::from_millis(5));
         for i in 0..20 {
             server
                 .db()
@@ -279,21 +203,14 @@ mod tests {
             }
             std::thread::sleep(Duration::from_millis(5));
         }
+        assert_eq!(handle.errors(), 0);
         handle.stop();
         let snap = server.metrics().snapshot();
         assert_eq!(snap.events_captured, 20);
         assert_eq!(snap.events_processed, 20);
-        // One stream → one shard owns every event; the other counters
-        // must stay untouched and queues must be fully drained.
-        let shards = server.metrics().shard_snapshots();
-        assert_eq!(shards.len(), 3);
-        assert_eq!(shards.iter().map(|s| s.events_routed).sum::<u64>(), 20);
-        assert_eq!(
-            shards.iter().filter(|s| s.events_routed > 0).count(),
-            1,
-            "a single stream must map to a single shard"
-        );
-        assert!(shards.iter().all(|s| s.queue_depth == 0));
+        assert_eq!(server.admission().depth(), 0);
+        // The final cycle drained everything: a by-hand pump finds nothing.
+        assert_eq!(server.pump().unwrap().captured, 0);
     }
 
     #[test]
@@ -302,9 +219,5 @@ mod tests {
         let handle = spawn_pump(&server, Duration::from_millis(1));
         std::thread::sleep(Duration::from_millis(10));
         drop(handle); // must not hang
-
-        let handle = spawn_pump_with(&server, Duration::from_millis(1), PumpMode::sharded_auto());
-        std::thread::sleep(Duration::from_millis(10));
-        drop(handle); // must not hang either
     }
 }

@@ -143,7 +143,7 @@ pub struct EventServer {
     access: AccessControl,
     metrics: Arc<Metrics>,
     registry: Arc<Registry>,
-    /// Stage samples of caller-thread cycles and the sharded pump.
+    /// Stage samples of the cycle (`cycle.rs`).
     pub(crate) stage_obs: StageObs,
     agg_mode: AggMode,
     pub(crate) capture: Capture,
@@ -180,7 +180,7 @@ impl EventServer {
             capture: Capture::new(&db, &runtime, &metrics, &config),
             evaluate: Evaluate::new(&runtime, &metrics, registry),
             notify: Notify::new(&metrics, &config),
-            cycle: Cycle::new(&metrics, registry),
+            cycle: Cycle::new(registry),
             stage_obs: StageObs::bind(registry),
             queues,
             broker: Broker::new(),
@@ -282,7 +282,7 @@ impl EventServer {
 
     /// Stage one external event for the next pump instead of evaluating
     /// it inline. This is the producer-side entry point for background
-    /// pumping (sequential or sharded): producers validate and enqueue,
+    /// pumping: producers validate and enqueue,
     /// the pump evaluates. Counted as captured when drained.
     /// Staging is subject to admission control: when the staged buffer
     /// is at capacity the configured [`OverloadPolicy`] applies (block,
@@ -302,23 +302,12 @@ impl EventServer {
         self.capture.drain(maintenance, true)
     }
 
-    /// Partition a stream's events by a payload field for sharded
-    /// pumping ([`crate::PumpMode::Sharded`]). By default a whole stream
-    /// maps to one shard, which preserves every sequential semantic
-    /// (CQ windows, cross-key detectors, in-stream order). Keying a hot
-    /// stream by a field spreads it over the workers; use it only when
-    /// the stream's rules and detectors are scoped by that same field
-    /// and no continuous query reads the stream (see DESIGN.md §D7).
-    pub fn set_partition_field(&self, stream: &str, field: &str) -> Result<()> {
-        self.capture.set_partition_field(stream, field)
-    }
-
     // ---- historical event store (D14) ------------------------------------------
 
     /// Enable the historical event store under `root`: from now on every
-    /// event that reaches [`EventServer::evaluate_events`] — on either
-    /// pump mode — is also appended to its stream's columnar segment
-    /// store, queryable and replayable after the fact. Errors if history
+    /// event that reaches [`EventServer::evaluate_events`] is also
+    /// appended to its stream's columnar segment store, queryable and
+    /// replayable after the fact. Errors if history
     /// is already enabled. Re-opening an existing root runs segment
     /// recovery per stream.
     pub fn enable_history(
@@ -578,12 +567,10 @@ impl EventServer {
 
     /// Evaluate a batch of routed events — continuous queries, alert
     /// rules, detectors — *collecting* its notifications instead of
-    /// delivering them: the one evaluation path (D15). Shard workers call
-    /// it on each routed batch, the inline cycle on each drained one,
-    /// [`ingest`](Self::ingest) on a batch of one; delivery is the
-    /// caller's next step ([`deliver_batch`](Self::deliver_batch)),
-    /// because the VIRT filter is stateful per key and the sharded pump
-    /// runs it on its single merge stage.
+    /// delivering them: the one evaluation path (D15). The cycle calls it
+    /// on each drained batch, [`ingest`](Self::ingest) on a batch of one;
+    /// delivery is the caller's next step
+    /// ([`deliver_batch`](Self::deliver_batch)), the notify stage's.
     ///
     /// The outcome does not depend on how the input was cut into
     /// batches (`tests/prop_chunking.rs`, DESIGN.md D15): history, dedup
@@ -608,12 +595,11 @@ impl EventServer {
     }
 
     /// Deliver a whole batch of pending notifications through the VIRT
-    /// filter — the merge stage of the sharded pump calls this once per
-    /// drained round, the inline cycle once per batch, so the filter's
+    /// filter — the cycle calls this once per batch, so the filter's
     /// key-state lock is taken once per batch instead of once per
     /// notification (D15). Returns the number delivered. Filter
-    /// decisions and handler invocations are in batch order;
-    /// single-threaded per key by construction in both pump modes.
+    /// decisions and handler invocations are in batch order, and the
+    /// cycle delivers one batch at a time (D15).
     pub fn deliver_batch(&self, batch: Vec<Notification>) -> u64 {
         self.notify.deliver_batch(batch)
     }

@@ -1,15 +1,14 @@
 //! The stream runtime: named streams, registered continuous queries,
 //! subscribers and watermark bookkeeping.
 //!
-//! Locking is fine-grained so that a sharded pump (see the core crate)
-//! can drive different streams from different worker threads without
-//! serialising on one global mutex: the stream and query *maps* are
+//! Locking is fine-grained so that registration, replay and pushes from
+//! different threads (the core crate's cycle, an inline `ingest`) never
+//! serialise on one global mutex: the stream and query *maps* are
 //! behind `RwLock`s (read-mostly — registration is rare, pushes are
 //! constant), while each stream's watermark state and each query's
-//! pipeline live behind their own `Mutex`. Two workers pushing into
-//! different streams never contend; two workers pushing into the same
-//! stream serialise only on that stream's entry, which is exactly the
-//! per-partition ordering the sharded pump guarantees anyway.
+//! pipeline live behind their own `Mutex`. Two threads pushing into
+//! different streams never contend; two pushing into the same stream
+//! serialise only on that stream's entry.
 //!
 //! Watermarks are derived from event time: `max event time seen −
 //! allowed lateness`, advanced on every push, so downstream windows

@@ -174,9 +174,10 @@ fn dlq_schema() -> Arc<Schema> {
 }
 
 /// Column `idx` of a row read back from queue table `table`, decoded by
-/// `get`. Recovery reads what the disk holds: a missing or wrong-typed
-/// value is `Error::Corruption` naming the table, the row (by its key,
-/// column 0) and the column, never a panic.
+/// `get`. Every read of a queue table goes through here, because a row
+/// is what the disk held: a missing or wrong-typed value is
+/// `Error::Corruption` naming the table, the row (by its key, column 0)
+/// and the column, never a panic.
 fn column<'r, T>(
     table: &Table,
     row: &'r Record,
@@ -189,7 +190,7 @@ fn column<'r, T>(
         let (key, found) = (shown(0), shown(idx));
         let col = table.schema().fields().get(idx).map_or("?", |f| f.name.as_str());
         Error::Corruption(format!(
-            "queue table '{}' row {key}: column {idx} '{col}' holds {found}, not the type recovery expects",
+            "queue table '{}' row {key}: column {idx} '{col}' holds {found}, not the type the queue expects",
             table.name()
         ))
     })
@@ -404,14 +405,13 @@ impl QueueManager {
         self.db.drop_table(&dlq_table(name))?;
         self.db.delete(META, &Value::from(name))?;
         // Remove group registrations.
-        let stale: Vec<Value> = self
-            .db
-            .table(GROUPS)?
-            .scan()
-            .into_iter()
-            .filter(|g| g.get(1).unwrap().as_str() == Some(name))
-            .map(|g| g.get(0).unwrap().clone())
-            .collect();
+        let groups = self.db.table(GROUPS)?;
+        let mut stale: Vec<Value> = Vec::new();
+        for g in groups.scan() {
+            if column(&groups, &g, 1, Value::as_str)? == name {
+                stale.push(column(&groups, &g, 0, Some)?.clone());
+            }
+        }
         for k in stale {
             self.db.delete(GROUPS, &k)?;
         }
@@ -477,17 +477,12 @@ impl QueueManager {
             .delete(GROUPS, &Value::from(format!("{queue}\u{1}{group}")))?;
         // Delete this group's state rows and reclaim fully-processed msgs.
         let st = self.db.table(&state_table(queue))?;
-        let mine: Vec<(Value, i64)> = st
-            .scan()
-            .into_iter()
-            .filter(|s| s.get(2).unwrap().as_str() == Some(group))
-            .map(|s| {
-                (
-                    s.get(0).unwrap().clone(),
-                    s.get(1).unwrap().as_int().unwrap(),
-                )
-            })
-            .collect();
+        let mut mine: Vec<(Value, i64)> = Vec::new();
+        for s in st.scan() {
+            if column(&st, &s, 2, Value::as_str)? == group {
+                mine.push((column(&st, &s, 0, Some)?.clone(), column(&st, &s, 1, Value::as_int)?));
+            }
+        }
         let mut tx = self.db.begin();
         for (k, _) in &mine {
             tx.delete(&state_table(queue), k)?;
@@ -733,10 +728,9 @@ impl QueueManager {
             let Some(state_row) = st.get(&sid_v) else {
                 continue; // rolled-back enqueue or already reclaimed
             };
-            let state = state_row.get(3).unwrap().as_int().unwrap();
-            let visible_at = state_row.get(4).unwrap().as_timestamp().unwrap();
-            let attempts = state_row.get(5).unwrap().as_int().unwrap();
-            let delay_until = state_row.get(7).unwrap().as_timestamp().unwrap();
+            let int = |idx| column(&st, &state_row, idx, Value::as_int);
+            let ts = |idx| column(&st, &state_row, idx, Value::as_timestamp);
+            let (state, visible_at, attempts, delay_until) = (int(3)?, ts(4)?, int(5)?, ts(7)?);
             let deliverable = match state {
                 STATE_READY => delay_until <= now,
                 STATE_INFLIGHT => visible_at <= now,
@@ -796,7 +790,8 @@ impl QueueManager {
                 _ => return Err(Error::Corruption("message payload".into())),
             };
             let payload = codec::decode_record(&mut Reader::new(&payload_bytes))?;
-            let enqueued_at = msg_row.get(1).unwrap().as_timestamp().unwrap();
+            let enqueued_at = column(&mt, &msg_row, 1, Value::as_timestamp)?;
+            let source = column(&mt, &msg_row, 4, Value::as_str)?.to_string();
             // Staging-area deliveries trace like pipeline events: the
             // enqueue is their capture, this dequeue their delivery.
             let mut trace = Trace::new(key.id);
@@ -813,7 +808,7 @@ impl QueueManager {
                     payload,
                     enqueued_at,
                     priority: key.priority,
-                    source: msg_row.get(4).unwrap().as_str().unwrap().to_string(),
+                    source,
                 },
                 group: group.to_string(),
                 attempt,
@@ -848,7 +843,7 @@ impl QueueManager {
             }
             return Err(Error::Queue("ack of unknown delivery".into()));
         };
-        if row.get(3).unwrap().as_int() != Some(STATE_INFLIGHT) {
+        if column(&st, &row, 3, Value::as_int)? != STATE_INFLIGHT {
             return Err(Error::Queue("ack of a non-inflight delivery".into()));
         }
         let mut updated = row.clone();
@@ -889,7 +884,7 @@ impl QueueManager {
             }
             return Err(Error::Queue("nack of unknown delivery".into()));
         };
-        let attempts = row.get(5).unwrap().as_int().unwrap() as u32;
+        let attempts = column(&st, &row, 5, Value::as_int)? as u32;
         // Crash site: an un-durable nack leaves the delivery INFLIGHT; the
         // visibility timeout redelivers it after recovery.
         self.db.fault_point("queue.nack.pre")?;
@@ -943,16 +938,17 @@ impl QueueManager {
             evdb_expr::Expr::lit(msg_id as i64),
         );
         let states = st.select(&pred)?;
-        let all_done = states
-            .iter()
-            .all(|s| s.get(3).unwrap().as_int().unwrap() >= STATE_ACKED);
+        let mut all_done = true;
+        for s in &states {
+            all_done &= column(&st, s, 3, Value::as_int)? >= STATE_ACKED;
+        }
         if all_done {
             // Crash site: every group is terminal but the rows are not yet
             // reclaimed — recovery must tolerate terminal leftovers.
             self.db.fault_point("queue.reclaim")?;
             let mut tx = self.db.begin();
             for s in &states {
-                tx.delete(&state_table(queue), s.get(0).unwrap())?;
+                tx.delete(&state_table(queue), column(&st, s, 0, Some)?)?;
             }
             if self
                 .db
@@ -973,26 +969,23 @@ impl QueueManager {
     pub fn reap_timeouts(&self, queue: &str) -> Result<usize> {
         let now = self.db.now();
         let st = self.db.table(&state_table(queue))?;
-        let expired: Vec<Record> = st
-            .scan()
-            .into_iter()
-            .filter(|s| {
-                s.get(3).unwrap().as_int() == Some(STATE_INFLIGHT)
-                    && s.get(4).unwrap().as_timestamp().unwrap() <= now
-            })
-            .collect();
+        // (group, ready key) of every in-flight delivery whose window lapsed.
+        let mut expired: Vec<(String, ReadyKey)> = Vec::new();
+        for s in st.scan() {
+            let int = |idx| column(&st, &s, idx, Value::as_int);
+            if int(3)? == STATE_INFLIGHT && column(&st, &s, 4, Value::as_timestamp)? <= now {
+                let key = ReadyKey { priority: int(6)?, id: int(1)? as u64 };
+                expired.push((column(&st, &s, 2, Value::as_str)?.to_string(), key));
+            }
+        }
         let n = expired.len();
         let mut queues = self.queues.lock();
         let info = queues
             .get_mut(queue)
             .ok_or_else(|| Error::NotFound(format!("queue '{queue}'")))?;
-        for s in expired {
-            let grp = s.get(2).unwrap().as_str().unwrap().to_string();
+        for (grp, key) in expired {
             if let Some(rt) = info.runtimes.get_mut(&grp) {
-                rt.ready.push(ReadyKey {
-                    priority: s.get(6).unwrap().as_int().unwrap(),
-                    id: s.get(1).unwrap().as_int().unwrap() as u64,
-                });
+                rt.ready.push(key);
             }
         }
         self.obs.reclaimed.add(n as u64);
@@ -1012,13 +1005,14 @@ impl QueueManager {
                     Some(Value::Bytes(b)) => b.clone(),
                     _ => return Err(Error::Corruption("message payload".into())),
                 };
+                let int = |idx| column(&mt, &row, idx, Value::as_int);
                 Ok(Message {
-                    id: row.get(0).unwrap().as_int().unwrap() as u64,
+                    id: int(0)? as u64,
                     queue: queue.to_string(),
                     payload: codec::decode_record(&mut Reader::new(&payload_bytes))?,
-                    enqueued_at: row.get(1).unwrap().as_timestamp().unwrap(),
-                    priority: row.get(2).unwrap().as_int().unwrap(),
-                    source: row.get(4).unwrap().as_str().unwrap().to_string(),
+                    enqueued_at: column(&mt, &row, 1, Value::as_timestamp)?,
+                    priority: int(2)?,
+                    source: column(&mt, &row, 4, Value::as_str)?.to_string(),
                 })
             })
             .collect()
@@ -1108,12 +1102,12 @@ impl QueueManager {
         let cutoff = self.db.now().minus(config.retention_ms);
         let mt = self.db.table(&msg_table(queue))?;
         let st = self.db.table(&state_table(queue))?;
-        let old: Vec<i64> = mt
-            .scan()
-            .into_iter()
-            .filter(|m| m.get(1).unwrap().as_timestamp().unwrap() < cutoff)
-            .map(|m| m.get(0).unwrap().as_int().unwrap())
-            .collect();
+        let mut old: Vec<i64> = Vec::new();
+        for m in mt.scan() {
+            if column(&mt, &m, 1, Value::as_timestamp)? < cutoff {
+                old.push(column(&mt, &m, 0, Value::as_int)?);
+            }
+        }
         let mut tx = self.db.begin();
         let mut purged_inflight: Vec<String> = Vec::new();
         for id in &old {
@@ -1127,10 +1121,10 @@ impl QueueManager {
                 // Remember in-flight deliveries the purge is racing: a
                 // consumer still holds them and will ack/nack later,
                 // which must then be a no-op rather than an error.
-                if s.get(3).unwrap().as_int() == Some(STATE_INFLIGHT) {
-                    purged_inflight.push(s.get(0).unwrap().as_str().unwrap().to_string());
+                if column(&st, &s, 3, Value::as_int)? == STATE_INFLIGHT {
+                    purged_inflight.push(column(&st, &s, 0, Value::as_str)?.to_string());
                 }
-                tx.delete(&state_table(queue), s.get(0).unwrap())?;
+                tx.delete(&state_table(queue), column(&st, &s, 0, Some)?)?;
             }
         }
         let n = old.len();

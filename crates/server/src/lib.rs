@@ -70,7 +70,7 @@ use std::sync::Arc;
 use std::thread::JoinHandle;
 use std::time::Duration;
 
-use evdb_core::pump::{spawn_pump_with, PumpHandle, PumpMode};
+use evdb_core::pump::{spawn_pump, PumpHandle};
 use evdb_core::EventServer;
 
 use crate::hub::{Hub, ServerMetrics};
@@ -194,7 +194,7 @@ impl NetServer {
 
         let pump = config
             .pump_interval
-            .map(|interval| spawn_pump_with(&engine, interval, PumpMode::Sequential));
+            .map(|interval| spawn_pump(&engine, interval));
 
         Ok(NetServer {
             engine,

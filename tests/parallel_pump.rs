@@ -1,13 +1,14 @@
-//! Sequential-equivalence and stress harness for the sharded pump
-//! (`PumpMode::Sharded`): the same trace, pushed through the classic
-//! single-threaded `pump()` and through the router/worker/merge
-//! pipeline, must produce the identical notification multiset, the
-//! identical per-key delivery order, and identical engine counters.
+//! Sequential-equivalence and stress harness for the background pump
+//! (`spawn_pump`): the same trace, pushed through one by-hand `pump()`
+//! and through the pump thread — which cuts it into cycles wherever its
+//! wake-ups happen to fall while producers are still staging — must
+//! produce the identical notification multiset, the identical per-key
+//! delivery order, and identical engine counters.
 //!
 //! The clock is a pinned `SimClock`, which makes the VIRT filter (whose
 //! suppression and rate-limit state is entirely per key) a pure
 //! function of each key's notification sequence — so any divergence
-//! between the two modes is a real ordering or loss bug, not timing.
+//! between the two is a real ordering or loss bug, not timing.
 
 use std::collections::HashMap;
 use std::sync::Arc;
@@ -20,8 +21,7 @@ use evdb::analytics::detector::UpdatePolicy;
 use evdb::analytics::ThresholdModel;
 use evdb::core::server::ServerConfig;
 use evdb::core::{
-    spawn_pump_with, CaptureMechanism, EventServer, HistoryConfig, Notification, PumpMode,
-    VirtPolicy,
+    spawn_pump, CaptureMechanism, EventServer, HistoryConfig, Notification, VirtPolicy,
 };
 use evdb::storage::{CompactionPolicy, SegmentStoreOptions};
 use evdb::types::{DataType, Record, Schema, SimClock, TimestampMs, Value};
@@ -150,14 +150,12 @@ fn sharded_pump_is_sequentially_equivalent() {
     let seq_delivered = seq.notifications().drain_delivered();
     let seq_snap = seq.metrics().snapshot();
 
-    for workers in [1usize, 2, 4, 8] {
+    // Four runs, each cut into cycles differently: the pump is already
+    // running while the trace is staged.
+    for run in 0..4 {
         let shr = build_server(SimClock::new(TimestampMs(0)));
+        let handle = spawn_pump(&shr, Duration::from_millis(1));
         stage(&shr, &events);
-        let handle = spawn_pump_with(
-            &shr,
-            Duration::from_millis(1),
-            PumpMode::Sharded { workers },
-        );
         wait_processed(&shr, N as u64, Duration::from_secs(30));
         assert_eq!(handle.errors(), 0);
         handle.stop();
@@ -168,12 +166,12 @@ fn sharded_pump_is_sequentially_equivalent() {
         assert_eq!(
             canon(&delivered),
             canon(&seq_delivered),
-            "notification multiset diverged at {workers} workers"
+            "notification multiset diverged in run {run}"
         );
         assert_eq!(
             per_key_order(&delivered),
             per_key_order(&seq_delivered),
-            "per-key delivery order diverged at {workers} workers"
+            "per-key delivery order diverged in run {run}"
         );
         assert_eq!(snap.events_captured, seq_snap.events_captured);
         assert_eq!(snap.events_processed, seq_snap.events_processed);
@@ -181,21 +179,14 @@ fn sharded_pump_is_sequentially_equivalent() {
         assert_eq!(snap.deviations, seq_snap.deviations);
         assert_eq!(snap.notifications, seq_snap.notifications);
         assert_eq!(snap.suppressed, seq_snap.suppressed);
-
-        // Routing bookkeeping: everything routed, nothing left queued.
-        let shards = shr.metrics().shard_snapshots();
-        assert_eq!(shards.len(), workers);
-        assert_eq!(
-            shards.iter().map(|s| s.events_routed).sum::<u64>(),
-            N as u64
-        );
-        assert!(shards.iter().all(|s| s.queue_depth == 0));
+        // Nothing left staged behind the stop.
+        assert_eq!(shr.admission().depth(), 0);
     }
 }
 
-/// A keyed hot stream: one stream partitioned by `sym` spreads over the
-/// workers while still matching the sequential outcome (rules and the
-/// detector are keyed by the same field, and no CQ reads the stream).
+/// A keyed hot stream: one stream whose rules and detector are keyed by
+/// `sym`, staged while the pump runs, matches the by-hand outcome key
+/// for key.
 #[test]
 fn keyed_partitioning_is_sequentially_equivalent() {
     const N: usize = 1_500;
@@ -251,44 +242,27 @@ fn keyed_partitioning_is_sequentially_equivalent() {
     let seq_delivered = seq.notifications().drain_delivered();
 
     let shr = build();
-    shr.set_partition_field("ticks", "sym").unwrap();
+    let handle = spawn_pump(&shr, Duration::from_millis(1));
     for (ts, payload) in &events {
         shr.ingest_async("ticks", *ts, payload.clone()).unwrap();
     }
-    let handle = spawn_pump_with(
-        &shr,
-        Duration::from_millis(1),
-        PumpMode::Sharded { workers: 4 },
-    );
     wait_processed(&shr, N as u64, Duration::from_secs(30));
+    assert_eq!(handle.errors(), 0);
     handle.stop();
     let delivered = shr.notifications().drain_delivered();
 
     assert_eq!(canon(&delivered), canon(&seq_delivered));
     assert_eq!(per_key_order(&delivered), per_key_order(&seq_delivered));
-    // The point of keying: the hot stream actually spread over shards.
-    let busy = shr
-        .metrics()
-        .shard_snapshots()
-        .iter()
-        .filter(|s| s.events_routed > 0)
-        .count();
-    assert!(busy > 1, "keyed stream should occupy multiple shards");
 }
 
 /// Multi-threaded stress: four producers feed four streams while the
-/// sharded pump runs and the main thread churns alert rules. Nothing
-/// deadlocks, nothing is lost, and dropping the handle shuts the
-/// pipeline down cleanly.
+/// pump runs and the main thread churns alert rules. Nothing deadlocks,
+/// nothing is lost, and dropping the handle shuts the pump down cleanly.
 #[test]
 fn concurrent_producers_with_rule_churn() {
     const PER_PRODUCER: usize = 2_000;
     let server = build_server(SimClock::new(TimestampMs(0)));
-    let handle = spawn_pump_with(
-        &server,
-        Duration::from_millis(1),
-        PumpMode::Sharded { workers: 4 },
-    );
+    let handle = spawn_pump(&server, Duration::from_millis(1));
 
     let producers: Vec<_> = (0..4)
         .map(|p| {
@@ -331,24 +305,16 @@ fn concurrent_producers_with_rule_churn() {
     let snap = server.metrics().snapshot();
     assert_eq!(snap.events_captured, (4 * PER_PRODUCER) as u64);
     assert_eq!(snap.events_processed, (4 * PER_PRODUCER) as u64);
-    assert!(server
-        .metrics()
-        .shard_snapshots()
-        .iter()
-        .all(|s| s.queue_depth == 0));
+    assert_eq!(server.admission().depth(), 0);
 }
 
-/// Events staged after the stop signal but before the router's final
-/// drain are still delivered (the shutdown path's final-drain
-/// guarantee), and a handle can be dropped with work still queued.
+/// Events staged while the pump waits out a long tick are still
+/// evaluated by the stop (the shutdown path's final-drain guarantee).
 #[test]
 fn stop_flushes_staged_events() {
     let server = build_server(SimClock::new(TimestampMs(0)));
-    let handle = spawn_pump_with(
-        &server,
-        Duration::from_millis(250), // long interval: events wait for the final drain
-        PumpMode::Sharded { workers: 2 },
-    );
+    // Long interval: only the work wakes and the final drain pick events up.
+    let handle = spawn_pump(&server, Duration::from_millis(250));
     // The first drain happens immediately at spawn; stage afterwards.
     std::thread::sleep(Duration::from_millis(30));
     for i in 0..100 {
@@ -426,29 +392,26 @@ fn poisoned_event_does_not_take_its_batch_mates() {
     assert!(err.to_string().contains("overflow"), "{err}");
     assert_nine_of_ten(&server);
 
-    for mode in [PumpMode::Sequential, PumpMode::Sharded { workers: 2 }] {
-        let server = poisoned_server();
-        let handle = spawn_pump_with(&server, Duration::from_millis(1), mode);
-        wait_processed(&server, 10, Duration::from_secs(30));
-        handle.stop();
-        assert_eq!(
-            server.registry().counter("evdb_pump_errors_total").get(),
-            1,
-            "{mode:?}: one failed event, one error"
-        );
-        assert_nine_of_ten(&server);
-    }
+    // By the pump thread: counted, not returned.
+    let server = poisoned_server();
+    let handle = spawn_pump(&server, Duration::from_millis(1));
+    wait_processed(&server, 10, Duration::from_secs(30));
+    handle.stop();
+    assert_eq!(
+        server.registry().counter("evdb_pump_errors_total").get(),
+        1,
+        "one failed event, one error"
+    );
+    assert_nine_of_ten(&server);
 }
 
-/// History compacts on the maintenance tick in both pump modes (the
-/// sharded router used to reap queues and never maintain history).
+/// History compacts on the maintenance cycle whoever runs it: by hand
+/// (`pump()`) or on the pump thread's tick.
 #[test]
 fn history_compacts_under_both_pump_modes() {
-    for (i, mode) in [PumpMode::Sequential, PumpMode::Sharded { workers: 2 }]
-        .into_iter()
-        .enumerate()
-    {
-        let dir = std::env::temp_dir().join(format!("evdb-pump-history-{}-{i}", std::process::id()));
+    for background in [false, true] {
+        let dir = std::env::temp_dir()
+            .join(format!("evdb-pump-history-{}-{background}", std::process::id()));
         let _ = std::fs::remove_dir_all(&dir);
         let server = build_server(SimClock::new(TimestampMs(0)));
         let history = server
@@ -468,7 +431,7 @@ fn history_compacts_under_both_pump_modes() {
                 },
             )
             .unwrap();
-        let handle = spawn_pump_with(&server, Duration::from_millis(2), mode);
+        let handle = background.then(|| spawn_pump(&server, Duration::from_millis(2)));
         for i in 0..256 {
             server
                 .ingest_async(
@@ -478,25 +441,30 @@ fn history_compacts_under_both_pump_modes() {
                 )
                 .unwrap();
         }
-        wait_processed(&server, 256, Duration::from_secs(30));
-        // 256 rows freeze into 32 segments; one merge per tick brings
-        // them under the policy's bound.
+        // 256 rows freeze into 32 segments; one merge per maintenance
+        // cycle brings them under the policy's bound.
         let t0 = Instant::now();
         loop {
+            if handle.is_none() {
+                server.pump().unwrap();
+            }
             let (segments, stats) = history.stats();
             if stats.freezes == 32 && segments <= 3 {
                 break;
             }
             assert!(
                 t0.elapsed() < Duration::from_secs(30),
-                "{mode:?}: {segments} segments after {} freezes and {} merges",
+                "background {background}: {segments} segments after {} freezes and {} merges",
                 stats.freezes,
                 stats.compactions
             );
             std::thread::sleep(Duration::from_millis(2));
         }
-        assert_eq!(handle.errors(), 0);
-        handle.stop();
+        if let Some(handle) = handle {
+            assert_eq!(handle.errors(), 0);
+            handle.stop();
+        }
+        assert_eq!(server.metrics().snapshot().events_processed, 256);
         assert_eq!(server.replay("s0", 0, u64::MAX).unwrap().len(), 256);
         std::fs::remove_dir_all(&dir).unwrap();
     }
@@ -545,8 +513,7 @@ fn insert_rows(server: &EventServer, table: &str, ids: std::ops::Range<i64>) {
 /// captures after it were not polled.
 #[test]
 fn failing_capture_poll_keeps_what_the_cycle_drained() {
-    let modes = [None, Some(PumpMode::Sequential), Some(PumpMode::Sharded { workers: 2 })];
-    for mode in modes {
+    for background in [false, true] {
         let clock = SimClock::new(TimestampMs(0));
         let server = server_with_a_failing_capture(clock.clone());
         server.pump().unwrap(); // the query poll takes its (empty) baseline
@@ -560,7 +527,7 @@ fn failing_capture_poll_keeps_what_the_cycle_drained() {
         clock.advance(10); // b's poll is due, and fails
 
         let errors = || server.registry().counter("evdb_pump_errors_total").get();
-        // The merge stage delivers behind the workers: collect the log
+        // The pump thread delivers behind this one: collect the log
         // until `n` notifications are in.
         let delivered = |n: usize| {
             let (mut log, t0) = (Vec::new(), Instant::now());
@@ -573,13 +540,12 @@ fn failing_capture_poll_keeps_what_the_cycle_drained() {
                 std::thread::sleep(Duration::from_millis(2));
             }
         };
-        let handle = match mode {
-            None => {
-                let err = server.pump().expect_err("the failed poll is reported");
-                assert!(err.to_string().contains("'b'"), "{err}");
-                None
-            }
-            Some(mode) => Some(spawn_pump_with(&server, Duration::from_millis(2), mode)),
+        let handle = if background {
+            Some(spawn_pump(&server, Duration::from_millis(2)))
+        } else {
+            let err = server.pump().expect_err("the failed poll is reported");
+            assert!(err.to_string().contains("'b'"), "{err}");
+            None
         };
         let log = delivered(9);
         let mut titles: Vec<&str> = log.iter().map(|n| n.title.as_str()).collect();
@@ -588,7 +554,7 @@ fn failing_capture_poll_keeps_what_the_cycle_drained() {
         assert_eq!(
             (server.metrics().snapshot().events_processed, log.len(), titles.len()),
             (9, 9, 3),
-            "{mode:?}: staged events and both journals' changes evaluated: {titles:?}"
+            "background {background}: staged events and both journals' changes evaluated: {titles:?}"
         );
 
         // The table comes back: the next due poll recovers, no new error.
@@ -600,7 +566,7 @@ fn failing_capture_poll_keeps_what_the_cycle_drained() {
             Some(handle) => {
                 assert_eq!(delivered(1).len(), 1);
                 handle.stop();
-                assert_eq!(errors(), 1, "{mode:?}: one failed poll, one error");
+                assert_eq!(errors(), 1, "one failed poll, one error");
             }
         }
     }

@@ -8,9 +8,6 @@
 //! announces — to show the tick still runs, with and without work wakes
 //! competing for the pump.
 //!
-//! Each of those cases runs for `PumpMode::Sequential` and
-//! `Sharded { workers: 2 }`.
-//!
 //! The cases after them are the other side of the same coin, the served
 //! path and the cycle gate: a connection's reader runs the cycle its
 //! read staged and writes the results itself, so a paced connection
@@ -30,14 +27,10 @@ use std::sync::{Arc, Barrier, Mutex};
 use std::time::{Duration, Instant};
 
 use evdb::core::server::ServerConfig;
-use evdb::core::{
-    spawn_pump, spawn_pump_with, CaptureMechanism, EventServer, PumpHandle, PumpMode,
-};
+use evdb::core::{spawn_pump, CaptureMechanism, EventServer, PumpHandle};
 use evdb::net::frame::{encode_frame_vec, FrameDecoder};
 use evdb::net::{NetConfig, NetServer};
 use evdb::types::{DataType, Record, Schema, TimestampMs, Value};
-
-const MODES: [PumpMode; 2] = [PumpMode::Sequential, PumpMode::Sharded { workers: 2 }];
 
 /// Longer than any deadline below: a result that waited for the tick
 /// misses its deadline by a wide margin.
@@ -74,8 +67,8 @@ fn notification_timestamps(server: &EventServer) -> Receiver<i64> {
 
 /// Spawn a pump and wait until it is parked: its start-up cycle is done
 /// and nothing is staged, so the next thing it does is wait.
-fn spawn_parked(server: &Arc<EventServer>, interval: Duration, mode: PumpMode) -> PumpHandle {
-    let handle = spawn_pump_with(server, interval, mode);
+fn spawn_parked(server: &Arc<EventServer>, interval: Duration) -> PumpHandle {
+    let handle = spawn_pump(server, interval);
     let t0 = Instant::now();
     while handle.cycles() == 0 {
         assert!(t0.elapsed() < Duration::from_secs(5), "pump never started");
@@ -92,91 +85,85 @@ fn counter(server: &EventServer, name: &str) -> u64 {
 
 #[test]
 fn ingest_async_wakes_the_parked_pump() {
-    for mode in MODES {
-        let (server, results) = notifying_server(&["ticks"]);
-        let handle = spawn_parked(&server, LONG_INTERVAL, mode);
-        let work_wakes = counter(&server, "evdb_pump_wakeups_total{cause=\"work\"}");
-        for id in 0..3 {
-            let sent = Instant::now();
-            server
-                .ingest_async(
-                    "ticks",
-                    TimestampMs(id),
-                    Record::from_iter([Value::Int(id)]),
-                )
-                .unwrap();
-            let got = results
-                .recv_timeout(DEADLINE)
-                .unwrap_or_else(|_| panic!("{mode:?}: event {id} waited for the tick"));
-            assert_eq!(got, id);
-            assert!(sent.elapsed() < DEADLINE);
-            // Let the pump park again so each event needs its own wake.
-            std::thread::sleep(Duration::from_millis(20));
-        }
-        assert!(
-            counter(&server, "evdb_pump_wakeups_total{cause=\"work\"}") >= work_wakes + 3,
-            "{mode:?}: the wakes must be counted as work wakes"
-        );
-        assert_eq!(handle.errors(), 0);
-        handle.stop();
+    let (server, results) = notifying_server(&["ticks"]);
+    let handle = spawn_parked(&server, LONG_INTERVAL);
+    let work_wakes = counter(&server, "evdb_pump_wakeups_total{cause=\"work\"}");
+    for id in 0..3 {
+        let sent = Instant::now();
+        server
+            .ingest_async(
+                "ticks",
+                TimestampMs(id),
+                Record::from_iter([Value::Int(id)]),
+            )
+            .unwrap();
+        let got = results
+            .recv_timeout(DEADLINE)
+            .unwrap_or_else(|_| panic!("event {id} waited for the tick"));
+        assert_eq!(got, id);
+        assert!(sent.elapsed() < DEADLINE);
+        // Let the pump park again so each event needs its own wake.
+        std::thread::sleep(Duration::from_millis(20));
     }
+    assert!(
+        counter(&server, "evdb_pump_wakeups_total{cause=\"work\"}") >= work_wakes + 3,
+        "the wakes must be counted as work wakes"
+    );
+    assert_eq!(handle.errors(), 0);
+    handle.stop();
 }
 
 #[test]
 fn trigger_captured_insert_wakes_the_parked_pump() {
-    for mode in MODES {
-        let server = Arc::new(EventServer::in_memory(ServerConfig::default()).unwrap());
-        server
-            .db()
-            .create_table(
-                "t",
-                Schema::of(&[("id", DataType::Int), ("v", DataType::Int)]),
-                "id",
-            )
-            .unwrap();
-        let stream = server
-            .capture_table("t", CaptureMechanism::Trigger)
-            .unwrap();
-        server
-            .add_alert_rule("any", &stream, "TRUE", 1.0, None)
-            .unwrap();
-        let rx = notification_timestamps(&server);
-        let handle = spawn_parked(&server, LONG_INTERVAL, mode);
-        server
-            .db()
-            .insert("t", Record::from_iter([Value::Int(1), Value::Int(10)]))
-            .unwrap();
-        rx.recv_timeout(DEADLINE)
-            .unwrap_or_else(|_| panic!("{mode:?}: the captured insert waited for the tick"));
-        handle.stop();
-    }
+    let server = Arc::new(EventServer::in_memory(ServerConfig::default()).unwrap());
+    server
+        .db()
+        .create_table(
+            "t",
+            Schema::of(&[("id", DataType::Int), ("v", DataType::Int)]),
+            "id",
+        )
+        .unwrap();
+    let stream = server
+        .capture_table("t", CaptureMechanism::Trigger)
+        .unwrap();
+    server
+        .add_alert_rule("any", &stream, "TRUE", 1.0, None)
+        .unwrap();
+    let rx = notification_timestamps(&server);
+    let handle = spawn_parked(&server, LONG_INTERVAL);
+    server
+        .db()
+        .insert("t", Record::from_iter([Value::Int(1), Value::Int(10)]))
+        .unwrap();
+    rx.recv_timeout(DEADLINE)
+        .unwrap_or_else(|_| panic!("the captured insert waited for the tick"));
+    handle.stop();
 }
 
 #[test]
 fn stop_and_drop_do_not_wait_out_the_tick() {
-    for mode in MODES {
-        let (server, _results) = notifying_server(&["ticks"]);
+    let (server, _results) = notifying_server(&["ticks"]);
 
-        let handle = spawn_parked(&server, LONG_INTERVAL, mode);
-        let t0 = Instant::now();
-        handle.stop();
-        assert!(
-            t0.elapsed() < DEADLINE,
-            "{mode:?}: stop() took {:?}",
-            t0.elapsed()
-        );
+    let handle = spawn_parked(&server, LONG_INTERVAL);
+    let t0 = Instant::now();
+    handle.stop();
+    assert!(
+        t0.elapsed() < DEADLINE,
+        "stop() took {:?}",
+        t0.elapsed()
+    );
 
-        let handle = spawn_parked(&server, LONG_INTERVAL, mode);
-        let t0 = Instant::now();
-        drop(handle);
-        assert!(
-            t0.elapsed() < DEADLINE,
-            "{mode:?}: drop took {:?}",
-            t0.elapsed()
-        );
+    let handle = spawn_parked(&server, LONG_INTERVAL);
+    let t0 = Instant::now();
+    drop(handle);
+    assert!(
+        t0.elapsed() < DEADLINE,
+        "drop took {:?}",
+        t0.elapsed()
+    );
 
-        assert!(counter(&server, "evdb_pump_wakeups_total{cause=\"stop\"}") >= 2);
-    }
+    assert!(counter(&server, "evdb_pump_wakeups_total{cause=\"stop\"}") >= 2);
 }
 
 /// xorshift64*: the gaps only need to differ from seed to seed.
@@ -197,72 +184,70 @@ fn no_wakeup_is_lost_under_racing_producers() {
     const PER_PRODUCER: usize = 5_000;
     const TOTAL: usize = PRODUCERS * PER_PRODUCER;
     let streams = ["p0", "p1", "p2", "p3"];
-    for mode in MODES {
-        for seed in 1..=20u64 {
-            let (server, results) = notifying_server(&streams);
-            let handle = spawn_parked(&server, LONG_INTERVAL, mode);
-            let start = Arc::new(Barrier::new(PRODUCERS));
-            let producers: Vec<_> = (0..PRODUCERS)
-                .map(|p| {
-                    let server = Arc::clone(&server);
-                    let start = Arc::clone(&start);
-                    std::thread::spawn(move || {
-                        let mut rng = seed * 1_000 + p as u64 + 1;
-                        start.wait();
-                        for i in 0..PER_PRODUCER {
-                            let id = (p * PER_PRODUCER + i) as i64;
-                            server
-                                .ingest_async(
-                                    streams[p],
-                                    TimestampMs(id),
-                                    Record::from_iter([Value::Int(id)]),
-                                )
-                                .unwrap();
-                            // 0–200 µs; the short ones as a bare yield,
-                            // which a sleep cannot express.
-                            let gap = next_rand(&mut rng) % 201;
-                            if gap < 50 {
-                                std::thread::yield_now();
-                            } else {
-                                std::thread::sleep(Duration::from_micros(gap));
-                            }
+    for seed in 1..=20u64 {
+        let (server, results) = notifying_server(&streams);
+        let handle = spawn_parked(&server, LONG_INTERVAL);
+        let start = Arc::new(Barrier::new(PRODUCERS));
+        let producers: Vec<_> = (0..PRODUCERS)
+            .map(|p| {
+                let server = Arc::clone(&server);
+                let start = Arc::clone(&start);
+                std::thread::spawn(move || {
+                    let mut rng = seed * 1_000 + p as u64 + 1;
+                    start.wait();
+                    for i in 0..PER_PRODUCER {
+                        let id = (p * PER_PRODUCER + i) as i64;
+                        server
+                            .ingest_async(
+                                streams[p],
+                                TimestampMs(id),
+                                Record::from_iter([Value::Int(id)]),
+                            )
+                            .unwrap();
+                        // 0–200 µs; the short ones as a bare yield,
+                        // which a sleep cannot express.
+                        let gap = next_rand(&mut rng) % 201;
+                        if gap < 50 {
+                            std::thread::yield_now();
+                        } else {
+                            std::thread::sleep(Duration::from_micros(gap));
                         }
-                    })
+                    }
                 })
-                .collect();
-            for p in producers {
-                p.join().unwrap();
-            }
-            let last_admit = Instant::now();
-
-            let seen: Vec<AtomicU8> = (0..TOTAL).map(|_| AtomicU8::new(0)).collect();
-            let mut delivered = 0;
-            while delivered < TOTAL {
-                let left = DEADLINE.saturating_sub(last_admit.elapsed());
-                let Ok(id) = results.recv_timeout(left) else {
-                    panic!(
-                        "{mode:?} seed {seed}: {delivered} of {TOTAL} results \
-                         {DEADLINE:?} after the last admit — a wake-up was lost"
-                    );
-                };
-                seen[id as usize].fetch_add(1, Ordering::Relaxed);
-                delivered += 1;
-            }
-            assert_eq!(handle.errors(), 0);
-            handle.stop();
-            // Stopped and joined: anything still in flight has landed.
-            for id in results.try_iter() {
-                seen[id as usize].fetch_add(1, Ordering::Relaxed);
-            }
-            let wrong: Vec<usize> = (0..TOTAL)
-                .filter(|&id| seen[id].load(Ordering::Relaxed) != 1)
-                .collect();
-            assert!(
-                wrong.is_empty(),
-                "{mode:?} seed {seed}: events not delivered exactly once: {:?}",
-                &wrong[..wrong.len().min(10)]
-            );
+            })
+            .collect();
+        for p in producers {
+            p.join().unwrap();
         }
+        let last_admit = Instant::now();
+
+        let seen: Vec<AtomicU8> = (0..TOTAL).map(|_| AtomicU8::new(0)).collect();
+        let mut delivered = 0;
+        while delivered < TOTAL {
+            let left = DEADLINE.saturating_sub(last_admit.elapsed());
+            let Ok(id) = results.recv_timeout(left) else {
+                panic!(
+                    "seed {seed}: {delivered} of {TOTAL} results \
+                     {DEADLINE:?} after the last admit — a wake-up was lost"
+                );
+            };
+            seen[id as usize].fetch_add(1, Ordering::Relaxed);
+            delivered += 1;
+        }
+        assert_eq!(handle.errors(), 0);
+        handle.stop();
+        // Stopped and joined: anything still in flight has landed.
+        for id in results.try_iter() {
+            seen[id as usize].fetch_add(1, Ordering::Relaxed);
+        }
+        let wrong: Vec<usize> = (0..TOTAL)
+            .filter(|&id| seen[id].load(Ordering::Relaxed) != 1)
+            .collect();
+        assert!(
+            wrong.is_empty(),
+            "seed {seed}: events not delivered exactly once: {:?}",
+            &wrong[..wrong.len().min(10)]
+        );
     }
 }
 
@@ -273,72 +258,66 @@ fn no_wakeup_is_lost_under_racing_producers() {
 #[test]
 fn journal_capture_is_polled_on_the_tick() {
     const TICK: Duration = Duration::from_millis(20);
-    for mode in MODES {
-        let server = Arc::new(EventServer::in_memory(ServerConfig::default()).unwrap());
+    let server = Arc::new(EventServer::in_memory(ServerConfig::default()).unwrap());
+    server
+        .db()
+        .create_table(
+            "t",
+            Schema::of(&[("id", DataType::Int), ("v", DataType::Int)]),
+            "id",
+        )
+        .unwrap();
+    let mined = server
+        .capture_table("t", CaptureMechanism::Journal)
+        .unwrap();
+    // Only the mined stream notifies; `noise` is evaluated silently.
+    server
+        .add_alert_rule("any", &mined, "TRUE", 1.0, None)
+        .unwrap();
+    server
+        .create_stream("noise", Schema::of(&[("v", DataType::Int)]))
+        .unwrap();
+    let rows = notification_timestamps(&server);
+    let handle = spawn_parked(&server, TICK);
+    let insert_and_await = |id: i64, when: &str| {
         server
             .db()
-            .create_table(
-                "t",
-                Schema::of(&[("id", DataType::Int), ("v", DataType::Int)]),
-                "id",
-            )
+            .insert("t", Record::from_iter([Value::Int(id), Value::Int(0)]))
             .unwrap();
-        let mined = server
-            .capture_table("t", CaptureMechanism::Journal)
-            .unwrap();
-        // Only the mined stream notifies; `noise` is evaluated silently.
-        server
-            .add_alert_rule("any", &mined, "TRUE", 1.0, None)
-            .unwrap();
-        server
-            .create_stream("noise", Schema::of(&[("v", DataType::Int)]))
-            .unwrap();
-        let rows = notification_timestamps(&server);
-        let handle = spawn_parked(&server, TICK, mode);
-        let insert_and_await = |id: i64, when: &str| {
-            server
-                .db()
-                .insert("t", Record::from_iter([Value::Int(id), Value::Int(0)]))
-                .unwrap();
-            rows.recv_timeout(DEADLINE)
-                .unwrap_or_else(|_| panic!("{mode:?}: committed row not mined {when}"));
-        };
+        rows.recv_timeout(DEADLINE)
+            .unwrap_or_else(|_| panic!("committed row not mined {when}"));
+    };
 
-        insert_and_await(1, "by an idle pump's tick");
+    insert_and_await(1, "by an idle pump's tick");
 
-        let stop = Arc::new(AtomicBool::new(false));
-        let noise = {
-            let (server, stop) = (Arc::clone(&server), Arc::clone(&stop));
-            std::thread::spawn(move || {
-                let mut sent = 0u64;
-                while !stop.load(Ordering::Relaxed) {
-                    server
-                        .ingest_async("noise", TimestampMs(0), Record::from_iter([Value::Int(0)]))
-                        .unwrap();
-                    sent += 1;
-                    std::thread::sleep(Duration::from_micros(50));
-                }
-                sent
-            })
-        };
-        // Let the work wakes get going before the commit.
-        std::thread::sleep(Duration::from_millis(10));
-        let work_wakes = counter(&server, "evdb_pump_wakeups_total{cause=\"work\"}");
-        insert_and_await(2, "under continuous work wakes");
-        stop.store(true, Ordering::Relaxed);
-        let sent = noise.join().unwrap();
-        assert!(
-            counter(&server, "evdb_pump_wakeups_total{cause=\"work\"}") > work_wakes,
-            "{mode:?}: the noise producer never woke the pump"
-        );
-        handle.stop();
-        // Two mined rows, and every noise event evaluated by the stop.
-        assert_eq!(
-            server.metrics().snapshot().events_captured,
-            2 + sent,
-            "{mode:?}"
-        );
-    }
+    let stop = Arc::new(AtomicBool::new(false));
+    let noise = {
+        let (server, stop) = (Arc::clone(&server), Arc::clone(&stop));
+        std::thread::spawn(move || {
+            let mut sent = 0u64;
+            while !stop.load(Ordering::Relaxed) {
+                server
+                    .ingest_async("noise", TimestampMs(0), Record::from_iter([Value::Int(0)]))
+                    .unwrap();
+                sent += 1;
+                std::thread::sleep(Duration::from_micros(50));
+            }
+            sent
+        })
+    };
+    // Let the work wakes get going before the commit.
+    std::thread::sleep(Duration::from_millis(10));
+    let work_wakes = counter(&server, "evdb_pump_wakeups_total{cause=\"work\"}");
+    insert_and_await(2, "under continuous work wakes");
+    stop.store(true, Ordering::Relaxed);
+    let sent = noise.join().unwrap();
+    assert!(
+        counter(&server, "evdb_pump_wakeups_total{cause=\"work\"}") > work_wakes,
+        "the noise producer never woke the pump"
+    );
+    handle.stop();
+    // Two mined rows, and every noise event evaluated by the stop.
+    assert_eq!(server.metrics().snapshot().events_captured, 2 + sent);
 }
 
 // ---- the served path -------------------------------------------------

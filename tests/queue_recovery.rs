@@ -168,6 +168,46 @@ fn wrong_typed_state_column_is_a_typed_error_on_reopen() {
     let _ = std::fs::remove_dir_all(&dir);
 }
 
+/// `attach` does not decode message rows, so a wrong-typed one surfaces
+/// on the first read past recovery: `dequeue` must return the typed
+/// error, not panic.
+#[test]
+fn wrong_typed_message_column_is_a_typed_error_on_dequeue() {
+    let dir = tmpdir("qcorrupt-msg");
+    let clock = SimClock::new(TimestampMs(0));
+    {
+        let (db, q) = open(&dir, clock.clone());
+        q.create_queue(
+            "work",
+            Schema::of(&[("job", DataType::Int)]),
+            QueueConfig::default(),
+        )
+        .unwrap();
+        q.subscribe("work", "g").unwrap();
+        q.enqueue("work", Record::from_iter([Value::Int(1)]), "p").unwrap();
+        // Swap the message table for one whose source column (`src`) is
+        // an integer and holds the one message, journaled like any DDL.
+        let messages = db.table("__q_work_m").unwrap();
+        let mut fields = messages.schema().fields().to_vec();
+        assert_eq!(fields[4].name, "src");
+        fields[4] = FieldDef::required("src", DataType::Int);
+        let mut row = messages.scan().remove(0).into_values();
+        row[4] = Value::Int(7);
+        db.drop_table("__q_work_m").unwrap();
+        db.create_table("__q_work_m", Schema::new(fields).unwrap(), "id")
+            .unwrap();
+        db.insert("__q_work_m", Record::new(row)).unwrap();
+    }
+    let (_db, q) = open(&dir, clock);
+    let err = q
+        .dequeue("work", "g", 1)
+        .expect_err("a wrong-typed message row must not be delivered");
+    assert_eq!(err.kind(), "corruption");
+    let msg = err.to_string();
+    assert!(msg.contains("'__q_work_m'") && msg.contains("'src'"), "{msg}");
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
 #[test]
 fn checkpoint_compacts_queue_journal() {
     let dir = tmpdir("qckpt");
