@@ -62,8 +62,11 @@ struct AlertRules {
     meta: HashMap<u64, AlertMeta>,
 }
 
+/// What a rule's hits say. `name` (the key of a rule without a key
+/// field) and `title` are rendered once, here, and shared by every hit.
 struct AlertMeta {
-    name: String,
+    name: Arc<str>,
+    title: Arc<str>,
     severity: f64,
     key_field: Option<usize>,
 }
@@ -128,7 +131,8 @@ impl Evaluate {
             ]);
             // Out-of-order delta accounting (D12): retractions emitted,
             // already-emitted panes reopened, late events admitted vs dropped,
-            // and duplicate deliveries suppressed by the replay-dedup window.
+            // and duplicate deliveries suppressed by the replay-dedup window
+            // beside the keys it evicted to stay bounded.
             bridge(registry, runtime, &[
                 ("evdb_cq_window_memory", |rt| rt.window_memory() as f64),
                 ("evdb_cq_retractions_total", |rt| rt.cq_delta_stats().retractions as f64),
@@ -136,6 +140,7 @@ impl Evaluate {
                 ("evdb_cq_late_admitted_total", |rt| rt.cq_delta_stats().late_admitted as f64),
                 ("evdb_cq_late_dropped_total", |rt| rt.cq_delta_stats().late_events as f64),
                 ("evdb_cq_dup_dropped_total", |rt| rt.dup_dropped() as f64),
+                ("evdb_cq_dedup_evicted_total", |rt| rt.dedup_evicted() as f64),
             ]);
             // Expression compiler and batch VM, process-wide (D9
             // no-silent-caps: every fold and precompiled LIKE is
@@ -190,7 +195,8 @@ impl Evaluate {
         let id = self.rule_ids.next_id();
         let rule = Rule::new(id, name, expr);
         let meta = AlertMeta {
-            name: name.to_string(),
+            name: name.into(),
+            title: format!("rule '{name}' matched on {stream}").into(),
             severity,
             key_field,
         };
@@ -412,8 +418,7 @@ impl Evaluate {
             let hits = scratch.hits[i].take().unwrap_or(Ok(Vec::new()));
             let outcome = cq.and(hits).and_then(|ids| {
                 if let Some(entry) = rules.get(event.source.as_ref()) {
-                    let hits = ids.into_iter().filter_map(|id| rule_notification(entry, id, event));
-                    scratch.event_notes.extend(hits);
+                    rule_notifications(entry, &ids, event, &mut scratch.event_notes);
                 }
                 self.collect_detectors(event, &mut scratch.event_notes)
             });
@@ -467,9 +472,9 @@ impl Evaluate {
                 if let Some(dev) = det.observe(event.timestamp, value) {
                     self.metrics.deviations.fetch_add(1, Ordering::Relaxed);
                     out.push(Notification {
-                        key,
+                        key: key.into(),
                         severity: dev.score,
-                        title: format!("{}: {} outside expectation", g.name, dev.value),
+                        title: format!("{}: {} outside expectation", g.name, dev.value).into(),
                         body: format!(
                             "observed {} expected [{:.3}, {:.3}] (score {:.2})",
                             dev.value, dev.expected_low, dev.expected_high, dev.score
@@ -485,18 +490,50 @@ impl Evaluate {
     }
 }
 
-/// Materialize the notification for one alert-rule hit.
-fn rule_notification(entry: &AlertRules, id: u64, event: &Event) -> Option<Notification> {
-    let meta = entry.meta.get(&id)?;
-    Some(Notification {
-        key: scoped_key(&meta.name, meta.key_field, event),
+/// Materialize the notifications of one event's alert-rule hits into
+/// `out`. Keys and titles are the rules' shared strings (a key is
+/// formatted only for a rule with a key field); the event's body is
+/// rendered once, for its first hit, and copied into the others.
+fn rule_notifications(entry: &AlertRules, ids: &[u64], event: &Event, out: &mut Vec<Notification>) {
+    let first = out.len();
+    out.extend(ids.iter().filter_map(|id| entry.meta.get(id)).map(|meta| Notification {
+        key: match meta.key_field {
+            None => Arc::clone(&meta.name),
+            Some(_) => scoped_key(&meta.name, meta.key_field, event).into(),
+        },
         severity: meta.severity,
-        title: format!("rule '{}' matched on {}", meta.name, event.source),
-        body: event.payload.to_string(),
+        title: Arc::clone(&meta.title),
+        body: String::new(),
         timestamp: event.timestamp,
         trace: event.trace,
         is_retraction: event.is_retraction(),
-    })
+    }));
+    if let Some((head, rest)) = out[first..].split_first_mut() {
+        head.body = render_body(&event.payload);
+        for n in rest {
+            n.body.clone_from(&head.body);
+        }
+    }
+}
+
+/// `record`'s text (its `Display`), written into a `String` sized up
+/// front so that rendering allocates once.
+fn render_body(record: &Record) -> String {
+    use std::fmt::Write;
+    // Per value: its text (a number's longest usual form) and ", ".
+    let hint: usize = record
+        .values()
+        .iter()
+        .map(|v| match v {
+            Value::Str(s) => s.len() + 4,
+            Value::Bytes(b) => 2 * b.len() + 5,
+            _ => 24,
+        })
+        .sum();
+    let mut body = String::with_capacity(hint + 2);
+    // Writing into a `String` cannot fail.
+    let _ = write!(body, "{record}");
+    body
 }
 
 /// A rule's or detector's VIRT key: its name, scoped by the event's
@@ -673,6 +710,57 @@ mod tests {
         }
         assert_eq!(notified, 1);
         assert_eq!(s.metrics().snapshot().deviations, 1);
+    }
+
+    #[test]
+    fn notifications_read_exactly() {
+        let (s, clock) = server();
+        s.create_stream(
+            "ticks",
+            Schema::of(&[("sym", DataType::Str), ("px", DataType::Float)]),
+        )
+        .unwrap();
+        s.add_alert_rule("hot", "ticks", "px > 10", 2.0, None).unwrap();
+        s.add_alert_rule("sym_hot", "ticks", "px > 20", 3.5, Some("sym"))
+            .unwrap();
+        s.add_detector(
+            "band",
+            "ticks",
+            "px",
+            Some("sym"),
+            UpdatePolicy::Always,
+            || Box::new(ThresholdModel::new(0.0, 40.0)),
+        )
+        .unwrap();
+        let tick = Record::from_iter([Value::from("O'Brien"), Value::Float(50.0)]);
+        assert_eq!(s.ingest("ticks", clock.now(), tick).unwrap().notified, 3);
+        let got: Vec<_> = s
+            .notifications()
+            .drain_delivered()
+            .into_iter()
+            .map(|n| (n.key.to_string(), n.title.to_string(), n.body, n.severity))
+            .collect();
+        let row = |key: &str, title: &str, body: &str, severity: f64| {
+            (key.to_string(), title.to_string(), body.to_string(), severity)
+        };
+        assert_eq!(
+            got,
+            vec![
+                row("hot", "rule 'hot' matched on ticks", "['O''Brien', 50.0]", 2.0),
+                row(
+                    "sym_hot:'O''Brien'",
+                    "rule 'sym_hot' matched on ticks",
+                    "['O''Brien', 50.0]",
+                    3.5
+                ),
+                row(
+                    "band:'O''Brien'",
+                    "band: 50 outside expectation",
+                    "observed 50 expected [0.000, 40.000] (score 0.50)",
+                    0.5
+                ),
+            ]
+        );
     }
 
     #[test]

@@ -30,15 +30,18 @@ use crate::metrics::{bridge, relaxed, Metrics, StageBatch, StageObs};
 use crate::server::ServerConfig;
 
 /// An outbound notification.
+///
+/// `key` and `title` are shared: every hit of one alert rule carries the
+/// rule's own strings, so materializing a hit allocates neither.
 #[derive(Debug, Clone, PartialEq)]
 pub struct Notification {
     /// Correlation key (e.g. `"meter:42"` or `"sym:IBM"`); suppression
     /// and rate limiting are per key.
-    pub key: String,
+    pub key: Arc<str>,
     /// Severity, 0.0 (informational) and up.
     pub severity: f64,
     /// Short human-readable headline.
-    pub title: String,
+    pub title: Arc<str>,
     /// Detail body.
     pub body: String,
     /// When the condition was detected.
@@ -101,7 +104,9 @@ pub struct NotificationCenter {
     policy: VirtPolicy,
     clock: Arc<dyn Clock>,
     handlers: Mutex<Vec<NotificationHandler>>,
-    state: Mutex<HashMap<String, KeyState>>,
+    /// Per-key throttle state; stays empty while the policy has no
+    /// throttle that reads it (see [`Self::admit_locked`]).
+    state: Mutex<HashMap<Arc<str>, KeyState>>,
     /// The most recent [`DELIVERED_LOG_CAP`] delivered notifications.
     delivered_log: Mutex<VecDeque<Notification>>,
     /// Notifications delivered.
@@ -195,13 +200,19 @@ impl NotificationCenter {
         count
     }
 
+    /// Keys with throttle state.
+    #[cfg(test)]
+    fn tracked_keys(&self) -> usize {
+        self.state.lock().len()
+    }
+
     /// The VIRT admission decision, with the key-state lock already
     /// held: updates key state and the `suppressed`/`retracted` counters
     /// and returns whether the notification is delivered. The caller
     /// owns the `delivered` count, handler fan-out and the log.
     fn admit_locked(
         &self,
-        state: &mut HashMap<String, KeyState>,
+        state: &mut HashMap<Arc<str>, KeyState>,
         notification: &Notification,
         now: TimestampMs,
     ) -> bool {
@@ -219,7 +230,16 @@ impl NotificationCenter {
             self.retracted.fetch_add(1, Ordering::Relaxed);
             return true;
         }
-        let ks = state.entry(notification.key.clone()).or_default();
+        // Key state is read only by the two throttles below; with both
+        // off (the default policy, which never changes) it would be
+        // write-only, so none is kept.
+        if self.policy.suppression_window_ms <= 0 && self.policy.max_per_key_per_window == 0 {
+            return true;
+        }
+        let ks = match state.get_mut(&*notification.key) {
+            Some(ks) => ks,
+            None => state.entry(Arc::clone(&notification.key)).or_default(),
+        };
 
         // Duplicate suppression: same key, not-higher severity,
         // inside the window.
@@ -437,7 +457,7 @@ mod tests {
     #[test]
     fn batch_filtering_matches_sequential() {
         use std::sync::atomic::Ordering;
-        let policy = VirtPolicy {
+        let throttled = VirtPolicy {
             min_severity: 1.0,
             suppression_window_ms: 1_000,
             max_per_key_per_window: 2,
@@ -456,23 +476,50 @@ mod tests {
                 notif("b", 1.5),
             ]
         };
-        let seq = NotificationCenter::new(policy, SimClock::new(TimestampMs(0)));
-        for n in mixed() {
-            seq.notify(n);
+        // The throttled policy, and the default one (no throttle, so no
+        // key state) that delivers everything.
+        for (policy, want) in [(throttled, 4), (VirtPolicy::default(), 7)] {
+            let seq = NotificationCenter::new(policy, SimClock::new(TimestampMs(0)));
+            for n in mixed() {
+                seq.notify(n);
+            }
+            let bat = NotificationCenter::new(policy, SimClock::new(TimestampMs(0)));
+            let delivered = bat.notify_batch(mixed());
+            assert_eq!(delivered, want);
+            assert_eq!(delivered, seq.delivered.load(Ordering::Relaxed));
+            assert_eq!(bat.drain_delivered(), seq.drain_delivered());
+            assert_eq!(
+                bat.suppressed.load(Ordering::Relaxed),
+                seq.suppressed.load(Ordering::Relaxed)
+            );
+            assert_eq!(
+                bat.retracted.load(Ordering::Relaxed),
+                seq.retracted.load(Ordering::Relaxed)
+            );
+            assert_eq!(bat.notify_batch(Vec::new()), 0);
         }
-        let bat = NotificationCenter::new(policy, SimClock::new(TimestampMs(0)));
-        let delivered = bat.notify_batch(mixed());
-        assert_eq!(delivered, seq.delivered.load(Ordering::Relaxed));
-        assert_eq!(bat.drain_delivered(), seq.drain_delivered());
-        assert_eq!(
-            bat.suppressed.load(Ordering::Relaxed),
-            seq.suppressed.load(Ordering::Relaxed)
+    }
+
+    #[test]
+    fn default_policy_keeps_no_key_state() {
+        use std::sync::atomic::Ordering;
+        let nc = NotificationCenter::new(VirtPolicy::default(), SimClock::new(TimestampMs(0)));
+        let batch: Vec<_> = (0..100).map(|i| notif(&format!("k{}", i % 10), 1.0)).collect();
+        assert_eq!(nc.notify_batch(batch), 100);
+        assert_eq!(nc.drain_delivered().len(), 100);
+        assert_eq!(nc.suppressed.load(Ordering::Relaxed), 0);
+        assert_eq!(nc.tracked_keys(), 0);
+        // A throttle that reads key state keeps one entry per key.
+        let nc = NotificationCenter::new(
+            VirtPolicy {
+                max_per_key_per_window: 1_000,
+                ..Default::default()
+            },
+            SimClock::new(TimestampMs(0)),
         );
-        assert_eq!(
-            bat.retracted.load(Ordering::Relaxed),
-            seq.retracted.load(Ordering::Relaxed)
-        );
-        assert_eq!(bat.notify_batch(Vec::new()), 0);
+        let batch: Vec<_> = (0..100).map(|i| notif(&format!("k{}", i % 10), 1.0)).collect();
+        assert_eq!(nc.notify_batch(batch), 100);
+        assert_eq!(nc.tracked_keys(), 10);
     }
 
     #[test]

@@ -525,9 +525,9 @@ impl EventServer {
             let _ = queues.enqueue(
                 &qname,
                 Record::from_iter([
-                    Value::from(n.key.as_str()),
+                    Value::Str(Arc::clone(&n.key)),
                     Value::Float(n.severity),
-                    Value::from(n.title.as_str()),
+                    Value::Str(Arc::clone(&n.title)),
                     Value::from(n.body.as_str()),
                     Value::Timestamp(n.timestamp),
                 ]),

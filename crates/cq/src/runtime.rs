@@ -14,7 +14,7 @@
 //! allowed lateness`, advanced on every push, so downstream windows
 //! close deterministically with no wall-clock dependence.
 
-use std::collections::{BTreeMap, HashMap};
+use std::collections::{HashMap, VecDeque};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
@@ -32,44 +32,76 @@ pub type Subscriber = Arc<dyn Fn(&Event) + Send + Sync>;
 /// replayed duplicates on the pre-built-event ingest path (capture
 /// adapters re-deliver WAL prefixes after recovery). Events minted by
 /// [`StreamRuntime::push`] get fresh ids and never collide.
+///
+/// O(1) per event with no per-event allocation once warm: a key is a
+/// packed `u128` ([`DedupWindow::key`]), `seen` maps it to its recency
+/// tick, and `order` queues `(tick, key)` oldest first. A re-sighting
+/// pushes a fresh entry and leaves its old one stale (its tick no longer
+/// matches `seen`); eviction skips stale entries, and `order` is
+/// compacted in place once it holds more than twice the capacity.
 struct DedupWindow {
     cap: usize,
     tick: u64,
+    /// Stream name → interned id, assigned on the name's first sighting.
+    streams: HashMap<Arc<str>, u32>,
     /// key → recency tick.
     seen: HashMap<DedupKey, u64>,
-    /// recency tick → key (eviction order, oldest first).
-    order: BTreeMap<u64, DedupKey>,
+    /// `(tick, key)` in insertion order, oldest first; stale entries
+    /// included.
+    order: VecDeque<(u64, DedupKey)>,
+    /// Keys evicted to stay within `cap` (D9: the bound is counted).
+    evicted: u64,
 }
 
-/// `(stream, event id, is_retraction)` — a retraction delta legitimately
-/// reuses its insert's id, so the flag keeps the pair distinct.
-type DedupKey = (Arc<str>, u64, bool);
+/// `(stream id, event id, is_retraction)` packed into one integer — a
+/// retraction delta legitimately reuses its insert's id, so the flag
+/// keeps the pair distinct.
+type DedupKey = u128;
 
 impl DedupWindow {
     fn new(cap: usize) -> DedupWindow {
         DedupWindow {
             cap: cap.max(1),
             tick: 0,
+            streams: HashMap::new(),
             seen: HashMap::new(),
-            order: BTreeMap::new(),
+            order: VecDeque::new(),
+            evicted: 0,
         }
+    }
+
+    /// The key of `(stream, id, retraction)`, interning `stream` on its
+    /// first sighting.
+    fn key(&mut self, stream: &Arc<str>, id: u64, retraction: bool) -> DedupKey {
+        let sid = match self.streams.get(stream.as_ref()) {
+            Some(&sid) => sid,
+            None => {
+                let sid = self.streams.len() as u32;
+                self.streams.insert(Arc::clone(stream), sid);
+                sid
+            }
+        };
+        (sid as u128) << 65 | (id as u128) << 1 | retraction as u128
     }
 
     /// Record the key; returns true if it was already present (a
     /// duplicate). Either way the key becomes most-recently-seen.
     fn check_and_insert(&mut self, key: DedupKey) -> bool {
         self.tick += 1;
-        let dup = match self.seen.insert(key.clone(), self.tick) {
-            Some(old_tick) => {
-                self.order.remove(&old_tick);
-                true
-            }
-            None => false,
-        };
-        self.order.insert(self.tick, key);
+        let dup = self.seen.insert(key, self.tick).is_some();
+        // Evict before queueing the new entry, so that without
+        // re-sightings `order` never holds more than `cap` entries.
         while self.seen.len() > self.cap {
-            let (_, oldest) = self.order.pop_first().expect("order non-empty");
-            self.seen.remove(&oldest);
+            let (tick, oldest) = self.order.pop_front().expect("order holds every seen key");
+            if self.seen.get(&oldest) == Some(&tick) {
+                self.seen.remove(&oldest);
+                self.evicted += 1;
+            }
+        }
+        self.order.push_back((self.tick, key));
+        if self.order.len() > 2 * self.cap {
+            let seen = &self.seen;
+            self.order.retain(|(tick, key)| seen.get(key) == Some(tick));
         }
         dup
     }
@@ -292,6 +324,13 @@ impl StreamRuntime {
         self.dup_dropped.load(Ordering::Relaxed)
     }
 
+    /// Keys the dedup window evicted to stay within its capacity (0
+    /// while dedup is off). An evicted id that is re-delivered later is
+    /// no longer recognised as a duplicate.
+    pub fn dedup_evicted(&self) -> u64 {
+        self.dedup.lock().as_ref().map_or(0, |w| w.evicted)
+    }
+
     /// Summed delta/lateness counters across live and dropped queries
     /// (late drops/admissions, pane reopens, retractions — D9).
     pub fn cq_delta_stats(&self) -> OpStats {
@@ -388,7 +427,7 @@ impl StreamRuntime {
         let entry = self.stream_entry(event.source.as_ref())?;
         if feed == Feed::Live {
             if let Some(window) = self.dedup.lock().as_mut() {
-                let key = (Arc::clone(&event.source), event.id.0, event.retraction);
+                let key = window.key(&event.source, event.id.0, event.retraction);
                 if window.check_and_insert(key) {
                     self.dup_dropped.fetch_add(1, Ordering::Relaxed);
                     return Ok(None);
@@ -806,17 +845,64 @@ mod tests {
         let mut w = DedupWindow::new(3);
         let s: Arc<str> = Arc::from("s");
         for i in 0..3u64 {
-            assert!(!w.check_and_insert((Arc::clone(&s), i, false)));
+            let k = w.key(&s, i, false);
+            assert!(!w.check_and_insert(k));
         }
         assert_eq!(w.len(), 3);
         // Touch id 0 so it is most-recent, then overflow: id 1 evicts.
-        assert!(w.check_and_insert((Arc::clone(&s), 0, false)));
-        assert!(!w.check_and_insert((Arc::clone(&s), 3, false)));
+        let k = w.key(&s, 0, false);
+        assert!(w.check_and_insert(k));
+        let k = w.key(&s, 3, false);
+        assert!(!w.check_and_insert(k));
         assert_eq!(w.len(), 3);
-        assert!(!w.check_and_insert((Arc::clone(&s), 1, false))); // evicted → new again
-        assert!(w.check_and_insert((Arc::clone(&s), 0, false))); // still present
+        let k = w.key(&s, 1, false);
+        assert!(!w.check_and_insert(k)); // evicted → new again
+        let k = w.key(&s, 0, false);
+        assert!(w.check_and_insert(k)); // still present
         // A retraction of a seen id is NOT a duplicate.
-        assert!(!w.check_and_insert((Arc::clone(&s), 0, true)));
+        let k = w.key(&s, 0, true);
+        assert!(!w.check_and_insert(k));
+    }
+
+    /// The window against a naive LRU (a `VecDeque` of keys, most recent
+    /// last) on seeded random sequences with heavy re-sighting: same
+    /// verdicts, same eviction count, and `order` stays within
+    /// `2·cap + 1` entries throughout.
+    #[test]
+    fn dedup_window_matches_a_naive_lru() {
+        use rand::rngs::StdRng;
+        use rand::{Rng, SeedableRng};
+        let streams: [Arc<str>; 2] = [Arc::from("a"), Arc::from("b")];
+        for seed in 0..200u64 {
+            let mut rng = StdRng::seed_from_u64(seed);
+            let cap = rng.gen_range(1..=64usize);
+            // Ids drawn from a range a little wider than the capacity,
+            // so most keys recur while some fall out of the window.
+            let ids = rng.gen_range(1..=2 * cap as u64 + 2);
+            let mut w = DedupWindow::new(cap);
+            let mut naive: VecDeque<(usize, u64, bool)> = VecDeque::new();
+            let mut naive_evicted = 0u64;
+            for step in 0..2_000 {
+                let key = (rng.gen_range(0..2usize), rng.gen_range(0..ids), rng.gen_bool(0.1));
+                let expected = match naive.iter().position(|k| *k == key) {
+                    Some(at) => {
+                        naive.remove(at);
+                        true
+                    }
+                    None => false,
+                };
+                naive.push_back(key);
+                if naive.len() > cap {
+                    naive.pop_front();
+                    naive_evicted += 1;
+                }
+                let packed = w.key(&streams[key.0], key.1, key.2);
+                assert_eq!(w.check_and_insert(packed), expected, "seed {seed} step {step}");
+                assert!(w.order.len() <= 2 * cap + 1, "seed {seed} step {step}");
+                assert_eq!(w.len(), naive.len());
+            }
+            assert_eq!(w.evicted, naive_evicted, "seed {seed}");
+        }
     }
 
     #[test]

@@ -300,7 +300,10 @@ impl fmt::Display for Value {
                     write!(f, "{x}")
                 }
             }
-            Value::Str(s) => write!(f, "'{}'", s.replace('\'', "''")),
+            // Quotes double inside the literal; most strings have none,
+            // and those render without an intermediate copy.
+            Value::Str(s) if s.contains('\'') => write!(f, "'{}'", s.replace('\'', "''")),
+            Value::Str(s) => write!(f, "'{s}'"),
             Value::Bytes(b) => {
                 f.write_str("x'")?;
                 for byte in b.iter() {
@@ -416,6 +419,9 @@ mod tests {
     #[test]
     fn display_round_trips_visually() {
         assert_eq!(Value::from("o'brien").to_string(), "'o''brien'");
+        assert_eq!(Value::from("O'Brien").to_string(), "'O''Brien'");
+        // A string without a quote takes the renderer's other arm.
+        assert_eq!(Value::from("IBM").to_string(), "'IBM'");
         assert_eq!(Value::Float(2.0).to_string(), "2.0");
         assert_eq!(Value::Int(2).to_string(), "2");
         // A float never prints as an integer literal, however large.

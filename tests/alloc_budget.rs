@@ -1,0 +1,130 @@
+//! Allocation budget of the rule path: what evaluating and delivering an
+//! event costs in heap allocations, counted rather than timed so that it
+//! holds on any machine.
+//!
+//! Three alert rules all hit every event. A hit's key and title are its
+//! rule's shared strings and the event's body is rendered once, so past
+//! warm-up an event may allocate its hit list, its body and one body
+//! copy per further hit: `hits + 2` in all, with slack for the batch
+//! vectors and amortized growth.
+//!
+//! A counting global allocator counts only on the thread that armed it,
+//! so the harness's own threads do not disturb the figure.
+
+use std::alloc::{GlobalAlloc, Layout, System};
+use std::cell::Cell;
+use std::sync::Arc;
+
+use evdb::core::metrics::StageBatch;
+use evdb::core::server::{EvalScratch, ServerConfig};
+use evdb::core::EventServer;
+use evdb::types::{DataType, Event, EventId, Record, Schema, SimClock, TimestampMs, Value};
+
+struct Counting;
+
+thread_local! {
+    static ARMED: Cell<bool> = const { Cell::new(false) };
+    static ALLOCS: Cell<u64> = const { Cell::new(0) };
+}
+
+fn count() {
+    if ARMED.with(Cell::get) {
+        ALLOCS.with(|n| n.set(n.get() + 1));
+    }
+}
+
+unsafe impl GlobalAlloc for Counting {
+    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
+        count();
+        System.alloc(layout)
+    }
+
+    unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
+        count();
+        System.alloc_zeroed(layout)
+    }
+
+    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
+        count();
+        System.realloc(ptr, layout, new_size)
+    }
+
+    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
+        System.dealloc(ptr, layout)
+    }
+}
+
+#[global_allocator]
+static GLOBAL: Counting = Counting;
+
+/// Heap allocations `f` makes on this thread.
+fn allocations(f: impl FnOnce()) -> u64 {
+    ALLOCS.with(|n| n.set(0));
+    ARMED.with(|a| a.set(true));
+    f();
+    ARMED.with(|a| a.set(false));
+    ALLOCS.with(Cell::get)
+}
+
+const RULES: u64 = 3;
+const EVENTS: u64 = 1_000;
+const BATCH: usize = 100;
+
+#[test]
+fn a_rule_hit_allocates_within_budget() {
+    let server = EventServer::in_memory(ServerConfig {
+        clock: SimClock::new(TimestampMs(0)),
+        ..Default::default()
+    })
+    .unwrap();
+    let schema = Schema::of(&[
+        ("sym", DataType::Str),
+        ("px", DataType::Float),
+        ("qty", DataType::Int),
+    ]);
+    server.create_stream("ticks", Arc::clone(&schema)).unwrap();
+    server.add_alert_rule("hot", "ticks", "px > 10", 1.0, None).unwrap();
+    server.add_alert_rule("big", "ticks", "qty >= 1", 2.0, None).unwrap();
+    server.add_alert_rule("ibm", "ticks", "sym = 'IBM'", 3.0, None).unwrap();
+
+    let source: Arc<str> = Arc::from("ticks");
+    let events = |from: u64, n: u64| -> Vec<Event> {
+        (from..from + n)
+            .map(|i| {
+                let payload = Record::from_iter([
+                    Value::from("IBM"),
+                    Value::Float(100.0 + (i % 7) as f64),
+                    Value::Int(1 + (i % 5) as i64),
+                ]);
+                Event::new(EventId(i), Arc::clone(&source), TimestampMs(i as i64), payload, Arc::clone(&schema))
+            })
+            .collect()
+    };
+    let (mut stage, mut scratch) = (StageBatch::default(), EvalScratch::default());
+    let mut run = |mut batch: Vec<Event>| -> u64 {
+        let mut delivered = 0;
+        let n = allocations(|| {
+            let mut notes = Vec::new();
+            let (_, errors) =
+                server.evaluate_events(&mut batch, server.now(), &mut stage, &mut scratch, &mut notes);
+            assert_eq!(errors, 0);
+            delivered = server.deliver_batch(notes);
+        });
+        assert_eq!(delivered, RULES * batch.len() as u64, "every rule hits every event");
+        n
+    };
+
+    run(events(0, BATCH as u64));
+    let mut total = 0;
+    let measured = events(BATCH as u64, EVENTS);
+    for chunk in measured.chunks(BATCH) {
+        total += run(chunk.to_vec());
+    }
+    let per_event = total as f64 / EVENTS as f64;
+    eprintln!("{per_event:.2} allocations per event ({RULES} hits)");
+    assert!(
+        per_event <= (RULES + 2) as f64,
+        "{per_event:.2} allocations per event, budget {}",
+        RULES + 2
+    );
+}

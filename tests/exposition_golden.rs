@@ -111,6 +111,7 @@ fn exposition_covers_every_layer() {
         "evdb_cq_late_admitted_total",
         "evdb_cq_late_dropped_total",
         "evdb_cq_dup_dropped_total",         // replay dedup window
+        "evdb_cq_dedup_evicted_total",       // …and what it evicted
         "evdb_server_connections_total",     // network frontends (D13)
         "evdb_server_updates_dropped_total", // fan-out shed accounting
         "evdb_server_subscriptions_active",  // live subscription gauge

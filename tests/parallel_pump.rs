@@ -114,9 +114,9 @@ fn canon(notes: &[Notification]) -> Vec<(String, u64, String, String, i64)> {
         .iter()
         .map(|n| {
             (
-                n.key.clone(),
+                n.key.to_string(),
                 n.severity.to_bits(),
-                n.title.clone(),
+                n.title.to_string(),
                 n.body.clone(),
                 n.timestamp.0,
             )
@@ -130,9 +130,9 @@ fn canon(notes: &[Notification]) -> Vec<(String, u64, String, String, i64)> {
 fn per_key_order(notes: &[Notification]) -> HashMap<String, Vec<(String, i64)>> {
     let mut m: HashMap<String, Vec<(String, i64)>> = HashMap::new();
     for n in notes {
-        m.entry(n.key.clone())
+        m.entry(n.key.to_string())
             .or_default()
-            .push((n.title.clone(), n.timestamp.0));
+            .push((n.title.to_string(), n.timestamp.0));
     }
     m
 }
@@ -363,7 +363,7 @@ fn assert_nine_of_ten(server: &EventServer) {
         .notifications()
         .drain_delivered()
         .into_iter()
-        .map(|n| n.key)
+        .map(|n| n.key.to_string())
         .collect();
     let want: Vec<String> = (0..10).filter(|o| *o != 2).map(|o| format!("lot:{o}")).collect();
     assert_eq!(keys, want, "the poisoned event's batch-mates are notified");
@@ -548,7 +548,7 @@ fn failing_capture_poll_keeps_what_the_cycle_drained() {
             None
         };
         let log = delivered(9);
-        let mut titles: Vec<&str> = log.iter().map(|n| n.title.as_str()).collect();
+        let mut titles: Vec<&str> = log.iter().map(|n| &*n.title).collect();
         titles.sort_unstable();
         titles.dedup();
         assert_eq!(

@@ -238,7 +238,7 @@ fn server_outcome(events: &[Event], cut: &[usize]) -> ServerOutcome {
         .notifications()
         .drain_delivered()
         .into_iter()
-        .map(|n| (n.key, n.title, n.body, n.timestamp.0, n.is_retraction))
+        .map(|n| (n.key.to_string(), n.title.to_string(), n.body, n.timestamp.0, n.is_retraction))
         .collect();
     let deltas = deltas.lock().unwrap().clone();
     ServerOutcome {

@@ -106,7 +106,7 @@ fn pumped(trace: &[Tick], feed: Feed) -> Result<Vec<(String, i64)>, TestCaseErro
         .notifications()
         .drain_delivered()
         .into_iter()
-        .map(|note| (note.key, note.timestamp.0))
+        .map(|note| (note.key.to_string(), note.timestamp.0))
         .collect())
 }
 
