@@ -240,16 +240,21 @@ impl Capture {
         Ok(event)
     }
 
+    /// An external event with an id minted here: it carries the
+    /// stream's shared name and is marked [`Event::minted`], so the
+    /// replay-dedup window never sees it.
     fn make_event(&self, stream: &str, timestamp: TimestampMs, payload: Record) -> Result<Event> {
-        let schema = self.runtime.stream_schema(stream)?;
+        let (source, schema) = self.runtime.stream_source(stream)?;
         schema.validate(&payload)?;
-        Ok(Event::new(
+        let mut event = Event::new(
             EventId(self.ids.next_id()),
-            stream,
+            source,
             timestamp,
             payload,
             schema,
-        ))
+        );
+        event.minted = true;
+        Ok(event)
     }
 
     /// The first step of every cycle; see
@@ -382,7 +387,10 @@ impl Capture {
     }
 
     /// Convert one captured [`ChangeEvent`] into the stream event the
-    /// pipeline evaluates, recording capture-side metrics.
+    /// pipeline evaluates, recording capture-side metrics. A journal-mined
+    /// change keeps its LSN as the event id, which a re-mined prefix
+    /// repeats; any other change gets an id minted here, and is marked
+    /// so ([`Event::minted`]).
     fn change_into_event(
         &self,
         stream: &str,
@@ -404,6 +412,7 @@ impl Capture {
         // Continue the change's trace (capture stamped when the
         // change was produced).
         event.trace = change.trace;
+        event.minted = change.lsn.is_none();
         self.metrics.events_captured.fetch_add(1, Ordering::Relaxed);
         let lat = now.since(change.timestamp) as f64;
         self.metrics.observe_latency(lat);

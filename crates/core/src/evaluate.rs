@@ -380,13 +380,16 @@ impl Evaluate {
         let rules = self.rules.read();
         scratch.sources.clear();
         if !rules.is_empty() {
-            for (i, ev) in events.iter().enumerate() {
-                if scratch.cq[i].is_ok()
-                    && rules.contains_key(ev.source.as_ref())
-                    && !scratch.sources.contains(&ev.source)
+            let mut i = 0;
+            for run in events.chunk_by(|a, b| a.source == b.source) {
+                let src = &run[0].source;
+                if !scratch.sources.contains(src)
+                    && rules.contains_key(src.as_ref())
+                    && scratch.cq[i..i + run.len()].iter().any(Result::is_ok)
                 {
-                    scratch.sources.push(Arc::clone(&ev.source));
+                    scratch.sources.push(Arc::clone(src));
                 }
+                i += run.len();
             }
         }
         for src in std::mem::take(&mut scratch.sources) {
@@ -411,25 +414,44 @@ impl Evaluate {
         // Per-event tail, in arrival order: materialize rule hits, then
         // run the (stateful) detectors, so every notification lands in
         // `notes` in event order. An event's notes are staged and only
-        // committed if its whole evaluation succeeded.
-        for (i, event) in events.iter_mut().enumerate() {
-            scratch.event_notes.clear();
-            let cq = std::mem::replace(&mut scratch.cq[i], Ok(Vec::new()));
-            let hits = scratch.hits[i].take().unwrap_or(Ok(Vec::new()));
-            let outcome = cq.and(hits).and_then(|ids| {
-                if let Some(entry) = rules.get(event.source.as_ref()) {
-                    rule_notifications(entry, &ids, event, &mut scratch.event_notes);
-                }
-                self.collect_detectors(event, &mut scratch.event_notes)
-            });
-            match outcome {
-                Ok(()) => {
-                    notes.append(&mut scratch.event_notes);
-                    self.stamp_evaluated(event, now, batch);
-                }
-                Err(e) => {
-                    errors += 1;
-                    scratch.first_error.get_or_insert(e);
+        // committed if its whole evaluation succeeded. The detector map
+        // is read-locked once per batch, and each run of same-stream
+        // events resolves its rule set and detector groups once.
+        let detectors = self.detectors.read();
+        let mut i = 0;
+        for run in events.chunk_by_mut(|a, b| a.source == b.source) {
+            let source = run[0].source.as_ref();
+            let entry = rules.get(source);
+            let groups = if detectors.is_empty() {
+                None
+            } else {
+                detectors.get(source)
+            };
+            for event in run {
+                scratch.event_notes.clear();
+                let cq = std::mem::replace(&mut scratch.cq[i], Ok(Vec::new()));
+                let hits = scratch.hits[i].take().unwrap_or(Ok(Vec::new()));
+                i += 1;
+                let outcome = cq.and(hits).and_then(|ids| {
+                    if let Some(entry) = entry {
+                        rule_notifications(entry, &ids, event, &mut scratch.event_notes);
+                    }
+                    match groups {
+                        Some(groups) => {
+                            self.collect_detectors(groups, event, &mut scratch.event_notes)
+                        }
+                        None => Ok(()),
+                    }
+                });
+                match outcome {
+                    Ok(()) => {
+                        notes.append(&mut scratch.event_notes);
+                        self.stamp_evaluated(event, now, batch);
+                    }
+                    Err(e) => {
+                        errors += 1;
+                        scratch.first_error.get_or_insert(e);
+                    }
                 }
             }
         }
@@ -451,39 +473,43 @@ impl Evaluate {
         batch.push(Stage::Evaluate, span);
     }
 
-    fn collect_detectors(&self, event: &Event, out: &mut Vec<Notification>) -> Result<()> {
-        let detectors = self.detectors.read();
-        if let Some(groups) = detectors.get(event.source.as_ref()) {
-            for cell in groups {
-                let g = &mut *cell.lock();
-                if let Some(cond) = &g.condition {
-                    if !cond.matches(&event.payload)? {
-                        continue;
-                    }
-                }
-                let Some(value) = event.payload.get(g.field).and_then(Value::as_f64) else {
+    /// Feed `event` to its stream's detector `groups`, collecting the
+    /// deviations they report.
+    fn collect_detectors(
+        &self,
+        groups: &[Mutex<DetectorGroup>],
+        event: &Event,
+        out: &mut Vec<Notification>,
+    ) -> Result<()> {
+        for cell in groups {
+            let g = &mut *cell.lock();
+            if let Some(cond) = &g.condition {
+                if !cond.matches(&event.payload)? {
                     continue;
-                };
-                let key = scoped_key(&g.name, g.key_field, event);
-                let det = g
-                    .instances
-                    .entry(key.clone())
-                    .or_insert_with(|| (g.factory)());
-                if let Some(dev) = det.observe(event.timestamp, value) {
-                    self.metrics.deviations.fetch_add(1, Ordering::Relaxed);
-                    out.push(Notification {
-                        key: key.into(),
-                        severity: dev.score,
-                        title: format!("{}: {} outside expectation", g.name, dev.value).into(),
-                        body: format!(
-                            "observed {} expected [{:.3}, {:.3}] (score {:.2})",
-                            dev.value, dev.expected_low, dev.expected_high, dev.score
-                        ),
-                        timestamp: dev.timestamp,
-                        trace: event.trace,
-                        is_retraction: event.is_retraction(),
-                    });
                 }
+            }
+            let Some(value) = event.payload.get(g.field).and_then(Value::as_f64) else {
+                continue;
+            };
+            let key = scoped_key(&g.name, g.key_field, event);
+            let det = g
+                .instances
+                .entry(key.clone())
+                .or_insert_with(|| (g.factory)());
+            if let Some(dev) = det.observe(event.timestamp, value) {
+                self.metrics.deviations.fetch_add(1, Ordering::Relaxed);
+                out.push(Notification {
+                    key: key.into(),
+                    severity: dev.score,
+                    title: format!("{}: {} outside expectation", g.name, dev.value).into(),
+                    body: format!(
+                        "observed {} expected [{:.3}, {:.3}] (score {:.2})",
+                        dev.value, dev.expected_low, dev.expected_high, dev.score
+                    ),
+                    timestamp: dev.timestamp,
+                    trace: event.trace,
+                    is_retraction: event.is_retraction(),
+                });
             }
         }
         Ok(())

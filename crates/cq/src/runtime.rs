@@ -30,8 +30,9 @@ pub type Subscriber = Arc<dyn Fn(&Event) + Send + Sync>;
 
 /// Bounded LRU of recently seen `(stream, event id)` pairs, used to drop
 /// replayed duplicates on the pre-built-event ingest path (capture
-/// adapters re-deliver WAL prefixes after recovery). Events minted by
-/// [`StreamRuntime::push`] get fresh ids and never collide.
+/// adapters re-deliver WAL prefixes after recovery). Events whose id the
+/// engine minted ([`Event::minted`]: [`StreamRuntime::push`], the core
+/// crate's capture) can never recur, so they neither consult nor fill it.
 ///
 /// O(1) per event with no per-event allocation once warm: a key is a
 /// packed `u128` ([`DedupWindow::key`]), `seen` maps it to its recency
@@ -119,6 +120,8 @@ struct StreamState {
 }
 
 struct StreamEntry {
+    /// The stream's name, shared by every event the engine mints into it.
+    name: Arc<str>,
     schema: Arc<Schema>,
     state: Mutex<StreamState>,
 }
@@ -176,10 +179,9 @@ const QUERY_MAJOR_MIN: usize = 8;
 /// How a batch enters [`StreamRuntime::feed`].
 #[derive(Clone, Copy, PartialEq, Eq)]
 enum Feed {
-    /// [`StreamRuntime::push_events`]: dedup window, live watermark.
+    /// [`StreamRuntime::push_events`]: dedup window (for events the
+    /// engine did not mint), live watermark.
     Live,
-    /// [`StreamRuntime::push`]: freshly minted ids, so no dedup.
-    Minted,
     /// [`StreamRuntime::push_events_replay`]: no dedup, each event's own
     /// (historical) watermark.
     Replay,
@@ -231,6 +233,7 @@ impl StreamRuntime {
         streams.insert(
             name.to_string(),
             Arc::new(StreamEntry {
+                name: Arc::from(name),
                 schema,
                 state: Mutex::new(StreamState {
                     max_ts: TimestampMs(i64::MIN),
@@ -248,6 +251,14 @@ impl StreamRuntime {
             .get(name)
             .map(|s| Arc::clone(&s.schema))
             .ok_or_else(|| Error::NotFound(format!("stream '{name}'")))
+    }
+
+    /// A stream's interned name and its schema: what an event the host
+    /// mints into the stream carries as `source` and `schema`, shared
+    /// rather than copied.
+    pub fn stream_source(&self, name: &str) -> Result<(Arc<str>, Arc<Schema>)> {
+        let entry = self.stream_entry(name)?;
+        Ok((Arc::clone(&entry.name), Arc::clone(&entry.schema)))
     }
 
     /// Register a continuous query (an operator pipeline) over a stream
@@ -315,6 +326,8 @@ impl StreamRuntime {
     /// Enable replay dedup on the pre-built-event ingest path
     /// ([`StreamRuntime::push_events`]): duplicates of the most recent
     /// `capacity` `(stream, event id)` pairs are dropped and counted.
+    /// Only events whose id the engine did not mint ([`Event::minted`]
+    /// false: journal-mined, caller-built) are checked and remembered.
     pub fn enable_dedup(&self, capacity: usize) {
         *self.dedup.lock() = Some(DedupWindow::new(capacity));
     }
@@ -361,14 +374,15 @@ impl StreamRuntime {
     ) -> Result<Vec<Event>> {
         let entry = self.stream_entry(stream)?;
         entry.schema.validate(&payload)?;
-        let event = Event::new(
+        let mut event = Event::new(
             EventId(self.ids.next_id()),
-            stream,
+            Arc::clone(&entry.name),
             timestamp,
             payload,
             Arc::clone(&entry.schema),
         );
-        self.feed_one(&event, Feed::Minted)
+        event.minted = true;
+        self.feed_one(&event, Feed::Live)
     }
 
     /// Push a pre-built event (capture adapters use this): the `N = 1`
@@ -381,7 +395,8 @@ impl StreamRuntime {
     /// events of `events[i]`, and how the input is cut into batches does
     /// not change them (D15; `tests/prop_chunking.rs`). With dedup
     /// enabled, a replayed `(stream, event id)` pair is dropped before it
-    /// can double-count into windows (recovery replays WAL prefixes).
+    /// can double-count into windows (recovery replays WAL prefixes);
+    /// events the engine minted ([`Event::minted`]) skip the window.
     pub fn push_events(
         &self,
         events: &[Event],
@@ -420,28 +435,54 @@ impl StreamRuntime {
         self.feed(events, Feed::Replay, scratch, out);
     }
 
-    /// Phase A of [`feed`](Self::feed) for one event: dedup check and
-    /// stream-state update. Returns the watermark the event routes with,
-    /// or `None` for a duplicate the dedup window dropped.
-    fn admit(&self, event: &Event, feed: Feed) -> Result<Option<TimestampMs>> {
-        let entry = self.stream_entry(event.source.as_ref())?;
-        if feed == Feed::Live {
-            if let Some(window) = self.dedup.lock().as_mut() {
-                let key = window.key(&event.source, event.id.0, event.retraction);
-                if window.check_and_insert(key) {
-                    self.dup_dropped.fetch_add(1, Ordering::Relaxed);
-                    return Ok(None);
+    /// Phase A of [`feed`](Self::feed) for one run of same-stream
+    /// events: per event in order, the dedup check (live events the
+    /// engine did not mint) and the stream-state update. Pushes each
+    /// event's watermark to `wms` — `None` for a duplicate the window
+    /// dropped — and its empty result to `out`. The stream is looked up
+    /// and its state locked once per run, the window's lock taken at the
+    /// run's first event that needs it.
+    fn admit_run(
+        &self,
+        run: &[Event],
+        feed: Feed,
+        wms: &mut Vec<Option<TimestampMs>>,
+        out: &mut Vec<Result<Vec<Event>>>,
+    ) {
+        let entry = match self.stream_entry(run[0].source.as_ref()) {
+            Ok(entry) => entry,
+            Err(_) => {
+                for event in run {
+                    wms.push(None);
+                    out.push(Err(Error::NotFound(format!("stream '{}'", event.source))));
+                }
+                return;
+            }
+        };
+        let mut dedup = None;
+        let mut state = entry.state.lock();
+        for event in run {
+            if feed == Feed::Live && !event.minted {
+                let window = dedup.get_or_insert_with(|| self.dedup.lock());
+                if let Some(window) = window.as_mut() {
+                    let key = window.key(&event.source, event.id.0, event.retraction);
+                    if window.check_and_insert(key) {
+                        self.dup_dropped.fetch_add(1, Ordering::Relaxed);
+                        wms.push(None);
+                        out.push(Ok(Vec::new()));
+                        continue;
+                    }
                 }
             }
+            state.max_ts = state.max_ts.max(event.timestamp);
+            state.events_in += 1;
+            let high = match feed {
+                Feed::Replay => event.timestamp,
+                Feed::Live => state.max_ts,
+            };
+            wms.push(Some(high.minus(self.lateness_ms)));
+            out.push(Ok(Vec::new()));
         }
-        let mut state = entry.state.lock();
-        state.max_ts = state.max_ts.max(event.timestamp);
-        state.events_in += 1;
-        let high = match feed {
-            Feed::Replay => event.timestamp,
-            Feed::Live | Feed::Minted => state.max_ts,
-        };
-        Ok(Some(high.minus(self.lateness_ms)))
     }
 
     /// One event through [`feed`](Self::feed). The batch scratch is
@@ -460,7 +501,8 @@ impl StreamRuntime {
     /// live or replayed — runs through here.
     ///
     /// Dedup checks and watermark bookkeeping run per event in arrival
-    /// order (phase A). Routing is then *query-major* (from
+    /// order (phase A), one stream lookup per run of same-stream events.
+    /// Routing is then *query-major* (from
     /// [`QUERY_MAJOR_MIN`] events up): each query's pipeline lock is
     /// taken once per batch, and — when the query's head operator is a
     /// pure filter ([`Pipeline::head_predicate`]) — the whole batch is
@@ -481,10 +523,8 @@ impl StreamRuntime {
         // `None` marks an event that is not routed.
         out.clear();
         let mut wms = Vec::with_capacity(events.len());
-        for event in events {
-            let wm = self.admit(event, feed);
-            wms.push(wm.as_ref().ok().copied().flatten());
-            out.push(wm.map(|_| Vec::new()));
+        for run in events.chunk_by(|a, b| a.source == b.source) {
+            self.admit_run(run, feed, &mut wms, out);
         }
 
         // Phase B: route, grouped by source then query. Pipelines of
@@ -500,12 +540,15 @@ impl StreamRuntime {
         let mut pane_total = 0u64;
         let mut verdicts: Vec<Result<bool>> = Vec::new();
         for src in sources {
+            let queries = self.queries_for(src);
+            if queries.is_empty() {
+                continue;
+            }
             // (event index, its watermark) of the stream's routed events.
             let idxs: Vec<(usize, TimestampMs)> = (0..events.len())
                 .filter(|i| events[*i].source.as_ref() == src)
                 .filter_map(|i| Some((i, wms[i]?)))
                 .collect();
-            let queries = self.queries_for(src);
             // A short batch is routed one event at a time.
             let run = if idxs.len() < QUERY_MAJOR_MIN { 1 } else { idxs.len() };
             for idxs in idxs.chunks(run) {

@@ -48,6 +48,10 @@ pub struct Event {
     /// late data revises an already-emitted result; subscribers compact
     /// the delta stream to the final answer.
     pub retraction: bool,
+    /// True when the engine minted this event's id itself (capture's id
+    /// generator), so the event cannot be a redelivery: the replay-dedup
+    /// window skips it (DESIGN.md D12). [`Event::new`] leaves it false.
+    pub minted: bool,
 }
 
 impl Event {
@@ -67,6 +71,7 @@ impl Event {
             schema,
             trace: Trace::new(id.0),
             retraction: false,
+            minted: false,
         }
     }
 
@@ -101,6 +106,7 @@ impl Event {
             schema,
             trace: self.trace,
             retraction: self.retraction,
+            minted: self.minted,
         }
     }
 }
