@@ -28,6 +28,7 @@ fn main() {
         ("e3", experiments::e03_rules::run),
         ("e4", experiments::e04_churn::run),
         ("e5", experiments::e05_cq::run),
+        ("e5", experiments::e05_cq::run_sharing),
         ("e6", experiments::e06_pattern::run),
         ("e7", experiments::e07_internal::run),
         ("e8", experiments::e08_analytics::run),

@@ -122,6 +122,7 @@ pub fn run_all(scale: Scale) -> String {
         e03_rules::run(scale),
         e04_churn::run(scale),
         e05_cq::run(scale),
+        e05_cq::run_sharing(scale),
         e06_pattern::run(scale),
         e07_internal::run(scale),
         e08_analytics::run(scale),

@@ -132,9 +132,13 @@ impl Evaluate {
             // Out-of-order delta accounting (D12): retractions emitted,
             // already-emitted panes reopened, late events admitted vs dropped,
             // and duplicate deliveries suppressed by the replay-dedup window
-            // beside the keys it evicted to stay bounded.
+            // beside the keys it evicted to stay bounded; partial pattern
+            // matches shed at a matcher's cap, and the pane tables windowed
+            // aggregates share (D5, D9).
             bridge(registry, runtime, &[
                 ("evdb_cq_window_memory", |rt| rt.window_memory() as f64),
+                ("evdb_cq_pane_tables", |rt| rt.pane_tables() as f64),
+                ("evdb_cq_pattern_overflow_drops_total", |rt| rt.cq_delta_stats().overflow_drops as f64),
                 ("evdb_cq_retractions_total", |rt| rt.cq_delta_stats().retractions as f64),
                 ("evdb_cq_pane_reopens_total", |rt| rt.cq_delta_stats().pane_reopens as f64),
                 ("evdb_cq_late_admitted_total", |rt| rt.cq_delta_stats().late_admitted as f64),

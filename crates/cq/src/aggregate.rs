@@ -38,17 +38,25 @@
 //! than event-time boundaries, so the consistency level does not change
 //! their behavior.
 //!
+//! Tumbling and sliding windows keep their panes in a `PaneTable`: a
+//! standalone aggregate is a table of one, and the runtime lets queries
+//! whose aggregates read the same panes (one stream, pane width and
+//! group-by) share one table, so an event is folded once for all of them.
+//!
 //! # Cost contract (time windows, DESIGN.md D5)
 //!
-//! The runtime advances every query's watermark after every event, so
-//! what an event pays is its own fold *plus* a watermark:
+//! The runtime advances a stream's watermark after every event and hands
+//! it to each aggregate that has something due, so what an event pays is
+//! one fold per table *plus* each reader's O(1) steps:
 //!
 //! * **Per event:** one (pane, group) cell update plus O(1). The fold
 //!   evaluates the inputs into a reused buffer and looks the group up by
 //!   a reused key buffer, so it allocates nothing when the cell exists. A
-//!   watermark that closes nothing returns after one comparison
-//!   (`frontier − width < next_window_start`), and pruning only looks at
-//!   the oldest retained key. Neither depends on `width / slide`.
+//!   watermark that closes nothing is not due (`watermark_due`:
+//!   `next_window_start + width`) or returns after one comparison, and
+//!   pruning only looks at the oldest retained key. Neither depends on
+//!   `width / slide`, and a table's members add only their own late
+//!   check and due comparison.
 //! * **Per close:** O(panes × groups) of the closing windows — merging
 //!   (or, in Recompute mode, rescanning) their panes — plus one ordered
 //!   map probe per window that has data, never a walk over empty starts.
@@ -353,9 +361,45 @@ impl Acc {
     }
 }
 
-/// One empty accumulator per aggregate column.
-fn fresh_accs(aggs: &[(AggSpec, AggInput)]) -> Vec<Acc> {
-    aggs.iter().map(|(s, _)| Acc::new(s.func)).collect()
+/// One aggregate column: its function and resolved argument.
+type Column = (AggFunc, AggInput);
+
+impl AggInput {
+    /// Whether two columns read the same argument. Computed arguments
+    /// never compare equal: they can fail, so they are never shared.
+    fn same(&self, other: &AggInput) -> bool {
+        match (self, other) {
+            (AggInput::Star, AggInput::Star) => true,
+            (AggInput::Field(a), AggInput::Field(b)) => a == b,
+            _ => false,
+        }
+    }
+}
+
+/// Whether folding `func` over `input` cannot fail for an event that
+/// matches `schema`: `*`, or a field whose type the function accepts.
+fn infallible(func: AggFunc, input: &AggInput, schema: &Schema) -> bool {
+    match input {
+        AggInput::Star => true,
+        AggInput::Field(i) => match func {
+            AggFunc::Sum | AggFunc::Avg | AggFunc::StdDev => matches!(
+                schema.fields()[*i].dtype,
+                DataType::Int | DataType::Float | DataType::Timestamp
+            ),
+            _ => true,
+        },
+        AggInput::Computed(_) => false,
+    }
+}
+
+/// One empty accumulator per column of `cols` (indices into `columns`).
+fn fresh_accs(columns: &[Column], cols: &[usize]) -> Vec<Acc> {
+    cols.iter().map(|&c| Acc::new(columns[c].0)).collect()
+}
+
+/// One empty accumulator per column.
+fn fresh_row(columns: &[Column]) -> Vec<Acc> {
+    columns.iter().map(|(f, _)| Acc::new(*f)).collect()
 }
 
 /// `merged[group]`, created empty on a miss — the only time the key is
@@ -363,10 +407,11 @@ fn fresh_accs(aggs: &[(AggSpec, AggInput)]) -> Vec<Acc> {
 fn cell<'m>(
     merged: &'m mut HashMap<Vec<Value>, Vec<Acc>>,
     group: &[Value],
-    aggs: &[(AggSpec, AggInput)],
+    columns: &[Column],
+    cols: &[usize],
 ) -> &'m mut Vec<Acc> {
     if !merged.contains_key(group) {
-        merged.insert(group.to_vec(), fresh_accs(aggs));
+        merged.insert(group.to_vec(), fresh_accs(columns, cols));
     }
     merged.get_mut(group).expect("inserted above")
 }
@@ -375,6 +420,29 @@ fn cell<'m>(
 fn fold(accs: &mut [Acc], inputs: &[Option<Value>], ts: TimestampMs, seq: u64) -> Result<()> {
     for (a, v) in accs.iter_mut().zip(inputs) {
         a.update(v.as_ref(), ts, seq)?;
+    }
+    Ok(())
+}
+
+/// Evaluate `rec`'s group key and every column's input into the reused
+/// buffers — every input before any accumulator sees one, so an
+/// evaluation error leaves the window state untouched.
+fn load(
+    rec: &Record,
+    group_fields: &[usize],
+    columns: &[Column],
+    key: &mut Vec<Value>,
+    inputs: &mut Vec<Option<Value>>,
+) -> Result<()> {
+    key.clear();
+    key.extend(group_fields.iter().map(|i| rec.get(*i).cloned().unwrap_or(Value::Null)));
+    inputs.clear();
+    for (_, arg) in columns {
+        inputs.push(match arg {
+            AggInput::Star => None,
+            AggInput::Field(i) => Some(rec.get(*i).cloned().unwrap_or(Value::Null)),
+            AggInput::Computed(c) => Some(c.eval(rec)?),
+        });
     }
     Ok(())
 }
@@ -390,53 +458,601 @@ fn prune_below<V>(map: &mut BTreeMap<i64, V>, boundary: i64) {
     }
 }
 
-/// Raw row stored by Recompute mode: (group key, agg inputs, ts, seq).
+/// Assemble one output row.
+fn window_row(group: &[Value], start: TimestampMs, end: TimestampMs, accs: &[Acc]) -> Record {
+    let mut values: Vec<Value> = group.to_vec();
+    values.push(Value::Timestamp(start));
+    values.push(Value::Timestamp(end));
+    for a in accs {
+        values.push(a.finalize());
+    }
+    Record::new(values)
+}
+
+/// One output delta with output id `seq`.
+fn delta(seq: u64, record: Record, end: TimestampMs, schema: &Arc<Schema>, retraction: bool) -> Event {
+    let mut e = Event::new(EventId(seq), "window", end, record, Arc::clone(schema));
+    e.retraction = retraction;
+    e
+}
+
+/// Raw row stored by Recompute mode: (group key, column inputs, ts, seq).
 type RawRow = (Vec<Value>, Vec<Option<Value>>, TimestampMs, u64);
 
-/// Per-group session state.
+/// Per pane start and group, the partial state of every column:
+/// accumulators (Incremental) or the raw rows (Recompute).
+struct PaneStore {
+    mode: AggMode,
+    pane_ms: i64,
+    group_fields: Vec<usize>,
+    columns: Vec<Column>,
+    cells: BTreeMap<i64, HashMap<Vec<Value>, Vec<Acc>>>,
+    raw: BTreeMap<i64, Vec<RawRow>>,
+    /// The routed event's group key and column inputs, reused across
+    /// events so a fold into an existing cell allocates nothing.
+    key: Vec<Value>,
+    inputs: Vec<Option<Value>>,
+    /// Arrival number of the routed event (First/Last tie-break).
+    seq: u64,
+}
+
+impl PaneStore {
+    /// Fold the routed event into pane `ps`.
+    fn fold(&mut self, event: &Event, ps: i64) -> Result<()> {
+        load(&event.payload, &self.group_fields, &self.columns, &mut self.key, &mut self.inputs)?;
+        let ts = event.timestamp;
+        match self.mode {
+            AggMode::Incremental => {
+                let groups = self.cells.entry(ps).or_default();
+                match groups.get_mut(self.key.as_slice()) {
+                    Some(accs) => fold(accs, &self.inputs, ts, self.seq),
+                    None => {
+                        let accs = groups
+                            .entry(self.key.clone())
+                            .or_insert(fresh_row(&self.columns));
+                        fold(accs, &self.inputs, ts, self.seq)
+                    }
+                }
+            }
+            AggMode::Recompute => {
+                let row = (self.key.clone(), self.inputs.clone(), ts, self.seq);
+                self.raw.entry(ps).or_default().push(row);
+                Ok(())
+            }
+        }
+    }
+
+    /// The oldest retained pane starting at or after `lower`.
+    fn first_pane_from(&self, lower: i64) -> Option<i64> {
+        match self.mode {
+            AggMode::Incremental => self.cells.range(lower..).next().map(|(ps, _)| *ps),
+            AggMode::Recompute => self.raw.range(lower..).next().map(|(ps, _)| *ps),
+        }
+    }
+
+    /// Every group's accumulators over columns `cols` for the panes
+    /// starting in `[lo, hi)`.
+    fn window_groups(&self, lo: i64, hi: i64, cols: &[usize]) -> Result<HashMap<Vec<Value>, Vec<Acc>>> {
+        let mut merged: HashMap<Vec<Value>, Vec<Acc>> = HashMap::new();
+        match self.mode {
+            AggMode::Incremental => {
+                for (_, groups) in self.cells.range(lo..hi) {
+                    for (g, accs) in groups {
+                        let entry = cell(&mut merged, g, &self.columns, cols);
+                        for (m, &c) in entry.iter_mut().zip(cols) {
+                            m.merge(&accs[c]);
+                        }
+                    }
+                }
+            }
+            AggMode::Recompute => {
+                for (_, rows) in self.raw.range(lo..hi) {
+                    for (g, inputs, ts, seq) in rows {
+                        let entry = cell(&mut merged, g, &self.columns, cols);
+                        for (a, &c) in entry.iter_mut().zip(cols) {
+                            a.update(inputs[c].as_ref(), *ts, *seq)?;
+                        }
+                    }
+                }
+            }
+        }
+        Ok(merged)
+    }
+
+    /// One group's accumulators over columns `cols` for the panes
+    /// starting in `[lo, hi)`.
+    fn group_accs(&self, lo: i64, hi: i64, group: &[Value], cols: &[usize]) -> Result<Vec<Acc>> {
+        let mut accs = fresh_accs(&self.columns, cols);
+        match self.mode {
+            AggMode::Incremental => {
+                for (_, groups) in self.cells.range(lo..hi) {
+                    if let Some(part) = groups.get(group) {
+                        for (m, &c) in accs.iter_mut().zip(cols) {
+                            m.merge(&part[c]);
+                        }
+                    }
+                }
+            }
+            AggMode::Recompute => {
+                for (_, rows) in self.raw.range(lo..hi) {
+                    for (g, inputs, ts, seq) in rows {
+                        if g.as_slice() == group {
+                            for (a, &c) in accs.iter_mut().zip(cols) {
+                                a.update(inputs[c].as_ref(), *ts, *seq)?;
+                            }
+                        }
+                    }
+                }
+            }
+        }
+        Ok(accs)
+    }
+
+    fn prune_below(&mut self, boundary: i64) {
+        prune_below(&mut self.cells, boundary);
+        prune_below(&mut self.raw, boundary);
+    }
+
+    fn is_empty(&self) -> bool {
+        self.cells.is_empty() && self.raw.is_empty()
+    }
+
+    fn state_size(&self) -> usize {
+        self.cells.values().map(|g| g.len()).sum::<usize>()
+            + self.raw.values().map(|r| r.len()).sum::<usize>()
+    }
+}
+
+/// One tumbling or sliding aggregate's own state over a [`PaneTable`]:
+/// its window shape, consistency level, emission frontier, emitted rows
+/// and counters. The panes are the table's; this aggregate reads them
+/// only at or above its `floor`, which is where its own copy of them
+/// would have been pruned.
+pub(crate) struct TimeWindows {
+    width: i64,
+    slide: i64,
+    consistency: ConsistencyLevel,
+    /// The table column behind each of this aggregate's columns.
+    cols: Vec<usize>,
+    out_schema: Arc<Schema>,
+    /// Windows starting before this are already emitted.
+    next_window_start: i64,
+    started: bool,
+    /// Speculative: last emitted row per (window start, group), kept
+    /// until the window is final so a reopen knows what to retract.
+    emitted: BTreeMap<i64, HashMap<Vec<Value>, Record>>,
+    /// Highest admitted event time (speculative emission frontier).
+    max_event_ts: i64,
+    /// Highest watermark seen (speculative finality horizon).
+    final_wm: i64,
+    /// Panes below this are past: their events are dropped as late, no
+    /// window still read covers them, and the table may prune them.
+    floor: i64,
+    emit_seq: u64,
+    stats: OpStats,
+    /// Whether it admitted the event being routed.
+    admitted: bool,
+    /// Deltas of the last table step, for the caller to take.
+    pub(crate) rows: Vec<Event>,
+    /// Error of the last table step, for the caller to take.
+    pub(crate) failed: Option<Error>,
+}
+
+impl TimeWindows {
+    /// The late check for an event in pane `ps`: admitted, or counted
+    /// and dropped.
+    fn admit(&mut self, ps: i64) -> bool {
+        let late = match self.consistency {
+            // Emission is gated on the watermark, so the emitted
+            // boundary *is* the finality horizon.
+            ConsistencyLevel::Watermark => self.started && ps < self.next_window_start,
+            // Emission runs ahead of the watermark; only drop when every
+            // containing window is final (the latest one ends at
+            // ps + width).
+            ConsistencyLevel::Speculative => ps.saturating_add(self.width) <= self.final_wm,
+        };
+        if late {
+            self.stats.late_events += 1;
+        } else {
+            self.started = true;
+        }
+        !late
+    }
+
+    /// After the table folded an admitted event into pane `ps`: a
+    /// Speculative aggregate revises the emitted windows the event
+    /// lands in, then emits the windows event time completes.
+    fn on_fold(&mut self, store: &PaneStore, ps: i64, ts: TimestampMs) -> Result<()> {
+        if self.consistency == ConsistencyLevel::Speculative {
+            self.max_event_ts = self.max_event_ts.max(ts.0);
+            self.speculate(store, ps)?;
+        }
+        Ok(())
+    }
+
+    /// The smallest watermark [`on_watermark`](Self::on_watermark) does
+    /// anything at: the end of the first window left to emit (where
+    /// `emit_up_to` stops returning early, and the only place the floor
+    /// moves) — and, Speculative, the first watermark past `final_wm`,
+    /// which moves the admission horizon.
+    fn watermark_due(&self) -> i64 {
+        let close = if self.started {
+            self.next_window_start.saturating_add(self.width)
+        } else {
+            i64::MAX
+        };
+        match self.consistency {
+            ConsistencyLevel::Watermark => close,
+            ConsistencyLevel::Speculative => close.min(self.final_wm.saturating_add(1)),
+        }
+    }
+
+    /// Close what `wm` completes, then raise the floor to the new prune
+    /// boundary.
+    fn on_watermark(&mut self, store: &PaneStore, wm: TimestampMs) -> Result<()> {
+        match self.consistency {
+            ConsistencyLevel::Watermark => {
+                self.emit_up_to(store, wm.0)?;
+                // A pane's last containing window starts at the pane
+                // itself, and has now been emitted.
+                self.floor = self.next_window_start;
+            }
+            ConsistencyLevel::Speculative => {
+                self.final_wm = self.final_wm.max(wm.0);
+                // Windows complete by event time were already emitted on
+                // arrival; the watermark may still be ahead of event time
+                // (e.g. an explicit flush), so cover both frontiers.
+                self.emit_up_to(store, self.max_event_ts.max(wm.0))?;
+                // Finality: a pane (and its emitted-row memory) can still
+                // be revised only while some containing window is open,
+                // i.e. while ps + width > final_wm.
+                self.floor = self.final_wm.saturating_sub(self.width) + 1;
+                prune_below(&mut self.emitted, self.floor);
+            }
+        }
+        Ok(())
+    }
+
+    /// Emit one delta with a fresh output id.
+    fn emit(&mut self, record: Record, end: TimestampMs, retraction: bool) {
+        self.emit_seq += 1;
+        if retraction {
+            self.stats.retractions += 1;
+        }
+        let e = delta(self.emit_seq, record, end, &self.out_schema, retraction);
+        self.rows.push(e);
+    }
+
+    /// Emit every not-yet-emitted window with data ending at or before
+    /// `frontier`, in start order, advancing `next_window_start`.
+    /// Speculative mode records emitted rows of windows not yet final
+    /// (for later retraction); Watermark mode does not need to.
+    fn emit_up_to(&mut self, store: &PaneStore, frontier: i64) -> Result<()> {
+        let (width, slide) = (self.width, self.slide);
+        // Every window left to emit starts at or after next_window_start:
+        // if the first of them is still open, nothing closes (O(1)).
+        if !self.started || frontier.saturating_sub(width) < self.next_window_start {
+            return Ok(());
+        }
+        let speculative = self.consistency == ConsistencyLevel::Speculative;
+        // Window starts are multiples of the slide (as are pane starts and
+        // next_window_start, unless it is still i64::MIN). The earliest
+        // window at or after `lower` that holds data is the earliest one
+        // containing the first pane at or after `lower`, so each step
+        // probes the pane map once and never walks empty starts (the
+        // end-of-input flush passes a frontier near i64::MAX).
+        let mut lower = self.next_window_start;
+        while let Some(ps) = store.first_pane_from(lower.max(self.floor)) {
+            let s = lower.max(ps - width + slide);
+            if s + width > frontier {
+                break;
+            }
+            let start = TimestampMs(s);
+            let end = TimestampMs(s + width);
+            let mut groups: Vec<(Vec<Value>, Vec<Acc>)> = store
+                .window_groups(s.max(self.floor), s + width, &self.cols)?
+                .into_iter()
+                .collect();
+            groups.sort_unstable_by(|a, b| a.0.cmp(&b.0));
+            // A Speculative row is remembered for retraction while its
+            // window can still be revised.
+            let revisable = speculative && s + width > self.final_wm;
+            for (g, accs) in groups {
+                let record = window_row(&g, start, end, &accs);
+                if revisable {
+                    self.emitted.entry(s).or_default().insert(g, record.clone());
+                }
+                self.emit(record, end, false);
+            }
+            self.next_window_start = self.next_window_start.max(s + slide);
+            lower = s + slide;
+        }
+        Ok(())
+    }
+
+    /// Speculative mode: after the routed event (group: the store's key)
+    /// was folded into pane `ps`, revise already-emitted windows it
+    /// belongs to (retract stale row, insert corrected row), then emit
+    /// windows newly complete by event time.
+    fn speculate(&mut self, store: &PaneStore, ps: i64) -> Result<()> {
+        let group = store.key.as_slice();
+        let (width, slide) = (self.width, self.slide);
+        let mut reopened = false;
+        // Windows containing pane ps start in (ps - width, ps]; the ones
+        // to revise were emitted (start < next_window_start) and are not
+        // final (end > final_wm). Walk them newest first: an in-order
+        // event's pane lies past every emitted window, so it walks none.
+        let mut s = ps.min(self.next_window_start.saturating_sub(slide));
+        while s > ps - width && s + width > self.final_wm {
+            reopened = true;
+            self.stats.pane_reopens += 1;
+            let start = TimestampMs(s);
+            let end = TimestampMs(s + width);
+            let accs = store.group_accs(s.max(self.floor), s + width, group, &self.cols)?;
+            let record = window_row(group, start, end, &accs);
+            let slot = self.emitted.entry(s).or_default();
+            match slot.get(group) {
+                Some(old) if *old == record => {} // revision was a no-op
+                Some(_) => {
+                    let old = slot.insert(group.to_vec(), record.clone()).expect("present");
+                    self.emit(old, end, true);
+                    self.emit(record, end, false);
+                }
+                None => {
+                    // A group this window never emitted: plain insert.
+                    slot.insert(group.to_vec(), record.clone());
+                    self.emit(record, end, false);
+                }
+            }
+            s -= slide;
+        }
+        if reopened {
+            self.stats.late_admitted += 1;
+        }
+        // Emit windows the new event-time frontier completes.
+        self.emit_up_to(store, self.max_event_ts)
+    }
+}
+
+/// The panes of tumbling and sliding aggregates over one stream with one
+/// pane width and group-by, folded once for all of them (DESIGN.md D5).
+///
+/// Each routed event costs one key load, one pane probe, one cell probe
+/// and one fold — if any member admits it — plus an O(1) late check per
+/// member. A member ([`TimeWindows`]) keeps its own frontiers, emitted
+/// rows and counters, and reads the shared panes only when it closes or
+/// revises a window. A pane is pruned once every member is past it.
+///
+/// Exactness: a member drops only events in panes below its floor (its
+/// emitted boundary at Watermark level, its finality horizon at
+/// Speculative), reads no pane below it, and every event in a pane at or
+/// above it was admitted by it too — so what another member admits there
+/// changes nothing it will read. A standalone time-window aggregate
+/// ([`WindowAggregateOp`]) is a table of one.
+pub(crate) struct PaneTable {
+    store: PaneStore,
+    pub(crate) members: Vec<TimeWindows>,
+    /// Whether other aggregates may join: Incremental mode, and no
+    /// argument can fail for an event that matches the input schema.
+    shareable: bool,
+}
+
+impl PaneTable {
+    /// Route one event: every member's late check, one fold if any member
+    /// admits it, then each admitting member's eager step. Each member's
+    /// deltas land in its `rows`, an error in its `failed`.
+    pub(crate) fn on_event(&mut self, event: &Event) {
+        let store = &mut self.store;
+        store.seq += 1;
+        let ps = event.timestamp.window_start(store.pane_ms).0;
+        let mut any = false;
+        for m in &mut self.members {
+            m.admitted = m.admit(ps);
+            any |= m.admitted;
+        }
+        if !any {
+            return;
+        }
+        if let Err(e) = store.fold(event, ps) {
+            // Members share a table only when their arguments cannot
+            // fail, so only an event that breaks its stream's schema gets
+            // here: it is an error for every member that admitted it.
+            let message = match &e {
+                Error::Type(m) => m.clone(),
+                other => other.to_string(),
+            };
+            let mut first = Some(e);
+            for m in self.members.iter_mut().filter(|m| m.admitted) {
+                m.failed = Some(first.take().unwrap_or_else(|| Error::Type(message.clone())));
+            }
+            return;
+        }
+        for m in self.members.iter_mut().filter(|m| m.admitted) {
+            if let Err(e) = m.on_fold(&self.store, ps, event.timestamp) {
+                m.failed = Some(e);
+            }
+        }
+    }
+
+    /// Hand `wm` to each member `j` for which `take(j, its watermark_due)`
+    /// holds, then prune the panes every member is past.
+    pub(crate) fn on_watermark(&mut self, wm: TimestampMs, take: impl Fn(usize, i64) -> bool) {
+        let mut stepped = false;
+        for (j, m) in self.members.iter_mut().enumerate() {
+            if take(j, m.watermark_due()) {
+                stepped = true;
+                if let Err(e) = m.on_watermark(&self.store, wm) {
+                    m.failed = Some(e);
+                }
+            }
+        }
+        if stepped {
+            let floor = self.members.iter().map(|m| m.floor).min().unwrap_or(i64::MAX);
+            self.store.prune_below(floor);
+        }
+    }
+
+    /// The earliest watermark some member has something due at.
+    pub(crate) fn watermark_due(&self) -> i64 {
+        self.members.iter().map(TimeWindows::watermark_due).min().unwrap_or(i64::MAX)
+    }
+
+    /// Move `other`'s aggregates in as members if they read the same
+    /// panes: both tables shareable, same pane width and group-by, and
+    /// this one holding no pane yet — so a newcomer never sees an event
+    /// it would not have seen alone. Returns whether they moved.
+    pub(crate) fn join(&mut self, other: &mut PaneTable) -> bool {
+        let fits = self.shareable
+            && other.shareable
+            && self.store.pane_ms == other.store.pane_ms
+            && self.store.group_fields == other.store.group_fields
+            && self.store.is_empty();
+        if !fits {
+            return false;
+        }
+        let columns = std::mem::take(&mut other.store.columns);
+        let at: Vec<usize> = columns.into_iter().map(|col| self.column(col)).collect();
+        for mut m in other.members.drain(..) {
+            for c in &mut m.cols {
+                *c = at[*c];
+            }
+            self.members.push(m);
+        }
+        true
+    }
+
+    /// The index of `col` among the table's columns, added if new.
+    fn column(&mut self, col: Column) -> usize {
+        let columns = &mut self.store.columns;
+        match columns.iter().position(|(f, a)| *f == col.0 && a.same(&col.1)) {
+            Some(c) => c,
+            None => {
+                columns.push(col);
+                columns.len() - 1
+            }
+        }
+    }
+
+    /// One member's counters.
+    pub(crate) fn member_stats(&self, j: usize) -> OpStats {
+        self.members[j].stats
+    }
+
+    /// Retained items: pane cells (once, however many members read them)
+    /// plus each member's emitted-row memory.
+    pub(crate) fn state_size(&self) -> usize {
+        self.store.state_size()
+            + self
+                .members
+                .iter()
+                .map(|m| m.emitted.values().map(HashMap::len).sum::<usize>())
+                .sum::<usize>()
+    }
+}
+
+/// Per-group count/session window state.
 struct SessionState {
     accs: Vec<Acc>,
     first_ts: TimestampMs,
     last_ts: TimestampMs,
 }
 
+/// Count and session windows: per group, one running accumulator row.
+#[derive(Default)]
+struct KeyedWindows {
+    group_fields: Vec<usize>,
+    columns: Vec<Column>,
+    open: HashMap<Vec<Value>, SessionState>,
+    counts: HashMap<Vec<Value>, usize>,
+    key: Vec<Value>,
+    inputs: Vec<Option<Value>>,
+    seq: u64,
+    emit_seq: u64,
+}
+
+impl KeyedWindows {
+    fn emit(&mut self, schema: &Arc<Schema>, group: &[Value], st: &SessionState, end: TimestampMs, out: &mut Vec<Event>) {
+        self.emit_seq += 1;
+        let record = window_row(group, st.first_ts, end, &st.accs);
+        out.push(delta(self.emit_seq, record, end, schema, false));
+    }
+
+    fn on_event(&mut self, window: WindowSpec, schema: &Arc<Schema>, event: &Event, out: &mut Vec<Event>) -> Result<()> {
+        self.seq += 1;
+        let seq = self.seq;
+        load(&event.payload, &self.group_fields, &self.columns, &mut self.key, &mut self.inputs)?;
+        let group = self.key.clone();
+        let ts = event.timestamp;
+        match window {
+            WindowSpec::CountTumbling { count } => {
+                let st = self.open.entry(group.clone()).or_insert_with(|| SessionState {
+                    accs: fresh_row(&self.columns),
+                    first_ts: ts,
+                    last_ts: ts,
+                });
+                fold(&mut st.accs, &self.inputs, ts, seq)?;
+                st.last_ts = st.last_ts.max(ts);
+                let n = self.counts.entry(group.clone()).or_insert(0);
+                *n += 1;
+                if *n >= count {
+                    let st = self.open.remove(&group).expect("state exists");
+                    self.counts.remove(&group);
+                    self.emit(schema, &group, &st, st.last_ts, out);
+                }
+            }
+            WindowSpec::Session { gap_ms } => {
+                // Close the running session first if the gap has lapsed.
+                if let Some(st) = self.open.get(&group) {
+                    if ts.since(st.last_ts) > gap_ms {
+                        let st = self.open.remove(&group).expect("state exists");
+                        self.emit(schema, &group, &st, st.last_ts.plus(gap_ms), out);
+                    }
+                }
+                let st = self.open.entry(group).or_insert_with(|| SessionState {
+                    accs: fresh_row(&self.columns),
+                    first_ts: ts,
+                    last_ts: ts,
+                });
+                fold(&mut st.accs, &self.inputs, ts, seq)?;
+                st.first_ts = st.first_ts.min(ts);
+                st.last_ts = st.last_ts.max(ts);
+            }
+            WindowSpec::Tumbling { .. } | WindowSpec::Sliding { .. } => unreachable!("time windows use panes"),
+        }
+        Ok(())
+    }
+
+    /// Session windows: close every session the watermark has outrun.
+    fn close_sessions(&mut self, gap_ms: i64, schema: &Arc<Schema>, wm: TimestampMs, out: &mut Vec<Event>) {
+        let mut expired: Vec<Vec<Value>> = self
+            .open
+            .iter()
+            .filter(|(_, st)| wm.since(st.last_ts) > gap_ms)
+            .map(|(g, _)| g.clone())
+            .collect();
+        expired.sort();
+        for g in expired {
+            let st = self.open.remove(&g).expect("state exists");
+            self.emit(schema, &g, &st, st.last_ts.plus(gap_ms), out);
+        }
+    }
+}
+
+/// What a [`WindowAggregateOp`] runs on.
+enum Body {
+    /// Tumbling and sliding windows: a pane table with this aggregate as
+    /// its one member.
+    Time(PaneTable),
+    /// Count and session windows.
+    Keyed(KeyedWindows),
+}
+
 /// The windowed aggregation operator.
 pub struct WindowAggregateOp {
     window: WindowSpec,
-    mode: AggMode,
-    group_fields: Vec<usize>,
-    /// (spec, resolved argument source).
-    aggs: Vec<(AggSpec, AggInput)>,
-    out_schema: Arc<Schema>,
-
-    // Time-window state (keyed by pane start).
-    panes: BTreeMap<i64, HashMap<Vec<Value>, Vec<Acc>>>,
-    raw: BTreeMap<i64, Vec<RawRow>>,
-    /// Windows starting before this are already emitted (late boundary).
-    next_window_start: i64,
-    started: bool,
-
-    // Speculative state.
     consistency: ConsistencyLevel,
-    /// Last emitted row per (window start, group) — kept until the window
-    /// is final so a reopen knows what to retract.
-    emitted: BTreeMap<i64, HashMap<Vec<Value>, Record>>,
-    /// Highest event timestamp seen (speculative emission frontier).
-    max_event_ts: i64,
-    /// Highest watermark seen (finality horizon).
-    final_wm: i64,
-
-    // Count/session state.
-    count_state: HashMap<Vec<Value>, SessionState>,
-    counts: HashMap<Vec<Value>, usize>,
-
-    /// The current event's group key and aggregate inputs, reused across
-    /// events so a fold into an existing cell allocates nothing.
-    key: Vec<Value>,
-    inputs: Vec<Option<Value>>,
-
-    seq: u64,
-    emit_seq: u64,
+    out_schema: Arc<Schema>,
+    body: Body,
     /// Late (dropped) events — observability.
     pub late_events: u64,
     /// Late events admitted into already-emitted windows (speculative).
@@ -471,7 +1087,7 @@ impl WindowAggregateOp {
         }
         out_fields.push(FieldDef::required("window_start", DataType::Timestamp));
         out_fields.push(FieldDef::required("window_end", DataType::Timestamp));
-        let mut agg_cols = Vec::with_capacity(aggs.len());
+        let mut columns: Vec<Column> = Vec::with_capacity(aggs.len());
         for spec in aggs {
             let (arg, ft) = match (&spec.expr, &spec.field) {
                 (Some(e), _) => {
@@ -501,28 +1117,63 @@ impl WindowAggregateOp {
                 spec.out_name.clone(),
                 spec.func.output_type(ft),
             ));
-            agg_cols.push((spec, arg));
+            columns.push((spec.func, arg));
         }
+        let out_schema = Schema::new(out_fields)?;
+        let body = match window {
+            WindowSpec::Tumbling { width_ms } | WindowSpec::Sliding { width_ms, .. } => {
+                let slide = window.pane_ms().expect("time window has panes");
+                let shareable = mode == AggMode::Incremental
+                    && columns.iter().all(|(f, a)| infallible(*f, a, input));
+                let mut table = PaneTable {
+                    store: PaneStore {
+                        mode,
+                        pane_ms: slide,
+                        group_fields,
+                        columns: Vec::new(),
+                        cells: BTreeMap::new(),
+                        raw: BTreeMap::new(),
+                        key: Vec::new(),
+                        inputs: Vec::new(),
+                        seq: 0,
+                    },
+                    members: Vec::new(),
+                    shareable,
+                };
+                let cols = columns.into_iter().map(|col| table.column(col)).collect();
+                table.members.push(TimeWindows {
+                    width: width_ms,
+                    slide,
+                    consistency: ConsistencyLevel::default(),
+                    cols,
+                    out_schema: Arc::clone(&out_schema),
+                    next_window_start: i64::MIN,
+                    started: false,
+                    emitted: BTreeMap::new(),
+                    max_event_ts: i64::MIN,
+                    final_wm: i64::MIN,
+                    floor: i64::MIN,
+                    emit_seq: 0,
+                    stats: OpStats::default(),
+                    admitted: false,
+                    rows: Vec::new(),
+                    failed: None,
+                });
+                Body::Time(table)
+            }
+            WindowSpec::CountTumbling { .. } | WindowSpec::Session { .. } => {
+                Body::Keyed(KeyedWindows {
+                    group_fields,
+                    columns,
+                    ..KeyedWindows::default()
+                })
+            }
+        };
         Ok(WindowAggregateOp {
             window,
-            mode,
-            group_fields,
-            aggs: agg_cols,
-            out_schema: Schema::new(out_fields)?,
-            panes: BTreeMap::new(),
-            raw: BTreeMap::new(),
-            next_window_start: i64::MIN,
-            started: false,
             consistency: ConsistencyLevel::default(),
-            emitted: BTreeMap::new(),
-            max_event_ts: i64::MIN,
-            final_wm: i64::MIN,
-            count_state: HashMap::new(),
-            counts: HashMap::new(),
-            key: Vec::new(),
-            inputs: Vec::new(),
-            seq: 0,
-            emit_seq: 0,
+            out_schema,
+            body,
             late_events: 0,
             late_admitted: 0,
             pane_reopens: 0,
@@ -535,6 +1186,9 @@ impl WindowAggregateOp {
     /// [`ConsistencyLevel::Watermark`].
     pub fn with_consistency(mut self, level: ConsistencyLevel) -> WindowAggregateOp {
         self.consistency = level;
+        if let Body::Time(table) = &mut self.body {
+            table.members[0].consistency = level;
+        }
         self
     }
 
@@ -543,384 +1197,73 @@ impl WindowAggregateOp {
         self.consistency
     }
 
-    /// Evaluate `rec`'s group key and aggregate inputs into the reused
-    /// buffers — every input before any accumulator sees one, so an
-    /// evaluation error leaves the window state untouched.
-    fn load(&mut self, rec: &Record) -> Result<()> {
-        self.key.clear();
-        self.key
-            .extend(self.group_fields.iter().map(|i| rec.get(*i).cloned().unwrap_or(Value::Null)));
-        self.inputs.clear();
-        for (_, arg) in &self.aggs {
-            self.inputs.push(match arg {
-                AggInput::Star => None,
-                AggInput::Field(i) => Some(rec.get(*i).cloned().unwrap_or(Value::Null)),
-                AggInput::Computed(c) => Some(c.eval(rec)?),
-            });
+    /// The pane table, if other queries' aggregates may share it (see
+    /// [`PaneTable::join`]); the operator is left without state and must
+    /// not be used again.
+    pub(crate) fn take_shareable_table(&mut self) -> Option<PaneTable> {
+        match &self.body {
+            Body::Time(table) if table.shareable => {}
+            _ => return None,
         }
-        Ok(())
-    }
-
-    /// Width and slide of a time window (`None` for count/session).
-    fn time_window_dims(&self) -> Option<(i64, i64)> {
-        match self.window {
-            WindowSpec::Tumbling { width_ms } => Some((width_ms, width_ms)),
-            WindowSpec::Sliding { width_ms, slide_ms } => Some((width_ms, slide_ms)),
-            _ => None,
+        match std::mem::replace(&mut self.body, Body::Keyed(KeyedWindows::default())) {
+            Body::Time(table) => Some(table),
+            Body::Keyed(_) => unreachable!("matched above"),
         }
     }
+}
 
-    /// Assemble one output row.
-    fn result_record(&self, group: &[Value], start: TimestampMs, end: TimestampMs, accs: &[Acc]) -> Record {
-        let mut values: Vec<Value> = group.to_vec();
-        values.push(Value::Timestamp(start));
-        values.push(Value::Timestamp(end));
-        for a in accs {
-            values.push(a.finalize());
-        }
-        Record::new(values)
-    }
-
-    /// Emit one delta (insert or retraction) with a fresh output id.
-    fn emit_record(&mut self, record: Record, end: TimestampMs, retraction: bool, out: &mut Vec<Event>) {
-        self.emit_seq += 1;
-        let mut e = Event::new(
-            EventId(self.emit_seq),
-            "window",
-            end,
-            record,
-            Arc::clone(&self.out_schema),
-        );
-        e.retraction = retraction;
-        if retraction {
-            self.retractions += 1;
-        }
-        out.push(e);
-    }
-
-    fn emit(
-        &mut self,
-        group: &[Value],
-        start: TimestampMs,
-        end: TimestampMs,
-        accs: &[Acc],
-        out: &mut Vec<Event>,
-    ) {
-        let record = self.result_record(group, start, end, accs);
-        self.emit_record(record, end, false, out);
-    }
-
-    /// All groups' accumulators for the window `[s, s + width)`.
-    fn window_groups(&self, s: i64, width: i64) -> Result<HashMap<Vec<Value>, Vec<Acc>>> {
-        let mut merged: HashMap<Vec<Value>, Vec<Acc>> = HashMap::new();
-        match self.mode {
-            AggMode::Incremental => {
-                for (_, groups) in self.panes.range(s..s + width) {
-                    for (g, accs) in groups {
-                        let entry = cell(&mut merged, g, &self.aggs);
-                        for (m, a) in entry.iter_mut().zip(accs) {
-                            m.merge(a);
-                        }
-                    }
-                }
-            }
-            AggMode::Recompute => {
-                for (_, rows) in self.raw.range(s..s + width) {
-                    for (g, inputs, ts, seq) in rows {
-                        fold(cell(&mut merged, g, &self.aggs), inputs, *ts, *seq)?;
-                    }
-                }
-            }
-        }
-        Ok(merged)
-    }
-
-    /// One group's accumulators for the window `[s, s + width)`.
-    fn window_group_accs(&self, s: i64, width: i64, group: &[Value]) -> Result<Vec<Acc>> {
-        let mut accs = fresh_accs(&self.aggs);
-        match self.mode {
-            AggMode::Incremental => {
-                for (_, groups) in self.panes.range(s..s + width) {
-                    if let Some(part) = groups.get(group) {
-                        for (m, a) in accs.iter_mut().zip(part) {
-                            m.merge(a);
-                        }
-                    }
-                }
-            }
-            AggMode::Recompute => {
-                for (_, rows) in self.raw.range(s..s + width) {
-                    for (g, inputs, ts, seq) in rows {
-                        if g.as_slice() == group {
-                            fold(&mut accs, inputs, *ts, *seq)?;
-                        }
-                    }
-                }
-            }
-        }
-        Ok(accs)
-    }
-
-    /// The oldest retained pane starting at or after `lower`.
-    fn first_pane_from(&self, lower: i64) -> Option<i64> {
-        match self.mode {
-            AggMode::Incremental => self.panes.range(lower..).next().map(|(ps, _)| *ps),
-            AggMode::Recompute => self.raw.range(lower..).next().map(|(ps, _)| *ps),
-        }
-    }
-
-    /// Emit every not-yet-emitted window with data ending at or before
-    /// `frontier`, in start order, advancing `next_window_start`.
-    /// Speculative mode records emitted rows (for later retraction);
-    /// Watermark mode does not need to.
-    fn emit_up_to(&mut self, frontier: i64, out: &mut Vec<Event>) -> Result<()> {
-        let (width, slide) = match self.time_window_dims() {
-            Some(dims) => dims,
-            None => return Ok(()),
-        };
-        // Every window left to emit starts at or after next_window_start:
-        // if the first of them is still open, nothing closes (O(1)).
-        if !self.started || frontier.saturating_sub(width) < self.next_window_start {
+impl WindowAggregateOp {
+    /// Move the table's one member's last deltas to `out`, mirror its
+    /// counters, and hand back its error.
+    fn take_step(&mut self, out: &mut Vec<Event>) -> Result<()> {
+        let Body::Time(table) = &mut self.body else {
             return Ok(());
-        }
-        let speculative = self.consistency == ConsistencyLevel::Speculative;
-        // Window starts are multiples of the slide (as are pane starts and
-        // next_window_start, unless it is still i64::MIN). The earliest
-        // window at or after `lower` that holds data is the earliest one
-        // containing the first pane at or after `lower`, so each step
-        // probes the pane map once and never walks empty starts (the
-        // end-of-input flush passes a frontier near i64::MAX).
-        let mut lower = self.next_window_start;
-        while let Some(ps) = self.first_pane_from(lower) {
-            let s = lower.max(ps - width + slide);
-            if s + width > frontier {
-                break;
-            }
-            let start = TimestampMs(s);
-            let end = TimestampMs(s + width);
-            let mut groups: Vec<(Vec<Value>, Vec<Acc>)> =
-                self.window_groups(s, width)?.into_iter().collect();
-            groups.sort_unstable_by(|a, b| a.0.cmp(&b.0));
-            for (g, accs) in groups {
-                let record = self.result_record(&g, start, end, &accs);
-                if speculative {
-                    self.emitted.entry(s).or_default().insert(g, record.clone());
-                }
-                self.emit_record(record, end, false, out);
-            }
-            self.next_window_start = self.next_window_start.max(s + slide);
-            lower = s + slide;
-        }
-        Ok(())
-    }
-
-    fn close_time_windows(&mut self, wm: TimestampMs, out: &mut Vec<Event>) -> Result<()> {
-        let (width, _) = match self.time_window_dims() {
-            Some(dims) => dims,
-            None => return Ok(()),
         };
-        match self.consistency {
-            ConsistencyLevel::Watermark => {
-                self.emit_up_to(wm.0, out)?;
-                // Prune panes whose last containing window (starting at
-                // the pane itself) has been emitted.
-                let boundary = self.next_window_start;
-                prune_below(&mut self.panes, boundary);
-                prune_below(&mut self.raw, boundary);
-            }
-            ConsistencyLevel::Speculative => {
-                self.final_wm = self.final_wm.max(wm.0);
-                // Windows complete by event time were already emitted on
-                // arrival; the watermark may still be ahead of event time
-                // (e.g. an explicit flush), so cover both frontiers.
-                self.emit_up_to(self.max_event_ts.max(wm.0), out)?;
-                // Finality: a pane (and its emitted-row memory) can still
-                // be revised only while some containing window is open,
-                // i.e. while ps + width > final_wm.
-                let boundary = self.final_wm - width + 1;
-                prune_below(&mut self.panes, boundary);
-                prune_below(&mut self.raw, boundary);
-                prune_below(&mut self.emitted, boundary);
-            }
-        }
-        Ok(())
-    }
-
-    /// Speculative mode: after folding an event into pane `ps`, revise
-    /// already-emitted windows the event belongs to (retract stale row,
-    /// insert corrected row), then emit windows newly complete by event
-    /// time.
-    fn speculate(&mut self, ps: i64, group: &[Value], out: &mut Vec<Event>) -> Result<()> {
-        let (width, slide) = self.time_window_dims().expect("time window");
-        let mut reopened = false;
-        // Windows containing pane ps start in (ps - width, ps]; the ones
-        // to revise were emitted (start < next_window_start) and are not
-        // final (end > final_wm). Walk them newest first: an in-order
-        // event's pane lies past every emitted window, so it walks none.
-        let mut s = ps.min(self.next_window_start.saturating_sub(slide));
-        while s > ps - width && s + width > self.final_wm {
-            reopened = true;
-            self.pane_reopens += 1;
-            let start = TimestampMs(s);
-            let end = TimestampMs(s + width);
-            let accs = self.window_group_accs(s, width, group)?;
-            let record = self.result_record(group, start, end, &accs);
-            let prev = self.emitted.entry(s).or_default().get(group).cloned();
-            match prev {
-                Some(old) if old == record => {} // revision was a no-op
-                Some(old) => {
-                    self.emitted
-                        .get_mut(&s)
-                        .expect("slot exists")
-                        .insert(group.to_vec(), record.clone());
-                    self.emit_record(old, end, true, out);
-                    self.emit_record(record, end, false, out);
-                }
-                None => {
-                    // A group this window never emitted: plain insert.
-                    self.emitted
-                        .get_mut(&s)
-                        .expect("slot exists")
-                        .insert(group.to_vec(), record.clone());
-                    self.emit_record(record, end, false, out);
-                }
-            }
-            s -= slide;
-        }
-        if reopened {
-            self.late_admitted += 1;
-        }
-        // Emit windows the new event-time frontier completes.
-        self.emit_up_to(self.max_event_ts, out)
+        let member = &mut table.members[0];
+        out.append(&mut member.rows);
+        let stats = member.stats;
+        self.late_events = stats.late_events;
+        self.late_admitted = stats.late_admitted;
+        self.pane_reopens = stats.pane_reopens;
+        self.retractions = stats.retractions;
+        member.failed.take().map_or(Ok(()), Err)
     }
 }
 
 impl Operator for WindowAggregateOp {
     fn on_event(&mut self, event: &Event, out: &mut Vec<Event>) -> Result<()> {
-        self.seq += 1;
-        let seq = self.seq;
-        match self.window {
-            WindowSpec::Tumbling { .. } | WindowSpec::Sliding { .. } => {
-                let pane_ms = self.window.pane_ms().expect("time window has panes");
-                let (width, _) = self.time_window_dims().expect("time window");
-                let ps = event.timestamp.window_start(pane_ms).0;
-                match self.consistency {
-                    ConsistencyLevel::Watermark => {
-                        // Emission is gated on the watermark, so the
-                        // emitted boundary *is* the finality horizon.
-                        if self.started && ps < self.next_window_start {
-                            self.late_events += 1;
-                            return Ok(());
-                        }
-                    }
-                    ConsistencyLevel::Speculative => {
-                        // Emission runs ahead of the watermark; only drop
-                        // when every containing window is final (the
-                        // latest one ends at ps + width).
-                        if ps + width <= self.final_wm {
-                            self.late_events += 1;
-                            return Ok(());
-                        }
-                    }
-                }
-                self.started = true;
-                self.load(&event.payload)?;
-                let ts = event.timestamp;
-                match self.mode {
-                    AggMode::Incremental => {
-                        let groups = self.panes.entry(ps).or_default();
-                        match groups.get_mut(self.key.as_slice()) {
-                            Some(accs) => fold(accs, &self.inputs, ts, seq)?,
-                            None => {
-                                let accs = groups
-                                    .entry(self.key.clone())
-                                    .or_insert(fresh_accs(&self.aggs));
-                                fold(accs, &self.inputs, ts, seq)?;
-                            }
-                        }
-                    }
-                    AggMode::Recompute => {
-                        let row = (self.key.clone(), self.inputs.clone(), ts, seq);
-                        self.raw.entry(ps).or_default().push(row);
-                    }
-                }
-                if self.consistency == ConsistencyLevel::Speculative {
-                    self.max_event_ts = self.max_event_ts.max(ts.0);
-                    let group = std::mem::take(&mut self.key);
-                    let revised = self.speculate(ps, &group, out);
-                    self.key = group;
-                    revised?;
-                }
+        match &mut self.body {
+            Body::Time(table) => {
+                table.on_event(event);
+                self.take_step(out)
             }
-            WindowSpec::CountTumbling { count } => {
-                self.load(&event.payload)?;
-                let group = self.key.clone();
-                let st = self
-                    .count_state
-                    .entry(group.clone())
-                    .or_insert_with(|| SessionState {
-                        accs: fresh_accs(&self.aggs),
-                        first_ts: event.timestamp,
-                        last_ts: event.timestamp,
-                    });
-                fold(&mut st.accs, &self.inputs, event.timestamp, seq)?;
-                st.last_ts = st.last_ts.max(event.timestamp);
-                let n = self.counts.entry(group.clone()).or_insert(0);
-                *n += 1;
-                if *n >= count {
-                    let st = self.count_state.remove(&group).expect("state exists");
-                    self.counts.remove(&group);
-                    self.emit(&group, st.first_ts, st.last_ts, &st.accs, out);
-                }
-            }
-            WindowSpec::Session { gap_ms } => {
-                self.load(&event.payload)?;
-                let group = self.key.clone();
-                // Close the running session first if the gap has lapsed.
-                if let Some(st) = self.count_state.get(&group) {
-                    if event.timestamp.since(st.last_ts) > gap_ms {
-                        let st = self.count_state.remove(&group).expect("state exists");
-                        self.emit(&group, st.first_ts, st.last_ts.plus(gap_ms), &st.accs, out);
-                    }
-                }
-                let st = self
-                    .count_state
-                    .entry(group)
-                    .or_insert_with(|| SessionState {
-                        accs: fresh_accs(&self.aggs),
-                        first_ts: event.timestamp,
-                        last_ts: event.timestamp,
-                    });
-                fold(&mut st.accs, &self.inputs, event.timestamp, seq)?;
-                st.first_ts = st.first_ts.min(event.timestamp);
-                st.last_ts = st.last_ts.max(event.timestamp);
-            }
+            Body::Keyed(keyed) => keyed.on_event(self.window, &self.out_schema, event, out),
         }
-        Ok(())
     }
 
     fn on_watermark(&mut self, wm: TimestampMs, out: &mut Vec<Event>) -> Result<()> {
-        match self.window {
-            WindowSpec::Tumbling { .. } | WindowSpec::Sliding { .. } => {
-                self.close_time_windows(wm, out)?;
+        match &mut self.body {
+            Body::Time(table) => {
+                table.on_watermark(wm, |_, _| true);
+                self.take_step(out)
             }
-            WindowSpec::Session { gap_ms } => {
-                let expired: Vec<Vec<Value>> = self
-                    .count_state
-                    .iter()
-                    .filter(|(_, st)| wm.since(st.last_ts) > gap_ms)
-                    .map(|(g, _)| g.clone())
-                    .collect();
-                let mut sorted = expired;
-                sorted.sort();
-                for g in sorted {
-                    let st = self.count_state.remove(&g).expect("state exists");
-                    self.emit(&g, st.first_ts, st.last_ts.plus(gap_ms), &st.accs, out);
+            Body::Keyed(keyed) => {
+                if let WindowSpec::Session { gap_ms } = self.window {
+                    keyed.close_sessions(gap_ms, &self.out_schema, wm, out);
                 }
+                Ok(()) // count windows are time-independent
             }
-            WindowSpec::CountTumbling { .. } => {} // time-independent
         }
-        Ok(())
+    }
+
+    fn watermark_due(&self) -> TimestampMs {
+        TimestampMs(match &self.body {
+            Body::Time(table) => table.watermark_due(),
+            Body::Keyed(_) => match self.window {
+                WindowSpec::CountTumbling { .. } => i64::MAX,
+                _ => i64::MIN, // sessions: every watermark may close one
+            },
+        })
     }
 
     fn output_schema(&self) -> Arc<Schema> {
@@ -932,11 +1275,10 @@ impl Operator for WindowAggregateOp {
     }
 
     fn state_size(&self) -> usize {
-        self.panes.values().map(|g| g.len()).sum::<usize>()
-            + self.raw.values().map(|r| r.len()).sum::<usize>()
-            + self.emitted.values().map(|g| g.len()).sum::<usize>()
-            + self.count_state.len()
-            + self.counts.len()
+        match &self.body {
+            Body::Time(table) => table.state_size(),
+            Body::Keyed(keyed) => keyed.open.len() + keyed.counts.len(),
+        }
     }
 
     fn op_stats(&self) -> OpStats {
@@ -945,7 +1287,12 @@ impl Operator for WindowAggregateOp {
             late_admitted: self.late_admitted,
             pane_reopens: self.pane_reopens,
             retractions: self.retractions,
+            overflow_drops: 0,
         }
+    }
+
+    fn as_any_mut(&mut self) -> Option<&mut dyn std::any::Any> {
+        Some(self)
     }
 }
 

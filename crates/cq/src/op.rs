@@ -6,10 +6,13 @@
 //! pipeline as a whole is `Send` so a runtime can own it on a worker
 //! thread.
 
+use std::any::Any;
 use std::sync::Arc;
 
 use evdb_expr::{BoundExpr, CompiledExpr};
 use evdb_types::{Event, Record, Result, Schema, TimestampMs, Value};
+
+use crate::aggregate::{PaneTable, WindowAggregateOp};
 
 /// Per-operator delta/lateness accounting (D9 no-silent-work: every
 /// dropped, admitted-late or retracted datum is counted somewhere).
@@ -24,6 +27,9 @@ pub struct OpStats {
     pub pane_reopens: u64,
     /// Retraction deltas emitted.
     pub retractions: u64,
+    /// Partial pattern matches dropped because a matcher hit its
+    /// `max_runs` cap.
+    pub overflow_drops: u64,
 }
 
 impl OpStats {
@@ -33,6 +39,7 @@ impl OpStats {
         self.late_admitted += other.late_admitted;
         self.pane_reopens += other.pane_reopens;
         self.retractions += other.retractions;
+        self.overflow_drops += other.overflow_drops;
     }
 }
 
@@ -45,6 +52,15 @@ pub trait Operator: Send {
     /// any more". Windowed operators close and emit here. Default: no-op.
     fn on_watermark(&mut self, _wm: TimestampMs, _out: &mut Vec<Event>) -> Result<()> {
         Ok(())
+    }
+
+    /// The smallest watermark at which [`on_watermark`](Self::on_watermark)
+    /// could emit or change state, given the state as it is now: below
+    /// it a watermark is a no-op and a [`Pipeline`] skips it (D15).
+    /// `TimestampMs(i64::MAX)` means nothing is due. Default: every
+    /// watermark is due.
+    fn watermark_due(&self) -> TimestampMs {
+        TimestampMs(i64::MIN)
     }
 
     /// Schema of this operator's output events.
@@ -74,13 +90,84 @@ pub trait Operator: Send {
     fn batch_predicate(&self) -> Option<&CompiledExpr> {
         None
     }
+
+    /// This operator as [`Any`], for operators the runtime may route
+    /// specially: a [`WindowAggregateOp`] at a pipeline's head can share
+    /// its pane table with other queries (DESIGN.md D5). Default: none.
+    fn as_any_mut(&mut self) -> Option<&mut dyn Any> {
+        None
+    }
 }
 
 /// A linear chain of operators.
 pub struct Pipeline {
+    /// The stages, head first. Empty only for the operators a shared pane
+    /// table left behind ([`Pipeline::take_shared_head`]): an empty
+    /// pipeline passes its input through.
     ops: Vec<Box<dyn Operator>>,
-    /// Scratch buffers reused across pushes to avoid per-event allocation.
+    /// Scratch buffers between stages, reused across calls; the last
+    /// stage writes straight into the caller's buffer.
     bufs: (Vec<Event>, Vec<Event>),
+    /// The earliest [`Operator::watermark_due`] over the stages, refreshed
+    /// after every call that can change one.
+    due: TimestampMs,
+}
+
+/// Run the events in `a` through `stages`, each handling `wm` (if any)
+/// after its input, so events a stage emits on the watermark reach the
+/// next stage before the watermark does. The last stage appends to
+/// `out`; `a` and `b` are scratch.
+fn flow(
+    stages: &mut [Box<dyn Operator>],
+    a: &mut Vec<Event>,
+    b: &mut Vec<Event>,
+    wm: Option<TimestampMs>,
+    out: &mut Vec<Event>,
+) -> Result<()> {
+    let Some((last, init)) = stages.split_last_mut() else {
+        out.append(a);
+        return Ok(());
+    };
+    for op in init {
+        b.clear();
+        for ev in a.drain(..) {
+            op.on_event(&ev, b)?;
+        }
+        if let Some(wm) = wm {
+            op.on_watermark(wm, b)?;
+        }
+        std::mem::swap(a, b);
+    }
+    for ev in a.drain(..) {
+        last.on_event(&ev, out)?;
+    }
+    if let Some(wm) = wm {
+        last.on_watermark(wm, out)?;
+    }
+    Ok(())
+}
+
+/// One event into `stages`: the first takes it by reference, the rest
+/// through [`flow`].
+fn enter(
+    stages: &mut [Box<dyn Operator>],
+    event: &Event,
+    a: &mut Vec<Event>,
+    b: &mut Vec<Event>,
+    out: &mut Vec<Event>,
+) -> Result<()> {
+    match stages.split_first_mut() {
+        None => {
+            out.push(event.clone());
+            Ok(())
+        }
+        Some((only, [])) => only.on_event(event, out),
+        Some((first, rest)) => {
+            a.clear();
+            first.on_event(event, a)?;
+            flow(rest, a, b, None, out)
+        }
+    }
 }
 
 impl Pipeline {
@@ -89,10 +176,13 @@ impl Pipeline {
     /// compiler guarantees it; hand-built pipelines should test it).
     pub fn new(ops: Vec<Box<dyn Operator>>) -> Pipeline {
         assert!(!ops.is_empty(), "pipeline needs at least one operator");
-        Pipeline {
+        let mut p = Pipeline {
             ops,
             bufs: (Vec::new(), Vec::new()),
-        }
+            due: TimestampMs(i64::MIN),
+        };
+        p.refresh_due();
+        p
     }
 
     /// Schema of the pipeline's output.
@@ -114,19 +204,28 @@ impl Pipeline {
         total
     }
 
+    fn refresh_due(&mut self) {
+        self.due = self
+            .ops
+            .iter()
+            .map(|op| op.watermark_due())
+            .min()
+            .unwrap_or(TimestampMs(i64::MAX));
+    }
+
     /// Push one event through every stage; returns derived events.
     pub fn push(&mut self, event: &Event) -> Result<Vec<Event>> {
+        let mut out = Vec::new();
+        self.push_into(event, &mut out)?;
+        Ok(out)
+    }
+
+    /// [`push`](Self::push), appending the derived events to `out`.
+    pub fn push_into(&mut self, event: &Event, out: &mut Vec<Event>) -> Result<()> {
         let (a, b) = &mut self.bufs;
-        a.clear();
-        b.clear();
-        self.ops[0].on_event(event, a)?;
-        for op in self.ops.iter_mut().skip(1) {
-            for ev in a.drain(..) {
-                op.on_event(&ev, b)?;
-            }
-            std::mem::swap(a, b);
-        }
-        Ok(std::mem::take(a))
+        let result = enter(&mut self.ops, event, a, b, out);
+        self.refresh_due();
+        result
     }
 
     /// Push an event the caller has already verified against the head
@@ -134,17 +233,18 @@ impl Pipeline {
     /// skipped (a pure filter passes the event through unchanged on
     /// true, so this is exactly `push` minus the redundant re-check).
     pub fn push_verified(&mut self, event: &Event) -> Result<Vec<Event>> {
+        let mut out = Vec::new();
+        self.push_verified_into(event, &mut out)?;
+        Ok(out)
+    }
+
+    /// [`push_verified`](Self::push_verified), appending the derived
+    /// events to `out`. The event enters the second stage by reference.
+    pub fn push_verified_into(&mut self, event: &Event, out: &mut Vec<Event>) -> Result<()> {
         let (a, b) = &mut self.bufs;
-        a.clear();
-        b.clear();
-        a.push(event.clone());
-        for op in self.ops.iter_mut().skip(1) {
-            for ev in a.drain(..) {
-                op.on_event(&ev, b)?;
-            }
-            std::mem::swap(a, b);
-        }
-        Ok(std::mem::take(a))
+        let result = enter(&mut self.ops[1..], event, a, b, out);
+        self.refresh_due();
+        result
     }
 
     /// The head operator's drop-on-false predicate, if it exposes one
@@ -152,28 +252,63 @@ impl Pipeline {
     /// batched ingest uses to pre-verify events before paying the
     /// per-event push.
     pub fn head_predicate(&self) -> Option<&CompiledExpr> {
-        self.ops[0].batch_predicate()
+        self.ops.first().and_then(|op| op.batch_predicate())
     }
 
     /// Push a watermark through every stage. Events emitted by stage `i`
     /// on the watermark are processed by stages `i+1…` before those
     /// stages see the watermark themselves (in-order delivery).
     pub fn advance_watermark(&mut self, wm: TimestampMs) -> Result<Vec<Event>> {
+        let mut out = Vec::new();
+        self.advance_watermark_into(wm, &mut out)?;
+        Ok(out)
+    }
+
+    /// [`advance_watermark`](Self::advance_watermark), appending the
+    /// derived events to `out`. A watermark below every stage's
+    /// [`Operator::watermark_due`] changes nothing and is skipped.
+    pub fn advance_watermark_into(&mut self, wm: TimestampMs, out: &mut Vec<Event>) -> Result<()> {
+        if wm < self.due {
+            return Ok(());
+        }
         let (a, b) = &mut self.bufs;
         a.clear();
-        b.clear();
-        for (i, op) in self.ops.iter_mut().enumerate() {
-            // Events produced by earlier stages flow through this stage
-            // first…
-            for ev in a.drain(..) {
-                op.on_event(&ev, b)?;
-            }
-            // …then the stage handles the watermark itself.
-            op.on_watermark(wm, b)?;
-            std::mem::swap(a, b);
-            let _ = i;
+        let result = flow(&mut self.ops, a, b, Some(wm), out);
+        self.refresh_due();
+        result
+    }
+
+    /// Feed `rows` — what an upstream stage emitted — through every
+    /// stage, then the watermark if one is given: exactly the stages'
+    /// part of a longer pipeline's push or watermark. `rows` is drained.
+    pub(crate) fn feed_rows_into(
+        &mut self,
+        rows: &mut Vec<Event>,
+        wm: Option<TimestampMs>,
+        out: &mut Vec<Event>,
+    ) -> Result<()> {
+        if rows.is_empty() && wm.is_none_or(|wm| wm < self.due) {
+            return Ok(());
         }
-        Ok(std::mem::take(a))
+        let result = flow(&mut self.ops, rows, &mut self.bufs.1, wm, out);
+        rows.clear();
+        self.refresh_due();
+        result
+    }
+
+    /// Take the head operator's pane table out if it is a shareable
+    /// time-window aggregate (see [`WindowAggregateOp`]), leaving the
+    /// stages after it — possibly none.
+    pub(crate) fn take_shared_head(&mut self) -> Option<PaneTable> {
+        let table = self
+            .ops
+            .first_mut()?
+            .as_any_mut()?
+            .downcast_mut::<WindowAggregateOp>()?
+            .take_shareable_table()?;
+        self.ops.remove(0);
+        self.refresh_due();
+        Some(table)
     }
 }
 
@@ -212,6 +347,10 @@ impl Operator for FilterOp {
         &self.label
     }
 
+    fn watermark_due(&self) -> TimestampMs {
+        TimestampMs(i64::MAX) // stateless
+    }
+
     fn batch_predicate(&self) -> Option<&CompiledExpr> {
         // Stateless drop-on-false: exactly the shape the batched
         // pre-verify is allowed to short-circuit.
@@ -248,6 +387,10 @@ impl Operator for ProjectOp {
         }
         out.push(event.with_payload(Record::new(values), Arc::clone(&self.out_schema)));
         Ok(())
+    }
+
+    fn watermark_due(&self) -> TimestampMs {
+        TimestampMs(i64::MAX) // stateless
     }
 
     fn output_schema(&self) -> Arc<Schema> {

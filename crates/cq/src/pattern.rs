@@ -482,6 +482,13 @@ impl Operator for PatternMatcher {
     fn state_size(&self) -> usize {
         self.runs.len()
     }
+
+    fn op_stats(&self) -> OpStats {
+        OpStats {
+            overflow_drops: self.overflow_drops,
+            ..OpStats::default()
+        }
+    }
 }
 
 /// Out-of-order-safe pattern matching with per-query consistency
@@ -520,6 +527,9 @@ pub struct RevisablePatternMatcher {
     pub late_events: u64,
     /// Out-of-order events / retractions admitted as revisions.
     pub late_admitted: u64,
+    /// Runs the matchers a rebuild replaced dropped at their `max_runs`
+    /// cap (the live matcher counts its own).
+    overflow_drops: u64,
     /// Retraction matches emitted.
     pub retractions: u64,
     label: String,
@@ -546,6 +556,7 @@ impl RevisablePatternMatcher {
             emit_seq: 0,
             late_events: 0,
             late_admitted: 0,
+            overflow_drops: 0,
             retractions: 0,
             label: "revisable_pattern".to_string(),
         })
@@ -586,6 +597,7 @@ impl RevisablePatternMatcher {
         for e in &self.history {
             replayed.extend(fresh.push(e)?);
         }
+        self.overflow_drops += self.inner.overflow_drops;
         self.inner = fresh;
         // Matches ending at or before the watermark are final: they were
         // either already emitted (and pruned from `live`) or can no
@@ -749,6 +761,7 @@ impl Operator for RevisablePatternMatcher {
             late_admitted: self.late_admitted,
             pane_reopens: 0,
             retractions: self.retractions,
+            overflow_drops: self.overflow_drops + self.inner.overflow_drops,
         }
     }
 }
@@ -1014,6 +1027,46 @@ mod tests {
             .collect();
         assert!(counts.contains(&3));
         let _ = (p0, av_idx);
+    }
+
+    #[test]
+    fn runs_past_max_runs_are_dropped_and_counted() {
+        // Every A opens a run that skip-till-any keeps open: with a cap
+        // of 2, each A past the second drops one, and the counter says so
+        // — in the matcher, in its op stats, through the revisable
+        // wrapper and in the runtime's totals.
+        let mut m = PatternMatcher::new(seq_abc(1_000), &schema(), SkipStrategy::SkipTillAny).unwrap();
+        m.max_runs = 2;
+        for ts in 1..=5 {
+            m.push(&ev(ts, "A", 1.0)).unwrap();
+        }
+        assert_eq!(m.active_runs(), 2);
+        assert_eq!(m.overflow_drops, 3);
+        assert_eq!(m.op_stats().overflow_drops, 3);
+
+        let mut r = RevisablePatternMatcher::new(
+            seq_abc(1_000),
+            &schema(),
+            SkipStrategy::SkipTillAny,
+            ConsistencyLevel::Speculative,
+        )
+        .unwrap();
+        r.inner.max_runs = 2;
+        for ts in [2, 3, 4, 5] {
+            r.push(&ev(ts, "A", 1.0)).unwrap();
+        }
+        assert_eq!(r.op_stats().overflow_drops, 2);
+        // A late A rebuilds the matcher from history: the replaced
+        // matcher's drops stay counted beside the rebuilt one's.
+        r.push(&ev(1, "A", 1.0)).unwrap();
+        assert_eq!(r.op_stats().overflow_drops, 2 + 3);
+
+        let rt = crate::runtime::StreamRuntime::new(0);
+        rt.create_stream("s", schema()).unwrap();
+        rt.register_query("p", "s", crate::op::Pipeline::new(vec![Box::new(m)]))
+            .unwrap();
+        rt.push_event(&ev(6, "A", 1.0)).unwrap();
+        assert_eq!(rt.cq_delta_stats().overflow_drops, 4);
     }
 
     #[test]

@@ -5,10 +5,11 @@
 //! different threads (the core crate's cycle, an inline `ingest`) never
 //! serialise on one global mutex: the stream and query *maps* are
 //! behind `RwLock`s (read-mostly — registration is rare, pushes are
-//! constant), while each stream's watermark state and each query's
-//! pipeline live behind their own `Mutex`. Two threads pushing into
-//! different streams never contend; two pushing into the same stream
-//! serialise only on that stream's entry.
+//! constant), while each stream's watermark state and each routing unit
+//! — a query's pipeline, or a pane table shared by windowed aggregates
+//! and the queries reading it — live behind their own `Mutex`. Two
+//! threads pushing into different streams never contend; two pushing
+//! into the same stream serialise only on that stream's entry.
 //!
 //! Watermarks are derived from event time: `max event time seen −
 //! allowed lateness`, advanced on every push, so downstream windows
@@ -19,9 +20,10 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
 use evdb_obs::{Counter, Registry};
-use evdb_types::{Error, Event, EventId, IdGenerator, Record, Result, Schema, TimestampMs};
+use evdb_types::{Error, Event, EventId, IdGenerator, Record, Result, Schema, TimestampMs, Trace};
 use parking_lot::{Mutex, RwLock};
 
+use crate::aggregate::PaneTable;
 use crate::delta::ConsistencyLevel;
 use crate::op::{OpStats, Pipeline};
 
@@ -126,27 +128,196 @@ struct StreamEntry {
     state: Mutex<StreamState>,
 }
 
-/// Mutable per-query state (pipeline + fanout), behind its own lock.
+/// One query's operators and fan-out.
 struct QueryInner {
+    /// The query's registration number ([`QueryEntry::reg`]).
+    reg: u64,
+    /// The whole pipeline — or, for a member of a pane table, the
+    /// operators after its aggregate (possibly none).
     pipeline: Pipeline,
     subscribers: Vec<Subscriber>,
     events_out: u64,
+    /// A table member's deltas for the event being routed, and its first
+    /// error.
+    derived: Vec<Event>,
+    err: Option<Error>,
+}
+
+impl QueryInner {
+    fn new(reg: u64, pipeline: Pipeline) -> QueryInner {
+        QueryInner {
+            reg,
+            pipeline,
+            subscribers: Vec::new(),
+            events_out: 0,
+            derived: Vec::new(),
+            err: None,
+        }
+    }
+
+    /// Pass `rows` — what this member's aggregate emitted — through the
+    /// query's remaining operators into `derived`, then `wm` if given.
+    fn pass(&mut self, rows: &mut Vec<Event>, wm: Option<TimestampMs>) {
+        if self.err.is_some() {
+            rows.clear();
+        } else if let Err(e) = self.pipeline.feed_rows_into(rows, wm, &mut self.derived) {
+            self.err = Some(e);
+        }
+    }
+
+    /// Hand `rows` to the subscribers, stamped with the trace of the
+    /// event whose arrival produced them, if one did (stateful operators
+    /// mint fresh events, losing the input's trace).
+    fn deliver(&mut self, rows: &mut [Event], cause: Option<Trace>, pane_total: &mut u64) {
+        self.events_out += rows.len() as u64;
+        *pane_total += rows.len() as u64;
+        for ev in rows {
+            if let Some(trace) = cause {
+                ev.trace = trace;
+            }
+            for s in &self.subscribers {
+                s(ev);
+            }
+        }
+    }
+
+    /// Settle a table member's step on one event: deliver its rows and
+    /// append them to `slot`, or keep its error there if it is the first.
+    fn finish_member(&mut self, cause: Option<Trace>, slot: &mut Result<Vec<Event>>, pane_total: &mut u64) {
+        match self.err.take() {
+            Some(e) => {
+                self.derived.clear();
+                if slot.is_ok() {
+                    *slot = Err(e);
+                }
+            }
+            None if self.derived.is_empty() => {}
+            None => {
+                let mut rows = std::mem::take(&mut self.derived);
+                self.deliver(&mut rows, cause, pane_total);
+                if let Ok(all) = slot {
+                    all.append(&mut rows);
+                }
+                rows.clear();
+                self.derived = rows;
+            }
+        }
+    }
+}
+
+/// What routing hands events to (D15): one query's pipeline, or a pane
+/// table and the queries whose windows read it (DESIGN.md D5).
+enum UnitState {
+    Query(QueryInner),
+    /// `queries[j]` holds what follows member `j`'s aggregate.
+    Table {
+        table: PaneTable,
+        queries: Vec<QueryInner>,
+    },
+}
+
+impl UnitState {
+    fn queries(&self) -> &[QueryInner] {
+        match self {
+            UnitState::Query(q) => std::slice::from_ref(q),
+            UnitState::Table { queries, .. } => queries,
+        }
+    }
+
+    /// Index of the query registered as `reg` in [`queries`](Self::queries).
+    fn position(&self, reg: u64) -> usize {
+        self.queries().iter().position(|q| q.reg == reg).expect("query present")
+    }
+
+    fn query_mut(&mut self, reg: u64) -> &mut QueryInner {
+        let k = self.position(reg);
+        match self {
+            UnitState::Query(q) => q,
+            UnitState::Table { queries, .. } => &mut queries[k],
+        }
+    }
+
+    /// The delta counters of query `k`: its member's and its operators'.
+    fn stats_at(&self, k: usize) -> OpStats {
+        let mut stats = self.queries()[k].pipeline.op_stats();
+        if let UnitState::Table { table, .. } = self {
+            stats.absorb(&table.member_stats(k));
+        }
+        stats
+    }
+
+    fn op_stats(&self) -> OpStats {
+        let mut total = OpStats::default();
+        for k in 0..self.queries().len() {
+            total.absorb(&self.stats_at(k));
+        }
+        total
+    }
+
+    fn state_size(&self) -> usize {
+        let tables = match self {
+            UnitState::Table { table, .. } => table.state_size(),
+            UnitState::Query(_) => 0,
+        };
+        tables + self.queries().iter().map(|q| q.pipeline.state_size()).sum::<usize>()
+    }
+}
+
+/// A routing unit, behind its own lock.
+struct Unit {
+    state: Mutex<UnitState>,
 }
 
 struct QueryEntry {
     source: String,
     consistency: ConsistencyLevel,
-    /// Registration sequence number: queries observe each event in
-    /// registration order, independent of map iteration order, so the
-    /// concatenation of derived events across queries is deterministic.
+    /// Registration sequence number: units take each event in the order
+    /// their first query registered, independent of map iteration order.
     reg: u64,
-    inner: Mutex<QueryInner>,
+    /// The unit that runs this query.
+    unit: Arc<Unit>,
+}
+
+/// Registered queries and the units that route them.
+#[derive(Default)]
+struct Queries {
+    by_name: HashMap<String, Arc<QueryEntry>>,
+    /// Per source stream, its units in registration order.
+    units: HashMap<String, Vec<Arc<Unit>>>,
+}
+
+/// Settle query `q`'s step on one event: on success deliver the rows
+/// `all[mark..]` (`all` is `slot`'s rows, or `spare` once another query
+/// has failed on the event), on failure drop them and keep the first
+/// error in `slot`.
+fn settle(
+    q: &mut QueryInner,
+    cause: Option<Trace>,
+    result: Result<()>,
+    slot: &mut Result<Vec<Event>>,
+    spare: &mut Vec<Event>,
+    mark: usize,
+    pane_total: &mut u64,
+) {
+    let all = match slot {
+        Ok(all) => all,
+        Err(_) => spare,
+    };
+    match result {
+        Ok(()) => q.deliver(&mut all[mark..], cause, pane_total),
+        Err(e) => {
+            all.truncate(mark);
+            if slot.is_ok() {
+                *slot = Err(e);
+            }
+        }
+    }
 }
 
 /// Owns streams and continuous queries.
 pub struct StreamRuntime {
     streams: RwLock<HashMap<String, Arc<StreamEntry>>>,
-    queries: RwLock<HashMap<String, Arc<QueryEntry>>>,
+    queries: RwLock<Queries>,
     /// Watermark lag: how far behind max event time the watermark trails
     /// (allowed out-of-orderness), milliseconds.
     lateness_ms: i64,
@@ -192,7 +363,7 @@ impl StreamRuntime {
     pub fn new(lateness_ms: i64) -> StreamRuntime {
         StreamRuntime {
             streams: RwLock::new(HashMap::new()),
-            queries: RwLock::new(HashMap::new()),
+            queries: RwLock::new(Queries::default()),
             lateness_ms,
             ids: IdGenerator::default(),
             panes_obs: None,
@@ -217,11 +388,24 @@ impl StreamRuntime {
     /// items (pane groups, join rows, pattern runs) — a window-memory
     /// proxy for observability.
     pub fn window_memory(&self) -> usize {
-        self.queries
-            .read()
-            .values()
-            .map(|q| q.inner.lock().pipeline.state_size())
+        self.all_units()
+            .iter()
+            .map(|u| u.state.lock().state_size())
             .sum()
+    }
+
+    /// Pane tables the runtime routes: one per (stream, pane width,
+    /// group-by) that queries' windowed aggregates share (DESIGN.md D5).
+    pub fn pane_tables(&self) -> usize {
+        self.all_units()
+            .iter()
+            .filter(|u| matches!(*u.state.lock(), UnitState::Table { .. }))
+            .count()
+    }
+
+    /// Every routing unit, cloned out of the map lock.
+    fn all_units(&self) -> Vec<Arc<Unit>> {
+        self.queries.read().units.values().flatten().map(Arc::clone).collect()
     }
 
     /// Declare a named stream.
@@ -275,36 +459,70 @@ impl StreamRuntime {
         &self,
         name: &str,
         source: &str,
-        pipeline: Pipeline,
+        mut pipeline: Pipeline,
         consistency: ConsistencyLevel,
     ) -> Result<()> {
         if self.streams.read().get(source).is_none() {
             return Err(Error::NotFound(format!("stream '{source}'")));
         }
         let mut queries = self.queries.write();
-        if queries.contains_key(name) {
+        if queries.by_name.contains_key(name) {
             return Err(Error::AlreadyExists(format!("query '{name}'")));
         }
-        queries.insert(
+        let reg = self.next_reg.fetch_add(1, Ordering::Relaxed);
+        let units = queries.units.entry(source.to_string()).or_default();
+        let unit = match pipeline.take_shared_head() {
+            Some(table) => Self::join_table(units, table, QueryInner::new(reg, pipeline)),
+            None => {
+                let unit = Arc::new(Unit {
+                    state: Mutex::new(UnitState::Query(QueryInner::new(reg, pipeline))),
+                });
+                units.push(Arc::clone(&unit));
+                unit
+            }
+        };
+        queries.by_name.insert(
             name.to_string(),
             Arc::new(QueryEntry {
                 source: source.to_string(),
                 consistency,
-                reg: self.next_reg.fetch_add(1, Ordering::Relaxed),
-                inner: Mutex::new(QueryInner {
-                    pipeline,
-                    subscribers: Vec::new(),
-                    events_out: 0,
-                }),
+                reg,
+                unit,
             }),
         );
         Ok(())
+    }
+
+    /// Make `query`, whose aggregate runs on `table`, a member of the
+    /// stream's first pane table it can join ([`PaneTable::join`]), or of
+    /// a new one. A table busy routing on another thread is passed over
+    /// rather than waited for: a subscriber may be registering from
+    /// inside it.
+    fn join_table(units: &mut Vec<Arc<Unit>>, mut table: PaneTable, query: QueryInner) -> Arc<Unit> {
+        for unit in units.iter() {
+            let Some(mut state) = unit.state.try_lock() else { continue };
+            if let UnitState::Table { table: shared, queries } = &mut *state {
+                if shared.join(&mut table) {
+                    queries.push(query);
+                    return Arc::clone(unit);
+                }
+            }
+        }
+        let unit = Arc::new(Unit {
+            state: Mutex::new(UnitState::Table {
+                table,
+                queries: vec![query],
+            }),
+        });
+        units.push(Arc::clone(&unit));
+        unit
     }
 
     /// Consistency level a query was registered with.
     pub fn query_consistency(&self, name: &str) -> Result<ConsistencyLevel> {
         self.queries
             .read()
+            .by_name
             .get(name)
             .map(|q| q.consistency)
             .ok_or_else(|| Error::NotFound(format!("query '{name}'")))
@@ -313,13 +531,28 @@ impl StreamRuntime {
     /// Remove a continuous query. Its delta counters are folded into the
     /// retired totals so runtime-wide stats stay monotonic.
     pub fn drop_query(&self, name: &str) -> Result<()> {
-        let entry = self
-            .queries
-            .write()
-            .remove(name)
-            .ok_or_else(|| Error::NotFound(format!("query '{name}'")))?;
-        let stats = entry.inner.lock().pipeline.op_stats();
-        self.retired_stats.lock().absorb(&stats);
+        let entry = {
+            let mut queries = self.queries.write();
+            let entry = queries
+                .by_name
+                .remove(name)
+                .ok_or_else(|| Error::NotFound(format!("query '{name}'")))?;
+            if !queries.by_name.values().any(|q| Arc::ptr_eq(&q.unit, &entry.unit)) {
+                let units = queries.units.get_mut(&entry.source).expect("source has units");
+                units.retain(|u| !Arc::ptr_eq(u, &entry.unit));
+                if units.is_empty() {
+                    queries.units.remove(&entry.source);
+                }
+            }
+            entry
+        };
+        let mut state = entry.unit.state.lock();
+        let k = state.position(entry.reg);
+        self.retired_stats.lock().absorb(&state.stats_at(k));
+        if let UnitState::Table { table, queries } = &mut *state {
+            table.members.remove(k);
+            queries.remove(k);
+        }
         Ok(())
     }
 
@@ -348,19 +581,33 @@ impl StreamRuntime {
     /// (late drops/admissions, pane reopens, retractions — D9).
     pub fn cq_delta_stats(&self) -> OpStats {
         let mut total = *self.retired_stats.lock();
-        for q in self.queries.read().values() {
-            total.absorb(&q.inner.lock().pipeline.op_stats());
+        for unit in self.all_units() {
+            total.absorb(&unit.state.lock().op_stats());
         }
         total
     }
 
+    /// One query's delta/lateness counters: what the same query would
+    /// report registered alone.
+    pub fn query_stats(&self, query: &str) -> Result<OpStats> {
+        let q = self.query_entry(query)?;
+        let state = q.unit.state.lock();
+        Ok(state.stats_at(state.position(q.reg)))
+    }
+
+    fn query_entry(&self, query: &str) -> Result<Arc<QueryEntry>> {
+        self.queries
+            .read()
+            .by_name
+            .get(query)
+            .map(Arc::clone)
+            .ok_or_else(|| Error::NotFound(format!("query '{query}'")))
+    }
+
     /// Attach a subscriber to a query's output.
     pub fn subscribe(&self, query: &str, subscriber: Subscriber) -> Result<()> {
-        let queries = self.queries.read();
-        let q = queries
-            .get(query)
-            .ok_or_else(|| Error::NotFound(format!("query '{query}'")))?;
-        q.inner.lock().subscribers.push(subscriber);
+        let q = self.query_entry(query)?;
+        q.unit.state.lock().query_mut(q.reg).subscribers.push(subscriber);
         Ok(())
     }
 
@@ -502,15 +749,18 @@ impl StreamRuntime {
     ///
     /// Dedup checks and watermark bookkeeping run per event in arrival
     /// order (phase A), one stream lookup per run of same-stream events.
-    /// Routing is then *query-major* (from
-    /// [`QUERY_MAJOR_MIN`] events up): each query's pipeline lock is
-    /// taken once per batch, and — when the query's head operator is a
-    /// pure filter ([`Pipeline::head_predicate`]) — the whole batch is
-    /// pre-verified through the batch VM, so non-matching events skip
-    /// the push entirely (the pipeline still observes their watermarks;
-    /// dropping an event never suppresses pane closes). An event whose
-    /// evaluation errors at query *j* yields that error and is withheld
-    /// from queries after *j*.
+    /// Routing is then *unit-major* (from [`QUERY_MAJOR_MIN`] events
+    /// up), units in the order their first query registered. A unit is a
+    /// query's pipeline — its lock taken once per batch, and, when its
+    /// head operator is a pure filter ([`Pipeline::head_predicate`]), the
+    /// whole batch pre-verified through the batch VM so non-matching
+    /// events skip the push (the pipeline still observes their
+    /// watermarks) — or a pane table shared by windowed aggregates
+    /// ([`PaneTable`]): one fold per event, then each member's own steps.
+    /// A pipeline takes only the watermarks something in it is due at.
+    /// An event that fails at a query costs only that query: every other
+    /// query still sees it, and `out[i]` holds the first error in routing
+    /// order.
     fn feed(
         &self,
         events: &[Event],
@@ -527,10 +777,9 @@ impl StreamRuntime {
             self.admit_run(run, feed, &mut wms, out);
         }
 
-        // Phase B: route, grouped by source then query. Pipelines of
-        // different queries are disjoint state, so query-major order
-        // yields the same `out` and the same per-query delta sequence
-        // as event-major would.
+        // Phase B: route, grouped by source then unit. Units are
+        // disjoint state, so unit-major order yields the same per-query
+        // delta sequence as event-major would.
         let mut sources: Vec<&str> = Vec::new();
         for (ev, wm) in events.iter().zip(&wms) {
             if wm.is_some() && !sources.contains(&ev.source.as_ref()) {
@@ -539,9 +788,10 @@ impl StreamRuntime {
         }
         let mut pane_total = 0u64;
         let mut verdicts: Vec<Result<bool>> = Vec::new();
+        let mut spare = Vec::new();
         for src in sources {
-            let queries = self.queries_for(src);
-            if queries.is_empty() {
+            let units = self.units_for(src);
+            if units.is_empty() {
                 continue;
             }
             // (event index, its watermark) of the stream's routed events.
@@ -552,53 +802,67 @@ impl StreamRuntime {
             // A short batch is routed one event at a time.
             let run = if idxs.len() < QUERY_MAJOR_MIN { 1 } else { idxs.len() };
             for idxs in idxs.chunks(run) {
-                for q in &queries {
-                    let mut inner = q.inner.lock();
-                    let has_pred = inner.pipeline.head_predicate().is_some_and(|pred| {
-                        let payload = |(i, _): &(usize, TimestampMs)| &events[*i].payload;
-                        pred.matches_batch(idxs, payload, scratch, &mut verdicts);
-                        true
-                    });
-                    for (k, &(i, wm)) in idxs.iter().enumerate() {
-                        if out[i].is_err() {
-                            continue; // withheld from queries after the error
-                        }
-                        let event = &events[i];
-                        let passes = if has_pred {
-                            std::mem::replace(&mut verdicts[k], Ok(false))
-                        } else {
-                            Ok(true)
-                        };
-                        let step = passes.and_then(|passes| {
-                            let mut derived = match (passes, has_pred) {
-                                // Head filter drops it: skip the push, keep
-                                // the watermark.
-                                (false, _) => Vec::new(),
-                                (true, true) => inner.pipeline.push_verified(event)?,
-                                (true, false) => inner.pipeline.push(event)?,
-                            };
-                            derived.extend(inner.pipeline.advance_watermark(wm)?);
-                            Ok(derived)
-                        });
-                        match step {
-                            Ok(mut derived) => {
-                                inner.events_out += derived.len() as u64;
-                                pane_total += derived.len() as u64;
-                                for ev in &mut derived {
-                                    // Derived events belong to the trace of
-                                    // the event whose arrival produced them
-                                    // (stateful operators mint fresh events,
-                                    // losing the input's trace).
-                                    ev.trace = event.trace;
-                                    for s in &inner.subscribers {
-                                        s(ev);
+                for unit in &units {
+                    match &mut *unit.state.lock() {
+                        UnitState::Query(q) => {
+                            let has_pred = q.pipeline.head_predicate().is_some_and(|pred| {
+                                let payload = |(i, _): &(usize, TimestampMs)| &events[*i].payload;
+                                pred.matches_batch(idxs, payload, scratch, &mut verdicts);
+                                true
+                            });
+                            for (k, &(i, wm)) in idxs.iter().enumerate() {
+                                let event = &events[i];
+                                let passes = if has_pred {
+                                    std::mem::replace(&mut verdicts[k], Ok(false))
+                                } else {
+                                    Ok(true)
+                                };
+                                // The rows go straight into `out[i]` — or,
+                                // once another query failed on the event,
+                                // a spare buffer: a push allocates nothing.
+                                let all = match &mut out[i] {
+                                    Ok(all) => all,
+                                    Err(_) => {
+                                        spare.clear();
+                                        &mut spare
                                     }
+                                };
+                                let mark = all.len();
+                                let step = passes.and_then(|passes| {
+                                    match (passes, has_pred) {
+                                        // Head filter drops it: skip the
+                                        // push, keep the watermark.
+                                        (false, _) => {}
+                                        (true, true) => q.pipeline.push_verified_into(event, all)?,
+                                        (true, false) => q.pipeline.push_into(event, all)?,
+                                    }
+                                    q.pipeline.advance_watermark_into(wm, all)
+                                });
+                                let cause = Some(event.trace);
+                                settle(q, cause, step, &mut out[i], &mut spare, mark, &mut pane_total);
+                            }
+                        }
+                        UnitState::Table { table, queries } => {
+                            for &(i, wm) in idxs {
+                                let event = &events[i];
+                                table.on_event(event);
+                                for (q, m) in queries.iter_mut().zip(&mut table.members) {
+                                    q.err = m.failed.take();
+                                    q.pass(&mut m.rows, None);
                                 }
-                                if let Ok(all) = &mut out[i] {
-                                    all.extend(derived);
+                                // Only members with something due take the
+                                // watermark; one that failed on the event
+                                // skips it, as a pipeline whose push failed
+                                // does.
+                                table.on_watermark(wm, |j, due| wm.0 >= due && queries[j].err.is_none());
+                                for (q, m) in queries.iter_mut().zip(&mut table.members) {
+                                    if q.err.is_none() {
+                                        q.err = m.failed.take();
+                                    }
+                                    q.pass(&mut m.rows, Some(wm));
+                                    q.finish_member(Some(event.trace), &mut out[i], &mut pane_total);
                                 }
                             }
-                            Err(e) => out[i] = Err(e),
                         }
                     }
                 }
@@ -617,38 +881,44 @@ impl StreamRuntime {
             .ok_or_else(|| Error::NotFound(format!("stream '{name}'")))
     }
 
-    /// Queries reading from `source`, cloned out so the map lock is not
-    /// held while pipelines run. Sorted by registration order: every
-    /// event flows through queries in the order they were registered,
-    /// so derived-event concatenation is deterministic.
-    fn queries_for(&self, source: &str) -> Vec<Arc<QueryEntry>> {
-        let mut qs: Vec<Arc<QueryEntry>> = self
-            .queries
-            .read()
-            .values()
-            .filter(|q| q.source == source)
-            .map(Arc::clone)
-            .collect();
-        qs.sort_unstable_by_key(|q| q.reg);
-        qs
+    /// The units routing `source`, in registration order, cloned out so
+    /// the map lock is not held while they run.
+    fn units_for(&self, source: &str) -> Vec<Arc<Unit>> {
+        self.queries.read().units.get(source).cloned().unwrap_or_default()
     }
 
     /// Force every query on `stream` to observe a watermark (e.g. at end
-    /// of input, to flush trailing windows).
+    /// of input, to flush trailing windows). Every query sees it; the
+    /// first error, if any, is returned.
     pub fn flush(&self, stream: &str, wm: TimestampMs) -> Result<Vec<Event>> {
-        let mut all = Vec::new();
-        for q in self.queries_for(stream) {
-            let mut inner = q.inner.lock();
-            let derived = inner.pipeline.advance_watermark(wm)?;
-            inner.events_out += derived.len() as u64;
-            for ev in &derived {
-                for s in &inner.subscribers {
-                    s(ev);
+        let mut out = Ok(Vec::new());
+        let mut spare = Vec::new();
+        let mut flushed = 0u64;
+        for unit in self.units_for(stream) {
+            match &mut *unit.state.lock() {
+                UnitState::Query(q) => {
+                    let all = match &mut out {
+                        Ok(all) => all,
+                        Err(_) => {
+                            spare.clear();
+                            &mut spare
+                        }
+                    };
+                    let mark = all.len();
+                    let step = q.pipeline.advance_watermark_into(wm, all);
+                    settle(q, None, step, &mut out, &mut spare, mark, &mut flushed);
+                }
+                UnitState::Table { table, queries } => {
+                    table.on_watermark(wm, |_, due| wm.0 >= due);
+                    for (q, m) in queries.iter_mut().zip(&mut table.members) {
+                        q.err = m.failed.take();
+                        q.pass(&mut m.rows, Some(wm));
+                        q.finish_member(None, &mut out, &mut flushed);
+                    }
                 }
             }
-            all.extend(derived);
         }
-        Ok(all)
+        out
     }
 
     /// (events in, events out) counters for observability.
@@ -660,10 +930,9 @@ impl StreamRuntime {
             .map(|s| s.state.lock().events_in)
             .sum();
         let events_out = self
-            .queries
-            .read()
-            .values()
-            .map(|q| q.inner.lock().events_out)
+            .all_units()
+            .iter()
+            .map(|u| u.state.lock().queries().iter().map(|q| q.events_out).sum::<u64>())
             .sum();
         (events_in, events_out)
     }

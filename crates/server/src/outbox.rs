@@ -120,6 +120,8 @@ struct State {
     closing: bool,
     /// A write failed: the peer is gone and queued frames are void.
     dead: bool,
+    /// Replies parked in [`Outbox::reply`] until the writer makes room.
+    replies_waiting: usize,
 }
 
 /// One connection's outbound buffer; see the module docs.
@@ -153,6 +155,7 @@ impl Outbox {
                 writer_owns: false,
                 closing: false,
                 dead: false,
+                replies_waiting: 0,
             }),
             changed: Condvar::new(),
             cap: cap.max(1),
@@ -169,7 +172,9 @@ impl Outbox {
         let mut st = self.state.lock();
         while st.frames >= self.cap && !st.closing && !st.dead {
             if st.writer_owns {
+                st.replies_waiting += 1;
                 st = self.changed.wait(st);
+                st.replies_waiting -= 1;
             } else {
                 self.flush_locked(&mut st);
             }
@@ -322,11 +327,52 @@ mod tests {
     use std::net::TcpListener;
     use std::time::{Duration, Instant};
 
-    /// A connected loopback pair: (the server's half, the peer's half).
+    /// Fix a socket's buffer size (`SO_SNDBUF` / `SO_RCVBUF`). A size
+    /// set by hand is never grown by the kernel's autotuning, which would
+    /// otherwise let a stalled writer's blocked write finish — and free
+    /// outbox room — while the peer reads nothing.
+    #[cfg(any(target_os = "linux", target_os = "android"))]
+    fn pin_buffer(stream: &TcpStream, option: std::ffi::c_int, bytes: std::ffi::c_int) {
+        use std::ffi::{c_int, c_void};
+        use std::os::fd::AsRawFd;
+
+        extern "C" {
+            fn setsockopt(
+                fd: c_int,
+                level: c_int,
+                name: c_int,
+                value: *const c_void,
+                len: u32,
+            ) -> c_int;
+        }
+        const SOL_SOCKET: c_int = 1;
+        // SAFETY: the descriptor is borrowed open for the call, and
+        // `value` points at a live `c_int` of the length passed.
+        let rc = unsafe {
+            setsockopt(
+                stream.as_raw_fd(),
+                SOL_SOCKET,
+                option,
+                (&bytes as *const c_int).cast(),
+                std::mem::size_of::<c_int>() as u32,
+            )
+        };
+        assert_eq!(rc, 0, "{}", io::Error::last_os_error());
+    }
+
+    /// A connected loopback pair: (the server's half, the peer's half),
+    /// with our send and the peer's receive buffer pinned.
     fn socket_pair() -> (TcpStream, TcpStream) {
         let listener = TcpListener::bind("127.0.0.1:0").unwrap();
         let peer = TcpStream::connect(listener.local_addr().unwrap()).unwrap();
         let (ours, _) = listener.accept().unwrap();
+        #[cfg(any(target_os = "linux", target_os = "android"))]
+        {
+            const SO_SNDBUF: std::ffi::c_int = 7;
+            const SO_RCVBUF: std::ffi::c_int = 8;
+            pin_buffer(&ours, SO_SNDBUF, 64 * 1024);
+            pin_buffer(&peer, SO_RCVBUF, 64 * 1024);
+        }
         peer.set_read_timeout(Some(Duration::from_secs(10)))
             .unwrap();
         (ours, peer)
@@ -536,16 +582,27 @@ mod tests {
             assert!(queued <= sent + 2 * CAP, "nothing was ever shed");
         }
         assert_eq!(rig.push("UPDATE q + shed"), Push::Shed);
-        // A reply is not shed: it waits for room.
+        // A reply is not shed: it waits for room. It is seen parked on
+        // the outbox with the cap still full, its frame not appended.
         let replier = {
             let out = Arc::clone(&rig.out);
             std::thread::spawn(move || out.reply("OK after the backlog"))
         };
-        std::thread::sleep(Duration::from_millis(100));
-        assert!(
-            !replier.is_finished(),
-            "the reply did not wait for the writer"
-        );
+        let t0 = Instant::now();
+        loop {
+            let st = rig.out.state.lock();
+            if st.replies_waiting == 1 {
+                assert!(st.writer_owns && st.frames >= CAP);
+                break;
+            }
+            drop(st);
+            assert!(
+                !replier.is_finished(),
+                "the reply did not wait for the writer"
+            );
+            assert!(t0.elapsed() < Duration::from_secs(10), "the reply never ran");
+            std::thread::yield_now();
+        }
 
         let mut decoder = FrameDecoder::new();
         let got = read_frames(&mut rig.peer, &mut decoder, queued, 256 * 1024);

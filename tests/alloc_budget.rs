@@ -12,6 +12,9 @@
 //! each event (id minted, stream name shared) and `pump()` drains,
 //! evaluates and delivers them on the same thread.
 //!
+//! A third covers the continuous-query runtime: what one row of a
+//! projection costs beyond routing the event.
+//!
 //! A counting global allocator counts only on the thread that armed it,
 //! so the harness's own threads do not disturb the figure.
 
@@ -22,6 +25,9 @@ use std::sync::Arc;
 use evdb::core::metrics::StageBatch;
 use evdb::core::server::{EvalScratch, ServerConfig};
 use evdb::core::EventServer;
+use evdb::cq::aggregate::AggMode;
+use evdb::cq::{compile_query, StreamRuntime};
+use evdb::expr::BatchScratch;
 use evdb::types::{DataType, Event, EventId, Record, Schema, SimClock, TimestampMs, Value};
 
 struct Counting;
@@ -203,4 +209,56 @@ fn ingest_to_delivery_allocates_within_budget() {
         per_event <= PATH_BUDGET,
         "{per_event:.2} allocations per event, budget {PATH_BUDGET}"
     );
+}
+
+/// What one derived row of a projection costs the continuous-query
+/// runtime: its value vector, and its event's slot in the caller's
+/// result vector. The pipeline's stage buffers are reused across pushes
+/// and its last stage appends straight to that slot.
+const ROW_BUDGET: f64 = 2.25;
+
+#[test]
+fn a_projected_row_allocates_within_budget() {
+    let schema = Schema::of(&[
+        ("seq", DataType::Int),
+        ("sym", DataType::Str),
+        ("price", DataType::Float),
+    ]);
+    let source: Arc<str> = Arc::from("ticks");
+    let batch = |from: u64| -> Vec<Event> {
+        (from..from + 32)
+            .map(|i| {
+                let payload = Record::from_iter([
+                    Value::Int(i as i64),
+                    Value::from("IBM"),
+                    Value::Float(100.0),
+                ]);
+                Event::new(EventId(i), Arc::clone(&source), TimestampMs(i as i64), payload, Arc::clone(&schema))
+            })
+            .collect()
+    };
+    // Allocations per event through `push_events`, with and without the
+    // query, batches of 32 built outside the counted span.
+    let per_event = |query: bool| -> f64 {
+        let rt = StreamRuntime::new(0);
+        rt.create_stream("ticks", Arc::clone(&schema)).unwrap();
+        if query {
+            let q = compile_query("SELECT seq, sym, price FROM ticks", &schema, AggMode::Incremental).unwrap();
+            rt.register_query("wire", "ticks", q).unwrap();
+        }
+        let (mut scratch, mut out) = (BatchScratch::new(), Vec::new());
+        let mut total = 0;
+        for b in 0..=EVENTS / 32 {
+            let events = batch(b * 32);
+            let n = allocations(|| rt.push_events(&events, &mut scratch, &mut out));
+            if b > 0 {
+                total += n; // the first batch warms the buffers up
+            }
+        }
+        total as f64 / (EVENTS / 32 * 32) as f64
+    };
+    let (bare, projected) = (per_event(false), per_event(true));
+    let per_row = projected - bare;
+    eprintln!("{per_row:.2} allocations per projected row ({projected:.2} with the query, {bare:.2} without)");
+    assert!(per_row <= ROW_BUDGET, "{per_row:.2} allocations per row, budget {ROW_BUDGET}");
 }
