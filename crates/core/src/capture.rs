@@ -287,10 +287,13 @@ impl Capture {
         // ingest_async-only drain takes no lock and builds no map.
         let mut schemas: Option<HashMap<String, Arc<Schema>>> = None;
         let mut dropped: HashMap<String, u64> = HashMap::new();
+        // Counted once per drain: the counter shares its cache line with
+        // `events_processed`, which embedders poll.
+        let mut captured = 0u64;
         for item in self.admission.drain() {
             match item {
                 Staged::External(mut event) => {
-                    self.metrics.events_captured.fetch_add(1, Ordering::Relaxed);
+                    captured += 1;
                     // Async-ingested events start their trace at event
                     // time; capture latency is staging-to-drain lag.
                     if event.trace.stamp_of(Stage::Capture).is_none() {
@@ -318,6 +321,9 @@ impl Capture {
                     events.push(self.change_into_event(&stream, schema, change, now, batch));
                 }
             }
+        }
+        if captured > 0 {
+            self.metrics.events_captured.fetch_add(captured, Ordering::Relaxed);
         }
         if !dropped.is_empty() {
             let total: u64 = dropped.values().sum();

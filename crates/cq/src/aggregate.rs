@@ -47,16 +47,18 @@
 //!
 //! The runtime advances a stream's watermark after every event and hands
 //! it to each aggregate that has something due, so what an event pays is
-//! one fold per table *plus* each reader's O(1) steps:
+//! one fold per table *plus* the steps of the readers it changes:
 //!
 //! * **Per event:** one (pane, group) cell update plus O(1). The fold
-//!   evaluates the inputs into a reused buffer and looks the group up by
-//!   a reused key buffer, so it allocates nothing when the cell exists. A
-//!   watermark that closes nothing is not due (`watermark_due`:
-//!   `next_window_start + width`) or returns after one comparison, and
-//!   pruning only looks at the oldest retained key. Neither depends on
-//!   `width / slide`, and a table's members add only their own late
-//!   check and due comparison.
+//!   reads plain-field inputs and a one-field group key in place
+//!   (computed arguments and longer keys go into reused buffers), so it
+//!   allocates nothing when the cell exists. A
+//!   watermark that closes nothing is not due (`watermark_due`: the end
+//!   of the first window left to emit that holds data), and pruning only
+//!   looks at the oldest retained key. Neither depends on `width /
+//!   slide`. A table's members add nothing to an event their floors
+//!   admit unless they are Speculative (one eager step each) or the
+//!   watermark reaches the table's cached due.
 //! * **Per close:** O(panes × groups) of the closing windows — merging
 //!   (or, in Recompute mode, rescanning) their panes — plus one ordered
 //!   map probe per window that has data, never a walk over empty starts.
@@ -67,7 +69,7 @@
 //!
 //! Session windows scan every open group per watermark (O(groups)).
 
-use std::collections::{BTreeMap, HashMap};
+use std::collections::{btree_map, BTreeMap, HashMap};
 use std::sync::Arc;
 
 use evdb_expr::{typecheck, CompiledExpr, Expr};
@@ -416,35 +418,75 @@ fn cell<'m>(
     merged.get_mut(group).expect("inserted above")
 }
 
-/// Fold one row's evaluated inputs into a cell's accumulators.
-fn fold(accs: &mut [Acc], inputs: &[Option<Value>], ts: TimestampMs, seq: u64) -> Result<()> {
-    for (a, v) in accs.iter_mut().zip(inputs) {
-        a.update(v.as_ref(), ts, seq)?;
+/// What a missing field reads as.
+static NULL: Value = Value::Null;
+
+/// One routed row's column inputs, in column order: none for `*`, a
+/// plain field read in place from the record, a computed argument from
+/// what [`load`] evaluated.
+struct Inputs<'r> {
+    columns: &'r [Column],
+    rec: &'r Record,
+    computed: &'r [Value],
+}
+
+impl Inputs<'_> {
+    fn iter(&self) -> impl Iterator<Item = Option<&Value>> {
+        let mut computed = self.computed.iter();
+        self.columns.iter().map(move |(_, arg)| match arg {
+            AggInput::Star => None,
+            AggInput::Field(i) => Some(self.rec.get(*i).unwrap_or(&NULL)),
+            AggInput::Computed(_) => computed.next(),
+        })
+    }
+
+    /// The inputs as owned values (Recompute mode keeps them).
+    fn owned(&self) -> Vec<Option<Value>> {
+        self.iter().map(|v| v.cloned()).collect()
+    }
+}
+
+/// Fold one row's inputs into a cell's accumulators.
+fn fold(accs: &mut [Acc], inputs: &Inputs, ts: TimestampMs, seq: u64) -> Result<()> {
+    for (a, v) in accs.iter_mut().zip(inputs.iter()) {
+        a.update(v, ts, seq)?;
     }
     Ok(())
 }
 
-/// Evaluate `rec`'s group key and every column's input into the reused
-/// buffers — every input before any accumulator sees one, so an
-/// evaluation error leaves the window state untouched.
+/// Evaluate `rec`'s computed column arguments — every one before any
+/// accumulator sees the row, so an evaluation error leaves the window
+/// state untouched — and, for more than one group field, its group key
+/// into the reused buffers. `*` and plain fields cannot fail and are read
+/// in place ([`Inputs`], [`group_of`]).
 fn load(
     rec: &Record,
     group_fields: &[usize],
     columns: &[Column],
     key: &mut Vec<Value>,
-    inputs: &mut Vec<Option<Value>>,
+    computed: &mut Vec<Value>,
 ) -> Result<()> {
-    key.clear();
-    key.extend(group_fields.iter().map(|i| rec.get(*i).cloned().unwrap_or(Value::Null)));
-    inputs.clear();
+    if let [_, _, ..] = group_fields {
+        key.clear();
+        key.extend(group_fields.iter().map(|i| rec.get(*i).cloned().unwrap_or(Value::Null)));
+    }
+    computed.clear();
     for (_, arg) in columns {
-        inputs.push(match arg {
-            AggInput::Star => None,
-            AggInput::Field(i) => Some(rec.get(*i).cloned().unwrap_or(Value::Null)),
-            AggInput::Computed(c) => Some(c.eval(rec)?),
-        });
+        if let AggInput::Computed(c) = arg {
+            computed.push(c.eval(rec)?);
+        }
     }
     Ok(())
+}
+
+/// `rec`'s group key: read in place for at most one group field, else
+/// the `key` buffer [`load`] filled.
+fn group_of<'a>(rec: &'a Record, group_fields: &[usize], key: &'a [Value]) -> &'a [Value] {
+    match group_fields {
+        [] => &[],
+        [i] => std::slice::from_ref(rec.get(*i).unwrap_or(&NULL)),
+        _ => key,
+    }
 }
 
 /// Drop the entries keyed below `boundary`, oldest first: a look at the
@@ -488,36 +530,49 @@ struct PaneStore {
     columns: Vec<Column>,
     cells: BTreeMap<i64, HashMap<Vec<Value>, Vec<Acc>>>,
     raw: BTreeMap<i64, Vec<RawRow>>,
-    /// The routed event's group key and column inputs, reused across
-    /// events so a fold into an existing cell allocates nothing.
+    /// The routed event's group key (more than one group field) and
+    /// computed arguments, reused across events so a fold into an
+    /// existing cell allocates nothing.
     key: Vec<Value>,
-    inputs: Vec<Option<Value>>,
+    computed: Vec<Value>,
     /// Arrival number of the routed event (First/Last tie-break).
     seq: u64,
 }
 
 impl PaneStore {
-    /// Fold the routed event into pane `ps`.
-    fn fold(&mut self, event: &Event, ps: i64) -> Result<()> {
-        load(&event.payload, &self.group_fields, &self.columns, &mut self.key, &mut self.inputs)?;
+    /// Fold the routed event into pane `ps`. Returns whether that opened
+    /// the pane.
+    fn fold(&mut self, event: &Event, ps: i64) -> Result<bool> {
+        load(&event.payload, &self.group_fields, &self.columns, &mut self.key, &mut self.computed)?;
+        let inputs = Inputs {
+            columns: &self.columns,
+            rec: &event.payload,
+            computed: &self.computed,
+        };
+        let group = group_of(&event.payload, &self.group_fields, &self.key);
         let ts = event.timestamp;
         match self.mode {
             AggMode::Incremental => {
-                let groups = self.cells.entry(ps).or_default();
-                match groups.get_mut(self.key.as_slice()) {
-                    Some(accs) => fold(accs, &self.inputs, ts, self.seq),
+                let (opened, groups) = match self.cells.entry(ps) {
+                    btree_map::Entry::Occupied(pane) => (false, pane.into_mut()),
+                    btree_map::Entry::Vacant(pane) => (true, pane.insert(HashMap::new())),
+                };
+                match groups.get_mut(group) {
+                    Some(accs) => fold(accs, &inputs, ts, self.seq)?,
                     None => {
                         let accs = groups
-                            .entry(self.key.clone())
+                            .entry(group.to_vec())
                             .or_insert(fresh_row(&self.columns));
-                        fold(accs, &self.inputs, ts, self.seq)
+                        fold(accs, &inputs, ts, self.seq)?
                     }
                 }
+                Ok(opened)
             }
             AggMode::Recompute => {
-                let row = (self.key.clone(), self.inputs.clone(), ts, self.seq);
-                self.raw.entry(ps).or_default().push(row);
-                Ok(())
+                let row = (group.to_vec(), inputs.owned(), ts, self.seq);
+                let rows = self.raw.entry(ps).or_default();
+                rows.push(row);
+                Ok(rows.len() == 1)
             }
         }
     }
@@ -636,9 +691,51 @@ pub(crate) struct TimeWindows {
     pub(crate) rows: Vec<Event>,
     /// Error of the last table step, for the caller to take.
     pub(crate) failed: Option<Error>,
+    /// Every watermark step: the watermark, what was due, and whether
+    /// the step emitted a row or moved the floor past a pane.
+    #[cfg(test)]
+    pub(crate) steps: Vec<(i64, i64, bool)>,
 }
 
 impl TimeWindows {
+    fn new(width: i64, slide: i64, cols: Vec<usize>, out_schema: Arc<Schema>) -> TimeWindows {
+        TimeWindows {
+            width,
+            slide,
+            consistency: ConsistencyLevel::default(),
+            cols,
+            out_schema,
+            next_window_start: i64::MIN,
+            started: false,
+            emitted: BTreeMap::new(),
+            max_event_ts: i64::MIN,
+            final_wm: i64::MIN,
+            floor: i64::MIN,
+            emit_seq: 0,
+            stats: OpStats::default(),
+            admitted: false,
+            rows: Vec::new(),
+            failed: None,
+            #[cfg(test)]
+            steps: Vec::new(),
+        }
+    }
+
+    /// The lowest pane this aggregate admits, so that an event at or
+    /// above it needs no late check: its emitted boundary (Watermark) or
+    /// the first pane with a window past its finality horizon
+    /// (Speculative). `i64::MAX` before its first event, whose admission
+    /// starts it.
+    fn admits_from(&self) -> i64 {
+        if !self.started {
+            return i64::MAX;
+        }
+        match self.consistency {
+            ConsistencyLevel::Watermark => self.next_window_start,
+            ConsistencyLevel::Speculative => self.final_wm.saturating_sub(self.width).saturating_add(1),
+        }
+    }
+
     /// The late check for an event in pane `ps`: admitted, or counted
     /// and dropped.
     fn admit(&mut self, ps: i64) -> bool {
@@ -659,32 +756,62 @@ impl TimeWindows {
         !late
     }
 
-    /// After the table folded an admitted event into pane `ps`: a
-    /// Speculative aggregate revises the emitted windows the event
-    /// lands in, then emits the windows event time completes.
-    fn on_fold(&mut self, store: &PaneStore, ps: i64, ts: TimestampMs) -> Result<()> {
+    /// After the table folded an admitted event of `group` into pane
+    /// `ps`: a Speculative aggregate revises the emitted windows the
+    /// event lands in, then emits the windows event time completes.
+    fn on_fold(&mut self, store: &PaneStore, group: &[Value], ps: i64, ts: TimestampMs) -> Result<()> {
         if self.consistency == ConsistencyLevel::Speculative {
             self.max_event_ts = self.max_event_ts.max(ts.0);
-            self.speculate(store, ps)?;
+            self.speculate(store, group, ps)?;
         }
         Ok(())
     }
 
     /// The smallest watermark [`on_watermark`](Self::on_watermark) does
-    /// anything at: the end of the first window left to emit (where
-    /// `emit_up_to` stops returning early, and the only place the floor
-    /// moves) — and, Speculative, the first watermark past `final_wm`,
-    /// which moves the admission horizon.
-    fn watermark_due(&self) -> i64 {
-        let close = if self.started {
-            self.next_window_start.saturating_add(self.width)
+    /// anything at: the end of the first window left to emit that holds
+    /// data (where `emit_up_to` emits, and the only place the floor
+    /// moves) — and, Speculative, the first multiple of the slide past
+    /// `final_wm`. Every reading of `final_wm` compares it with a pane or
+    /// window start plus the width, a multiple of the slide, so a
+    /// watermark short of that multiple changes nothing the aggregate
+    /// admits, emits, remembers or prunes.
+    fn watermark_due(&self, store: &PaneStore) -> i64 {
+        let first = if self.started {
+            store.first_pane_from(self.next_window_start.max(self.floor))
         } else {
-            i64::MAX
+            None
         };
+        let close = first.map_or(i64::MAX, |ps| {
+            let start = self.next_window_start.max(ps.saturating_sub(self.width).saturating_add(self.slide));
+            start.saturating_add(self.width)
+        });
         match self.consistency {
             ConsistencyLevel::Watermark => close,
-            ConsistencyLevel::Speculative => close.min(self.final_wm.saturating_add(1)),
+            ConsistencyLevel::Speculative => {
+                let horizon = self.final_wm.div_euclid(self.slide).saturating_add(1);
+                close.min(horizon.saturating_mul(self.slide))
+            }
         }
+    }
+
+    /// The pane just below the first one the floor keeps.
+    #[cfg(test)]
+    fn pane_floor(&self) -> i64 {
+        self.floor.saturating_sub(1).div_euclid(self.slide)
+    }
+
+    /// [`on_watermark`](Self::on_watermark), logging the step under test.
+    fn step(&mut self, store: &PaneStore, wm: TimestampMs) -> Result<()> {
+        #[cfg(test)]
+        let before = (self.watermark_due(store), self.rows.len(), self.pane_floor());
+        let result = self.on_watermark(store, wm);
+        #[cfg(test)]
+        {
+            let (due, rows, pane) = before;
+            let closed = self.rows.len() > rows || self.pane_floor() != pane;
+            self.steps.push((wm.0, due, closed));
+        }
+        result
     }
 
     /// Close what `wm` completes, then raise the floor to the new prune
@@ -770,12 +897,11 @@ impl TimeWindows {
         Ok(())
     }
 
-    /// Speculative mode: after the routed event (group: the store's key)
-    /// was folded into pane `ps`, revise already-emitted windows it
-    /// belongs to (retract stale row, insert corrected row), then emit
-    /// windows newly complete by event time.
-    fn speculate(&mut self, store: &PaneStore, ps: i64) -> Result<()> {
-        let group = store.key.as_slice();
+    /// Speculative mode: after the routed event of `group` was folded
+    /// into pane `ps`, revise already-emitted windows it belongs to
+    /// (retract stale row, insert corrected row), then emit windows newly
+    /// complete by event time.
+    fn speculate(&mut self, store: &PaneStore, group: &[Value], ps: i64) -> Result<()> {
         let (width, slide) = (self.width, self.slide);
         let mut reopened = false;
         // Windows containing pane ps start in (ps - width, ps]; the ones
@@ -817,11 +943,16 @@ impl TimeWindows {
 /// The panes of tumbling and sliding aggregates over one stream with one
 /// pane width and group-by, folded once for all of them (DESIGN.md D5).
 ///
-/// Each routed event costs one key load, one pane probe, one cell probe
-/// and one fold — if any member admits it — plus an O(1) late check per
-/// member. A member ([`TimeWindows`]) keeps its own frontiers, emitted
-/// rows and counters, and reads the shared panes only when it closes or
-/// revises a window. A pane is pruned once every member is past it.
+/// A member ([`TimeWindows`]) keeps its own frontiers, emitted rows and
+/// counters, and reads the shared panes only when it closes or revises a
+/// window. A pane is pruned once every member is past it. The table
+/// caches two values, recomputed only when a member starts, steps,
+/// speculates, joins or is dropped: `admits_from`, the lowest pane every
+/// member admits, and `due`, the earliest watermark some member has
+/// something due at. So an in-order event costs one key load, one pane
+/// probe, one cell probe and one fold, plus each Speculative member's
+/// eager step; only an event below `admits_from` pays a late check per
+/// member, and only a watermark at or past `due` looks at the members.
 ///
 /// Exactness: a member drops only events in panes below its floor (its
 /// emitted boundary at Watermark level, its finality horizon at
@@ -835,43 +966,73 @@ pub(crate) struct PaneTable {
     /// Whether other aggregates may join: Incremental mode, and no
     /// argument can fail for an event that matches the input schema.
     shareable: bool,
+    /// Panes at or above this every member admits.
+    admits_from: i64,
+    /// The earliest watermark some member has something due at.
+    due: i64,
+    /// The Speculative members: the only ones with work per folded event.
+    speculative: Vec<usize>,
 }
 
 impl PaneTable {
-    /// Route one event: every member's late check, one fold if any member
-    /// admits it, then each admitting member's eager step. Each member's
-    /// deltas land in its `rows`, an error in its `failed`.
-    pub(crate) fn on_event(&mut self, event: &Event) {
-        let store = &mut self.store;
-        store.seq += 1;
-        let ps = event.timestamp.window_start(store.pane_ms).0;
-        let mut any = false;
-        for m in &mut self.members {
-            m.admitted = m.admit(ps);
-            any |= m.admitted;
-        }
-        if !any {
-            return;
-        }
-        if let Err(e) = store.fold(event, ps) {
-            // Members share a table only when their arguments cannot
-            // fail, so only an event that breaks its stream's schema gets
-            // here: it is an error for every member that admitted it.
-            let message = match &e {
-                Error::Type(m) => m.clone(),
-                other => other.to_string(),
-            };
-            let mut first = Some(e);
-            for m in self.members.iter_mut().filter(|m| m.admitted) {
-                m.failed = Some(first.take().unwrap_or_else(|| Error::Type(message.clone())));
+    /// Route one event: one fold if any member admits it, then the eager
+    /// step of each admitting Speculative member — and, for an event
+    /// below `admits_from`, every member's late check first. Each
+    /// member's deltas land in its `rows`, an error in its `failed`.
+    /// Returns whether any member emitted, failed or changed what is
+    /// due; when it returns false, every member's `rows` and `failed`
+    /// are empty and [`watermark_due`](Self::watermark_due) stands.
+    pub(crate) fn on_event(&mut self, event: &Event) -> bool {
+        self.store.seq += 1;
+        let ps = event.timestamp.window_start(self.store.pane_ms).0;
+        let every = ps >= self.admits_from;
+        if !every {
+            let mut any = false;
+            for m in &mut self.members {
+                m.admitted = m.admit(ps);
+                any |= m.admitted;
             }
-            return;
-        }
-        for m in self.members.iter_mut().filter(|m| m.admitted) {
-            if let Err(e) = m.on_fold(&self.store, ps, event.timestamp) {
-                m.failed = Some(e);
+            if !any {
+                self.refresh();
+                return true;
             }
         }
+        let opened = match self.store.fold(event, ps) {
+            Ok(opened) => opened,
+            Err(e) => {
+                // Members share a table only when their arguments cannot
+                // fail, so only an event that breaks its stream's schema
+                // gets here: it is an error for every member that
+                // admitted it.
+                let message = match &e {
+                    Error::Type(m) => m.clone(),
+                    other => other.to_string(),
+                };
+                let mut first = Some(e);
+                for m in self.members.iter_mut().filter(|m| every || m.admitted) {
+                    m.failed = Some(first.take().unwrap_or_else(|| Error::Type(message.clone())));
+                }
+                self.refresh();
+                return true;
+            }
+        };
+        // A new pane may hold the first window some member has to close.
+        let mut stepped = !every || opened;
+        let group = group_of(&event.payload, &self.store.group_fields, &self.store.key);
+        for &j in &self.speculative {
+            let m = &mut self.members[j];
+            if every || m.admitted {
+                if let Err(e) = m.on_fold(&self.store, group, ps, event.timestamp) {
+                    m.failed = Some(e);
+                }
+                // A member that emitted nothing moved no frontier.
+                stepped |= !m.rows.is_empty() || m.failed.is_some();
+            }
+        }
+        if stepped {
+            self.refresh();
+        }
+        stepped
     }
 
     /// Hand `wm` to each member `j` for which `take(j, its watermark_due)`
@@ -879,9 +1040,9 @@ impl PaneTable {
     pub(crate) fn on_watermark(&mut self, wm: TimestampMs, take: impl Fn(usize, i64) -> bool) {
         let mut stepped = false;
         for (j, m) in self.members.iter_mut().enumerate() {
-            if take(j, m.watermark_due()) {
+            if take(j, m.watermark_due(&self.store)) {
                 stepped = true;
-                if let Err(e) = m.on_watermark(&self.store, wm) {
+                if let Err(e) = m.step(&self.store, wm) {
                     m.failed = Some(e);
                 }
             }
@@ -889,12 +1050,23 @@ impl PaneTable {
         if stepped {
             let floor = self.members.iter().map(|m| m.floor).min().unwrap_or(i64::MAX);
             self.store.prune_below(floor);
+            self.refresh();
         }
     }
 
     /// The earliest watermark some member has something due at.
     pub(crate) fn watermark_due(&self) -> i64 {
-        self.members.iter().map(TimeWindows::watermark_due).min().unwrap_or(i64::MAX)
+        self.due
+    }
+
+    /// Recompute the cached admission bound, due watermark and
+    /// Speculative members from the members.
+    fn refresh(&mut self) {
+        self.admits_from = self.members.iter().map(TimeWindows::admits_from).max().unwrap_or(i64::MAX);
+        self.due = self.members.iter().map(|m| m.watermark_due(&self.store)).min().unwrap_or(i64::MAX);
+        self.speculative.clear();
+        let speculative = |(_, m): &(usize, &TimeWindows)| m.consistency == ConsistencyLevel::Speculative;
+        self.speculative.extend(self.members.iter().enumerate().filter(speculative).map(|(j, _)| j));
     }
 
     /// Move `other`'s aggregates in as members if they read the same
@@ -918,7 +1090,14 @@ impl PaneTable {
             }
             self.members.push(m);
         }
+        self.refresh();
         true
+    }
+
+    /// Drop member `j`.
+    pub(crate) fn remove(&mut self, j: usize) {
+        self.members.remove(j);
+        self.refresh();
     }
 
     /// The index of `col` among the table's columns, added if new.
@@ -955,17 +1134,42 @@ struct SessionState {
     accs: Vec<Acc>,
     first_ts: TimestampMs,
     last_ts: TimestampMs,
+    /// Events folded in (count windows close at their count).
+    n: usize,
 }
 
-/// Count and session windows: per group, one running accumulator row.
+impl SessionState {
+    fn new(columns: &[Column], ts: TimestampMs) -> SessionState {
+        SessionState {
+            accs: fresh_row(columns),
+            first_ts: ts,
+            last_ts: ts,
+            n: 0,
+        }
+    }
+
+    /// Fold one row's inputs in. A session starts at its earliest event,
+    /// a count window at its first.
+    fn add(&mut self, inputs: &Inputs, ts: TimestampMs, seq: u64, session: bool) -> Result<()> {
+        fold(&mut self.accs, inputs, ts, seq)?;
+        if session {
+            self.first_ts = self.first_ts.min(ts);
+        }
+        self.last_ts = self.last_ts.max(ts);
+        self.n += 1;
+        Ok(())
+    }
+}
+
+/// Count and session windows: per open group, one running accumulator
+/// row, probed once per event by the row's group key.
 #[derive(Default)]
 struct KeyedWindows {
     group_fields: Vec<usize>,
     columns: Vec<Column>,
     open: HashMap<Vec<Value>, SessionState>,
-    counts: HashMap<Vec<Value>, usize>,
     key: Vec<Value>,
-    inputs: Vec<Option<Value>>,
+    computed: Vec<Value>,
     seq: u64,
     emit_seq: u64,
 }
@@ -977,45 +1181,56 @@ impl KeyedWindows {
         out.push(delta(self.emit_seq, record, end, schema, false));
     }
 
+    /// Fold the loaded event into its group's open window, opening one on
+    /// a miss — the only time the key is cloned (a window opens even if
+    /// the fold fails). Returns the group's event count.
+    fn add(&mut self, rec: &Record, ts: TimestampMs, session: bool) -> Result<usize> {
+        let seq = self.seq;
+        let inputs = Inputs {
+            columns: &self.columns,
+            rec,
+            computed: &self.computed,
+        };
+        let group = group_of(rec, &self.group_fields, &self.key);
+        match self.open.get_mut(group) {
+            Some(st) => st.add(&inputs, ts, seq, session).map(|()| st.n),
+            None => {
+                let mut st = SessionState::new(&self.columns, ts);
+                let added = st.add(&inputs, ts, seq, session);
+                self.open.insert(group.to_vec(), st);
+                added.map(|()| 1)
+            }
+        }
+    }
+
+    /// Close the group of the loaded row `rec`: emit its row, ending
+    /// `gap` after its last event if given, else at it.
+    fn close(&mut self, rec: &Record, schema: &Arc<Schema>, gap: Option<i64>, out: &mut Vec<Event>) {
+        let group = group_of(rec, &self.group_fields, &self.key);
+        let (group, st) = self.open.remove_entry(group).expect("group is open");
+        let end = gap.map_or(st.last_ts, |gap| st.last_ts.plus(gap));
+        self.emit(schema, &group, &st, end, out);
+    }
+
     fn on_event(&mut self, window: WindowSpec, schema: &Arc<Schema>, event: &Event, out: &mut Vec<Event>) -> Result<()> {
         self.seq += 1;
-        let seq = self.seq;
-        load(&event.payload, &self.group_fields, &self.columns, &mut self.key, &mut self.inputs)?;
-        let group = self.key.clone();
+        let rec = &event.payload;
+        load(rec, &self.group_fields, &self.columns, &mut self.key, &mut self.computed)?;
         let ts = event.timestamp;
         match window {
             WindowSpec::CountTumbling { count } => {
-                let st = self.open.entry(group.clone()).or_insert_with(|| SessionState {
-                    accs: fresh_row(&self.columns),
-                    first_ts: ts,
-                    last_ts: ts,
-                });
-                fold(&mut st.accs, &self.inputs, ts, seq)?;
-                st.last_ts = st.last_ts.max(ts);
-                let n = self.counts.entry(group.clone()).or_insert(0);
-                *n += 1;
-                if *n >= count {
-                    let st = self.open.remove(&group).expect("state exists");
-                    self.counts.remove(&group);
-                    self.emit(schema, &group, &st, st.last_ts, out);
+                if self.add(rec, ts, false)? >= count {
+                    self.close(rec, schema, None, out);
                 }
             }
             WindowSpec::Session { gap_ms } => {
                 // Close the running session first if the gap has lapsed.
-                if let Some(st) = self.open.get(&group) {
-                    if ts.since(st.last_ts) > gap_ms {
-                        let st = self.open.remove(&group).expect("state exists");
-                        self.emit(schema, &group, &st, st.last_ts.plus(gap_ms), out);
-                    }
+                let group = group_of(rec, &self.group_fields, &self.key);
+                let lapsed = self.open.get(group).is_some_and(|st| ts.since(st.last_ts) > gap_ms);
+                if lapsed {
+                    self.close(rec, schema, Some(gap_ms), out);
                 }
-                let st = self.open.entry(group).or_insert_with(|| SessionState {
-                    accs: fresh_row(&self.columns),
-                    first_ts: ts,
-                    last_ts: ts,
-                });
-                fold(&mut st.accs, &self.inputs, ts, seq)?;
-                st.first_ts = st.first_ts.min(ts);
-                st.last_ts = st.last_ts.max(ts);
+                self.add(rec, ts, true)?;
             }
             WindowSpec::Tumbling { .. } | WindowSpec::Sliding { .. } => unreachable!("time windows use panes"),
         }
@@ -1134,31 +1349,18 @@ impl WindowAggregateOp {
                         cells: BTreeMap::new(),
                         raw: BTreeMap::new(),
                         key: Vec::new(),
-                        inputs: Vec::new(),
+                        computed: Vec::new(),
                         seq: 0,
                     },
                     members: Vec::new(),
                     shareable,
+                    admits_from: i64::MAX,
+                    due: i64::MAX,
+                    speculative: Vec::new(),
                 };
                 let cols = columns.into_iter().map(|col| table.column(col)).collect();
-                table.members.push(TimeWindows {
-                    width: width_ms,
-                    slide,
-                    consistency: ConsistencyLevel::default(),
-                    cols,
-                    out_schema: Arc::clone(&out_schema),
-                    next_window_start: i64::MIN,
-                    started: false,
-                    emitted: BTreeMap::new(),
-                    max_event_ts: i64::MIN,
-                    final_wm: i64::MIN,
-                    floor: i64::MIN,
-                    emit_seq: 0,
-                    stats: OpStats::default(),
-                    admitted: false,
-                    rows: Vec::new(),
-                    failed: None,
-                });
+                table.members.push(TimeWindows::new(width_ms, slide, cols, Arc::clone(&out_schema)));
+                table.refresh();
                 Body::Time(table)
             }
             WindowSpec::CountTumbling { .. } | WindowSpec::Session { .. } => {
@@ -1188,6 +1390,7 @@ impl WindowAggregateOp {
         self.consistency = level;
         if let Body::Time(table) = &mut self.body {
             table.members[0].consistency = level;
+            table.refresh();
         }
         self
     }
@@ -1277,7 +1480,7 @@ impl Operator for WindowAggregateOp {
     fn state_size(&self) -> usize {
         match &self.body {
             Body::Time(table) => table.state_size(),
-            Body::Keyed(keyed) => keyed.open.len() + keyed.counts.len(),
+            Body::Keyed(keyed) => keyed.open.len(),
         }
     }
 
@@ -1450,6 +1653,56 @@ mod tests {
         op.on_event(&ev(4, "B", 20.0), &mut out).unwrap();
         assert_eq!(out.len(), 2);
         assert_eq!(out[1].payload.get(3), Some(&Value::Float(30.0)));
+    }
+
+    #[test]
+    fn two_group_fields_key_every_window_kind() {
+        let events = [ev(1, "A", 1.0), ev(2, "A", 2.0), ev(3, "B", 1.0), ev(4, "A", 1.0), ev(5, "B", 1.0)];
+        let count = |window: WindowSpec, mode: AggMode| -> Vec<String> {
+            let mut op =
+                WindowAggregateOp::new(&schema(), window, &["sym", "px"], vec![agg("n", AggFunc::Count, None)], mode)
+                    .unwrap();
+            let mut out = Vec::new();
+            for e in &events {
+                op.on_event(e, &mut out).unwrap();
+            }
+            op.on_watermark(TimestampMs(10_000), &mut out).unwrap();
+            let mut rows: Vec<String> = out
+                .iter()
+                .map(|e| format!("{} {} {}", e.payload.values()[0], e.payload.values()[1], e.payload.values()[4]))
+                .collect();
+            rows.sort();
+            rows
+        };
+        let pairs = ["'A' 1.0 2", "'A' 2.0 1", "'B' 1.0 2"];
+        for mode in [AggMode::Incremental, AggMode::Recompute] {
+            assert_eq!(count(WindowSpec::Tumbling { width_ms: 1_000 }, mode), pairs);
+        }
+        assert_eq!(count(WindowSpec::Session { gap_ms: 100 }, AggMode::Incremental), pairs);
+        // Only the pairs that reach the count close.
+        assert_eq!(count(WindowSpec::CountTumbling { count: 2 }, AggMode::Incremental), ["'A' 1.0 2", "'B' 1.0 2"]);
+    }
+
+    #[test]
+    fn a_count_window_counts_each_open_group_once() {
+        let mut op = WindowAggregateOp::new(
+            &schema(),
+            WindowSpec::CountTumbling { count: 3 },
+            &["sym"],
+            vec![agg("n", AggFunc::Count, None)],
+            AggMode::Incremental,
+        )
+        .unwrap();
+        let mut out = Vec::new();
+        for (k, sym) in ["A", "B", "C", "D"].into_iter().enumerate() {
+            op.on_event(&ev(k as i64, sym, 1.0), &mut out).unwrap();
+            assert_eq!(op.state_size(), k + 1);
+        }
+        // A second event leaves a group open; a third closes it.
+        op.on_event(&ev(10, "A", 1.0), &mut out).unwrap();
+        assert_eq!(op.state_size(), 4);
+        op.on_event(&ev(11, "A", 1.0), &mut out).unwrap();
+        assert_eq!((out.len(), op.state_size()), (1, 3));
     }
 
     #[test]

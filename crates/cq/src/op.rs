@@ -247,6 +247,12 @@ impl Pipeline {
         result
     }
 
+    /// The earliest [`Operator::watermark_due`] over the stages: a
+    /// watermark below it changes nothing.
+    pub(crate) fn watermark_due(&self) -> TimestampMs {
+        self.due
+    }
+
     /// The head operator's drop-on-false predicate, if it exposes one
     /// (see [`Operator::batch_predicate`]): the hook the runtime's
     /// batched ingest uses to pre-verify events before paying the

@@ -209,18 +209,78 @@ impl QueryInner {
 /// table and the queries whose windows read it (DESIGN.md D5).
 enum UnitState {
     Query(QueryInner),
+    Table(Shared),
+}
+
+/// A pane table and the queries whose windows read it.
+struct Shared {
+    table: PaneTable,
     /// `queries[j]` holds what follows member `j`'s aggregate.
-    Table {
-        table: PaneTable,
-        queries: Vec<QueryInner>,
-    },
+    queries: Vec<QueryInner>,
+    /// The earliest watermark the table or any query's remaining
+    /// operators has something due at, refreshed after every step.
+    due: i64,
+}
+
+impl Shared {
+    fn new(table: PaneTable, query: QueryInner) -> Shared {
+        let mut shared = Shared {
+            table,
+            queries: vec![query],
+            due: i64::MIN,
+        };
+        shared.refresh_due();
+        shared
+    }
+
+    fn refresh_due(&mut self) {
+        let after = self.queries.iter().map(|q| q.pipeline.watermark_due().0).min();
+        self.due = self.table.watermark_due().min(after.unwrap_or(i64::MAX));
+    }
+
+    /// Route one event and the watermark it carries: one fold, and — only
+    /// if that emitted, failed or left something due at `wm` — each
+    /// member's settling. Only members with something due take the
+    /// watermark; one that failed on the event skips it, as a pipeline
+    /// whose push failed does.
+    fn route(&mut self, event: &Event, wm: TimestampMs, slot: &mut Result<Vec<Event>>, pane_total: &mut u64) {
+        if !self.table.on_event(event) && wm.0 < self.due {
+            return;
+        }
+        for (q, m) in self.queries.iter_mut().zip(&mut self.table.members) {
+            q.err = m.failed.take();
+            q.pass(&mut m.rows, None);
+        }
+        let queries = &self.queries;
+        self.table.on_watermark(wm, |j, due| wm.0 >= due && queries[j].err.is_none());
+        self.finish(wm, Some(event.trace), slot, pane_total);
+    }
+
+    /// Hand `wm` to every member with something due, as a flush does.
+    fn flush(&mut self, wm: TimestampMs, slot: &mut Result<Vec<Event>>, flushed: &mut u64) {
+        self.table.on_watermark(wm, |_, due| wm.0 >= due);
+        self.finish(wm, None, slot, flushed);
+    }
+
+    /// Pass each member's watermark step through its query's remaining
+    /// operators and settle the query (see [`QueryInner::finish_member`]).
+    fn finish(&mut self, wm: TimestampMs, cause: Option<Trace>, slot: &mut Result<Vec<Event>>, total: &mut u64) {
+        for (q, m) in self.queries.iter_mut().zip(&mut self.table.members) {
+            if q.err.is_none() {
+                q.err = m.failed.take();
+            }
+            q.pass(&mut m.rows, Some(wm));
+            q.finish_member(cause, slot, total);
+        }
+        self.refresh_due();
+    }
 }
 
 impl UnitState {
     fn queries(&self) -> &[QueryInner] {
         match self {
             UnitState::Query(q) => std::slice::from_ref(q),
-            UnitState::Table { queries, .. } => queries,
+            UnitState::Table(shared) => &shared.queries,
         }
     }
 
@@ -233,15 +293,15 @@ impl UnitState {
         let k = self.position(reg);
         match self {
             UnitState::Query(q) => q,
-            UnitState::Table { queries, .. } => &mut queries[k],
+            UnitState::Table(shared) => &mut shared.queries[k],
         }
     }
 
     /// The delta counters of query `k`: its member's and its operators'.
     fn stats_at(&self, k: usize) -> OpStats {
         let mut stats = self.queries()[k].pipeline.op_stats();
-        if let UnitState::Table { table, .. } = self {
-            stats.absorb(&table.member_stats(k));
+        if let UnitState::Table(shared) = self {
+            stats.absorb(&shared.table.member_stats(k));
         }
         stats
     }
@@ -256,7 +316,7 @@ impl UnitState {
 
     fn state_size(&self) -> usize {
         let tables = match self {
-            UnitState::Table { table, .. } => table.state_size(),
+            UnitState::Table(shared) => shared.table.state_size(),
             UnitState::Query(_) => 0,
         };
         tables + self.queries().iter().map(|q| q.pipeline.state_size()).sum::<usize>()
@@ -399,7 +459,7 @@ impl StreamRuntime {
     pub fn pane_tables(&self) -> usize {
         self.all_units()
             .iter()
-            .filter(|u| matches!(*u.state.lock(), UnitState::Table { .. }))
+            .filter(|u| matches!(*u.state.lock(), UnitState::Table(_)))
             .count()
     }
 
@@ -501,18 +561,16 @@ impl StreamRuntime {
     fn join_table(units: &mut Vec<Arc<Unit>>, mut table: PaneTable, query: QueryInner) -> Arc<Unit> {
         for unit in units.iter() {
             let Some(mut state) = unit.state.try_lock() else { continue };
-            if let UnitState::Table { table: shared, queries } = &mut *state {
-                if shared.join(&mut table) {
-                    queries.push(query);
+            if let UnitState::Table(shared) = &mut *state {
+                if shared.table.join(&mut table) {
+                    shared.queries.push(query);
+                    shared.refresh_due();
                     return Arc::clone(unit);
                 }
             }
         }
         let unit = Arc::new(Unit {
-            state: Mutex::new(UnitState::Table {
-                table,
-                queries: vec![query],
-            }),
+            state: Mutex::new(UnitState::Table(Shared::new(table, query))),
         });
         units.push(Arc::clone(&unit));
         unit
@@ -549,9 +607,10 @@ impl StreamRuntime {
         let mut state = entry.unit.state.lock();
         let k = state.position(entry.reg);
         self.retired_stats.lock().absorb(&state.stats_at(k));
-        if let UnitState::Table { table, queries } = &mut *state {
-            table.members.remove(k);
-            queries.remove(k);
+        if let UnitState::Table(shared) = &mut *state {
+            shared.table.remove(k);
+            shared.queries.remove(k);
+            shared.refresh_due();
         }
         Ok(())
     }
@@ -756,7 +815,8 @@ impl StreamRuntime {
     /// whole batch pre-verified through the batch VM so non-matching
     /// events skip the push (the pipeline still observes their
     /// watermarks) — or a pane table shared by windowed aggregates
-    /// ([`PaneTable`]): one fold per event, then each member's own steps.
+    /// ([`PaneTable`]): one fold per event, then member steps only when
+    /// the fold emitted or the watermark reaches the unit's cached due.
     /// A pipeline takes only the watermarks something in it is due at.
     /// An event that fails at a query costs only that query: every other
     /// query still sees it, and `out[i]` holds the first error in routing
@@ -842,26 +902,9 @@ impl StreamRuntime {
                                 settle(q, cause, step, &mut out[i], &mut spare, mark, &mut pane_total);
                             }
                         }
-                        UnitState::Table { table, queries } => {
+                        UnitState::Table(shared) => {
                             for &(i, wm) in idxs {
-                                let event = &events[i];
-                                table.on_event(event);
-                                for (q, m) in queries.iter_mut().zip(&mut table.members) {
-                                    q.err = m.failed.take();
-                                    q.pass(&mut m.rows, None);
-                                }
-                                // Only members with something due take the
-                                // watermark; one that failed on the event
-                                // skips it, as a pipeline whose push failed
-                                // does.
-                                table.on_watermark(wm, |j, due| wm.0 >= due && queries[j].err.is_none());
-                                for (q, m) in queries.iter_mut().zip(&mut table.members) {
-                                    if q.err.is_none() {
-                                        q.err = m.failed.take();
-                                    }
-                                    q.pass(&mut m.rows, Some(wm));
-                                    q.finish_member(Some(event.trace), &mut out[i], &mut pane_total);
-                                }
+                                shared.route(&events[i], wm, &mut out[i], &mut pane_total);
                             }
                         }
                     }
@@ -908,14 +951,7 @@ impl StreamRuntime {
                     let step = q.pipeline.advance_watermark_into(wm, all);
                     settle(q, None, step, &mut out, &mut spare, mark, &mut flushed);
                 }
-                UnitState::Table { table, queries } => {
-                    table.on_watermark(wm, |_, due| wm.0 >= due);
-                    for (q, m) in queries.iter_mut().zip(&mut table.members) {
-                        q.err = m.failed.take();
-                        q.pass(&mut m.rows, Some(wm));
-                        q.finish_member(None, &mut out, &mut flushed);
-                    }
-                }
+                UnitState::Table(shared) => shared.flush(wm, &mut out, &mut flushed),
             }
         }
         out
@@ -1239,6 +1275,93 @@ mod tests {
         rt.drop_query("q").unwrap();
         assert_eq!(rt.cq_delta_stats().late_events, 1);
         assert!(rt.query_consistency("q").is_err());
+    }
+
+    /// Nine same-pane queries at both consistency levels, one with a
+    /// HAVING, routed as one pane table over in-order ticks in batches
+    /// of every size: each member steps only at watermarks at or past
+    /// its due, and every step emits a row or moves its floor past a
+    /// pane. Each query answers as it does registered alone.
+    #[test]
+    fn a_table_steps_a_member_only_when_something_closes() {
+        use rand::rngs::StdRng;
+        use rand::{Rng, SeedableRng};
+        const QUERIES: [&str; 9] = [
+            "SELECT sym, count() AS n FROM ticks [RANGE 100 ms] GROUP BY sym",
+            "SELECT sym, sum(px) AS s FROM ticks [RANGE 500 ms SLIDE 100 ms] GROUP BY sym",
+            "SELECT sym, max(px) AS hi FROM ticks [RANGE 1 s SLIDE 100 ms] GROUP BY sym",
+            "SELECT sym, count() AS n FROM ticks [RANGE 300 ms SLIDE 100 ms] GROUP BY sym HAVING count() > 5",
+            "SELECT sym, avg(px) AS m FROM ticks [RANGE 200 ms SLIDE 100 ms] GROUP BY sym",
+            "SELECT sym, min(px) AS lo FROM ticks [RANGE 2 s SLIDE 100 ms] GROUP BY sym",
+            "SELECT sym, count() AS n FROM ticks [RANGE 500 ms SLIDE 100 ms] GROUP BY sym EMIT SPECULATIVE",
+            "SELECT sym, max(px) AS hi FROM ticks [RANGE 100 ms] GROUP BY sym EMIT SPECULATIVE",
+            "SELECT sym, sum(px) AS s FROM ticks [RANGE 1 s SLIDE 100 ms] GROUP BY sym EMIT SPECULATIVE",
+        ];
+        type Rows = Arc<Mutex<Vec<String>>>;
+        let runtime = |queries: &[usize]| -> (StreamRuntime, Vec<Rows>) {
+            let rt = StreamRuntime::new(30);
+            rt.create_stream("ticks", schema()).unwrap();
+            let rows = queries
+                .iter()
+                .map(|&k| {
+                    let q = crate::cql::parse_query(QUERIES[k]).unwrap();
+                    let p = crate::cql::compile(&q, &schema(), AggMode::Incremental).unwrap();
+                    rt.register_query_with(&format!("q{k}"), "ticks", p, q.consistency).unwrap();
+                    let rows: Rows = Arc::default();
+                    let sink = Arc::clone(&rows);
+                    let subscriber: Subscriber = Arc::new(move |e: &Event| {
+                        let row = format!("{} {} {} {}", e.id.0, e.timestamp.0, e.retraction, e.payload);
+                        sink.lock().push(row);
+                    });
+                    rt.subscribe(&format!("q{k}"), subscriber).unwrap();
+                    rows
+                })
+                .collect();
+            (rt, rows)
+        };
+        let drive = |rt: &StreamRuntime, events: &[Event], rng: &mut StdRng| {
+            let (mut scratch, mut out) = (evdb_expr::BatchScratch::new(), Vec::new());
+            let mut rest = events;
+            while !rest.is_empty() {
+                let (batch, tail) = rest.split_at(rng.gen_range(1..=rest.len().min(20)));
+                rt.push_events(batch, &mut scratch, &mut out);
+                assert!(out.iter().all(Result::is_ok));
+                rest = tail;
+            }
+            rt.flush("ticks", TimestampMs(1_000_000)).unwrap();
+        };
+        for seed in 0..10u64 {
+            let mut rng = StdRng::seed_from_u64(seed);
+            let mut now = 0;
+            let events: Vec<Event> = (0..1_500)
+                .map(|i| {
+                    now += rng.gen_range(1..8);
+                    let sym = ["A", "B", "C"][rng.gen_range(0..3usize)];
+                    let payload = Record::from_iter([Value::from(sym), Value::Float(rng.gen_range(0..50) as f64)]);
+                    Event::new(EventId(i), "ticks", TimestampMs(now), payload, schema())
+                })
+                .collect();
+            let all: Vec<usize> = (0..QUERIES.len()).collect();
+            let (rt, rows) = runtime(&all);
+            assert_eq!(rt.pane_tables(), 1);
+            drive(&rt, &events, &mut StdRng::seed_from_u64(seed + 100));
+            let units = rt.all_units();
+            let state = units[0].state.lock();
+            let UnitState::Table(shared) = &*state else { panic!("one pane table") };
+            for (k, m) in shared.table.members.iter().enumerate() {
+                assert!(m.steps.len() > 2, "seed {seed}: q{k} stepped {} times", m.steps.len());
+                for &(wm, due, closed) in &m.steps {
+                    assert!(wm >= due, "seed {seed}: q{k} stepped at {wm}, due at {due}");
+                    assert!(closed, "seed {seed}: q{k} stepped at {wm} and closed nothing");
+                }
+            }
+            for (k, rows) in rows.iter().enumerate() {
+                let (alone, alone_rows) = runtime(&[k]);
+                drive(&alone, &events, &mut StdRng::seed_from_u64(seed + 100));
+                assert!(!rows.lock().is_empty(), "seed {seed}: q{k} emitted nothing");
+                assert_eq!(*rows.lock(), *alone_rows[0].lock(), "seed {seed}: q{k} differs from itself alone");
+            }
+        }
     }
 
     #[test]

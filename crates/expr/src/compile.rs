@@ -351,6 +351,10 @@ pub struct CompiledExpr {
     /// When set, `matches` records per-block pass rates for
     /// [`CompiledExpr::resequence`].
     feedback: AtomicBool,
+    /// Every block is one fused compare (`FieldCmpConst` /
+    /// `FieldBetweenConst`): [`matches_batch`](Self::matches_batch)
+    /// evaluates it straight into verdicts.
+    compares: bool,
 }
 
 impl CompiledExpr {
@@ -418,6 +422,9 @@ impl CompiledExpr {
         blocks.sort_by_key(|b| (b.run, b.cost));
 
         let max_stack = blocks.iter().map(|b| b.max_stack).max().unwrap_or(0);
+        let compares = blocks.iter().all(|b| {
+            matches!(b.insts.as_slice(), [Inst::FieldCmpConst { .. } | Inst::FieldBetweenConst { .. }])
+        });
 
         COMPILED_TOTAL.fetch_add(1, Ordering::Relaxed);
         FOLDED_SUBTREES_TOTAL.fetch_add(fold.folded_subtrees, Ordering::Relaxed);
@@ -430,6 +437,7 @@ impl CompiledExpr {
             max_stack,
             fold,
             feedback: AtomicBool::new(false),
+            compares,
         }
     }
 
@@ -891,6 +899,13 @@ impl CompiledExpr {
     /// [`BatchScratch::selection`] afterwards holds the indices of
     /// matching records (the selection vector downstream stages iterate
     /// instead of re-touching every record).
+    ///
+    /// A predicate whose every conjunct is one fused compare (`px >
+    /// 185.0`, `qty BETWEEN 1 AND 9 AND sym = 'IBM'`) skips the generic
+    /// VM: each record runs its conjuncts in block order straight into a
+    /// three-valued verdict, with the same errors, short-circuit and
+    /// feedback counters (`tests/prop_verdicts.rs`). Every other shape
+    /// goes through [`eval_batch`](Self::eval_batch).
     pub fn matches_batch<'s, T, F>(
         &'s self,
         items: &'s [T],
@@ -900,6 +915,10 @@ impl CompiledExpr {
     ) where
         F: Fn(&'s T) -> &'s Record,
     {
+        if self.compares {
+            self.compare_batch(items, get, scratch, out);
+            return;
+        }
         let mut vals = std::mem::take(&mut scratch.vals);
         self.eval_batch(items, get, scratch, &mut vals);
         out.clear();
@@ -917,6 +936,110 @@ impl CompiledExpr {
             });
         }
         scratch.vals = vals;
+    }
+
+    /// [`matches_batch`](Self::matches_batch) for a predicate made only of
+    /// fused compares: record at a time, conjuncts in block order, the
+    /// Kleene AND short-circuiting on FALSE as in `eval_blocks`.
+    fn compare_batch<'s, T, F>(
+        &'s self,
+        items: &'s [T],
+        get: F,
+        scratch: &mut BatchScratch,
+        out: &mut Vec<Result<bool>>,
+    ) where
+        F: Fn(&'s T) -> &'s Record,
+    {
+        out.clear();
+        scratch.sel.clear();
+        if items.is_empty() {
+            return;
+        }
+        BATCHES_TOTAL.fetch_add(1, Ordering::Relaxed);
+        BATCHED_RECORDS_TOTAL.fetch_add(items.len() as u64, Ordering::Relaxed);
+        let feedback = self.feedback.load(Ordering::Relaxed);
+        // Per block (evals, passes), added to its counters once per batch.
+        let tally = &mut scratch.tally;
+        tally.clear();
+        if feedback {
+            tally.resize(self.blocks.len(), (0, 0));
+        }
+        for (i, item) in items.iter().enumerate() {
+            let record = get(item);
+            let mut acc = Some(true);
+            let mut failed = None;
+            for (b, block) in self.blocks.iter().enumerate() {
+                let v = match self.compare(&block.insts[0], record) {
+                    Ok(v) => v,
+                    Err(e) => {
+                        failed = Some(e);
+                        break;
+                    }
+                };
+                if feedback {
+                    tally[b].0 += 1;
+                    tally[b].1 += u64::from(v != Some(false));
+                }
+                acc = match (acc, v) {
+                    (Some(false), _) | (_, Some(false)) => Some(false),
+                    (Some(true), Some(true)) => Some(true),
+                    _ => None,
+                };
+                if acc == Some(false) {
+                    break;
+                }
+            }
+            out.push(match failed {
+                Some(e) => Err(e),
+                None => {
+                    let hit = acc == Some(true);
+                    if hit {
+                        scratch.sel.push(i as u32);
+                    }
+                    Ok(hit)
+                }
+            });
+        }
+        for (block, &(evals, passes)) in self.blocks.iter().zip(tally.iter()) {
+            block.evals.fetch_add(evals, Ordering::Relaxed);
+            block.passes.fetch_add(passes, Ordering::Relaxed);
+        }
+    }
+
+    /// One fused compare on `record`, three-valued (`None` is NULL), with
+    /// `run_block`'s result and error. Numeric operands compare as
+    /// [`Value::sql_cmp`] does, without building a `Value`.
+    #[inline]
+    fn compare(&self, inst: &Inst, record: &Record) -> Result<Option<bool>> {
+        let num = |v: &Value, k: &Value| NumConst::of(k).and_then(|k| k.cmp_value(v));
+        match *inst {
+            Inst::FieldCmpConst { field, konst, op } => {
+                let v = record.get(field as usize).unwrap_or(&NULL);
+                let k = &self.consts[konst as usize];
+                match num(v, k) {
+                    Some(ord) => Ok(Some(ord_holds(ord, op))),
+                    None => three_cmp(v, k, op).map(|r| r.as_bool()),
+                }
+            }
+            Inst::FieldBetweenConst {
+                field,
+                lo,
+                hi,
+                negated,
+            } => {
+                let v = record.get(field as usize).unwrap_or(&NULL);
+                let (lo, hi) = (&self.consts[lo as usize], &self.consts[hi as usize]);
+                if let (Some(ge), Some(le)) = (num(v, lo), num(v, hi)) {
+                    let inside = ge != std::cmp::Ordering::Less && le != std::cmp::Ordering::Greater;
+                    return Ok(Some(inside != negated));
+                }
+                // Same order as `Between`: v ≥ lo raises first.
+                let ge = three_cmp(v, lo, BinaryOp::Ge)?;
+                let le = three_cmp(v, hi, BinaryOp::Le)?;
+                Ok(three_negate(&three_and(&ge, &le), negated).as_bool())
+            }
+            _ => unreachable!("not a fused compare"),
+        }
     }
 
     /// The vectorized interpreter for a straight-line block: one match
@@ -1303,6 +1426,8 @@ pub struct BatchScratch {
     sel: Vec<u32>,
     /// Value-result buffer backing `matches_batch`.
     vals: Vec<Result<Value>>,
+    /// Per-block feedback tallies of the fused-compare verdict path.
+    tally: Vec<(u64, u64)>,
 }
 
 impl BatchScratch {

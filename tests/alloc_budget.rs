@@ -13,7 +13,9 @@
 //! evaluates and delivers them on the same thread.
 //!
 //! A third covers the continuous-query runtime: what one row of a
-//! projection costs beyond routing the event.
+//! projection costs beyond routing the event. A fourth drives a dozen
+//! continuous queries — windows sharing a pane table, filters, a count
+//! window, a speculative copy — from `ingest_async` through `pump()`.
 //!
 //! A counting global allocator counts only on the thread that armed it,
 //! so the harness's own threads do not disturb the figure.
@@ -261,4 +263,91 @@ fn a_projected_row_allocates_within_budget() {
     let per_row = projected - bare;
     eprintln!("{per_row:.2} allocations per projected row ({projected:.2} with the query, {bare:.2} without)");
     assert!(per_row <= ROW_BUDGET, "{per_row:.2} allocations per row, budget {ROW_BUDGET}");
+}
+
+/// The continuous-query set of the `cq_embedded` benchmark workload:
+/// eight grouped sliding aggregates at overlaps 1×, 10× and 30×, two
+/// filtered projections, a count window and a speculative aggregate.
+const CQ_QUERIES: [&str; 12] = [
+    "SELECT sym, window_end, count() AS n, sum(volume) AS vol FROM ticks [RANGE 500 ms] GROUP BY sym",
+    "SELECT sym, window_end, avg(price) AS mean FROM ticks [RANGE 500 ms] GROUP BY sym",
+    "SELECT sym, window_end, max(price) AS hi FROM ticks [RANGE 500 ms] GROUP BY sym",
+    "SELECT sym, window_end, count() AS n, sum(volume) AS vol FROM ticks [RANGE 5 s SLIDE 500 ms] GROUP BY sym",
+    "SELECT sym, window_end, avg(price) AS mean FROM ticks [RANGE 5 s SLIDE 500 ms] GROUP BY sym",
+    "SELECT sym, window_end, max(price) AS hi FROM ticks [RANGE 5 s SLIDE 500 ms] GROUP BY sym",
+    "SELECT sym, window_end, count() AS n FROM ticks [RANGE 15 s SLIDE 500 ms] GROUP BY sym",
+    "SELECT sym, window_end, max(price) AS hi FROM ticks [RANGE 15 s SLIDE 500 ms] GROUP BY sym",
+    "SELECT seq, sym, price FROM ticks WHERE price > 185.0",
+    "SELECT seq, sym, volume FROM ticks WHERE volume <= 100",
+    "SELECT count() AS n, max(seq) AS last, sum(volume) AS vol FROM ticks [ROWS 100]",
+    "SELECT sym, window_end, max(price) AS hi FROM ticks [RANGE 5 s SLIDE 500 ms] GROUP BY sym EMIT SPECULATIVE",
+];
+
+/// Allocations per event of the query set above, past warm-up. Ticks
+/// run 20 to the millisecond over 64 symbols, one in twenty 100 ms late
+/// inside a 200 ms lateness bound, so windows close every 10 000 events
+/// and the late ticks revise the speculative query's rows. Measured at
+/// 1.14 per event (0.32 rows per event, most of them the filters'
+/// projections: a row's values and its event's result vector).
+const CQ_BUDGET: f64 = 1.25;
+
+#[test]
+fn a_continuous_query_set_allocates_within_budget() {
+    let server = EventServer::in_memory(ServerConfig {
+        clock: SimClock::new(TimestampMs(0)),
+        lateness_ms: 200,
+        ..Default::default()
+    })
+    .unwrap();
+    let schema = Schema::of(&[
+        ("seq", DataType::Int),
+        ("sym", DataType::Str),
+        ("price", DataType::Float),
+        ("volume", DataType::Int),
+    ]);
+    server.create_stream("ticks", schema).unwrap();
+    let rows = Arc::new(std::sync::atomic::AtomicU64::new(0));
+    for (i, cql) in CQ_QUERIES.iter().enumerate() {
+        let name = format!("q{i}");
+        server.register_cql(&name, cql).unwrap();
+        let rows = Arc::clone(&rows);
+        server
+            .on_query_updates(&name, move |_, _| {
+                rows.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
+            })
+            .unwrap();
+    }
+    const PER_MS: u64 = 20;
+    let tick = |i: u64| -> (TimestampMs, Record) {
+        let late = if i % 20 == 7 { 100 } else { 0 };
+        let ts = (i / PER_MS) as i64 - late;
+        let payload = Record::from_iter([
+            Value::Int(i as i64),
+            Value::from(format!("S{:02}", i.wrapping_mul(2_654_435_761) % 64).as_str()),
+            Value::Float(100.0 + (i.wrapping_mul(7_919) % 10_000) as f64 / 100.0),
+            Value::Int(1 + (i.wrapping_mul(104_729) % 1_000) as i64),
+        ]);
+        (TimestampMs(ts), payload)
+    };
+    let run = |from: u64, n: u64| -> u64 {
+        let mut ticks = (from..from + n).map(tick).collect::<Vec<_>>().into_iter();
+        allocations(|| {
+            while ticks.len() > 0 {
+                for (ts, payload) in ticks.by_ref().take(256) {
+                    server.ingest_async("ticks", ts, payload).unwrap();
+                }
+                server.pump().unwrap();
+            }
+        })
+    };
+    // Warm-up: every window shape opens, closes and prunes once.
+    const WARM: u64 = 400_000;
+    run(0, WARM);
+    let before = rows.load(std::sync::atomic::Ordering::Relaxed);
+    const MEASURED: u64 = 100_000;
+    let per_event = run(WARM, MEASURED) as f64 / MEASURED as f64;
+    let per_row = (rows.load(std::sync::atomic::Ordering::Relaxed) - before) as f64 / MEASURED as f64;
+    eprintln!("{per_event:.2} allocations per event ({per_row:.2} rows per event), {} queries", CQ_QUERIES.len());
+    assert!(per_row > 0.2, "the queries emit: {per_row:.2} rows per event");
+    assert!(per_event <= CQ_BUDGET, "{per_event:.2} allocations per event, budget {CQ_BUDGET}");
 }
