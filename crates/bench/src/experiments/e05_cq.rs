@@ -1,12 +1,10 @@
-//! E5 — Continuous-query throughput: windowed aggregation, incremental
-//! (pane-based) vs recompute (DESIGN.md D5), across window/slide shapes.
+//! E5 — Continuous-query throughput: pane-based windowed aggregation
+//! (DESIGN.md D5) across window/slide shapes.
 //!
-//! Expected shape: for tumbling windows the two modes are close (each
-//! event is touched once either way); for sliding windows with many
-//! overlaps the recompute mode rescans every event `width/slide` times
-//! and falls behind. The watermark advances after every event, as the
+//! Expected shape: an event is folded into one pane however many sliding
+//! windows overlap it. The watermark advances after every event, as the
 //! runtime advances it, so a watermark that closes nothing is part of
-//! each event's price: incremental ns/event must not grow with overlap.
+//! each event's price: ns/event must not grow with overlap.
 //!
 //! A second table ([`run_sharing`]) registers 1, 3 and 9 grouped
 //! aggregates over the same 500 ms panes with a `StreamRuntime` and
@@ -53,9 +51,9 @@ fn aggs() -> Vec<AggSpec> {
     ]
 }
 
-fn run_mode(mode: AggMode, window: WindowSpec, events: &[Event]) -> (f64, usize) {
+fn run_window(window: WindowSpec, events: &[Event]) -> (f64, usize) {
     let schema = tick_schema();
-    let mut op = WindowAggregateOp::new(&schema, window, &["sym"], aggs(), mode).unwrap();
+    let mut op = WindowAggregateOp::new(&schema, window, &["sym"], aggs()).unwrap();
     let mut out = Vec::new();
     let t0 = Instant::now();
     let mut produced = 0usize;
@@ -97,8 +95,8 @@ pub fn run(scale: Scale) -> Table {
         .collect();
 
     let mut table = Table::new(
-        "E5: windowed aggregation — incremental (panes) vs recompute",
-        &["window", "slide", "overlap", "incr_evt/s", "incr_ns/evt", "recomp_evt/s", "ratio", "windows"],
+        "E5: windowed aggregation over panes",
+        &["window", "slide", "overlap", "evt/s", "ns/evt", "windows"],
     );
     let shapes = [
         (1_000i64, 1_000i64),
@@ -115,25 +113,21 @@ pub fn run(scale: Scale) -> Table {
                 slide_ms: slide,
             }
         };
-        let (inc_rate, w1) = run_mode(AggMode::Incremental, w, &events);
-        let (rec_rate, w2) = run_mode(AggMode::Recompute, w, &events);
-        assert_eq!(w1, w2, "modes must emit the same windows");
+        let (rate, windows) = run_window(w, &events);
         table.row(vec![
             format!("{}s", width / 1_000),
             format!("{}s", slide / 1_000),
             format!("{}x", width / slide),
-            fmt_rate(inc_rate),
-            format!("{:.0}", 1e9 / inc_rate),
-            fmt_rate(rec_rate),
-            format!("{:.1}x", inc_rate / rec_rate),
-            w1.to_string(),
+            fmt_rate(rate),
+            format!("{:.0}", 1e9 / rate),
+            windows.to_string(),
         ]);
     }
     table.note(format!(
         "{n} ticks {TICK_MS} ms apart, 16 symbols, group by sym, 3 aggregates"
     ));
     table.note("watermark after every event (runtime cadence), final flush included");
-    table.note("recompute rescans each event width/slide times; panes touch it once (D5)");
+    table.note("panes touch each event once, whatever the overlap (D5)");
     table
 }
 
@@ -238,15 +232,6 @@ mod tests {
         }
         let ratio = nine / one;
         assert!(ratio <= 3.0, "9 same-pane queries cost {ratio:.2}x one query's ns/event");
-    }
-
-    #[test]
-    fn modes_agree_and_incremental_wins_on_overlap() {
-        let t = run(Scale::Quick);
-        assert_eq!(t.rows.len(), 4);
-        // The 30x-overlap row should favour incremental.
-        let ratio: f64 = t.rows[3][6].trim_end_matches('x').parse().unwrap();
-        assert!(ratio > 1.0, "ratio {ratio}");
     }
 
     #[test]

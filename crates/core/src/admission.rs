@@ -47,14 +47,11 @@
 
 use std::collections::VecDeque;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-// Deliberately `std::sync` rather than the workspace `parking_lot`
-// facade: `Block` and the work signal need condvars tied to the
-// buffer's mutex.
-use std::sync::{Condvar, Mutex, MutexGuard};
 use std::time::{Duration, Instant};
 
 use evdb_storage::ChangeEvent;
 use evdb_types::{Error, Event, Result};
+use parking_lot::{Condvar, Mutex, MutexGuard};
 
 /// What happens to a producer offering an event when the staged ingest
 /// buffer is at capacity.
@@ -174,11 +171,7 @@ impl AdmissionControl {
 
     /// Events currently staged.
     pub fn depth(&self) -> usize {
-        self.lock().items.len()
-    }
-
-    fn lock(&self) -> MutexGuard<'_, Buffer> {
-        self.staged.lock().expect("admission lock")
+        self.staged.lock().items.len()
     }
 
     /// High-water mark of the staged depth since startup.
@@ -228,7 +221,7 @@ impl AdmissionControl {
     }
 
     fn push_locked(&self, priority: i64, item: Staged) -> Result<MutexGuard<'_, Buffer>> {
-        let mut staged = self.lock();
+        let mut staged = self.staged.lock();
         if staged.items.len() >= self.capacity {
             match self.policy {
                 OverloadPolicy::Block => {
@@ -241,7 +234,7 @@ impl AdmissionControl {
                         self.work.notify_all();
                     }
                     while staged.items.len() >= self.capacity {
-                        staged = self.space.wait(staged).expect("admission lock");
+                        staged = self.space.wait(staged);
                     }
                 }
                 OverloadPolicy::Reject => {
@@ -302,7 +295,7 @@ impl AdmissionControl {
     pub fn wait_for_work(&self, timeout: Duration, stop: &AtomicBool) -> Wake {
         // `None`: the deadline is beyond what `Instant` can hold.
         let deadline = Instant::now().checked_add(timeout);
-        let mut staged = self.lock();
+        let mut staged = self.staged.lock();
         loop {
             let wake = if stop.load(Ordering::SeqCst) {
                 Wake::Stop
@@ -313,11 +306,7 @@ impl AdmissionControl {
                     .map_or(Duration::MAX, |d| d.saturating_duration_since(Instant::now()));
                 if !left.is_zero() {
                     staged.parked = true;
-                    staged = self
-                        .work
-                        .wait_timeout(staged, left)
-                        .expect("admission lock")
-                        .0;
+                    staged = self.work.wait_timeout(staged, left).0;
                     continue;
                 }
                 Wake::Tick
@@ -332,14 +321,14 @@ impl AdmissionControl {
     /// the second half of [`admit`](Self::admit) after a
     /// [`push`](Self::push), or a stop (raise the stop flag first).
     pub fn wake(&self) {
-        self.notify_if_parked(self.lock());
+        self.notify_if_parked(self.staged.lock());
     }
 
     /// Take every staged item in arrival order and wake blocked
     /// producers. The drained sequence is the pipeline's cross-stream
     /// evaluation order.
     pub fn drain(&self) -> Vec<Staged> {
-        let mut staged = self.lock();
+        let mut staged = self.staged.lock();
         staged.wanted = false;
         if staged.items.is_empty() {
             return Vec::new();
@@ -427,7 +416,7 @@ mod tests {
     /// Spin until the consumer thread has parked (the flag is only up
     /// while it waits), so the test forces the interleaving it checks.
     fn await_parked(ac: &AdmissionControl) {
-        while !ac.lock().parked {
+        while !ac.staged.lock().parked {
             std::thread::yield_now();
         }
     }
@@ -445,7 +434,7 @@ mod tests {
         // Stop outranks staged work.
         stop.store(true, Ordering::SeqCst);
         assert_eq!(ac.wait_for_work(Duration::MAX, &stop), Wake::Stop);
-        assert!(!ac.lock().parked);
+        assert!(!ac.staged.lock().parked);
     }
 
     #[test]
@@ -461,7 +450,7 @@ mod tests {
         await_parked(&ac);
         ac.admit(0, ev(1)).unwrap();
         // The notifier lowered the flag, so this admit pays no notify.
-        assert!(!ac.lock().parked);
+        assert!(!ac.staged.lock().parked);
         ac.admit(0, ev(2)).unwrap();
         assert_eq!(parked.join().unwrap(), Wake::Work);
         assert_eq!(ac.drain().len(), 2);
@@ -489,7 +478,7 @@ mod tests {
         ac.push(0, ev(1)).unwrap();
         // Staged, and the consumer was left alone.
         assert_eq!(ac.depth(), 1);
-        assert!(ac.lock().parked);
+        assert!(ac.staged.lock().parked);
         ac.wake();
         assert_eq!(parked.join().unwrap(), Wake::Work);
         assert_eq!(ac.drain().len(), 1);

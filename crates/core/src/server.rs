@@ -55,8 +55,6 @@ pub struct PumpStats {
 pub struct ServerConfig {
     /// VIRT notification policy.
     pub virt: VirtPolicy,
-    /// Aggregation execution mode for CQL queries.
-    pub agg_mode: AggMode,
     /// Allowed event-time out-of-orderness for windows (ms).
     pub lateness_ms: i64,
     /// Engine clock.
@@ -92,7 +90,6 @@ impl Default for ServerConfig {
     fn default() -> Self {
         ServerConfig {
             virt: VirtPolicy::default(),
-            agg_mode: AggMode::Incremental,
             lateness_ms: 0,
             clock: Arc::new(SystemClock),
             registry: Arc::new(Registry::new()),
@@ -145,7 +142,6 @@ pub struct EventServer {
     registry: Arc<Registry>,
     /// Stage samples of the cycle (`cycle.rs`).
     pub(crate) stage_obs: StageObs,
-    agg_mode: AggMode,
     pub(crate) capture: Capture,
     pub(crate) evaluate: Evaluate,
     pub(crate) notify: Notify,
@@ -187,7 +183,6 @@ impl EventServer {
             runtime,
             access,
             metrics,
-            agg_mode: config.agg_mode,
             registry: config.registry,
             db,
         })
@@ -395,7 +390,7 @@ impl EventServer {
     pub fn register_cql(&self, name: &str, cql: &str) -> Result<()> {
         let q = evdb_cq::cql::parse_query(cql)?;
         let input = self.runtime.stream_schema(&q.from)?;
-        let pipeline = evdb_cq::cql::compile(&q, &input, self.agg_mode)?;
+        let pipeline = evdb_cq::cql::compile(&q, &input, AggMode::Incremental)?;
         self.runtime
             .register_query_with(name, &q.from, pipeline, q.consistency)
     }

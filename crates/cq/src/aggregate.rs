@@ -1,18 +1,13 @@
 //! Windowed group-by aggregation.
 //!
-//! Two execution modes implement the same semantics (property-tested for
-//! equivalence) so the ablation bench (E5 / DESIGN.md D5) can compare
-//! them:
-//!
-//! * [`AggMode::Incremental`] — events fold into per-**pane** partial
-//!   accumulators as they arrive (a pane is the GCD slice of the window:
-//!   the slide for sliding windows, the width for tumbling). Closing a
-//!   window merges its panes' partials: O(panes) per close instead of
-//!   O(events), and an event is touched exactly once however many sliding
-//!   windows overlap it.
-//! * [`AggMode::Recompute`] — raw rows are buffered per pane and every
-//!   window close rescans them. Simple, memory-hungry, slow for long
-//!   windows: the baseline.
+//! Tumbling and sliding windows fold each event into a per-**pane**
+//! partial accumulator as it arrives (a pane is the GCD slice of the
+//! window: the slide for sliding windows, the width for tumbling).
+//! Closing a window merges its panes' partials: O(panes) per close
+//! instead of O(events), and an event is touched exactly once however
+//! many sliding windows overlap it. There is one execution path; the
+//! reference it is tested against (`tests/prop_cq.rs`) computes each
+//! window from its definition and shares no code with this module.
 //!
 //! Count and session windows are inherently per-group/per-event and share
 //! one implementation path (they have no panes).
@@ -60,8 +55,8 @@
 //!   admit unless they are Speculative (one eager step each) or the
 //!   watermark reaches the table's cached due.
 //! * **Per close:** O(panes × groups) of the closing windows — merging
-//!   (or, in Recompute mode, rescanning) their panes — plus one ordered
-//!   map probe per window that has data, never a walk over empty starts.
+//!   their panes — plus one ordered map probe per window that has data,
+//!   never a walk over empty starts.
 //!   A pane is dropped once, when its last containing window is final.
 //! * **Per late event (Speculative):** a merge of its group's panes for
 //!   each emitted, not-yet-final window it revises; an in-order event
@@ -155,13 +150,16 @@ enum AggInput {
     Computed(CompiledExpr),
 }
 
-/// Execution strategy (DESIGN.md D5).
+/// Execution strategy (DESIGN.md D5). There is one: per-pane partial
+/// aggregation, merged at close. The type remains only because
+/// [`cql::compile`](crate::cql::compile) and
+/// [`cql::compile_query`](crate::cql::compile_query) take it, and the
+/// end-to-end benchmark calls them with it; it goes when that argument
+/// does.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum AggMode {
     /// Per-pane partial aggregation, merged at close.
     Incremental,
-    /// Buffer raw rows, rescan at close.
-    Recompute,
 }
 
 /// A mergeable accumulator.
@@ -439,11 +437,6 @@ impl Inputs<'_> {
             AggInput::Computed(_) => computed.next(),
         })
     }
-
-    /// The inputs as owned values (Recompute mode keeps them).
-    fn owned(&self) -> Vec<Option<Value>> {
-        self.iter().map(|v| v.cloned()).collect()
-    }
 }
 
 /// Fold one row's inputs into a cell's accumulators.
@@ -518,18 +511,12 @@ fn delta(seq: u64, record: Record, end: TimestampMs, schema: &Arc<Schema>, retra
     e
 }
 
-/// Raw row stored by Recompute mode: (group key, column inputs, ts, seq).
-type RawRow = (Vec<Value>, Vec<Option<Value>>, TimestampMs, u64);
-
-/// Per pane start and group, the partial state of every column:
-/// accumulators (Incremental) or the raw rows (Recompute).
+/// Per pane start and group, the partial accumulators of every column.
 struct PaneStore {
-    mode: AggMode,
     pane_ms: i64,
     group_fields: Vec<usize>,
     columns: Vec<Column>,
     cells: BTreeMap<i64, HashMap<Vec<Value>, Vec<Acc>>>,
-    raw: BTreeMap<i64, Vec<RawRow>>,
     /// The routed event's group key (more than one group field) and
     /// computed arguments, reused across events so a fold into an
     /// existing cell allocates nothing.
@@ -550,111 +537,64 @@ impl PaneStore {
             computed: &self.computed,
         };
         let group = group_of(&event.payload, &self.group_fields, &self.key);
-        let ts = event.timestamp;
-        match self.mode {
-            AggMode::Incremental => {
-                let (opened, groups) = match self.cells.entry(ps) {
-                    btree_map::Entry::Occupied(pane) => (false, pane.into_mut()),
-                    btree_map::Entry::Vacant(pane) => (true, pane.insert(HashMap::new())),
-                };
-                match groups.get_mut(group) {
-                    Some(accs) => fold(accs, &inputs, ts, self.seq)?,
-                    None => {
-                        let accs = groups
-                            .entry(group.to_vec())
-                            .or_insert(fresh_row(&self.columns));
-                        fold(accs, &inputs, ts, self.seq)?
-                    }
-                }
-                Ok(opened)
-            }
-            AggMode::Recompute => {
-                let row = (group.to_vec(), inputs.owned(), ts, self.seq);
-                let rows = self.raw.entry(ps).or_default();
-                rows.push(row);
-                Ok(rows.len() == 1)
+        let (opened, groups) = match self.cells.entry(ps) {
+            btree_map::Entry::Occupied(pane) => (false, pane.into_mut()),
+            btree_map::Entry::Vacant(pane) => (true, pane.insert(HashMap::new())),
+        };
+        match groups.get_mut(group) {
+            Some(accs) => fold(accs, &inputs, event.timestamp, self.seq)?,
+            None => {
+                let accs = groups.entry(group.to_vec()).or_insert(fresh_row(&self.columns));
+                fold(accs, &inputs, event.timestamp, self.seq)?
             }
         }
+        Ok(opened)
     }
 
     /// The oldest retained pane starting at or after `lower`.
     fn first_pane_from(&self, lower: i64) -> Option<i64> {
-        match self.mode {
-            AggMode::Incremental => self.cells.range(lower..).next().map(|(ps, _)| *ps),
-            AggMode::Recompute => self.raw.range(lower..).next().map(|(ps, _)| *ps),
-        }
+        self.cells.range(lower..).next().map(|(ps, _)| *ps)
     }
 
     /// Every group's accumulators over columns `cols` for the panes
     /// starting in `[lo, hi)`.
-    fn window_groups(&self, lo: i64, hi: i64, cols: &[usize]) -> Result<HashMap<Vec<Value>, Vec<Acc>>> {
+    fn window_groups(&self, lo: i64, hi: i64, cols: &[usize]) -> HashMap<Vec<Value>, Vec<Acc>> {
         let mut merged: HashMap<Vec<Value>, Vec<Acc>> = HashMap::new();
-        match self.mode {
-            AggMode::Incremental => {
-                for (_, groups) in self.cells.range(lo..hi) {
-                    for (g, accs) in groups {
-                        let entry = cell(&mut merged, g, &self.columns, cols);
-                        for (m, &c) in entry.iter_mut().zip(cols) {
-                            m.merge(&accs[c]);
-                        }
-                    }
-                }
-            }
-            AggMode::Recompute => {
-                for (_, rows) in self.raw.range(lo..hi) {
-                    for (g, inputs, ts, seq) in rows {
-                        let entry = cell(&mut merged, g, &self.columns, cols);
-                        for (a, &c) in entry.iter_mut().zip(cols) {
-                            a.update(inputs[c].as_ref(), *ts, *seq)?;
-                        }
-                    }
+        for (_, groups) in self.cells.range(lo..hi) {
+            for (g, accs) in groups {
+                let entry = cell(&mut merged, g, &self.columns, cols);
+                for (m, &c) in entry.iter_mut().zip(cols) {
+                    m.merge(&accs[c]);
                 }
             }
         }
-        Ok(merged)
+        merged
     }
 
     /// One group's accumulators over columns `cols` for the panes
     /// starting in `[lo, hi)`.
-    fn group_accs(&self, lo: i64, hi: i64, group: &[Value], cols: &[usize]) -> Result<Vec<Acc>> {
+    fn group_accs(&self, lo: i64, hi: i64, group: &[Value], cols: &[usize]) -> Vec<Acc> {
         let mut accs = fresh_accs(&self.columns, cols);
-        match self.mode {
-            AggMode::Incremental => {
-                for (_, groups) in self.cells.range(lo..hi) {
-                    if let Some(part) = groups.get(group) {
-                        for (m, &c) in accs.iter_mut().zip(cols) {
-                            m.merge(&part[c]);
-                        }
-                    }
-                }
-            }
-            AggMode::Recompute => {
-                for (_, rows) in self.raw.range(lo..hi) {
-                    for (g, inputs, ts, seq) in rows {
-                        if g.as_slice() == group {
-                            for (a, &c) in accs.iter_mut().zip(cols) {
-                                a.update(inputs[c].as_ref(), *ts, *seq)?;
-                            }
-                        }
-                    }
+        for (_, groups) in self.cells.range(lo..hi) {
+            if let Some(part) = groups.get(group) {
+                for (m, &c) in accs.iter_mut().zip(cols) {
+                    m.merge(&part[c]);
                 }
             }
         }
-        Ok(accs)
+        accs
     }
 
     fn prune_below(&mut self, boundary: i64) {
         prune_below(&mut self.cells, boundary);
-        prune_below(&mut self.raw, boundary);
     }
 
     fn is_empty(&self) -> bool {
-        self.cells.is_empty() && self.raw.is_empty()
+        self.cells.is_empty()
     }
 
     fn state_size(&self) -> usize {
-        self.cells.values().map(|g| g.len()).sum::<usize>()
-            + self.raw.values().map(|r| r.len()).sum::<usize>()
+        self.cells.values().map(|g| g.len()).sum()
     }
 }
 
@@ -689,7 +629,7 @@ pub(crate) struct TimeWindows {
     admitted: bool,
     /// Deltas of the last table step, for the caller to take.
     pub(crate) rows: Vec<Event>,
-    /// Error of the last table step, for the caller to take.
+    /// Error of the last fold, for the caller to take.
     pub(crate) failed: Option<Error>,
     /// Every watermark step: the watermark, what was due, and whether
     /// the step emitted a row or moved the floor past a pane.
@@ -759,12 +699,11 @@ impl TimeWindows {
     /// After the table folded an admitted event of `group` into pane
     /// `ps`: a Speculative aggregate revises the emitted windows the
     /// event lands in, then emits the windows event time completes.
-    fn on_fold(&mut self, store: &PaneStore, group: &[Value], ps: i64, ts: TimestampMs) -> Result<()> {
+    fn on_fold(&mut self, store: &PaneStore, group: &[Value], ps: i64, ts: TimestampMs) {
         if self.consistency == ConsistencyLevel::Speculative {
             self.max_event_ts = self.max_event_ts.max(ts.0);
-            self.speculate(store, group, ps)?;
+            self.speculate(store, group, ps);
         }
-        Ok(())
     }
 
     /// The smallest watermark [`on_watermark`](Self::on_watermark) does
@@ -801,25 +740,24 @@ impl TimeWindows {
     }
 
     /// [`on_watermark`](Self::on_watermark), logging the step under test.
-    fn step(&mut self, store: &PaneStore, wm: TimestampMs) -> Result<()> {
+    fn step(&mut self, store: &PaneStore, wm: TimestampMs) {
         #[cfg(test)]
         let before = (self.watermark_due(store), self.rows.len(), self.pane_floor());
-        let result = self.on_watermark(store, wm);
+        self.on_watermark(store, wm);
         #[cfg(test)]
         {
             let (due, rows, pane) = before;
             let closed = self.rows.len() > rows || self.pane_floor() != pane;
             self.steps.push((wm.0, due, closed));
         }
-        result
     }
 
     /// Close what `wm` completes, then raise the floor to the new prune
     /// boundary.
-    fn on_watermark(&mut self, store: &PaneStore, wm: TimestampMs) -> Result<()> {
+    fn on_watermark(&mut self, store: &PaneStore, wm: TimestampMs) {
         match self.consistency {
             ConsistencyLevel::Watermark => {
-                self.emit_up_to(store, wm.0)?;
+                self.emit_up_to(store, wm.0);
                 // A pane's last containing window starts at the pane
                 // itself, and has now been emitted.
                 self.floor = self.next_window_start;
@@ -829,7 +767,7 @@ impl TimeWindows {
                 // Windows complete by event time were already emitted on
                 // arrival; the watermark may still be ahead of event time
                 // (e.g. an explicit flush), so cover both frontiers.
-                self.emit_up_to(store, self.max_event_ts.max(wm.0))?;
+                self.emit_up_to(store, self.max_event_ts.max(wm.0));
                 // Finality: a pane (and its emitted-row memory) can still
                 // be revised only while some containing window is open,
                 // i.e. while ps + width > final_wm.
@@ -837,7 +775,6 @@ impl TimeWindows {
                 prune_below(&mut self.emitted, self.floor);
             }
         }
-        Ok(())
     }
 
     /// Emit one delta with a fresh output id.
@@ -854,12 +791,12 @@ impl TimeWindows {
     /// `frontier`, in start order, advancing `next_window_start`.
     /// Speculative mode records emitted rows of windows not yet final
     /// (for later retraction); Watermark mode does not need to.
-    fn emit_up_to(&mut self, store: &PaneStore, frontier: i64) -> Result<()> {
+    fn emit_up_to(&mut self, store: &PaneStore, frontier: i64) {
         let (width, slide) = (self.width, self.slide);
         // Every window left to emit starts at or after next_window_start:
         // if the first of them is still open, nothing closes (O(1)).
         if !self.started || frontier.saturating_sub(width) < self.next_window_start {
-            return Ok(());
+            return;
         }
         let speculative = self.consistency == ConsistencyLevel::Speculative;
         // Window starts are multiples of the slide (as are pane starts and
@@ -877,7 +814,7 @@ impl TimeWindows {
             let start = TimestampMs(s);
             let end = TimestampMs(s + width);
             let mut groups: Vec<(Vec<Value>, Vec<Acc>)> = store
-                .window_groups(s.max(self.floor), s + width, &self.cols)?
+                .window_groups(s.max(self.floor), s + width, &self.cols)
                 .into_iter()
                 .collect();
             groups.sort_unstable_by(|a, b| a.0.cmp(&b.0));
@@ -894,14 +831,13 @@ impl TimeWindows {
             self.next_window_start = self.next_window_start.max(s + slide);
             lower = s + slide;
         }
-        Ok(())
     }
 
     /// Speculative mode: after the routed event of `group` was folded
     /// into pane `ps`, revise already-emitted windows it belongs to
     /// (retract stale row, insert corrected row), then emit windows newly
     /// complete by event time.
-    fn speculate(&mut self, store: &PaneStore, group: &[Value], ps: i64) -> Result<()> {
+    fn speculate(&mut self, store: &PaneStore, group: &[Value], ps: i64) {
         let (width, slide) = (self.width, self.slide);
         let mut reopened = false;
         // Windows containing pane ps start in (ps - width, ps]; the ones
@@ -914,7 +850,7 @@ impl TimeWindows {
             self.stats.pane_reopens += 1;
             let start = TimestampMs(s);
             let end = TimestampMs(s + width);
-            let accs = store.group_accs(s.max(self.floor), s + width, group, &self.cols)?;
+            let accs = store.group_accs(s.max(self.floor), s + width, group, &self.cols);
             let record = window_row(group, start, end, &accs);
             let slot = self.emitted.entry(s).or_default();
             match slot.get(group) {
@@ -963,8 +899,8 @@ impl TimeWindows {
 pub(crate) struct PaneTable {
     store: PaneStore,
     pub(crate) members: Vec<TimeWindows>,
-    /// Whether other aggregates may join: Incremental mode, and no
-    /// argument can fail for an event that matches the input schema.
+    /// Whether other aggregates may join: no argument can fail for an
+    /// event that matches the input schema.
     shareable: bool,
     /// Panes at or above this every member admits.
     admits_from: i64,
@@ -1022,11 +958,9 @@ impl PaneTable {
         for &j in &self.speculative {
             let m = &mut self.members[j];
             if every || m.admitted {
-                if let Err(e) = m.on_fold(&self.store, group, ps, event.timestamp) {
-                    m.failed = Some(e);
-                }
+                m.on_fold(&self.store, group, ps, event.timestamp);
                 // A member that emitted nothing moved no frontier.
-                stepped |= !m.rows.is_empty() || m.failed.is_some();
+                stepped |= !m.rows.is_empty();
             }
         }
         if stepped {
@@ -1042,9 +976,7 @@ impl PaneTable {
         for (j, m) in self.members.iter_mut().enumerate() {
             if take(j, m.watermark_due(&self.store)) {
                 stepped = true;
-                if let Err(e) = m.step(&self.store, wm) {
-                    m.failed = Some(e);
-                }
+                m.step(&self.store, wm);
             }
         }
         if stepped {
@@ -1286,7 +1218,6 @@ impl WindowAggregateOp {
         window: WindowSpec,
         group_by: &[&str],
         aggs: Vec<AggSpec>,
-        mode: AggMode,
     ) -> Result<WindowAggregateOp> {
         window
             .validate()
@@ -1338,16 +1269,13 @@ impl WindowAggregateOp {
         let body = match window {
             WindowSpec::Tumbling { width_ms } | WindowSpec::Sliding { width_ms, .. } => {
                 let slide = window.pane_ms().expect("time window has panes");
-                let shareable = mode == AggMode::Incremental
-                    && columns.iter().all(|(f, a)| infallible(*f, a, input));
+                let shareable = columns.iter().all(|(f, a)| infallible(*f, a, input));
                 let mut table = PaneTable {
                     store: PaneStore {
-                        mode,
                         pane_ms: slide,
                         group_fields,
                         columns: Vec::new(),
                         cells: BTreeMap::new(),
-                        raw: BTreeMap::new(),
                         key: Vec::new(),
                         computed: Vec::new(),
                         seq: 0,
@@ -1526,7 +1454,7 @@ mod tests {
         }
     }
 
-    fn run(mode: AggMode, window: WindowSpec, events: &[Event], wm: i64) -> Vec<Record> {
+    fn run(window: WindowSpec, events: &[Event], wm: i64) -> Vec<Record> {
         let mut op = WindowAggregateOp::new(
             &schema(),
             window,
@@ -1541,7 +1469,6 @@ mod tests {
                 agg("fst", AggFunc::First, Some("px")),
                 agg("lst", AggFunc::Last, Some("px")),
             ],
-            mode,
         )
         .unwrap();
         let mut out = Vec::new();
@@ -1553,7 +1480,7 @@ mod tests {
     }
 
     #[test]
-    fn tumbling_aggregates_both_modes_agree() {
+    fn tumbling_aggregates_every_function() {
         let events = vec![
             ev(100, "A", 10.0),
             ev(200, "A", 20.0),
@@ -1561,9 +1488,7 @@ mod tests {
             ev(1_100, "A", 100.0),
         ];
         let w = WindowSpec::Tumbling { width_ms: 1000 };
-        let inc = run(AggMode::Incremental, w, &events, 2_000);
-        let rec = run(AggMode::Recompute, w, &events, 2_000);
-        assert_eq!(inc, rec);
+        let inc = run(w, &events, 2_000);
         assert_eq!(inc.len(), 3); // (A,w0), (B,w0), (A,w1000)
         // First row: A in window [0,1000): n=2 sum=30 mean=15 lo=10 hi=20
         let a0 = &inc[0];
@@ -1591,9 +1516,7 @@ mod tests {
             width_ms: 200,
             slide_ms: 100,
         };
-        let inc = run(AggMode::Incremental, w, &events, 1_000);
-        let rec = run(AggMode::Recompute, w, &events, 1_000);
-        assert_eq!(inc, rec);
+        let inc = run(w, &events, 1_000);
         // Windows with data: [0,200):{150} [100,300):{150,250} [200,400):{250}
         assert_eq!(inc.len(), 3);
         assert_eq!(inc[0].get(3), Some(&Value::Int(1)));
@@ -1605,11 +1528,11 @@ mod tests {
     fn watermark_only_closes_complete_windows() {
         let events = vec![ev(100, "A", 1.0), ev(1_100, "A", 2.0)];
         let w = WindowSpec::Tumbling { width_ms: 1000 };
-        let out = run(AggMode::Incremental, w, &events, 1_000);
+        let out = run(w, &events, 1_000);
         assert_eq!(out.len(), 1); // only [0,1000) closed
-        let out = run(AggMode::Incremental, w, &events, 1_999);
+        let out = run(w, &events, 1_999);
         assert_eq!(out.len(), 1); // [1000,2000) not yet complete
-        let out = run(AggMode::Incremental, w, &events, 2_000);
+        let out = run(w, &events, 2_000);
         assert_eq!(out.len(), 2);
     }
 
@@ -1620,7 +1543,6 @@ mod tests {
             WindowSpec::Tumbling { width_ms: 1000 },
             &[],
             vec![agg("n", AggFunc::Count, None)],
-            AggMode::Incremental,
         )
         .unwrap();
         let mut out = Vec::new();
@@ -1640,7 +1562,6 @@ mod tests {
             WindowSpec::CountTumbling { count: 2 },
             &["sym"],
             vec![agg("total", AggFunc::Sum, Some("px"))],
-            AggMode::Incremental,
         )
         .unwrap();
         let mut out = Vec::new();
@@ -1658,10 +1579,9 @@ mod tests {
     #[test]
     fn two_group_fields_key_every_window_kind() {
         let events = [ev(1, "A", 1.0), ev(2, "A", 2.0), ev(3, "B", 1.0), ev(4, "A", 1.0), ev(5, "B", 1.0)];
-        let count = |window: WindowSpec, mode: AggMode| -> Vec<String> {
+        let count = |window: WindowSpec| -> Vec<String> {
             let mut op =
-                WindowAggregateOp::new(&schema(), window, &["sym", "px"], vec![agg("n", AggFunc::Count, None)], mode)
-                    .unwrap();
+                WindowAggregateOp::new(&schema(), window, &["sym", "px"], vec![agg("n", AggFunc::Count, None)]).unwrap();
             let mut out = Vec::new();
             for e in &events {
                 op.on_event(e, &mut out).unwrap();
@@ -1675,12 +1595,10 @@ mod tests {
             rows
         };
         let pairs = ["'A' 1.0 2", "'A' 2.0 1", "'B' 1.0 2"];
-        for mode in [AggMode::Incremental, AggMode::Recompute] {
-            assert_eq!(count(WindowSpec::Tumbling { width_ms: 1_000 }, mode), pairs);
-        }
-        assert_eq!(count(WindowSpec::Session { gap_ms: 100 }, AggMode::Incremental), pairs);
+        assert_eq!(count(WindowSpec::Tumbling { width_ms: 1_000 }), pairs);
+        assert_eq!(count(WindowSpec::Session { gap_ms: 100 }), pairs);
         // Only the pairs that reach the count close.
-        assert_eq!(count(WindowSpec::CountTumbling { count: 2 }, AggMode::Incremental), ["'A' 1.0 2", "'B' 1.0 2"]);
+        assert_eq!(count(WindowSpec::CountTumbling { count: 2 }), ["'A' 1.0 2", "'B' 1.0 2"]);
     }
 
     #[test]
@@ -1690,7 +1608,6 @@ mod tests {
             WindowSpec::CountTumbling { count: 3 },
             &["sym"],
             vec![agg("n", AggFunc::Count, None)],
-            AggMode::Incremental,
         )
         .unwrap();
         let mut out = Vec::new();
@@ -1712,7 +1629,6 @@ mod tests {
             WindowSpec::Session { gap_ms: 100 },
             &["sym"],
             vec![agg("n", AggFunc::Count, None)],
-            AggMode::Incremental,
         )
         .unwrap();
         let mut out = Vec::new();
@@ -1736,7 +1652,6 @@ mod tests {
             WindowSpec::Tumbling { width_ms: 1000 },
             &[],
             vec![agg("n", AggFunc::Count, None)],
-            AggMode::Incremental,
         )
         .unwrap();
         let mut out = Vec::new();
@@ -1748,7 +1663,7 @@ mod tests {
     }
 
     /// Speculative op used by the retraction tests: global count + sum.
-    fn spec_op(mode: AggMode, window: WindowSpec) -> WindowAggregateOp {
+    fn spec_op(window: WindowSpec) -> WindowAggregateOp {
         WindowAggregateOp::new(
             &schema(),
             window,
@@ -1757,7 +1672,6 @@ mod tests {
                 agg("n", AggFunc::Count, None),
                 agg("total", AggFunc::Sum, Some("px")),
             ],
-            mode,
         )
         .unwrap()
         .with_consistency(ConsistencyLevel::Speculative)
@@ -1765,30 +1679,28 @@ mod tests {
 
     #[test]
     fn speculative_emits_on_event_time_and_retracts_on_late_data() {
-        for mode in [AggMode::Incremental, AggMode::Recompute] {
-            let mut op = spec_op(mode, WindowSpec::Tumbling { width_ms: 1000 });
-            let mut out = Vec::new();
-            op.on_event(&ev(100, "A", 10.0), &mut out).unwrap();
-            assert!(out.is_empty(), "window not complete yet");
-            // Event time passes the window end → speculative emission.
-            op.on_event(&ev(1_100, "A", 2.0), &mut out).unwrap();
-            assert_eq!(out.len(), 1);
-            assert!(!out[0].is_retraction());
-            assert_eq!(out[0].payload.get(3), Some(&Value::Int(1)));
-            // Late event inside the emitted (non-final) window: the op
-            // retracts the stale row and emits the corrected one.
-            op.on_event(&ev(900, "A", 5.0), &mut out).unwrap();
-            assert_eq!(out.len(), 3);
-            assert!(out[1].is_retraction());
-            assert_eq!(out[1].payload, out[0].payload); // cancels the insert
-            assert!(!out[2].is_retraction());
-            assert_eq!(out[2].payload.get(3), Some(&Value::Int(2)));
-            assert_eq!(out[2].payload.get(4), Some(&Value::Float(15.0)));
-            assert_eq!(op.late_admitted, 1);
-            assert_eq!(op.pane_reopens, 1);
-            assert_eq!(op.retractions, 1);
-            assert_eq!(op.late_events, 0);
-        }
+        let mut op = spec_op(WindowSpec::Tumbling { width_ms: 1000 });
+        let mut out = Vec::new();
+        op.on_event(&ev(100, "A", 10.0), &mut out).unwrap();
+        assert!(out.is_empty(), "window not complete yet");
+        // Event time passes the window end → speculative emission.
+        op.on_event(&ev(1_100, "A", 2.0), &mut out).unwrap();
+        assert_eq!(out.len(), 1);
+        assert!(!out[0].is_retraction());
+        assert_eq!(out[0].payload.get(3), Some(&Value::Int(1)));
+        // Late event inside the emitted (non-final) window: the op
+        // retracts the stale row and emits the corrected one.
+        op.on_event(&ev(900, "A", 5.0), &mut out).unwrap();
+        assert_eq!(out.len(), 3);
+        assert!(out[1].is_retraction());
+        assert_eq!(out[1].payload, out[0].payload); // cancels the insert
+        assert!(!out[2].is_retraction());
+        assert_eq!(out[2].payload.get(3), Some(&Value::Int(2)));
+        assert_eq!(out[2].payload.get(4), Some(&Value::Float(15.0)));
+        assert_eq!(op.late_admitted, 1);
+        assert_eq!(op.pane_reopens, 1);
+        assert_eq!(op.retractions, 1);
+        assert_eq!(op.late_events, 0);
     }
 
     #[test]
@@ -1796,7 +1708,7 @@ mod tests {
         // Satellite regression: an event older than the emitted boundary
         // but newer than the finality horizon must be admitted; one
         // beyond the horizon must be dropped — with exact accounting.
-        let mut op = spec_op(AggMode::Incremental, WindowSpec::Tumbling { width_ms: 1000 });
+        let mut op = spec_op(WindowSpec::Tumbling { width_ms: 1000 });
         let mut out = Vec::new();
         op.on_event(&ev(100, "A", 10.0), &mut out).unwrap();
         op.on_event(&ev(1_100, "A", 2.0), &mut out).unwrap(); // emits [0,1000)
@@ -1824,7 +1736,7 @@ mod tests {
     fn speculative_event_on_the_watermark_still_revises_its_window() {
         // [0,1000) ends one past the watermark 999, so it is not final:
         // pruning must keep its pane and its emitted row.
-        let mut op = spec_op(AggMode::Incremental, WindowSpec::Tumbling { width_ms: 1000 });
+        let mut op = spec_op(WindowSpec::Tumbling { width_ms: 1000 });
         let mut out = Vec::new();
         op.on_event(&ev(100, "A", 10.0), &mut out).unwrap();
         op.on_event(&ev(1_200, "A", 2.0), &mut out).unwrap(); // emits [0,1000)
@@ -1846,7 +1758,6 @@ mod tests {
             WindowSpec::Tumbling { width_ms: 1000 },
             &[],
             vec![agg("lo", AggFunc::Min, Some("px"))],
-            AggMode::Incremental,
         )
         .unwrap()
         .with_consistency(ConsistencyLevel::Speculative);
@@ -1863,10 +1774,7 @@ mod tests {
 
     #[test]
     fn speculative_sliding_revises_every_containing_window() {
-        let mut op = spec_op(
-            AggMode::Incremental,
-            WindowSpec::Sliding { width_ms: 200, slide_ms: 100 },
-        );
+        let mut op = spec_op(WindowSpec::Sliding { width_ms: 200, slide_ms: 100 });
         let mut out = Vec::new();
         op.on_event(&ev(150, "A", 1.0), &mut out).unwrap();
         op.on_event(&ev(450, "A", 2.0), &mut out).unwrap();
@@ -1898,7 +1806,7 @@ mod tests {
 
     #[test]
     fn speculative_late_event_into_unemitted_group_inserts_without_retraction() {
-        let mut op = spec_op(AggMode::Incremental, WindowSpec::Tumbling { width_ms: 1000 });
+        let mut op = spec_op(WindowSpec::Tumbling { width_ms: 1000 });
         let mut out = Vec::new();
         op.on_event(&ev(100, "A", 1.0), &mut out).unwrap();
         op.on_event(&ev(1_100, "A", 2.0), &mut out).unwrap(); // [0,1000): only A
@@ -1925,7 +1833,6 @@ mod tests {
             w,
             &["sym"],
             vec![agg("n", AggFunc::Count, None)],
-            AggMode::Incremental,
         )
         .unwrap();
         let mut out = Vec::new();
@@ -1947,7 +1854,6 @@ mod tests {
             WindowSpec::Tumbling { width_ms: 0 },
             &[],
             vec![],
-            AggMode::Incremental
         )
         .is_err());
         assert!(WindowAggregateOp::new(
@@ -1955,7 +1861,6 @@ mod tests {
             WindowSpec::Tumbling { width_ms: 10 },
             &["ghost"],
             vec![],
-            AggMode::Incremental
         )
         .is_err());
         assert!(WindowAggregateOp::new(
@@ -1963,7 +1868,6 @@ mod tests {
             WindowSpec::Tumbling { width_ms: 10 },
             &[],
             vec![agg("s", AggFunc::Sum, None)], // sum needs a field
-            AggMode::Incremental
         )
         .is_err());
     }

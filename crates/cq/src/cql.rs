@@ -331,8 +331,9 @@ pub fn compile_query(src: &str, input: &Arc<Schema>, mode: AggMode) -> Result<Pi
     compile(&q, input, mode)
 }
 
-/// Compile a parsed query.
-pub fn compile(q: &Query, input: &Arc<Schema>, mode: AggMode) -> Result<Pipeline> {
+/// Compile a parsed query. [`AggMode`] has one value, so `_mode` selects
+/// nothing (see its doc comment).
+pub fn compile(q: &Query, input: &Arc<Schema>, _mode: AggMode) -> Result<Pipeline> {
     let mut ops: Vec<Box<dyn Operator>> = Vec::new();
 
     // WHERE runs against raw input.
@@ -380,7 +381,7 @@ pub fn compile(q: &Query, input: &Arc<Schema>, mode: AggMode) -> Result<Pipeline
     };
 
     let group_refs: Vec<&str> = q.group_by.iter().map(String::as_str).collect();
-    let agg_op = WindowAggregateOp::new(input, window, &group_refs, aggs, mode)?
+    let agg_op = WindowAggregateOp::new(input, window, &group_refs, aggs)?
         .with_consistency(q.consistency);
     let agg_schema = agg_op.output_schema();
     ops.push(Box::new(agg_op));

@@ -18,10 +18,8 @@
 //!   dropped; under `ConsistencyLevel::Speculative` results are emitted
 //!   eagerly on event time and late events re-open already-emitted panes,
 //!   issuing retraction/correction delta pairs.
-//! * **Aggregation** ([`aggregate`]) in two modes (DESIGN.md D5):
-//!   `Incremental` maintains per-pane partial aggregates that are merged
-//!   at window close; `Recompute` buffers raw events and recomputes — the
-//!   ablation baseline.
+//! * **Aggregation** ([`aggregate`]) over per-pane partial aggregates
+//!   that are merged at window close (DESIGN.md D5).
 //! * **Patterns** ([`pattern`]): SEQ patterns with per-step predicates,
 //!   optional steps, Kleene-plus, negation and a WITHIN bound, compiled to
 //!   an NFA with three skip strategies (strict contiguity,

@@ -229,17 +229,11 @@ impl Pipeline {
     }
 
     /// Push an event the caller has already verified against the head
-    /// operator's [`Operator::batch_predicate`] — the head stage is
-    /// skipped (a pure filter passes the event through unchanged on
-    /// true, so this is exactly `push` minus the redundant re-check).
-    pub fn push_verified(&mut self, event: &Event) -> Result<Vec<Event>> {
-        let mut out = Vec::new();
-        self.push_verified_into(event, &mut out)?;
-        Ok(out)
-    }
-
-    /// [`push_verified`](Self::push_verified), appending the derived
-    /// events to `out`. The event enters the second stage by reference.
+    /// operator's [`Operator::batch_predicate`], appending the derived
+    /// events to `out` — the head stage is skipped (a pure filter passes
+    /// the event through unchanged on true, so this is exactly `push`
+    /// minus the redundant re-check). The event enters the second stage
+    /// by reference.
     pub fn push_verified_into(&mut self, event: &Event, out: &mut Vec<Event>) -> Result<()> {
         let (a, b) = &mut self.bufs;
         let result = enter(&mut self.ops[1..], event, a, b, out);

@@ -266,9 +266,6 @@ impl Shared {
     /// operators and settle the query (see [`QueryInner::finish_member`]).
     fn finish(&mut self, wm: TimestampMs, cause: Option<Trace>, slot: &mut Result<Vec<Event>>, total: &mut u64) {
         for (q, m) in self.queries.iter_mut().zip(&mut self.table.members) {
-            if q.err.is_none() {
-                q.err = m.failed.take();
-            }
             q.pass(&mut m.rows, Some(wm));
             q.finish_member(cause, slot, total);
         }

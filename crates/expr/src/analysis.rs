@@ -596,6 +596,25 @@ mod tests {
     }
 
     #[test]
+    fn computed_constants_fold_on_the_vm_into_ranges() {
+        // The parser makes `-5` a literal (the shortcut); the other two
+        // bounds are computed, so they take the VM fold.
+        let cases = [
+            ("px > -5", Value::Int(-5)),
+            ("px > 0 - 5", Value::Int(-5)),
+            ("px > 2 * 50", Value::Int(100)),
+        ];
+        for (text, bound) in cases {
+            match &form(text).constraints[..] {
+                [Constraint::Range { low: Some(low), high: None, .. }] => {
+                    assert_eq!((&low.value, low.inclusive), (&bound, false), "{text}");
+                }
+                other => panic!("{text}: {other:?}"),
+            }
+        }
+    }
+
+    #[test]
     fn constraint_accepts() {
         let c = Constraint::Range {
             field: "x".into(),

@@ -361,7 +361,6 @@ impl CompiledExpr {
     /// Lower `expr` to bytecode. Infallible; semantics are preserved
     /// exactly (see module docs and DESIGN.md D11).
     pub fn compile(expr: &BoundExpr) -> CompiledExpr {
-        let empty = Record::empty();
         let mut consts = Vec::new();
         let mut fold = FoldStats::default();
 
@@ -371,29 +370,10 @@ impl CompiledExpr {
         let mut blocks: Vec<Block> = conjuncts
             .iter()
             .map(|c| {
-                let mut cg = Codegen {
-                    consts: &mut consts,
-                    insts: Vec::new(),
-                    depth: 0,
-                    max_depth: 0,
-                    fold: &mut fold,
-                    empty: &empty,
-                };
+                let mut cg = Codegen::new(&mut consts, &mut fold, true);
                 cg.compile(c);
-                debug_assert_eq!(cg.depth, 1, "block must leave exactly one value");
                 peephole(&mut cg.insts);
-                let cost = cg.insts.iter().map(Inst::cost).sum();
-                let max_stack = cg.max_depth;
-                let straight = !has_control_flow(&cg.insts);
-                Block {
-                    insts: cg.insts,
-                    cost,
-                    run: 0,
-                    max_stack,
-                    straight,
-                    evals: AtomicU64::new(0),
-                    passes: AtomicU64::new(0),
-                }
+                cg.into_block()
             })
             .collect();
 
@@ -439,6 +419,27 @@ impl CompiledExpr {
             feedback: AtomicBool::new(false),
             compares,
         }
+    }
+
+    /// Evaluate a field-free subtree on the VM, compiled as one block
+    /// without folding (folding is what calls this) and without touching
+    /// the compile or fold counters. `Err` is the error the subtree
+    /// raises at runtime.
+    pub(crate) fn eval_const(expr: &BoundExpr) -> Result<Value> {
+        let mut consts = Vec::new();
+        let mut fold = FoldStats::default();
+        let mut cg = Codegen::new(&mut consts, &mut fold, false);
+        cg.compile(expr);
+        let block = cg.into_block();
+        let program = CompiledExpr {
+            max_stack: block.max_stack,
+            consts,
+            blocks: vec![block],
+            fold,
+            feedback: AtomicBool::new(false),
+            compares: false,
+        };
+        program.eval(&Record::empty())
     }
 
     /// Evaluate against one record.
@@ -1536,11 +1537,36 @@ struct Codegen<'c> {
     depth: usize,
     max_depth: usize,
     fold: &'c mut FoldStats,
-    /// Empty record for compile-time constant evaluation.
-    empty: &'c Record,
+    /// Fold field-free subtrees and constant LIKE patterns.
+    folding: bool,
 }
 
-impl Codegen<'_> {
+impl<'c> Codegen<'c> {
+    fn new(consts: &'c mut Vec<Value>, fold: &'c mut FoldStats, folding: bool) -> Codegen<'c> {
+        Codegen {
+            consts,
+            insts: Vec::new(),
+            depth: 0,
+            max_depth: 0,
+            fold,
+            folding,
+        }
+    }
+
+    /// The generated code as one block.
+    fn into_block(self) -> Block {
+        debug_assert_eq!(self.depth, 1, "block must leave exactly one value");
+        Block {
+            cost: self.insts.iter().map(Inst::cost).sum(),
+            run: 0,
+            max_stack: self.max_depth,
+            straight: !has_control_flow(&self.insts),
+            insts: self.insts,
+            evals: AtomicU64::new(0),
+            passes: AtomicU64::new(0),
+        }
+    }
+
     fn emit(&mut self, inst: Inst, pops: usize, pushes: usize) {
         debug_assert!(self.depth >= pops, "stack underflow in codegen");
         self.depth = self.depth - pops + pushes;
@@ -1584,14 +1610,14 @@ impl Codegen<'_> {
         self.emit(Inst::Const(i), 0, 1);
     }
 
-    /// Try to fold a field-free subtree into a single constant. Errors
-    /// at compile time keep the subtree as code so they are raised at
-    /// runtime by the interpreter-identical instruction sequence.
+    /// Try to fold a field-free subtree into a single constant, computed
+    /// by the VM itself. Errors at compile time keep the subtree as code
+    /// so they are raised at runtime by the same instruction sequence.
     fn try_fold(&mut self, e: &BoundExpr) -> bool {
-        if matches!(e, BoundExpr::Literal(_)) || !is_const(e) {
+        if !self.folding || matches!(e, BoundExpr::Literal(_)) || !is_const(e) {
             return false;
         }
-        match e.eval(self.empty) {
+        match CompiledExpr::eval_const(e) {
             Ok(v) => {
                 self.fold.folded_subtrees += 1;
                 self.fold.folded_nodes += node_count(e).saturating_sub(1);
@@ -1693,10 +1719,11 @@ impl Codegen<'_> {
                 negated,
             } => {
                 self.compile(expr);
-                let const_pat = if is_const(pattern) {
-                    pattern.eval(self.empty).ok()
-                } else {
-                    None
+                let const_pat = match &**pattern {
+                    _ if !self.folding => None,
+                    BoundExpr::Literal(v) => Some(v.clone()),
+                    p if is_const(p) => CompiledExpr::eval_const(p).ok(),
+                    _ => None,
                 };
                 match const_pat {
                     Some(Value::Str(s)) => {

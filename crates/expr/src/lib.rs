@@ -13,12 +13,15 @@
 //! * **type-checked and bound** against a schema ([`Expr::bind`]),
 //!   resolving field names to positions once so per-event evaluation does
 //!   no string lookups,
-//! * **evaluated** with SQL three-valued logic ([`BoundExpr::eval`]),
 //! * **compiled** into flat bytecode ([`CompiledExpr::compile`]) with
 //!   constant folding, conjunct reordering and an allocation-free eval
-//!   loop — the hot path for rule verification, CQ filters and detector
-//!   conditions; the tree-walking interpreter remains the semantics
-//!   oracle (DESIGN.md D11),
+//!   loop, evaluated with SQL three-valued logic — the one production
+//!   evaluator: rule verification, CQ filters, detector conditions, and
+//!   constant folding itself ([`typecheck::const_eval`]) all run on it,
+//! * **interpreted** by a tree walker ([`BoundExpr::eval`]) that nothing
+//!   outside tests and the experiments calls: it is the independent
+//!   reference the compiler's differential tests compare against
+//!   (DESIGN.md D11),
 //! * **analyzed** into indexable conjunctive constraints plus a residual
 //!   ([`analysis::analyze`]) — the foundation of the rule matcher's
 //!   scalability on large rule sets.
@@ -59,27 +62,16 @@ pub use compile::{batch_stats, compiler_stats, BatchScratch, CompiledExpr, Compi
 pub use like::LikePattern;
 pub use parser::parse;
 
-use evdb_types::{Record, Result, Schema, Value};
-
-/// Parse, bind and evaluate an expression against a single record in one
-/// call. Convenient for tests and one-off evaluation; hot paths should
-/// [`parse`] once, [`Expr::bind`] once and reuse the [`BoundExpr`].
-pub fn eval_once(text: &str, schema: &Schema, record: &Record) -> Result<Value> {
-    let expr = parse(text)?;
-    let bound = expr.bind(schema)?;
-    bound.eval(record)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use evdb_types::DataType;
+    use evdb_types::{DataType, Record, Schema, Value};
 
     #[test]
     fn end_to_end_eval() {
         let schema = Schema::of(&[("sym", DataType::Str), ("px", DataType::Float)]);
         let rec = Record::from_iter([Value::from("IBM"), Value::Float(101.5)]);
-        let v = eval_once("sym = 'IBM' AND px > 100", &schema, &rec).unwrap();
-        assert_eq!(v, Value::Bool(true));
+        let bound = parse("sym = 'IBM' AND px > 100").unwrap().bind(&schema).unwrap();
+        assert_eq!(CompiledExpr::compile(&bound).eval(&rec).unwrap(), Value::Bool(true));
     }
 }

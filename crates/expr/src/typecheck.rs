@@ -10,6 +10,7 @@
 use evdb_types::{DataType, Error, Result, Schema, Value};
 
 use crate::ast::{BinaryOp, Expr, UnaryOp};
+use crate::compile::CompiledExpr;
 use crate::functions;
 
 /// Infer the result type of `expr` over records of `schema`.
@@ -207,15 +208,18 @@ fn expect_comparable(a: Option<DataType>, b: Option<DataType>, ctx: &str) -> Res
     }
 }
 
-/// Evaluate an expression that references no fields to a constant.
-/// Used for constant folding in the analyzer and the CQL planner.
+/// Evaluate an expression that references no fields to a constant, on
+/// the VM; `None` if it reads a field or raises an error. Used for
+/// constant folding in the analyzer and the CQL planner.
 pub fn const_eval(expr: &Expr) -> Option<Value> {
+    if let Expr::Literal(v) = expr {
+        return Some(v.clone());
+    }
     if !expr.referenced_fields().is_empty() {
         return None;
     }
-    let empty_schema = Schema::of(&[]);
-    let bound = expr.bind(&empty_schema).ok()?;
-    bound.eval(&evdb_types::Record::empty()).ok()
+    let bound = expr.bind(&Schema::of(&[])).ok()?;
+    CompiledExpr::eval_const(&bound).ok()
 }
 
 #[cfg(test)]

@@ -3,16 +3,18 @@
 //! records — including NULLs, i64 overflow edges, division/modulo by
 //! zero, and Unicode LIKE patterns — the compiled result (value *or*
 //! error) must be identical to the interpreted one. The interpreter is
-//! the oracle; any divergence is a compiler bug.
+//! the oracle; any divergence is a compiler bug. Constant folding runs on
+//! the VM too, so `const_eval` of a field-free tree is checked against
+//! the interpreter as well.
 
 use proptest::prelude::*;
 
+use evdb_expr::typecheck::const_eval;
 use evdb_expr::{BinaryOp, CompiledExpr, Expr, UnaryOp};
 use evdb_types::{DataType, FieldDef, Record, Schema, Value};
 
-/// Leaves: literals (with overflow-edge integers and Unicode strings)
-/// and fields of the test schema `(a INT, b FLOAT, s STR, flag BOOL)`.
-fn arb_leaf() -> impl Strategy<Value = Expr> {
+/// Literal leaves, with overflow-edge integers and Unicode strings.
+fn arb_literal() -> BoxedStrategy<Expr> {
     prop_oneof![
         (-1000i64..1000).prop_map(Expr::lit),
         // Overflow edges: +, -, *, unary - and % must error (not wrap)
@@ -26,15 +28,37 @@ fn arb_leaf() -> impl Strategy<Value = Expr> {
         Just(Expr::lit(true)),
         Just(Expr::lit(false)),
         Just(Expr::Literal(Value::Null)),
-        Just(Expr::field("a")),
-        Just(Expr::field("b")),
-        Just(Expr::field("s")),
-        Just(Expr::field("flag")),
     ]
+    .boxed()
+}
+
+/// Leaves: literals and fields of the test schema
+/// `(a INT, b FLOAT, s STR, flag BOOL)`.
+fn arb_leaf() -> BoxedStrategy<Expr> {
+    prop_oneof![
+        10 => arb_literal(),
+        4 => prop_oneof![
+            Just(Expr::field("a")),
+            Just(Expr::field("b")),
+            Just(Expr::field("s")),
+            Just(Expr::field("flag")),
+        ],
+    ]
+    .boxed()
 }
 
 fn arb_expr() -> impl Strategy<Value = Expr> {
-    arb_leaf().prop_recursive(4, 64, 4, |inner| {
+    arb_tree(arb_leaf())
+}
+
+/// Trees over literal leaves only (a LIKE node may still read the field
+/// `s` as its pattern).
+fn arb_const_expr() -> impl Strategy<Value = Expr> {
+    arb_tree(arb_literal())
+}
+
+fn arb_tree(leaf: BoxedStrategy<Expr>) -> impl Strategy<Value = Expr> {
+    leaf.prop_recursive(4, 64, 4, |inner| {
         prop_oneof![
             // Logic (three-valued, short-circuiting in both engines).
             (inner.clone(), inner.clone()).prop_map(|(l, r)| l.and(r)),
@@ -231,6 +255,32 @@ proptest! {
             ),
         }
     }
+
+    /// Folding evaluates field-free subtrees on the VM: `const_eval`
+    /// gives the interpreter's value, and `None` where the interpreter
+    /// errors (overflow, a non-string LIKE operand, …) or the tree does
+    /// not type-check — NULLs, CASE, IN lists and LIKE included.
+    #[test]
+    fn const_eval_agrees_with_interpreter(e in arb_const_expr()) {
+        if !e.referenced_fields().is_empty() {
+            return Ok(()); // a LIKE with a field pattern
+        }
+        let walked = e.bind(&Schema::of(&[])).and_then(|b| b.eval(&Record::empty())).ok();
+        prop_assert_eq!(const_eval(&e), walked, "`{}`", e);
+    }
+}
+
+/// A constant subtree that overflows folds to nothing, and the error is
+/// still raised when the compiled expression runs.
+#[test]
+fn overflowing_constants_stay_runtime_errors() {
+    let text = "a > 9223372036854775807 + 1";
+    let expr = evdb_expr::parse(text).unwrap();
+    let Expr::Binary { right, .. } = &expr else { panic!("{text}") };
+    assert_eq!(const_eval(right), None);
+    let compiled = CompiledExpr::compile(&expr.bind(&schema()).unwrap());
+    let r = Record::new(vec![Value::Int(1), Value::Null, Value::Null, Value::Null]);
+    assert!(compiled.eval(&r).is_err());
 }
 
 /// Regressions distilled from past differential runs (the seed file

@@ -13,7 +13,7 @@ use std::sync::Arc;
 use evdb::cq::extra::TopKOp;
 use evdb::cq::op::{Operator, Pipeline, ProjectOp};
 use evdb::cq::StreamRuntime;
-use evdb::dist::{Fabric, LinkConfig};
+use evdb_dist::{Fabric, LinkConfig};
 use evdb::expr::parse;
 use evdb::queue::QueueConfig;
 use evdb::types::{Clock, DataType, Record, Schema, SimClock, TimestampMs, Value};

@@ -12,7 +12,7 @@
 
 use std::sync::Arc;
 
-use evdb::dist::{
+use evdb_dist::{
     forwarder, ExternalService, FlakyService, LinkConfig, Node, QueueForwarder, ServiceDelivery,
     SimNetwork,
 };

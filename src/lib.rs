@@ -6,7 +6,6 @@
 pub use evdb_analytics as analytics;
 pub use evdb_core as core;
 pub use evdb_cq as cq;
-pub use evdb_dist as dist;
 pub use evdb_expr as expr;
 pub use evdb_faults as faults;
 pub use evdb_obs as obs;

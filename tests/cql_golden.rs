@@ -31,9 +31,9 @@ fn fixture() -> Vec<(i64, &'static str, f64, i64)> {
 }
 
 /// Run a query over the fixture (flushing at the end) and render rows.
-fn run(cql: &str, mode: AggMode) -> Vec<String> {
+fn run(cql: &str) -> Vec<String> {
     let schema = schema();
-    let mut p = compile_query(cql, &schema, mode).unwrap();
+    let mut p = compile_query(cql, &schema, AggMode::Incremental).unwrap();
     let mut out = Vec::new();
     for (i, (ts, sym, px, qty)) in fixture().into_iter().enumerate() {
         let e = Event::new(
@@ -50,16 +50,10 @@ fn run(cql: &str, mode: AggMode) -> Vec<String> {
     out.iter().map(|e| e.payload.to_string()).collect()
 }
 
-/// Golden queries must agree across both aggregation modes too.
+/// A query's rows must be exactly the golden ones.
 fn golden(cql: &str, expected: &[&str]) {
-    for mode in [AggMode::Incremental, AggMode::Recompute] {
-        let got = run(cql, mode);
-        assert_eq!(
-            got,
-            expected.to_vec(),
-            "query `{cql}` mode {mode:?}\n got: {got:#?}"
-        );
-    }
+    let got = run(cql);
+    assert_eq!(got, expected.to_vec(), "query `{cql}`\n got: {got:#?}");
 }
 
 #[test]

@@ -6,7 +6,7 @@
 
 use std::sync::Arc;
 
-use evdb::dist::{LinkConfig, Node, QueueForwarder, SimNetwork};
+use evdb_dist::{LinkConfig, Node, QueueForwarder, SimNetwork};
 use evdb::queue::QueueConfig;
 use evdb::storage::{TriggerOps, TriggerTiming};
 use evdb::types::{Clock, DataType, Record, Schema, SimClock, TimestampMs, Value};

@@ -1,102 +1,174 @@
-//! Property tests for the CQ engine: incremental and recompute window
-//! aggregation are semantically identical on arbitrary event streams and
-//! window shapes, and window assignment covers exactly the right spans.
+//! Property tests for the CQ engine's window aggregation, checked against
+//! a brute-force oracle that shares no code with the engine's aggregation
+//! (`WindowAggregateOp`, its pane store and accumulators): for every
+//! tumbling or sliding window that holds data, the oracle takes the
+//! events inside it, groups them and aggregates each group from the
+//! functions' definitions. Rows compare as sorted multisets, floats
+//! within a relative tolerance (panes merge partial sums in another
+//! order than one pass over the window does). Window assignment and
+//! count windows are checked on their own.
 
+use std::collections::{BTreeMap, BTreeSet};
 use std::sync::Arc;
 
 use proptest::prelude::*;
 
-use evdb::cq::aggregate::{AggFunc, AggMode, AggSpec, WindowAggregateOp};
+use evdb::cq::aggregate::{AggFunc, AggSpec, WindowAggregateOp};
 use evdb::cq::op::Operator;
 use evdb::cq::window::WindowSpec;
+use evdb::cq::ConsistencyLevel;
 use evdb::types::{DataType, Event, EventId, Record, Schema, TimestampMs, Value};
 
+/// One input event: (event time, group field `g`, group field `h`, `x`).
+type Tick = (i64, String, i64, f64);
+
 fn schema() -> Arc<Schema> {
-    Schema::of(&[("g", DataType::Str), ("x", DataType::Float)])
+    Schema::of(&[("g", DataType::Str), ("h", DataType::Int), ("x", DataType::Float)])
 }
 
+fn event(i: usize, (ts, g, h, x): &Tick, schema: &Arc<Schema>) -> Event {
+    Event::new(
+        EventId(i as u64),
+        "s",
+        TimestampMs(*ts),
+        Record::from_iter([Value::from(g.as_str()), Value::Int(*h), Value::Float(*x)]),
+        Arc::clone(schema),
+    )
+}
+
+/// Every aggregate function, in output order.
 fn aggs() -> Vec<AggSpec> {
-    vec![
-        AggSpec {
-            func: AggFunc::Count,
-            field: None,
-            expr: None,
-            out_name: "n".into(),
-        },
-        AggSpec {
-            func: AggFunc::Sum,
-            field: Some("x".into()),
-            expr: None,
-            out_name: "s".into(),
-        },
-        AggSpec {
-            func: AggFunc::Min,
-            field: Some("x".into()),
-            expr: None,
-            out_name: "lo".into(),
-        },
-        AggSpec {
-            func: AggFunc::Max,
-            field: Some("x".into()),
-            expr: None,
-            out_name: "hi".into(),
-        },
-        AggSpec {
-            func: AggFunc::StdDev,
-            field: Some("x".into()),
-            expr: None,
-            out_name: "sd".into(),
-        },
+    [
+        (AggFunc::Count, None, "n"),
+        (AggFunc::Sum, Some("x"), "s"),
+        (AggFunc::Avg, Some("x"), "mean"),
+        (AggFunc::Min, Some("x"), "lo"),
+        (AggFunc::Max, Some("x"), "hi"),
+        (AggFunc::StdDev, Some("x"), "sd"),
+        (AggFunc::First, Some("x"), "fst"),
+        (AggFunc::Last, Some("x"), "lst"),
     ]
+    .into_iter()
+    .map(|(func, field, name)| AggSpec {
+        func,
+        field: field.map(String::from),
+        expr: None,
+        out_name: name.into(),
+    })
+    .collect()
 }
 
-fn run(mode: AggMode, window: WindowSpec, events: &[(i64, String, f64)]) -> Vec<String> {
+/// `GROUP BY g`, or `GROUP BY g, h`.
+fn group_by(two: bool) -> &'static [&'static str] {
+    if two {
+        &["g", "h"]
+    } else {
+        &["g"]
+    }
+}
+
+/// The oracle: every non-empty (window, group) of `events`, each
+/// aggregated from scratch over the events inside the window.
+fn oracle(window: WindowSpec, two: bool, events: &[Tick]) -> Vec<Vec<Value>> {
+    let (width, slide) = match window {
+        WindowSpec::Tumbling { width_ms } => (width_ms, width_ms),
+        WindowSpec::Sliding { width_ms, slide_ms } => (width_ms, slide_ms),
+        _ => unreachable!("time windows only"),
+    };
+    // A window is [s, s + width) for each multiple s of the slide; the
+    // ones that hold data start in (ts - width, ts] for some event.
+    let starts: BTreeSet<i64> = events
+        .iter()
+        .flat_map(|(ts, ..)| {
+            let first = (ts - width).div_euclid(slide) * slide + slide;
+            (first..=*ts).step_by(slide as usize)
+        })
+        .collect();
+    let mut rows = Vec::new();
+    for s in starts {
+        // Group key → members as (ts, arrival, x).
+        let mut groups: BTreeMap<Vec<Value>, Vec<(i64, usize, f64)>> = BTreeMap::new();
+        for (arrival, (ts, g, h, x)) in events.iter().enumerate() {
+            if s <= *ts && *ts < s + width {
+                let mut key = vec![Value::from(g.as_str())];
+                if two {
+                    key.push(Value::Int(*h));
+                }
+                groups.entry(key).or_default().push((*ts, arrival, *x));
+            }
+        }
+        for (key, members) in groups {
+            let xs: Vec<f64> = members.iter().map(|m| m.2).collect();
+            let n = xs.len() as f64;
+            let sum: f64 = xs.iter().sum();
+            let mean = sum / n;
+            let sd = if xs.len() < 2 {
+                Value::Null
+            } else {
+                Value::Float((xs.iter().map(|x| (x - mean) * (x - mean)).sum::<f64>() / (n - 1.0)).sqrt())
+            };
+            // First and last by event time, ties by arrival.
+            let first = members.iter().min_by_key(|m| (m.0, m.1)).map(|m| m.2);
+            let last = members.iter().max_by_key(|m| (m.0, m.1)).map(|m| m.2);
+            let mut row = key;
+            row.extend([
+                Value::Timestamp(TimestampMs(s)),
+                Value::Timestamp(TimestampMs(s + width)),
+                Value::Int(xs.len() as i64),
+                Value::Float(sum),
+                Value::Float(mean),
+                Value::Float(xs.iter().copied().fold(f64::INFINITY, f64::min)),
+                Value::Float(xs.iter().copied().fold(f64::NEG_INFINITY, f64::max)),
+                sd,
+                Value::Float(first.expect("a group has members")),
+                Value::Float(last.expect("a group has members")),
+            ]);
+            rows.push(row);
+        }
+    }
+    rows
+}
+
+/// Equal, floats within a relative tolerance (and -0.0 == 0.0).
+fn close(a: &Value, b: &Value) -> bool {
+    match (a, b) {
+        (Value::Float(x), Value::Float(y)) => (x - y).abs() <= 1e-9 * x.abs().max(y.abs()).max(1.0),
+        _ => a == b,
+    }
+}
+
+/// `got` and `want` are the same multiset of rows: sorted by group key
+/// and window bounds (exact values), then compared cell by cell.
+fn assert_rows_match(mut got: Vec<Vec<Value>>, mut want: Vec<Vec<Value>>, two: bool) -> Result<(), TestCaseError> {
+    let key = if two { 4 } else { 3 };
+    got.sort_by(|a, b| a[..key].cmp(&b[..key]));
+    want.sort_by(|a, b| a[..key].cmp(&b[..key]));
+    prop_assert_eq!(got.len(), want.len(), "row count\n got: {:?}\nwant: {:?}", got, want);
+    for (g, w) in got.iter().zip(&want) {
+        prop_assert!(g.len() == w.len() && g.iter().zip(w).all(|(a, b)| close(a, b)), "\n got: {:?}\nwant: {:?}", g, w);
+    }
+    Ok(())
+}
+
+/// Run the operator and flush once at the end.
+fn run(window: WindowSpec, two: bool, events: &[Tick]) -> Vec<Vec<Value>> {
     let schema = schema();
-    let mut op = WindowAggregateOp::new(&schema, window, &["g"], aggs(), mode).unwrap();
+    let mut op = WindowAggregateOp::new(&schema, window, group_by(two), aggs()).unwrap();
     let mut out = Vec::new();
-    for (i, (ts, g, x)) in events.iter().enumerate() {
-        let e = Event::new(
-            EventId(i as u64),
-            "s",
-            TimestampMs(*ts),
-            Record::from_iter([Value::from(g.as_str()), Value::Float(*x)]),
-            Arc::clone(&schema),
-        );
-        op.on_event(&e, &mut out).unwrap();
+    for (i, tick) in events.iter().enumerate() {
+        op.on_event(&event(i, tick, &schema), &mut out).unwrap();
     }
     op.on_watermark(TimestampMs(i64::MAX / 2), &mut out).unwrap();
-    // Render rows with rounded floats so accumulation-order noise in
-    // stddev/sum does not produce false mismatches.
-    out.iter()
-        .map(|e| {
-            e.payload
-                .values()
-                .iter()
-                .map(|v| match v {
-                    // Normalize -0.0 and accumulation-order noise.
-                    Value::Float(f) => {
-                        let f = if *f == 0.0 { 0.0 } else { *f };
-                        format!("{:.6}", f)
-                    }
-                    other => other.to_string(),
-                })
-                .collect::<Vec<_>>()
-                .join("|")
-        })
-        .collect()
+    out.into_iter().map(|e| e.payload.values().to_vec()).collect()
 }
 
 /// Events sorted by time (watermark-driven closing assumes in-order
-/// arrival within the allowed lateness; we test the zero-lateness core).
-fn arb_events() -> impl Strategy<Value = Vec<(i64, String, f64)>> {
-    proptest::collection::vec(
-        (0i64..5_000, 0u8..3, -100.0f64..100.0),
-        1..120,
-    )
-    .prop_map(|mut v| {
-        v.sort_by_key(|(t, _, _)| *t);
+/// arrival within the allowed lateness; this is the zero-lateness core).
+fn arb_events() -> impl Strategy<Value = Vec<Tick>> {
+    proptest::collection::vec((0i64..5_000, 0u8..3, 0i64..2, -100.0f64..100.0), 1..120).prop_map(|mut v| {
+        v.sort_by_key(|(t, ..)| *t);
         v.into_iter()
-            .map(|(t, g, x)| (t, format!("g{g}"), (x * 100.0).round() / 100.0))
+            .map(|(t, g, h, x)| (t, format!("g{g}"), h, (x * 100.0).round() / 100.0))
             .collect()
     })
 }
@@ -105,28 +177,24 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(192))]
 
     #[test]
-    fn incremental_equals_recompute_tumbling(
+    fn incremental_equals_oracle_tumbling(
         events in arb_events(),
         width in 1i64..2_000,
+        two in any::<bool>(),
     ) {
         let w = WindowSpec::Tumbling { width_ms: width };
-        prop_assert_eq!(
-            run(AggMode::Incremental, w, &events),
-            run(AggMode::Recompute, w, &events)
-        );
+        assert_rows_match(run(w, two, &events), oracle(w, two, &events), two)?;
     }
 
     #[test]
-    fn incremental_equals_recompute_sliding(
+    fn incremental_equals_oracle_sliding(
         events in arb_events(),
         slide in 1i64..500,
         mult in 1i64..6,
+        two in any::<bool>(),
     ) {
         let w = WindowSpec::Sliding { width_ms: slide * mult, slide_ms: slide };
-        prop_assert_eq!(
-            run(AggMode::Incremental, w, &events),
-            run(AggMode::Recompute, w, &events)
-        );
+        assert_rows_match(run(w, two, &events), oracle(w, two, &events), two)?;
     }
 
     #[test]
@@ -149,18 +217,10 @@ proptest! {
             WindowSpec::CountTumbling { count },
             &[], // global grouping: windows close every `count` events
             vec![AggSpec { func: AggFunc::Count, field: None, expr: None, out_name: "n".into() }],
-            AggMode::Incremental,
         ).unwrap();
         let mut out = Vec::new();
-        for (i, (ts, g, x)) in events.iter().enumerate() {
-            let e = Event::new(
-                EventId(i as u64),
-                "s",
-                TimestampMs(*ts),
-                Record::from_iter([Value::from(g.as_str()), Value::Float(*x)]),
-                Arc::clone(&schema),
-            );
-            op.on_event(&e, &mut out).unwrap();
+        for (i, tick) in events.iter().enumerate() {
+            op.on_event(&event(i, tick, &schema), &mut out).unwrap();
         }
         prop_assert_eq!(out.len(), events.len() / count);
         for e in &out {
@@ -171,69 +231,30 @@ proptest! {
 }
 
 // ---------------------------------------------------------------------
-// Cadence oracle: the runtime advances a query's watermark after every
-// event, so window closing runs on every push, not once at the end.
-// Incremental ≡ Recompute cannot catch a closing bug (both modes share
-// it), so this property checks both against a naive recompute of every
-// non-empty window instead.
+// Cadence: the runtime advances a query's watermark after every event,
+// so window closing, pruning and (Speculative) revision run on every
+// push, not once at the end. The same oracle checks the net answer.
 // ---------------------------------------------------------------------
 
-use std::collections::BTreeMap;
-
-use evdb::cq::ConsistencyLevel;
-
-/// Count, sum, avg, min, max, first and last over integral `x`: every
-/// aggregate is exact, whatever order panes are merged in.
-fn exact_aggs() -> Vec<AggSpec> {
-    [
-        (AggFunc::Count, None, "n"),
-        (AggFunc::Sum, Some("x"), "s"),
-        (AggFunc::Avg, Some("x"), "mean"),
-        (AggFunc::Min, Some("x"), "lo"),
-        (AggFunc::Max, Some("x"), "hi"),
-        (AggFunc::First, Some("x"), "fst"),
-        (AggFunc::Last, Some("x"), "lst"),
-    ]
-    .into_iter()
-    .map(|(func, field, name)| AggSpec {
-        func,
-        field: field.map(String::from),
-        expr: None,
-        out_name: name.into(),
-    })
-    .collect()
-}
-
-fn render(values: &[Value]) -> String {
-    values.iter().map(|v| v.to_string()).collect::<Vec<_>>().join("|")
-}
-
 /// Run the operator with a watermark of `max_ts − lateness` after every
-/// event and a final flush at `i64::MAX / 8`; return the output compacted
-/// (each retraction cancels one equal insert) as a sorted multiset.
+/// event and a final flush at `i64::MAX / 8`; return the live rows (each
+/// retraction cancels one equal insert).
 fn run_at_cadence(
-    mode: AggMode,
     level: ConsistencyLevel,
     window: WindowSpec,
-    events: &[(i64, String, f64)],
+    two: bool,
+    events: &[Tick],
     lateness: i64,
-) -> Result<Vec<String>, TestCaseError> {
+) -> Result<Vec<Vec<Value>>, TestCaseError> {
     let schema = schema();
-    let mut op = WindowAggregateOp::new(&schema, window, &["g"], exact_aggs(), mode)
+    let mut op = WindowAggregateOp::new(&schema, window, group_by(two), aggs())
         .unwrap()
         .with_consistency(level);
     let mut out = Vec::new();
     let mut max_ts = i64::MIN;
-    for (i, (ts, g, x)) in events.iter().enumerate() {
-        let e = Event::new(
-            EventId(i as u64),
-            "s",
-            TimestampMs(*ts),
-            Record::from_iter([Value::from(g.as_str()), Value::Float(*x)]),
-            Arc::clone(&schema),
-        );
-        op.on_event(&e, &mut out).unwrap();
-        max_ts = max_ts.max(*ts);
+    for (i, tick) in events.iter().enumerate() {
+        op.on_event(&event(i, tick, &schema), &mut out).unwrap();
+        max_ts = max_ts.max(tick.0);
         op.on_watermark(TimestampMs(max_ts - lateness), &mut out).unwrap();
     }
     op.on_watermark(TimestampMs(i64::MAX / 8), &mut out).unwrap();
@@ -242,59 +263,19 @@ fn run_at_cadence(
     if level == ConsistencyLevel::Watermark {
         prop_assert!(out.iter().all(|e| !e.is_retraction()));
     }
-    let mut live: BTreeMap<String, i64> = BTreeMap::new();
+    // A retraction is the very record it cancels, so rows match exactly
+    // here; the rendered form keys them.
+    let mut live: BTreeMap<String, (Vec<Value>, i64)> = BTreeMap::new();
     for e in &out {
-        *live.entry(render(e.payload.values())).or_default() +=
-            if e.is_retraction() { -1 } else { 1 };
+        let slot = live.entry(e.payload.to_string()).or_insert_with(|| (e.payload.values().to_vec(), 0));
+        slot.1 += if e.is_retraction() { -1 } else { 1 };
     }
     let mut rows = Vec::new();
-    for (row, n) in live {
-        prop_assert!(n >= 0, "retracted a row never inserted: {}", row);
+    for (rendered, (row, n)) in live {
+        prop_assert!(n >= 0, "retracted a row never inserted: {}", rendered);
         rows.extend(std::iter::repeat_n(row, n as usize));
     }
     Ok(rows)
-}
-
-/// Every non-empty (window, group) of `events`, aggregated from scratch.
-fn naive_windows(window: WindowSpec, events: &[(i64, String, f64)]) -> Vec<String> {
-    let (width, slide) = match window {
-        WindowSpec::Tumbling { width_ms } => (width_ms, width_ms),
-        WindowSpec::Sliding { width_ms, slide_ms } => (width_ms, slide_ms),
-        _ => unreachable!("time windows only"),
-    };
-    // (window start, group) → members as (ts, arrival, x).
-    type Cell = Vec<(i64, usize, f64)>;
-    let mut cells: BTreeMap<(i64, String), Cell> = BTreeMap::new();
-    for (arrival, (ts, g, x)) in events.iter().enumerate() {
-        let mut s = ts.div_euclid(slide) * slide;
-        while s > ts - width {
-            cells.entry((s, g.clone())).or_default().push((*ts, arrival, *x));
-            s -= slide;
-        }
-    }
-    let mut rows: Vec<String> = cells
-        .into_iter()
-        .map(|((s, g), mut members)| {
-            // First/last by event time, ties by arrival.
-            members.sort_by_key(|m| (m.0, m.1));
-            let xs: Vec<f64> = members.iter().map(|m| m.2).collect();
-            let sum: f64 = xs.iter().sum();
-            render(&[
-                Value::from(g.as_str()),
-                Value::Timestamp(TimestampMs(s)),
-                Value::Timestamp(TimestampMs(s + width)),
-                Value::Int(xs.len() as i64),
-                Value::Float(sum),
-                Value::Float(sum / xs.len() as f64),
-                Value::Float(xs.iter().copied().fold(f64::INFINITY, f64::min)),
-                Value::Float(xs.iter().copied().fold(f64::NEG_INFINITY, f64::max)),
-                Value::Float(xs[0]),
-                Value::Float(xs[xs.len() - 1]),
-            ])
-        })
-        .collect();
-    rows.sort();
-    rows
 }
 
 proptest! {
@@ -304,13 +285,14 @@ proptest! {
     fn watermark_after_every_event_matches_naive_recompute(
         steps in proptest::collection::vec(
             // (time step, long-gap roll, lag, group, x)
-            (0i64..40, 0u8..12, 0i64..1_000, 0u8..3, -50i64..50),
+            (0i64..40, 0u8..12, 0i64..1_000, 0u8..4, -50i64..50),
             1..150,
         ),
         disorder in 0i64..300,
         slack in 0i64..150,
         slide in 1i64..250,
         mult in 1i64..8,
+        two in any::<bool>(),
     ) {
         // Event time advances in small steps with occasional long gaps
         // (empty windows); each event lags the clock by at most
@@ -319,12 +301,12 @@ proptest! {
         // one case in three has no slack, so events land right on the
         // watermark (the edge of finality and pruning).
         let mut clock = 0i64;
-        let events: Vec<(i64, String, f64)> = steps
+        let events: Vec<Tick> = steps
             .iter()
             .map(|&(step, roll, lag, g, x)| {
                 clock += step + if roll == 0 { 1_500 + 40 * step } else { 0 };
                 let lag = if lag >= 900 { disorder } else { lag % (disorder + 1) };
-                (clock - lag, format!("g{g}"), x as f64)
+                (clock - lag, format!("g{}", g % 2), i64::from(g / 2), x as f64)
             })
             .collect();
         let lateness = disorder + (slack - 50).max(0);
@@ -333,12 +315,9 @@ proptest! {
         } else {
             WindowSpec::Sliding { width_ms: slide * mult, slide_ms: slide }
         };
-        let expected = naive_windows(window, &events);
         for level in [ConsistencyLevel::Watermark, ConsistencyLevel::Speculative] {
-            for mode in [AggMode::Incremental, AggMode::Recompute] {
-                let got = run_at_cadence(mode, level, window, &events, lateness)?;
-                prop_assert_eq!(&got, &expected, "{:?} {:?} {:?} lateness {}", level, mode, window, lateness);
-            }
+            let got = run_at_cadence(level, window, two, &events, lateness)?;
+            assert_rows_match(got, oracle(window, two, &events), two)?;
         }
     }
 }

@@ -4,7 +4,7 @@
 //! runtime's cadence.
 //!
 //! Covered: time-window aggregates at both consistency levels, tumbling
-//! and sliding, in both aggregation modes; count windows (never due);
+//! and sliding; count windows (never due);
 //! session windows; and a top-k operator on the trait's default (every
 //! watermark due). Streams carry ticks later than the lateness bound and
 //! gaps in event time.
@@ -14,7 +14,7 @@ use std::sync::Arc;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
-use evdb::cq::aggregate::{AggFunc, AggMode, AggSpec, WindowAggregateOp};
+use evdb::cq::aggregate::{AggFunc, AggSpec, WindowAggregateOp};
 use evdb::cq::op::{OpStats, Operator};
 use evdb::cq::window::WindowSpec;
 use evdb::cq::{ConsistencyLevel, TopKOp};
@@ -43,9 +43,9 @@ fn aggs() -> Vec<AggSpec> {
     .collect()
 }
 
-fn aggregate(window: WindowSpec, mode: AggMode, level: ConsistencyLevel) -> Box<dyn Operator> {
+fn aggregate(window: WindowSpec, level: ConsistencyLevel) -> Box<dyn Operator> {
     Box::new(
-        WindowAggregateOp::new(&schema(), window, &["g"], aggs(), mode)
+        WindowAggregateOp::new(&schema(), window, &["g"], aggs())
             .unwrap()
             .with_consistency(level),
     )
@@ -62,19 +62,14 @@ fn operators() -> Vec<(String, Make)> {
         WindowSpec::Sliding { width_ms: 300, slide_ms: 100 },
     ];
     for window in shapes {
-        for mode in [AggMode::Incremental, AggMode::Recompute] {
-            for level in [ConsistencyLevel::Watermark, ConsistencyLevel::Speculative] {
-                ops.push((
-                    format!("{window:?} {mode:?} {level:?}"),
-                    Box::new(move || aggregate(window, mode, level)),
-                ));
-            }
+        for level in [ConsistencyLevel::Watermark, ConsistencyLevel::Speculative] {
+            ops.push((format!("{window:?} {level:?}"), Box::new(move || aggregate(window, level))));
         }
     }
     for window in [WindowSpec::CountTumbling { count: 3 }, WindowSpec::Session { gap_ms: 60 }] {
         ops.push((
             format!("{window:?}"),
-            Box::new(move || aggregate(window, AggMode::Incremental, ConsistencyLevel::Watermark)),
+            Box::new(move || aggregate(window, ConsistencyLevel::Watermark)),
         ));
     }
     ops.push((
