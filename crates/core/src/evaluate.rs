@@ -9,6 +9,8 @@
 //! stateful per key. It holds no handle to any stage after it.
 
 use std::collections::HashMap;
+use std::hash::{BuildHasherDefault, Hasher};
+use std::ops::Range;
 use std::sync::atomic::Ordering;
 use std::sync::Arc;
 
@@ -38,18 +40,21 @@ pub struct EvalScratch {
     /// Indexed-matcher batch scratch (alert-rule verification).
     rules: MatchScratch,
     /// Per-event continuous-query results (an `Err` withholds the event
-    /// from the stages after).
+    /// from the stages after); each slot keeps its capacity across
+    /// batches.
     cq: Vec<Result<Vec<Event>>>,
-    /// Per-event alert-rule hits, re-scattered from the per-stream runs.
-    hits: Vec<Option<Result<Vec<u64>>>>,
+    /// Per-event alert-rule hits, re-scattered from the per-stream runs:
+    /// ranges into `hit_ids` (empty for an event without rules).
+    hits: Vec<Result<Range<usize>>>,
+    /// The batch's matched rule ids, stream run after stream run.
+    hit_ids: Vec<u64>,
     /// Distinct sources with registered rules, in first-seen order.
     sources: Vec<Arc<str>>,
     /// Event indices of the stream currently being matched.
     idxs: Vec<u32>,
-    /// Per-record outputs of one `match_batch` run.
-    rule_out: Vec<Result<Vec<u64>>>,
-    /// One event's staged notifications (committed only on success).
-    event_notes: Vec<Notification>,
+    /// Per-record outputs of one `match_batch` run: ranges into the
+    /// matcher scratch's ids.
+    rule_out: Vec<Result<Range<usize>>>,
     /// The first error of the last batch, for the by-hand entry points
     /// that return it (`pump`, `ingest`).
     first_error: Option<Error>,
@@ -59,7 +64,34 @@ pub struct EvalScratch {
 /// at least one rule, so streams without rules skip the matching stage.
 struct AlertRules {
     matcher: IndexedMatcher,
-    meta: HashMap<u64, AlertMeta>,
+    meta: IdMap<AlertMeta>,
+}
+
+/// A map keyed by rule id. Ids are minted here (`Evaluate::rule_ids`),
+/// never supplied by a client, so SipHash's resistance to chosen keys
+/// buys nothing: a hit's lookup hashes its id with one multiply.
+type IdMap<V> = HashMap<u64, V, BuildHasherDefault<IdHasher>>;
+
+/// Fibonacci hashing of a `u64`: the multiply spreads consecutive ids
+/// over the table's high (tag) bits and keeps the low (bucket) bits
+/// distinct.
+#[derive(Default)]
+struct IdHasher(u64);
+
+impl Hasher for IdHasher {
+    fn finish(&self) -> u64 {
+        self.0
+    }
+
+    fn write(&mut self, bytes: &[u8]) {
+        for &b in bytes {
+            self.write_u64(self.0.rotate_left(8) ^ u64::from(b));
+        }
+    }
+
+    fn write_u64(&mut self, n: u64) {
+        self.0 = n.wrapping_mul(0x9E37_79B9_7F4A_7C15);
+    }
 }
 
 /// What a rule's hits say. `name` (the key of a rule without a key
@@ -219,7 +251,7 @@ impl Evaluate {
                     stream.to_string(),
                     AlertRules {
                         matcher,
-                        meta: HashMap::from([(id, meta)]),
+                        meta: IdMap::from_iter([(id, meta)]),
                     },
                 );
             }
@@ -377,10 +409,12 @@ impl Evaluate {
             .fetch_add(derived_total, Ordering::Relaxed);
 
         // Alert rules, batched per stream: the candidate-verify work is
-        // rule-major through the batch VM; hits land back per event. One
-        // read lock covers matching and materializing.
+        // rule-major through the batch VM; hits land back per event, as
+        // ranges into one flat id buffer. One read lock covers matching
+        // and materializing.
         scratch.hits.clear();
-        scratch.hits.resize_with(events.len(), || None);
+        scratch.hits.resize_with(events.len(), || Ok(0..0));
+        scratch.hit_ids.clear();
         let rules = self.rules.read();
         scratch.sources.clear();
         if !rules.is_empty() {
@@ -410,17 +444,23 @@ impl Evaluate {
             entry
                 .matcher
                 .match_batch(&records, &mut scratch.rules, &mut scratch.rule_out);
+            // The matcher's buffer is its last run's; the batch's runs
+            // share this one.
+            let base = scratch.hit_ids.len();
+            scratch.hit_ids.extend_from_slice(scratch.rules.ids());
             for (k, hit) in scratch.rule_out.drain(..).enumerate() {
-                scratch.hits[scratch.idxs[k] as usize] = Some(hit);
+                scratch.hits[scratch.idxs[k] as usize] = hit.map(|r| base + r.start..base + r.end);
             }
         }
 
         // Per-event tail, in arrival order: materialize rule hits, then
         // run the (stateful) detectors, so every notification lands in
-        // `notes` in event order. An event's notes are staged and only
-        // committed if its whole evaluation succeeded. The detector map
+        // `notes` in event order. An event's notes go straight into
+        // `notes` and are cut back to its mark if any of its evaluation
+        // failed; room for every rule hit is made once. The detector map
         // is read-locked once per batch, and each run of same-stream
         // events resolves its rule set and detector groups once.
+        notes.reserve(scratch.hit_ids.len());
         let detectors = self.detectors.read();
         let mut i = 0;
         for run in events.chunk_by_mut(|a, b| a.source == b.source) {
@@ -432,27 +472,28 @@ impl Evaluate {
                 detectors.get(source)
             };
             for event in run {
-                scratch.event_notes.clear();
-                let cq = std::mem::replace(&mut scratch.cq[i], Ok(Vec::new()));
-                let hits = scratch.hits[i].take().unwrap_or(Ok(Vec::new()));
+                let mark = notes.len();
+                // The rows stay in their slot (it keeps its capacity);
+                // only an error is taken out.
+                let cq = match &scratch.cq[i] {
+                    Ok(_) => Ok(()),
+                    Err(_) => std::mem::replace(&mut scratch.cq[i], Ok(Vec::new())).map(drop),
+                };
+                let hits = std::mem::replace(&mut scratch.hits[i], Ok(0..0));
                 i += 1;
                 let outcome = cq.and(hits).and_then(|ids| {
                     if let Some(entry) = entry {
-                        rule_notifications(entry, &ids, event, &mut scratch.event_notes);
+                        rule_notifications(entry, &scratch.hit_ids[ids], event, notes);
                     }
                     match groups {
-                        Some(groups) => {
-                            self.collect_detectors(groups, event, &mut scratch.event_notes)
-                        }
+                        Some(groups) => self.collect_detectors(groups, event, notes),
                         None => Ok(()),
                     }
                 });
                 match outcome {
-                    Ok(()) => {
-                        notes.append(&mut scratch.event_notes);
-                        self.stamp_evaluated(event, now, batch);
-                    }
+                    Ok(()) => self.stamp_evaluated(event, now, batch),
                     Err(e) => {
+                        notes.truncate(mark);
                         errors += 1;
                         scratch.first_error.get_or_insert(e);
                     }

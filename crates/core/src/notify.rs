@@ -158,45 +158,42 @@ impl NotificationCenter {
 
     /// Offer a whole batch, taking each internal lock once instead of
     /// once per notification (D15). Filter decisions are made in batch
-    /// order; returns the number delivered.
-    pub fn notify_batch(&self, batch: Vec<Notification>) -> u64 {
+    /// order, and the batch is filtered in place, so the survivors keep
+    /// it (and its order) on their way to the handlers and the log;
+    /// returns the number delivered.
+    pub fn notify_batch(&self, mut batch: Vec<Notification>) -> u64 {
         if batch.is_empty() {
             return 0;
         }
         let now = self.clock.now();
-        let mut passed = Vec::with_capacity(batch.len());
         {
             let mut state = self.state.lock();
-            for n in batch {
-                if self.admit_locked(&mut state, &n, now) {
-                    passed.push(n);
-                }
-            }
+            batch.retain(|n| self.admit_locked(&mut state, n, now));
         }
-        if passed.is_empty() {
+        if batch.is_empty() {
             return 0;
         }
-        let count = passed.len() as u64;
+        let count = batch.len() as u64;
         self.delivered.fetch_add(count, Ordering::Relaxed);
         {
             let handlers = self.handlers.lock();
-            for n in &passed {
+            for n in &batch {
                 for h in handlers.iter() {
                     h(n);
                 }
             }
         }
         let mut log = self.delivered_log.lock();
-        let overflow = (log.len() + passed.len()).saturating_sub(DELIVERED_LOG_CAP);
+        let overflow = (log.len() + batch.len()).saturating_sub(DELIVERED_LOG_CAP);
         if overflow > 0 {
             self.log_overwritten
                 .fetch_add(overflow as u64, Ordering::Relaxed);
             // The oldest go: logged entries first, then the head of this batch.
             let from_log = overflow.min(log.len());
             log.drain(..from_log);
-            passed.drain(..overflow - from_log);
+            batch.drain(..overflow - from_log);
         }
-        log.extend(passed);
+        log.extend(batch);
         count
     }
 

@@ -361,18 +361,31 @@ impl Operator for FilterOp {
 /// Projection with computed columns: each output field is an expression
 /// over the input record.
 pub struct ProjectOp {
-    exprs: Vec<CompiledExpr>,
+    columns: Vec<Column>,
     out_schema: Arc<Schema>,
     label: String,
 }
 
+/// One output column of a projection.
+enum Column {
+    /// A plain input field, copied without entering the VM.
+    Field(usize),
+    /// Anything else, compiled to bytecode.
+    Computed(CompiledExpr),
+}
+
 impl ProjectOp {
-    /// `columns` pairs an output field definition with its (bound)
-    /// defining expression; each is compiled to bytecode here.
+    /// `exprs` are the output columns' (bound) defining expressions, in
+    /// `out_schema`'s order; each that is not a plain field is compiled
+    /// to bytecode here.
     pub fn new(exprs: Vec<BoundExpr>, out_schema: Arc<Schema>) -> ProjectOp {
         assert_eq!(exprs.len(), out_schema.len());
+        let column = |e: &BoundExpr| match e {
+            BoundExpr::Field(i) => Column::Field(*i),
+            e => Column::Computed(CompiledExpr::compile(e)),
+        };
         ProjectOp {
-            exprs: exprs.iter().map(CompiledExpr::compile).collect(),
+            columns: exprs.iter().map(column).collect(),
             out_schema,
             label: "project".to_string(),
         }
@@ -381,9 +394,13 @@ impl ProjectOp {
 
 impl Operator for ProjectOp {
     fn on_event(&mut self, event: &Event, out: &mut Vec<Event>) -> Result<()> {
-        let mut values = Vec::with_capacity(self.exprs.len());
-        for e in &self.exprs {
-            values.push(e.eval(&event.payload)?);
+        let mut values = Vec::with_capacity(self.columns.len());
+        for c in &self.columns {
+            values.push(match c {
+                // What the VM's field load yields: NULL past the record.
+                Column::Field(i) => event.payload.get(*i).cloned().unwrap_or(Value::Null),
+                Column::Computed(e) => e.eval(&event.payload)?,
+            });
         }
         out.push(event.with_payload(Record::new(values), Arc::clone(&self.out_schema)));
         Ok(())
@@ -453,6 +470,39 @@ mod tests {
         assert_eq!(out.len(), 1);
         assert_eq!(out[0].payload, Record::from_iter([Value::from("A"), Value::Float(300.0)]));
         assert_eq!(out[0].id, EventId(2)); // identity preserved
+    }
+
+    #[test]
+    fn a_projection_equals_its_columns_evaluated_one_by_one() {
+        // Plain fields (one of them NULL on the second event), computed
+        // columns and a constant.
+        let s = Schema::new(vec![
+            evdb_types::FieldDef::nullable("sym", DataType::Str),
+            evdb_types::FieldDef::required("px", DataType::Float),
+        ])
+        .unwrap();
+        let texts = ["px", "sym", "px * 2", "length(sym)", "px", "7"];
+        let bind = |t: &str| parse(t).unwrap().bind(&s).unwrap();
+        let out_schema = Schema::of(&[
+            ("a", DataType::Float),
+            ("b", DataType::Str),
+            ("c", DataType::Float),
+            ("d", DataType::Int),
+            ("e", DataType::Float),
+            ("f", DataType::Int),
+        ]);
+        let mut project = ProjectOp::new(texts.map(bind).into(), out_schema);
+        let copied = project.columns.iter().filter(|c| matches!(c, Column::Field(_)));
+        assert_eq!(copied.count(), 3);
+        for sym in [Value::from("A"), Value::Null] {
+            let payload = Record::from_iter([sym, Value::Float(2.5)]);
+            let event = Event::new(EventId(1), "ticks", TimestampMs(1), payload, Arc::clone(&s));
+            let mut out = Vec::new();
+            project.on_event(&event, &mut out).unwrap();
+            let want = texts.map(|t| CompiledExpr::compile(&bind(t)).eval(&event.payload).unwrap());
+            assert_eq!(out[0].payload, Record::from_iter(want));
+            assert_eq!(out[0].id, event.id);
+        }
     }
 
     #[test]

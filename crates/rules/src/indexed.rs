@@ -54,6 +54,7 @@
 use std::cell::{OnceCell, RefCell};
 use std::collections::hash_map::Entry;
 use std::collections::HashMap;
+use std::ops::Range;
 use std::sync::Arc;
 
 use evdb_expr::{analyze, BatchScratch, CompiledExpr, ConjunctiveForm, Constraint, KeyConstraint};
@@ -587,37 +588,51 @@ impl IndexedMatcher {
     /// The one verify routine: run the full predicate of each candidate
     /// in `slots` (an exact candidate is a match as admitted), then take
     /// each unindexed rule's verdict from `unindexed_verdict(k, rule)`
-    /// (`k` counts along `self.unindexed`). Both [`Matcher`] entry points
-    /// probe and verify through here, so ids, order and first-error-wins
-    /// agree by construction. The candidate and match counters fire only
-    /// for records that complete.
+    /// (`k` counts along `self.unindexed`), appending the matched ids to
+    /// `ids` in ascending order. Both [`Matcher`] entry points probe and
+    /// verify through here, so ids, order and first-error-wins agree by
+    /// construction. On an error `ids` is cut back to what it held.
+    /// Returns the rules admitted, for the candidate counter, which (like
+    /// the match counter) counts only records that complete.
     fn verify(
         &self,
         record: &Record,
         slots: &[u32],
         mut unindexed_verdict: impl FnMut(usize, &RuleMeta) -> Result<bool>,
-    ) -> Result<Vec<RuleId>> {
-        let mut out = Vec::new();
-        for &slot in slots {
-            let meta = self.meta(slot);
-            if meta.exact || meta.compiled.matches(record)? {
-                out.push(meta.id);
+        ids: &mut Vec<RuleId>,
+    ) -> Result<usize> {
+        let mark = ids.len();
+        let mut collect = || -> Result<()> {
+            for &slot in slots {
+                let meta = self.meta(slot);
+                if meta.exact || meta.compiled.matches(record)? {
+                    ids.push(meta.id);
+                }
             }
-        }
-        for (k, &slot) in self.unindexed.iter().enumerate() {
-            let meta = self.meta(slot);
-            if unindexed_verdict(k, meta)? {
-                out.push(meta.id);
+            for (k, &slot) in self.unindexed.iter().enumerate() {
+                let meta = self.meta(slot);
+                if unindexed_verdict(k, meta)? {
+                    ids.push(meta.id);
+                }
             }
+            Ok(())
+        };
+        if let Err(e) = collect() {
+            ids.truncate(mark);
+            return Err(e);
         }
-        out.sort_unstable();
+        ids[mark..].sort_unstable();
+        Ok(slots.len() + self.unindexed.len())
+    }
+
+    /// Report `candidates` admitted rules and `matches` matches.
+    fn count_matches(&self, candidates: usize, matches: usize) {
         if let Some(c) = &self.candidates_obs {
-            c.add((slots.len() + self.unindexed.len()) as u64);
+            c.add(candidates as u64);
         }
         if let Some(c) = &self.matches_obs {
-            c.add(out.len() as u64);
+            c.add(matches as u64);
         }
-        Ok(out)
     }
 
     /// Report the key evaluations behind `memo`.
@@ -698,7 +713,11 @@ impl Matcher for IndexedMatcher {
         let mut slots = [Vec::new()];
         self.probe(&[record], &memo, &mut slots);
         self.count_key_evals(&memo);
-        self.verify(record, &slots[0], |_, rule| rule.compiled.matches(record))
+        let mut ids = Vec::new();
+        let verdict = |_, rule: &RuleMeta| rule.compiled.matches(record);
+        let candidates = self.verify(record, &slots[0], verdict, &mut ids)?;
+        self.count_matches(candidates, ids.len());
+        Ok(ids)
     }
 
     /// [`match_record`](Matcher::match_record) per record, except that
@@ -708,21 +727,25 @@ impl Matcher for IndexedMatcher {
     /// candidates are verified record by record: the second constraint
     /// exists so that few records share a candidate, and a rule-major
     /// group of one or two records costs more to build than it saves
-    /// (DESIGN.md D1 records the trade-off for wide clusters).
+    /// (DESIGN.md D1 records the trade-off for wide clusters). The ids
+    /// land in the scratch's flat buffer, and the counters are added
+    /// once for the batch.
     fn match_batch(
         &self,
         records: &[&Record],
         scratch: &mut MatchScratch,
-        out: &mut Vec<Result<Vec<RuleId>>>,
+        out: &mut Vec<Result<Range<usize>>>,
     ) {
         out.clear();
         let MatchScratch {
+            ids,
             expr,
             bools,
             slots,
             verdicts,
             keys: memo,
         } = scratch;
+        ids.clear();
         let n = records.len();
         memo.reset(self.keys.len(), n);
         let key_dims = &self.dims[self.schema.len()..];
@@ -747,12 +770,16 @@ impl Matcher for IndexedMatcher {
                 .matches_batch(records, |r| *r, expr, bools);
             verdicts.append(bools);
         }
-        let verified = records.iter().zip(slots.iter()).enumerate();
-        out.extend(verified.map(|(i, (record, slots))| {
-            self.verify(record, slots, |k, _| {
-                std::mem::replace(&mut verdicts[k * n + i], Ok(false))
-            })
-        }));
+        let mut candidates = 0;
+        for (i, (record, slots)) in records.iter().zip(slots.iter()).enumerate() {
+            let start = ids.len();
+            let verdict = |k, _: &RuleMeta| std::mem::replace(&mut verdicts[k * n + i], Ok(false));
+            out.push(self.verify(record, slots, verdict, ids).map(|admitted| {
+                candidates += admitted;
+                start..ids.len()
+            }));
+        }
+        self.count_matches(candidates, ids.len());
     }
 
     fn len(&self) -> usize {
@@ -995,7 +1022,7 @@ mod tests {
             // The batch entry point shares one memo across records.
             let (mut scratch, mut out) = (MatchScratch::new(), Vec::new());
             m.match_batch(&[r, r, r], &mut scratch, &mut out);
-            assert!(out.iter().all(|ids| ids.as_ref().unwrap() == &want));
+            assert!(out.iter().all(|ids| scratch.ids()[ids.as_ref().unwrap().clone()] == want));
             assert_eq!(evals.get() - before, 4 * per_record, "{r}");
             per_record
         };
@@ -1155,15 +1182,16 @@ mod tests {
         for (r, batched) in records.iter().zip(&out) {
             let single = m.match_record(r);
             match (&single, batched) {
-                (Ok(a), Ok(b)) => assert_eq!(a, b, "{r}"),
+                (Ok(a), Ok(b)) => assert_eq!(a[..], scratch.ids()[b.clone()], "{r}"),
                 (Err(a), Err(b)) => assert_eq!(a.to_string(), b.to_string(), "{r}"),
                 _ => panic!("{r}: {single:?} vs {batched:?}"),
             }
         }
         let ok: Vec<bool> = out.iter().map(|r| r.is_ok()).collect();
         assert_eq!(ok, [true, false, false, false, true, true, false]);
-        assert_eq!(out[0].as_ref().unwrap(), &vec![0, 1, 2, 3, 5, 6]);
-        assert_eq!(out[5].as_ref().unwrap(), &vec![2, 4, 5, 6, 7]);
+        let hits = |i: usize| &scratch.ids()[out[i].as_ref().unwrap().clone()];
+        assert_eq!(hits(0), [0, 1, 2, 3, 5, 6]);
+        assert_eq!(hits(5), [2, 4, 5, 6, 7]);
     }
 
     #[test]

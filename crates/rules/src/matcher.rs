@@ -1,6 +1,8 @@
 //! The matcher contract shared by the scan baseline and the indexed
 //! design, so benchmarks and property tests can compare them head-to-head.
 
+use std::ops::Range;
+
 use evdb_expr::BatchScratch;
 use evdb_types::{Record, Result};
 
@@ -8,11 +10,15 @@ use crate::indexed::KeyMemo;
 use crate::rule::{Rule, RuleId};
 
 /// Reusable state for [`Matcher::match_batch`]: the expression-VM batch
-/// scratch plus the indexed matcher's per-record candidate buffers and
-/// key-value memo. Hold one per evaluating thread; buffers size
-/// themselves to the batch on first use and are reused afterwards (D15).
+/// scratch, the indexed matcher's per-record candidate buffers and
+/// key-value memo, and the flat buffer the batch's matched ids land in.
+/// Hold one per evaluating thread; buffers size themselves to the batch
+/// on first use and are reused afterwards (D15).
 #[derive(Debug, Default)]
 pub struct MatchScratch {
+    /// The last batch's matched ids, record after record; record `i`'s
+    /// are `ids[out[i]]`.
+    pub(crate) ids: Vec<RuleId>,
     /// Expression-VM scratch shared by every rule verified batch-wide.
     pub(crate) expr: BatchScratch,
     /// Verdict buffer for one batch-wide rule.
@@ -29,6 +35,13 @@ impl MatchScratch {
     /// Fresh scratch with empty buffers.
     pub fn new() -> MatchScratch {
         MatchScratch::default()
+    }
+
+    /// The ids the last [`Matcher::match_batch`] matched, record after
+    /// record: a record's hits are this slice at the range `out` holds
+    /// for it.
+    pub fn ids(&self) -> &[RuleId] {
+        &self.ids
     }
 }
 
@@ -50,19 +63,29 @@ pub trait Matcher: Send + Sync {
     /// in ascending id order (deterministic for tests and dedup).
     fn match_record(&self, record: &Record) -> Result<Vec<RuleId>>;
 
-    /// Match a whole batch: `out[i]` must equal
+    /// Match a whole batch: `out[i]` is the range of `scratch.ids()`
+    /// holding record `i`'s hits, which must equal
     /// `self.match_record(records[i])` — same ids, same first-error
-    /// semantics per record. The default delegates record-at-a-time;
+    /// semantics per record. A hit costs no allocation of its own: every
+    /// record's ids share the scratch's one buffer, which the next call
+    /// overwrites. The default delegates record-at-a-time;
     /// implementations override to amortize verification through the
     /// batch evaluator (D15).
     fn match_batch(
         &self,
         records: &[&Record],
-        _scratch: &mut MatchScratch,
-        out: &mut Vec<Result<Vec<RuleId>>>,
+        scratch: &mut MatchScratch,
+        out: &mut Vec<Result<Range<usize>>>,
     ) {
         out.clear();
-        out.extend(records.iter().map(|r| self.match_record(r)));
+        scratch.ids.clear();
+        for record in records {
+            out.push(self.match_record(record).map(|ids| {
+                let start = scratch.ids.len();
+                scratch.ids.extend(ids);
+                start..scratch.ids.len()
+            }));
+        }
     }
 
     /// Number of rules.

@@ -99,6 +99,21 @@ mod tests {
     }
 
     #[test]
+    fn the_default_batch_path_answers_like_match_record() {
+        let m = matcher();
+        let records = [
+            Record::from_iter([Value::from("IBM"), Value::Float(150.0)]),
+            Record::from_iter([Value::from("X"), Value::Float(50.0)]),
+            Record::from_iter([Value::from("IBM"), Value::Float(50.0)]),
+        ];
+        let refs: Vec<&Record> = records.iter().collect();
+        let (mut scratch, mut out) = (crate::MatchScratch::new(), Vec::new());
+        m.match_batch(&refs, &mut scratch, &mut out);
+        let hits: Vec<&[RuleId]> = out.iter().map(|r| &scratch.ids()[r.as_ref().unwrap().clone()]).collect();
+        assert_eq!(hits, [&[1, 2, 3][..], &[], &[1]]);
+    }
+
+    #[test]
     fn add_remove_update() {
         let mut m = matcher();
         assert_eq!(m.len(), 3);

@@ -7,13 +7,15 @@
 //! into several clusters, LIKE prefixes as string ranges, NULL fields,
 //! and expression keys (`qty % 5 = k`: a computed left side shared by
 //! many rules) as access path, as second constraint and over a nullable
-//! operand.
+//! operand. A record whose key evaluation fails mid-batch fails alone:
+//! its first error is `match_record`'s, and its batch-mates read what
+//! they read without it.
 
 use std::sync::Arc;
 
 use proptest::prelude::*;
 
-use evdb::rules::{IndexedMatcher, MatchScratch, Matcher, Rule, ScanMatcher};
+use evdb::rules::{IndexedMatcher, MatchScratch, Matcher, Rule, RuleId, ScanMatcher};
 use evdb::types::{DataType, FieldDef, Record, Schema, Value};
 
 fn schema() -> Arc<Schema> {
@@ -95,19 +97,44 @@ fn arb_event() -> impl Strategy<Value = Record> {
     )
 }
 
-/// `match_batch` over `events` must equal `match_record` per event.
-fn assert_batch_equals_record(idx: &IndexedMatcher, events: &[Record]) {
+/// A record's hits, or its error's text.
+type Hits = Result<Vec<RuleId>, String>;
+
+/// `match_batch` over `events`, each record's range read back out of the
+/// scratch's flat id buffer.
+fn batch_hits(idx: &IndexedMatcher, events: &[Record]) -> Vec<Hits> {
     let refs: Vec<&Record> = events.iter().collect();
     let (mut scratch, mut out) = (MatchScratch::new(), Vec::new());
     idx.match_batch(&refs, &mut scratch, &mut out);
     assert_eq!(out.len(), events.len());
-    for (ev, batched) in events.iter().zip(out) {
-        assert_eq!(
-            batched.unwrap(),
-            idx.match_record(ev).unwrap(),
-            "batch vs record on {ev}"
-        );
+    out.into_iter()
+        .map(|hits| match hits {
+            Ok(range) => Ok(scratch.ids()[range].to_vec()),
+            Err(e) => Err(e.to_string()),
+        })
+        .collect()
+}
+
+/// `match_batch` over `events` must equal `match_record` per event, an
+/// error included.
+fn assert_batch_equals_record(idx: &IndexedMatcher, events: &[Record]) {
+    for (ev, batched) in events.iter().zip(batch_hits(idx, events)) {
+        let single = idx.match_record(ev).map_err(|e| e.to_string());
+        assert_eq!(batched, single, "batch vs record on {ev}");
     }
+}
+
+/// Rules over the key `qty * 92233720368547758`, which overflows (an
+/// evaluation error) only on a `qty` above 100: as access path, and as
+/// second constraint behind a field.
+const POISONED_KEY_RULES: [&str; 2] = [
+    "qty * 92233720368547758 >= 0",
+    "sym = 'S1' AND qty * 92233720368547758 = 0",
+];
+
+/// The record [`POISONED_KEY_RULES`] fail on.
+fn poisoned() -> Record {
+    Record::from_iter([Value::from("S1"), Value::Float(1.0), Value::Int(1_000)])
 }
 
 // No `proptest_config`: the default count, which `PROPTEST_CASES` sets.
@@ -133,6 +160,27 @@ proptest! {
             );
         }
         assert_batch_equals_record(&idx, &events);
+    }
+
+    #[test]
+    fn a_failing_key_fails_only_its_record(
+        rule_texts in proptest::collection::vec(arb_rule_text(), 0..30),
+        events in proptest::collection::vec(arb_event(), 1..30),
+        at in 0usize..30,
+    ) {
+        let mut idx = IndexedMatcher::new(schema());
+        let texts = rule_texts.iter().map(String::as_str).chain(POISONED_KEY_RULES);
+        for (i, text) in texts.enumerate() {
+            let expr = evdb::expr::parse(text).unwrap();
+            idx.add_rule(Rule::new(i as u64, "", expr)).unwrap();
+        }
+        let at = at.min(events.len());
+        let mut batch = events.clone();
+        batch.insert(at, poisoned());
+        assert_batch_equals_record(&idx, &batch);
+        let mut with = batch_hits(&idx, &batch);
+        prop_assert!(with.remove(at).is_err());
+        prop_assert_eq!(with, batch_hits(&idx, &events));
     }
 
     #[test]
