@@ -77,6 +77,7 @@ fn batch_us_per_event(m: &dyn Matcher, events: &[Record]) -> (f64, u64) {
     let mut matches = 0u64;
     for batch in events.chunks(BATCH) {
         let refs: Vec<&Record> = batch.iter().collect();
+        scratch.clear_ids();
         m.match_batch(&refs, &mut scratch, &mut out);
         matches += out
             .iter()

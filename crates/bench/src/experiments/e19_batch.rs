@@ -153,6 +153,7 @@ fn rules_duel(events: &[Record], nrules: usize, rounds: usize) -> (f64, f64, f64
         let t0 = Instant::now();
         let mut hits = 0u64;
         for chunk in refs.chunks(BATCH) {
+            scratch.clear_ids();
             m.match_batch(chunk, &mut scratch, &mut out);
             hits += out
                 .iter()

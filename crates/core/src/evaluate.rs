@@ -40,14 +40,12 @@ pub struct EvalScratch {
     /// Indexed-matcher batch scratch (alert-rule verification).
     rules: MatchScratch,
     /// Per-event continuous-query results (an `Err` withholds the event
-    /// from the stages after); each slot keeps its capacity across
-    /// batches.
+    /// from the stages after).
     cq: Vec<Result<Vec<Event>>>,
     /// Per-event alert-rule hits, re-scattered from the per-stream runs:
-    /// ranges into `hit_ids` (empty for an event without rules).
+    /// ranges into the matcher scratch's ids (empty for an event
+    /// without rules).
     hits: Vec<Result<Range<usize>>>,
-    /// The batch's matched rule ids, stream run after stream run.
-    hit_ids: Vec<u64>,
     /// Distinct sources with registered rules, in first-seen order.
     sources: Vec<Arc<str>>,
     /// Event indices of the stream currently being matched.
@@ -414,7 +412,7 @@ impl Evaluate {
         // and materializing.
         scratch.hits.clear();
         scratch.hits.resize_with(events.len(), || Ok(0..0));
-        scratch.hit_ids.clear();
+        scratch.rules.clear_ids();
         let rules = self.rules.read();
         scratch.sources.clear();
         if !rules.is_empty() {
@@ -444,12 +442,8 @@ impl Evaluate {
             entry
                 .matcher
                 .match_batch(&records, &mut scratch.rules, &mut scratch.rule_out);
-            // The matcher's buffer is its last run's; the batch's runs
-            // share this one.
-            let base = scratch.hit_ids.len();
-            scratch.hit_ids.extend_from_slice(scratch.rules.ids());
             for (k, hit) in scratch.rule_out.drain(..).enumerate() {
-                scratch.hits[scratch.idxs[k] as usize] = hit.map(|r| base + r.start..base + r.end);
+                scratch.hits[scratch.idxs[k] as usize] = hit;
             }
         }
 
@@ -460,7 +454,7 @@ impl Evaluate {
         // failed; room for every rule hit is made once. The detector map
         // is read-locked once per batch, and each run of same-stream
         // events resolves its rule set and detector groups once.
-        notes.reserve(scratch.hit_ids.len());
+        notes.reserve(scratch.rules.ids().len());
         let detectors = self.detectors.read();
         let mut i = 0;
         for run in events.chunk_by_mut(|a, b| a.source == b.source) {
@@ -473,17 +467,12 @@ impl Evaluate {
             };
             for event in run {
                 let mark = notes.len();
-                // The rows stay in their slot (it keeps its capacity);
-                // only an error is taken out.
-                let cq = match &scratch.cq[i] {
-                    Ok(_) => Ok(()),
-                    Err(_) => std::mem::replace(&mut scratch.cq[i], Ok(Vec::new())).map(drop),
-                };
+                let cq = std::mem::replace(&mut scratch.cq[i], Ok(Vec::new()));
                 let hits = std::mem::replace(&mut scratch.hits[i], Ok(0..0));
                 i += 1;
                 let outcome = cq.and(hits).and_then(|ids| {
                     if let Some(entry) = entry {
-                        rule_notifications(entry, &scratch.hit_ids[ids], event, notes);
+                        rule_notifications(entry, &scratch.rules.ids()[ids], event, notes);
                     }
                     match groups {
                         Some(groups) => self.collect_detectors(groups, event, notes),

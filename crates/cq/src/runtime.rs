@@ -742,23 +742,22 @@ impl StreamRuntime {
     /// events: per event in order, the dedup check (live events the
     /// engine did not mint) and the stream-state update. Pushes each
     /// event's watermark to `wms` — `None` for a duplicate the window
-    /// dropped, or an unknown stream, whose slot in `out` (the run's
-    /// slots, emptied) gets its error. The stream is looked up and its
-    /// state locked once per run, the window's lock taken at the run's
-    /// first event that needs it.
+    /// dropped — and its empty result to `out`. The stream is looked up
+    /// and its state locked once per run, the window's lock taken at the
+    /// run's first event that needs it.
     fn admit_run(
         &self,
         run: &[Event],
         feed: Feed,
         wms: &mut Vec<Option<TimestampMs>>,
-        out: &mut [Result<Vec<Event>>],
+        out: &mut Vec<Result<Vec<Event>>>,
     ) {
         let entry = match self.stream_entry(run[0].source.as_ref()) {
             Ok(entry) => entry,
             Err(_) => {
-                for (event, slot) in run.iter().zip(out) {
+                for event in run {
                     wms.push(None);
-                    *slot = Err(Error::NotFound(format!("stream '{}'", event.source)));
+                    out.push(Err(Error::NotFound(format!("stream '{}'", event.source))));
                 }
                 return;
             }
@@ -773,6 +772,7 @@ impl StreamRuntime {
                     if window.check_and_insert(key) {
                         self.dup_dropped.fetch_add(1, Ordering::Relaxed);
                         wms.push(None);
+                        out.push(Ok(Vec::new()));
                         continue;
                     }
                 }
@@ -784,6 +784,7 @@ impl StreamRuntime {
                 Feed::Live => state.max_ts,
             };
             wms.push(Some(high.minus(self.lateness_ms)));
+            out.push(Ok(Vec::new()));
         }
     }
 
@@ -826,21 +827,11 @@ impl StreamRuntime {
     ) {
         // Phase A: dedup + stream state, strictly in arrival order (the
         // watermark each event routes with depends on its predecessors).
-        // `None` marks an event that is not routed. Every slot of `out`
-        // starts empty, keeping the capacity an earlier batch gave it.
-        out.truncate(events.len());
-        for slot in out.iter_mut() {
-            match slot {
-                Ok(rows) => rows.clear(),
-                Err(_) => *slot = Ok(Vec::new()),
-            }
-        }
-        out.resize_with(events.len(), || Ok(Vec::new()));
+        // `None` marks an event that is not routed.
+        out.clear();
         let mut wms = Vec::with_capacity(events.len());
-        let mut at = 0;
         for run in events.chunk_by(|a, b| a.source == b.source) {
-            self.admit_run(run, feed, &mut wms, &mut out[at..at + run.len()]);
-            at += run.len();
+            self.admit_run(run, feed, &mut wms, out);
         }
 
         // Phase B: route, grouped by source then unit. Units are

@@ -728,8 +728,8 @@ impl Matcher for IndexedMatcher {
     /// exists so that few records share a candidate, and a rule-major
     /// group of one or two records costs more to build than it saves
     /// (DESIGN.md D1 records the trade-off for wide clusters). The ids
-    /// land in the scratch's flat buffer, and the counters are added
-    /// once for the batch.
+    /// are appended to the scratch's flat buffer, and the counters are
+    /// added once for the batch.
     fn match_batch(
         &self,
         records: &[&Record],
@@ -745,7 +745,7 @@ impl Matcher for IndexedMatcher {
             verdicts,
             keys: memo,
         } = scratch;
-        ids.clear();
+        let base = ids.len();
         let n = records.len();
         memo.reset(self.keys.len(), n);
         let key_dims = &self.dims[self.schema.len()..];
@@ -779,7 +779,7 @@ impl Matcher for IndexedMatcher {
                 start..ids.len()
             }));
         }
-        self.count_matches(candidates, ids.len());
+        self.count_matches(candidates, ids.len() - base);
     }
 
     fn len(&self) -> usize {
@@ -1192,6 +1192,16 @@ mod tests {
         let hits = |i: usize| &scratch.ids()[out[i].as_ref().unwrap().clone()];
         assert_eq!(hits(0), [0, 1, 2, 3, 5, 6]);
         assert_eq!(hits(5), [2, 4, 5, 6, 7]);
+        // A second call appends: both calls' ranges read their hits
+        // until the caller clears.
+        let mut again = Vec::new();
+        m.match_batch(&refs[5..], &mut scratch, &mut again);
+        let first = out[5].as_ref().unwrap().clone();
+        let second = again[0].as_ref().unwrap().clone();
+        assert_eq!(second.start, first.end);
+        assert_eq!(scratch.ids()[first], scratch.ids()[second]);
+        scratch.clear_ids();
+        assert!(scratch.ids().is_empty());
     }
 
     #[test]

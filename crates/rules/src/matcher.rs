@@ -16,8 +16,9 @@ use crate::rule::{Rule, RuleId};
 /// on first use and are reused afterwards (D15).
 #[derive(Debug, Default)]
 pub struct MatchScratch {
-    /// The last batch's matched ids, record after record; record `i`'s
-    /// are `ids[out[i]]`.
+    /// Matched ids, record after record, appended by every
+    /// [`Matcher::match_batch`] since the last [`clear_ids`](Self::clear_ids);
+    /// record `i`'s are `ids[out[i]]`.
     pub(crate) ids: Vec<RuleId>,
     /// Expression-VM scratch shared by every rule verified batch-wide.
     pub(crate) expr: BatchScratch,
@@ -37,11 +38,16 @@ impl MatchScratch {
         MatchScratch::default()
     }
 
-    /// The ids the last [`Matcher::match_batch`] matched, record after
-    /// record: a record's hits are this slice at the range `out` holds
-    /// for it.
+    /// The ids [`Matcher::match_batch`] matched, record after record: a
+    /// record's hits are this slice at the range `out` holds for it.
     pub fn ids(&self) -> &[RuleId] {
         &self.ids
+    }
+
+    /// Empty the id buffer, keeping its capacity. `match_batch` appends,
+    /// so a caller clears once per unit of work it reads ranges from.
+    pub fn clear_ids(&mut self) {
+        self.ids.clear();
     }
 }
 
@@ -66,9 +72,10 @@ pub trait Matcher: Send + Sync {
     /// Match a whole batch: `out[i]` is the range of `scratch.ids()`
     /// holding record `i`'s hits, which must equal
     /// `self.match_record(records[i])` — same ids, same first-error
-    /// semantics per record. A hit costs no allocation of its own: every
-    /// record's ids share the scratch's one buffer, which the next call
-    /// overwrites. The default delegates record-at-a-time;
+    /// semantics per record. A hit costs no allocation of its own: the
+    /// ids are appended to the scratch's one buffer, so the ranges of
+    /// several calls stay valid together until the caller runs
+    /// [`MatchScratch::clear_ids`]. The default delegates record-at-a-time;
     /// implementations override to amortize verification through the
     /// batch evaluator (D15).
     fn match_batch(
@@ -78,7 +85,6 @@ pub trait Matcher: Send + Sync {
         out: &mut Vec<Result<Range<usize>>>,
     ) {
         out.clear();
-        scratch.ids.clear();
         for record in records {
             out.push(self.match_record(record).map(|ids| {
                 let start = scratch.ids.len();
